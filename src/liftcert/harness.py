@@ -13,7 +13,6 @@ byte-reproducible for a fixed config (timings never enter the files).
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import time
@@ -27,7 +26,7 @@ from . import rng as _rng
 from .matrixio import format_float
 from .spectral import count_large_singulars, jacobian_khatri_rao, singular_values
 from .stats import quantile_summary, wilson_interval
-from .tensor_lift import khatri_rao, sym_lift
+from .tensor_lift import from_sym_coords, khatri_rao, sym_lift
 from .varieties import certify, orthonormalize_basis, variety_from_spec
 
 TARGET_NAMES = [
@@ -134,16 +133,8 @@ def _random_row_isometry(rows: int, dim: int, master_seed: int, *path) -> np.nda
 
 def _random_sym_projector_rows(n: int, d: int, rank: int, master_seed: int, *path):
     """rank x n**d matrix with orthonormal rows spanning symmetric tensors."""
-    from .tensor_lift import _flat_index, enumerate_multi_indices
-
-    indices = enumerate_multi_indices(n, d)
-    coeff = _random_row_isometry(rank, len(indices), master_seed, *path)
-    rows = np.zeros((rank, n**d))
-    for c, ix in enumerate(indices):
-        scale = 1.0 / math.sqrt(ix.orbit_size())
-        for arrangement in set(itertools.permutations(ix.entries)):
-            rows[:, _flat_index(arrangement, n)] += coeff[:, c] * scale
-    return rows
+    coeff = _random_row_isometry(rank, math.comb(n + d - 1, d), master_seed, *path)
+    return from_sym_coords(coeff, n, d)
 
 
 def _unit_columns(shape, master_seed, *path) -> np.ndarray:

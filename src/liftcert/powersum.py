@@ -19,18 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
+from .spectral import sign_normalize_rows
 from .stats import wilson_interval
-from .tensor_lift import (MultiIndex, enumerate_multi_indices, sym_lift,
-                          sym_merge, sym_project)
-
-
-def _sign_normalize_cols(M: np.ndarray) -> np.ndarray:
-    M = M.copy()
-    for j in range(M.shape[1]):
-        nz = np.nonzero(np.abs(M[:, j]) > 1e-12)[0]
-        if nz.size and M[nz[0], j] < 0:
-            M[:, j] = -M[:, j]
-    return M
+from .tensor_lift import _plan, sym_lift, sym_merge, sym_project
 
 
 @dataclass(frozen=True)
@@ -73,7 +64,7 @@ def make_power_sum_instance(n: int, m: int, rho: float, seed: int) -> PowerSumIn
     base /= np.linalg.norm(base, axis=0)
     A = base + rho * _rng.gaussians((n2, m), seed, "powersum", "noise")
     U, _, _ = np.linalg.svd(A, full_matrices=True)
-    F = _sign_normalize_cols(U[:, m:])
+    F = sign_normalize_rows(U[:, m:].T).T
     return PowerSumInstance(n=n, m=m, A=A, base=base, F=F, rho=rho, seed=seed)
 
 
@@ -262,42 +253,32 @@ def build_block_lift(instance: ClusteringInstance) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def power_row(u: np.ndarray, r: int, indices: list[MultiIndex] | None = None) -> np.ndarray:
-    """Coefficient vector of the polynomial <u, x>^r over the monomial basis."""
-    u = np.asarray(u, dtype=float)
-    dim = u.shape[0]
+def _monomials(X: np.ndarray, r: int) -> np.ndarray:
+    """Degree-r monomials of the last axis of X, in multiset order."""
     if r < 1:
         raise ValueError("r must be at least 1")
-    if indices is None:
-        indices = enumerate_multi_indices(dim, r)
-    out = np.empty(len(indices))
-    r_fact = math.factorial(r)
-    for c, ix in enumerate(indices):
-        coeff = r_fact // math.prod(math.factorial(t) for t in ix.multiplicities())
-        prod = 1.0
-        for e in ix.entries:
-            prod *= u[e - 1]
-        out[c] = coeff * prod
-    return out
+    return X[..., _plan(X.shape[-1], r).rows].prod(axis=-1)
+
+
+def power_row(u: np.ndarray, r: int) -> np.ndarray:
+    """Coefficient vector of the polynomial <u, x>^r over the monomial basis.
+
+    The coefficient of a monomial is its multinomial coefficient, which is
+    the orbit size of its multiset.
+    """
+    u = np.asarray(u, dtype=float)
+    monomials = _monomials(u, r)
+    return _plan(u.shape[-1], r).orbit * monomials
 
 
 def build_power_matrix(points: np.ndarray, r: int) -> np.ndarray:
     """N x C(dim+r-1, r) matrix whose i-th row represents <u_i, x>^r."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    indices = enumerate_multi_indices(points.shape[1], r)
-    return np.vstack([power_row(u, r, indices) for u in points])
+    return power_row(np.atleast_2d(np.asarray(points, dtype=float)), r)
 
 
 def evaluate_power_row(row: np.ndarray, x: np.ndarray, r: int) -> float:
     """Pair a coefficient row with the monomial vector of x (oracle helper)."""
-    x = np.asarray(x, dtype=float)
-    vals = []
-    for ix in enumerate_multi_indices(x.shape[0], r):
-        prod = 1.0
-        for e in ix.entries:
-            prod *= x[e - 1]
-        vals.append(prod)
-    return float(row @ np.asarray(vals))
+    return float(row @ _monomials(np.asarray(x, dtype=float), r))
 
 
 def small_ball_estimate(base_point: np.ndarray, r: int, sigma: float,
@@ -314,13 +295,13 @@ def small_ball_estimate(base_point: np.ndarray, r: int, sigma: float,
     if abs(np.linalg.norm(a) - 1.0) > 1e-8:
         raise ValueError("test vector a must be a unit vector")
     base_point = np.asarray(base_point, dtype=float)
-    indices = enumerate_multi_indices(base_point.shape[0], r)
-    if a.shape != (len(indices),):
-        raise ValueError(f"a must have length {len(indices)}")
+    dim = math.comb(base_point.shape[0] + r - 1, r)
+    if a.shape != (dim,):
+        raise ValueError(f"a must have length {dim}")
     hits = 0
     for t in range(trials):
         u = base_point + sigma * _rng.gaussians(base_point.shape, seed, "smallball", t)
-        if abs(float(power_row(u, r, indices) @ a) - y) < eps:
+        if abs(float(power_row(u, r) @ a) - y) < eps:
             hits += 1
     low, high = wilson_interval(hits, trials)
     return {"hits": hits, "trials": trials, "frequency": hits / trials,

@@ -19,6 +19,15 @@ class RankError(ValueError):
     """The input does not have the rank the operation requires."""
 
 
+def sign_normalize_rows(M: np.ndarray) -> np.ndarray:
+    """Copy of M with signs flipped so each row's first entry above 1e-12 in
+    magnitude is positive.  Pass ``M.T`` to normalize columns instead."""
+    M = np.asarray(M, dtype=float)
+    big = np.abs(M) > 1e-12
+    lead = np.take_along_axis(M, big.argmax(axis=1)[:, None], axis=1)[:, 0]
+    return np.where((big.any(axis=1) & (lead < 0))[:, None], -M, M)
+
+
 def singular_values(A: np.ndarray) -> np.ndarray:
     """All singular values of A in non-increasing order."""
     A = np.asarray(A, dtype=float)

@@ -5,6 +5,12 @@ non-decreasing index tuples: the symmetrized Kronecker lift of a matrix, the
 permutation-averaging selector that converts a full Kronecker power into that
 lift, and sparse merge operators that multiply monomial coefficient vectors.
 
+Symmetric tensors have one representation: a cached plan per (n, d) holding
+the multiset index rows in lexicographic order and their orbit sizes (the
+number of distinct orderings of each row), plus, where full n**d
+coordinates are involved, the plan row of every flat position.  Every
+builder below is array arithmetic on that plan.
+
 All tensor reshaping is row-major with mode 1 slowest, so ``np.kron`` of
 column vectors and ``ndarray.reshape`` agree with the flattening used here.
 Every function is pure; returned arrays are owned by the caller.
@@ -12,16 +18,20 @@ Every function is pure; returned arrays are owned by the caller.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 # Hard cap on materialized index sets; lifts are dense and desk-scale.
 MAX_INDEX_COUNT = 2**26
+# Hard cap on the entries of a dense Kronecker power or full n**d index array.
+MAX_DENSE_ENTRIES = 2**27
 
 
 class LiftSizeError(ValueError):
@@ -35,6 +45,63 @@ def _check_size(n: int, d: int) -> int:
             f"C({n}+{d}-1,{d}) = {count} exceeds the materialization cap {MAX_INDEX_COUNT}"
         )
     return count
+
+
+def _check_dense(n: int, m: int, d: int) -> None:
+    """Refuse an n**d x m**d dense array before it is allocated."""
+    entries = n**d * m**d
+    if entries > MAX_DENSE_ENTRIES:
+        raise LiftSizeError(
+            f"an n**d x m**d array with n = {n}, m = {m}, d = {d} has {entries} "
+            f"entries, above the materialization cap {MAX_DENSE_ENTRIES}")
+
+
+class _IndexPlan(NamedTuple):
+    rows: np.ndarray   # C(n+d-1, d) x d, 0-based non-decreasing, lexicographic
+    orbit: np.ndarray  # distinct orderings of each row
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(n: int, d: int) -> _IndexPlan:
+    """Multiset index rows over 0..n-1 and their orbit sizes (read-only)."""
+    count = _check_size(n, d)
+    rows = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations_with_replacement(range(n), d)),
+        dtype=np.int64, count=count * d).reshape(count, d)
+    # The orbit of a prefix of length j+1 is the orbit of the length-j prefix
+    # times (j+1) / (length of the run of equal entries ending at j).
+    orbit = np.ones(count, dtype=np.int64)
+    run = np.ones(count, dtype=np.int64)
+    for j in range(1, d):
+        run = np.where(rows[:, j] == rows[:, j - 1], run + 1, 1)
+        orbit = orbit * (j + 1) // run
+    rows.flags.writeable = False
+    orbit.flags.writeable = False
+    return _IndexPlan(rows, orbit)
+
+
+def _flat(rows: np.ndarray, n: int) -> np.ndarray:
+    """Row-major positions of 0-based index rows (last axis) in the n**d space."""
+    d = rows.shape[-1]
+    if n**d > np.iinfo(np.int64).max:
+        raise LiftSizeError(f"positions in the {n}**{d} coordinate space overflow int64")
+    return rows @ (n ** np.arange(d - 1, -1, -1, dtype=np.int64))
+
+
+def _rank(sorted_rows: np.ndarray, n: int) -> np.ndarray:
+    """Plan position of each non-decreasing 0-based index row (last axis)."""
+    plan = _plan(n, sorted_rows.shape[-1])
+    return np.searchsorted(_flat(plan.rows, n), _flat(sorted_rows, n))
+
+
+@functools.lru_cache(maxsize=16)
+def _orbit_ids(n: int, d: int) -> np.ndarray:
+    """Plan row of every flat position of the full n**d space (read-only)."""
+    _check_dense(n, 1, d)
+    digits = np.indices((n,) * d).reshape(d, -1).T
+    ids = _rank(np.sort(digits, axis=1), n)
+    ids.flags.writeable = False
+    return ids
 
 
 @dataclass(frozen=True)
@@ -82,17 +149,33 @@ def enumerate_multi_indices(n: int, d: int) -> list[MultiIndex]:
     """All non-decreasing d-tuples over 1..n in lexicographic order."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be at least 1")
-    _check_size(n, d)
-    return [MultiIndex(entries, n)
-            for entries in itertools.combinations_with_replacement(range(1, n + 1), d)]
+    return [MultiIndex(tuple(entries), n) for entries in (_plan(n, d).rows + 1).tolist()]
 
 
-def _flat_index(entries: tuple[int, ...], n: int) -> int:
-    """Row-major position of a 1-based tuple in the full n**d coordinate space."""
-    idx = 0
-    for e in entries:
-        idx = idx * n + (e - 1)
-    return idx
+def sym_coords(X: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Isometric multiset coordinates of flattened symmetric d-tensors.
+
+    The last axis of X holds the n**d full coordinates; coordinate c of the
+    result is the entry at multiset row c times sqrt(orbit size).
+    """
+    X = np.asarray(X, dtype=float)
+    if X.shape[-1] != n**d:
+        raise ValueError(f"expected {n}**{d} = {n**d} full coordinates, got {X.shape[-1]}")
+    rows, orbit = _plan(n, d)
+    return X[..., _flat(rows, n)] * np.sqrt(orbit)
+
+
+def from_sym_coords(Y: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Flattened symmetric d-tensors with the given isometric coordinates.
+
+    Inverse of :func:`sym_coords` on symmetric tensors; the last axis of Y
+    holds C(n+d-1, d) coordinates and becomes n**d full coordinates.
+    """
+    Y = np.asarray(Y, dtype=float)
+    orbit = _plan(n, d).orbit
+    if Y.shape[-1] != orbit.size:
+        raise ValueError(f"expected {orbit.size} symmetric coordinates, got {Y.shape[-1]}")
+    return (Y * (1.0 / np.sqrt(orbit)))[..., _orbit_ids(n, d)]
 
 
 @dataclass(frozen=True)
@@ -139,6 +222,7 @@ def kron_power(U: np.ndarray, d: int) -> np.ndarray:
     U = np.asarray(U, dtype=float)
     if d < 1:
         raise ValueError("d must be at least 1")
+    _check_dense(*(U.shape if U.ndim == 2 else (U.size, 1)), d)
     return reduce(np.kron, [U] * d)
 
 
@@ -168,17 +252,9 @@ def sym_kron(factors: list[np.ndarray]) -> LiftMatrix:
         raise ValueError("all factors must share the same shape")
     n, m = shape
     indices = enumerate_multi_indices(m, d)
-    perms = list(itertools.permutations(range(d)))
-    cols = np.empty((n**d, len(indices)))
-    for c, ix in enumerate(indices):
-        acc = np.zeros(n**d)
-        for pi in perms:
-            term = mats[0][:, ix.entries[pi[0]] - 1]
-            for j in range(1, d):
-                term = np.kron(term, mats[j][:, ix.entries[pi[j]] - 1])
-            acc += term
-        cols[:, c] = acc / len(perms)
-    return LiftMatrix(cols, n=n, m=m, d=d, kind="symmetrized", column_order=indices)
+    _check_dense(n, m, d)
+    data = reduce(np.kron, mats) @ sel_avg(m, d)
+    return LiftMatrix(data, n=n, m=m, d=d, kind="symmetrized", column_order=indices)
 
 
 def sym_lift(U: np.ndarray, d: int) -> LiftMatrix:
@@ -200,24 +276,16 @@ def sym_project(v: np.ndarray, n: int, d: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (n**d,):
         raise ValueError(f"expected a vector of length {n}**{d} = {n**d}, got {v.shape}")
-    T = v.reshape((n,) * d)
-    acc = np.zeros_like(T)
-    perms = list(itertools.permutations(range(d)))
-    for pi in perms:
-        acc += np.transpose(T, pi)
-    return (acc / len(perms)).reshape(n**d)
+    ids, orbit = _orbit_ids(n, d), _plan(n, d).orbit
+    return (np.bincount(ids, weights=v, minlength=orbit.size) / orbit)[ids]
 
 
 def sym_projector_matrix(n: int, d: int) -> np.ndarray:
     """Dense n**d x n**d matrix of the mode-permutation averaging projector."""
     if n**d > 2**13:
         raise LiftSizeError(f"projector of side {n**d} is too large to materialize")
-    P = np.zeros((n**d, n**d))
-    perms = list(itertools.permutations(range(d)))
-    for col, entries in enumerate(itertools.product(range(1, n + 1), repeat=d)):
-        for pi in perms:
-            P[_flat_index(tuple(entries[j] for j in pi), n), col] += 1.0
-    return P / len(perms)
+    ids = _orbit_ids(n, d)
+    return np.where(ids[:, None] == ids, 1.0 / _plan(n, d).orbit[ids], 0.0)
 
 
 def sel_avg(m: int, d: int) -> np.ndarray:
@@ -230,12 +298,10 @@ def sel_avg(m: int, d: int) -> np.ndarray:
     """
     if m < 1 or d < 1:
         raise ValueError("m and d must be at least 1")
-    indices = enumerate_multi_indices(m, d)
-    counts = np.zeros((m**d, len(indices)))
-    for c, ix in enumerate(indices):
-        for pi in itertools.permutations(ix.entries):
-            counts[_flat_index(pi, m), c] += 1
-    return counts / math.factorial(d)
+    ids, orbit = _orbit_ids(m, d), _plan(m, d).orbit
+    S = np.zeros((m**d, orbit.size))
+    S[np.arange(m**d), ids] = 1.0 / orbit[ids]
+    return S
 
 
 @dataclass(frozen=True)
@@ -272,25 +338,18 @@ def sym_merge(n: int, k1: int, k2: int, variant: str = "unit_merge") -> SymMerge
         raise ValueError(f"unknown variant {variant!r}")
     if n < 1 or k1 < 1 or k2 < 1:
         raise ValueError("n, k1, k2 must be at least 1")
-    left = enumerate_multi_indices(n, k1)
-    right = enumerate_multi_indices(n, k2)
-    out_rank = {ix.entries: r for r, ix in enumerate(enumerate_multi_indices(n, k1 + k2))}
-    d_tot = math.factorial(k1 + k2)
-    rows = np.empty(len(left) * len(right), dtype=np.int64)
-    vals = np.empty(len(left) * len(right))
-    c = 0
-    for I in left:
-        for J in right:
-            K = tuple(sorted(I.entries + J.entries))
-            rows[c] = out_rank[K]
-            if variant == "unit_merge":
-                vals[c] = 1.0
-            else:
-                mu_K = math.prod(
-                    math.factorial(len(list(g))) for _, g in itertools.groupby(K))
-                vals[c] = math.sqrt(I.orbit_size() * J.orbit_size() * mu_K / d_tot)
-            c += 1
-    cols = np.arange(len(left) * len(right), dtype=np.int64)
-    data = sp.csr_matrix((vals, (rows, cols)),
-                         shape=(len(out_rank), len(left) * len(right)))
+    left, right, out = _plan(n, k1), _plan(n, k2), _plan(n, k1 + k2)
+    # Column (I, J), I slow, is the multiset union of left row I and right row J.
+    pairs = np.hstack([np.repeat(left.rows, len(right.rows), axis=0),
+                       np.tile(right.rows, (len(left.rows), 1))])
+    rows = _rank(np.sort(pairs, axis=1), n)
+    if variant == "unit_merge":
+        vals = np.ones(rows.size)
+    else:
+        # prod(multiplicity!) of the union K is (k1+k2)! / orbit(K).
+        d_tot = math.factorial(k1 + k2)
+        vals = np.sqrt(np.outer(left.orbit, right.orbit).ravel()
+                       * (d_tot // out.orbit[rows]) / d_tot)
+    cols = np.arange(rows.size, dtype=np.int64)
+    data = sp.csr_matrix((vals, (rows, cols)), shape=(out.orbit.size, rows.size))
     return SymMergeOperator(n=n, k1=k1, k2=k2, variant=variant, data=data)

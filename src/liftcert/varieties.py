@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 from functools import reduce
 
@@ -26,28 +25,19 @@ import numpy as np
 
 from . import rng as _rng
 from .matrixio import matrix_sha256
-from .spectral import singular_values
-from .tensor_lift import (LiftSizeError, _flat_index, enumerate_multi_indices,
-                          sym_lift, sym_project)
+from .spectral import sign_normalize_rows, singular_values
+from .tensor_lift import (LiftSizeError, from_sym_coords, sym_coords, sym_lift,
+                          sym_project)
 
 ORTHO_DROP_RTOL = 1e-8
 
 
-def _sign_normalize_rows(M: np.ndarray) -> np.ndarray:
-    M = M.copy()
-    for i in range(M.shape[0]):
-        nz = np.nonzero(np.abs(M[i]) > 1e-12)[0]
-        if nz.size and M[i, nz[0]] < 0:
-            M[i] = -M[i]
-    return M
-
-
-def _full_to_sym_coords(row: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Isometric coordinates of a symmetric tensor in the multiset basis."""
-    out = np.empty(math.comb(n + d - 1, d))
-    for c, ix in enumerate(enumerate_multi_indices(n, d)):
-        out[c] = row[_flat_index(ix.entries, n)] * math.sqrt(ix.orbit_size())
-    return out
+def _flat_index(entries: tuple[int, ...], n: int) -> int:
+    """Row-major position of a 1-based tuple in the full n**d coordinate space."""
+    idx = 0
+    for e in entries:
+        idx = idx * n + (e - 1)
+    return idx
 
 
 def determinantal_generators(n1: int, n2: int, r: int) -> list[np.ndarray]:
@@ -86,20 +76,6 @@ def _perm_sign(pi) -> float:
     return sign
 
 
-def _sym2_iso_elements(n: int) -> list[np.ndarray]:
-    """Orthonormal basis of symmetric n x n matrices, multiset order."""
-    out = []
-    for a in range(n):
-        for b in range(a, n):
-            E = np.zeros((n, n))
-            if a == b:
-                E[a, a] = 1.0
-            else:
-                E[a, b] = E[b, a] = 1.0 / math.sqrt(2.0)
-            out.append(E)
-    return out
-
-
 def separable_generators(dims: tuple[int, ...]) -> list[np.ndarray]:
     """Orthonormal quadratic dual tensors vanishing on all product tensors.
 
@@ -113,36 +89,19 @@ def separable_generators(dims: tuple[int, ...]) -> list[np.ndarray]:
     if len(dims) < 2 or any(x < 2 for x in dims):
         raise ValueError("need at least two axes, each of dimension >= 2")
     N = math.prod(dims)
-    M2 = math.comb(N + 1, 2)
     if N > 64:
         raise LiftSizeError(f"ambient dimension {N} too large for dense construction")
 
-    pair_indices = [(a, b) for a in range(N) for b in range(a, N)]
-    iso_scale = {pair: (1.0 if pair[0] == pair[1] else math.sqrt(2.0))
-                 for pair in pair_indices}
-
-    def to_iso(X: np.ndarray) -> np.ndarray:
-        return np.array([X[a, b] * iso_scale[(a, b)] for a, b in pair_indices])
-
-    factor_bases = [_sym2_iso_elements(nd) for nd in dims]
-    cols = []
-    for combo in itertools.product(*factor_bases):
-        X = reduce(np.kron, combo)
-        cols.append(to_iso(X))
-    B = np.column_stack(cols)
+    # Orthonormal bases of the symmetric nd x nd matrices, in multiset order.
+    factor_bases = [from_sym_coords(np.eye(math.comb(nd + 1, 2)), nd, 2).reshape(-1, nd, nd)
+                    for nd in dims]
+    B = np.column_stack([sym_coords(reduce(np.kron, combo).reshape(N * N), N, 2)
+                         for combo in itertools.product(*factor_bases)])
 
     _, s, Vt = np.linalg.svd(B.T, full_matrices=True)
     rank = int(np.count_nonzero(s > ORTHO_DROP_RTOL * s[0]))
-    kernel = _sign_normalize_rows(Vt[rank:])
-
-    gens = []
-    for row in kernel:
-        G = np.zeros((N, N))
-        for coord, (a, b) in zip(row, pair_indices):
-            G[a, b] = coord / iso_scale[(a, b)]
-            G[b, a] = G[a, b]
-        gens.append(G.reshape(N * N))
-    return gens
+    kernel = sign_normalize_rows(Vt[rank:])
+    return list(from_sym_coords(kernel, N, 2))
 
 
 @dataclass(frozen=True)
@@ -201,9 +160,8 @@ def build_phi(generators: list[np.ndarray], n: int, d: int,
     keep = s > ORTHO_DROP_RTOL * s[0]
     if not keep.any():
         raise ValueError("no generators survive orthonormalization")
-    phi = _sign_normalize_rows(Vt[: int(keep.sum())])
-    sym_coords = np.vstack([_full_to_sym_coords(row, n, d) for row in phi])
-    return VarietyOperator(n=n, d=d, phi=phi, generators=sym_coords,
+    phi = sign_normalize_rows(Vt[: int(keep.sum())])
+    return VarietyOperator(n=n, d=d, phi=phi, generators=sym_coords(phi, n, d),
                            provenance=provenance)
 
 
@@ -247,7 +205,6 @@ class CertificateReport:
     n: int
     d: int
     verdict: str
-    wall_time_ms: float
     basis_sha256: str
     tolerance: float
 
@@ -258,7 +215,6 @@ class CertificateReport:
             "n": self.n,
             "d": self.d,
             "verdict": self.verdict,
-            "wall_time_ms": self.wall_time_ms,
             "basis_sha256": self.basis_sha256,
             "tolerance": self.tolerance,
         }
@@ -290,7 +246,6 @@ def certify(op: VarietyOperator, basis: np.ndarray,
     at distance at least eta / d (up to the lift's conditioning) from the
     subspace; the report carries the raw eta and the threshold verdict.
     """
-    start = time.perf_counter()
     basis = np.asarray(basis, dtype=float)
     n, m = basis.shape
     if n != op.n:
@@ -306,9 +261,7 @@ def certify(op: VarietyOperator, basis: np.ndarray,
     s = singular_values(op.phi @ L.data)
     eta = float(s[-1])
     verdict = "certified_far" if eta > tolerance else "dont_know"
-    elapsed = (time.perf_counter() - start) * 1e3
     return CertificateReport(eta=eta, m=m, n=n, d=op.d, verdict=verdict,
-                             wall_time_ms=elapsed,
                              basis_sha256=matrix_sha256(basis),
                              tolerance=tolerance)
 

@@ -110,6 +110,17 @@ class TestCertify:
         assert code == 0
         assert json.loads(out)["m"] == 3
 
+    def test_rerun_writes_identical_bytes(self, tmp_path, capsys):
+        outputs = []
+        for run in range(2):
+            path = tmp_path / f"report{run}.json"
+            code, _, _ = run_cli(capsys, "certify", "--variety",
+                                 "determinantal:4,4,1", "--basis", "random:3",
+                                 "--rho", "0.1", "--seed", "7", "--out", str(path))
+            assert code == 0
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_bad_variety_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "certify", "--variety", "conic:9",
                                "--basis", "random:2")

@@ -6,15 +6,143 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liftcert import tensor_lift
+from liftcert.powersum import build_power_matrix, evaluate_power_row, power_row
 from liftcert.tensor_lift import (LiftMatrix, LiftSizeError, MultiIndex,
-                                  enumerate_multi_indices, full_lift,
-                                  khatri_rao, kron, kron_power, sel_avg,
-                                  sym_kron, sym_lift, sym_merge, sym_project)
+                                  enumerate_multi_indices, from_sym_coords,
+                                  full_lift, khatri_rao, kron, kron_power,
+                                  sel_avg, sym_coords, sym_kron, sym_lift,
+                                  sym_merge, sym_project, sym_projector_matrix)
 
 
 def brute_force_tuples(n, d):
     return [t for t in itertools.product(range(1, n + 1), repeat=d)
             if all(a <= b for a, b in zip(t, t[1:]))]
+
+
+# Reference implementations: direct loops over permutations and multisets,
+# independent of the index plan the library builds on.
+
+def flat_index(entries, n):
+    idx = 0
+    for e in entries:
+        idx = idx * n + (e - 1)
+    return idx
+
+
+def ref_sym_kron(mats):
+    """Average over all d! permutations of Kronecker products of columns."""
+    d = len(mats)
+    n, m = mats[0].shape
+    perms = list(itertools.permutations(range(d)))
+    cols = []
+    for entries in brute_force_tuples(m, d):
+        acc = np.zeros(n**d)
+        for pi in perms:
+            term = mats[0][:, entries[pi[0]] - 1]
+            for j in range(1, d):
+                term = np.kron(term, mats[j][:, entries[pi[j]] - 1])
+            acc += term
+        cols.append(acc / len(perms))
+    return np.column_stack(cols)
+
+
+def ref_sym_project(v, n, d):
+    """Average of a flattened d-tensor over all d! mode transposes."""
+    T = v.reshape((n,) * d)
+    perms = list(itertools.permutations(range(d)))
+    return (sum(np.transpose(T, pi) for pi in perms) / len(perms)).reshape(n**d)
+
+
+def ref_sel_avg(m, d):
+    """Permutation counts of each multiset, over d!."""
+    tuples = brute_force_tuples(m, d)
+    counts = np.zeros((m**d, len(tuples)))
+    for c, entries in enumerate(tuples):
+        for pi in itertools.permutations(entries):
+            counts[flat_index(pi, m), c] += 1
+    return counts / math.factorial(d)
+
+
+def ref_power_row(u, r):
+    """Multinomial coefficient times the product of entries, per multiset."""
+    out = []
+    for entries in brute_force_tuples(len(u), r):
+        coeff = math.factorial(r) // math.prod(
+            math.factorial(entries.count(v)) for v in set(entries))
+        out.append(coeff * math.prod(u[e - 1] for e in entries))
+    return np.array(out)
+
+
+class TestAgainstReferenceLoops:
+    SHAPES = [(3, 2, 2), (2, 3, 3), (2, 2, 4), (3, 2, 4), (4, 3, 1)]
+
+    @pytest.mark.parametrize("n,m,d", SHAPES)
+    def test_sym_kron_distinct_factors(self, n, m, d):
+        rng = np.random.default_rng(n * 100 + m * 10 + d)
+        mats = [rng.standard_normal((n, m)) for _ in range(d)]
+        assert np.abs(sym_kron(mats).data - ref_sym_kron(mats)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n,m,d", SHAPES)
+    def test_sym_lift(self, n, m, d):
+        U = np.random.default_rng(d).standard_normal((n, m))
+        assert np.abs(sym_lift(U, d).data - ref_sym_kron([U] * d)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n,d", [(2, 2), (3, 3), (2, 4), (3, 4), (4, 1)])
+    def test_sym_project_and_projector(self, n, d):
+        v = np.random.default_rng(n + d).standard_normal(n**d)
+        assert np.abs(sym_project(v, n, d) - ref_sym_project(v, n, d)).max() <= 1e-12
+        P = np.column_stack([ref_sym_project(e, n, d) for e in np.eye(n**d)])
+        assert np.abs(sym_projector_matrix(n, d) - P).max() <= 1e-12
+
+    def test_sel_avg(self):
+        for m in range(1, 5):
+            for d in range(1, 5):
+                assert np.abs(sel_avg(m, d) - ref_sel_avg(m, d)).max() <= 1e-12
+
+    @pytest.mark.parametrize("dim,r", [(3, 1), (3, 2), (4, 3), (3, 4)])
+    def test_power_rows(self, dim, r):
+        rng = np.random.default_rng(dim * 10 + r)
+        points, x = rng.standard_normal((5, dim)), rng.standard_normal(dim)
+        ref = np.vstack([ref_power_row(u, r) for u in points])
+        assert np.abs(build_power_matrix(points, r) - ref).max() <= 1e-12
+        assert np.abs(power_row(points[0], r) - ref[0]).max() <= 1e-12
+        monomials = ref_power_row(x, r) / ref_power_row(np.ones(dim), r)
+        assert abs(evaluate_power_row(ref[0], x, r) - ref[0] @ monomials) <= 1e-12
+
+
+class TestSymCoords:
+    @pytest.mark.parametrize("n,d", [(3, 2), (2, 3), (3, 4)])
+    def test_round_trip_is_an_isometry_onto_symmetric_tensors(self, n, d):
+        Y = np.random.default_rng(n + d).standard_normal((4, math.comb(n + d - 1, d)))
+        T = from_sym_coords(Y, n, d)
+        for row in T:
+            assert np.abs(ref_sym_project(row, n, d) - row).max() <= 1e-12
+        assert np.abs(T @ T.T - Y @ Y.T).max() <= 1e-12
+        assert np.abs(sym_coords(T, n, d) - Y).max() <= 1e-12
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            sym_coords(np.ones(5), 2, 2)
+        with pytest.raises(ValueError):
+            from_sym_coords(np.ones(5), 2, 2)
+
+
+class TestDenseSizeGuard:
+    def test_refuses_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(tensor_lift, "MAX_DENSE_ENTRIES", 100)
+        tensor_lift._orbit_ids.cache_clear()
+        U = np.ones((3, 2))
+        with pytest.raises(LiftSizeError, match="n = 3, m = 2, d = 3"):
+            kron_power(U, 3)
+        with pytest.raises(LiftSizeError, match="n = 3, m = 2, d = 3"):
+            sym_lift(U, 3)
+        with pytest.raises(LiftSizeError, match="n = 5, m = 1, d = 3"):
+            sym_project(np.ones(125), 5, 3)
+        with pytest.raises(LiftSizeError, match="n = 5, m = 1, d = 3"):
+            sel_avg(5, 3)
+        assert kron_power(U, 2).shape == (9, 4)
+        tensor_lift._orbit_ids.cache_clear()
 
 
 class TestMultiIndex:

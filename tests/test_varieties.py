@@ -191,7 +191,7 @@ class TestCertify:
         op = determinantal_operator(2, 2, 1)
         basis = (np.eye(2) / math.sqrt(2.0)).reshape(4, 1)
         payload = certify(op, basis).to_json()
-        assert set(payload) == {"eta", "m", "n", "d", "verdict", "wall_time_ms",
+        assert set(payload) == {"eta", "m", "n", "d", "verdict",
                                 "basis_sha256", "tolerance"}
 
 
