@@ -267,8 +267,7 @@ def power_row(u: np.ndarray, r: int) -> np.ndarray:
     the orbit size of its multiset.
     """
     u = np.asarray(u, dtype=float)
-    monomials = _monomials(u, r)
-    return _plan(u.shape[-1], r).orbit * monomials
+    return _plan(u.shape[-1], r).orbit * _monomials(u, r)
 
 
 def build_power_matrix(points: np.ndarray, r: int) -> np.ndarray:

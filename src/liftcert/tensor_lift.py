@@ -5,11 +5,9 @@ non-decreasing index tuples: the symmetrized Kronecker lift of a matrix, the
 permutation-averaging selector that converts a full Kronecker power into that
 lift, and sparse merge operators that multiply monomial coefficient vectors.
 
-Symmetric tensors have one representation: a cached plan per (n, d) holding
-the multiset index rows in lexicographic order and their orbit sizes (the
-number of distinct orderings of each row), plus, where full n**d
-coordinates are involved, the plan row of every flat position.  Every
-builder below is array arithmetic on that plan.
+Symmetric tensors are multiset index rows in lexicographic order plus their
+orbit sizes (a plan per (n, d)), and for full n**d coordinates the orbit of
+every flat position; every builder below is array arithmetic on these.
 
 All tensor reshaping is row-major with mode 1 slowest, so ``np.kron`` of
 column vectors and ``ndarray.reshape`` agree with the flattening used here.
@@ -28,32 +26,24 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-# Hard cap on materialized index sets; lifts are dense and desk-scale.
-MAX_INDEX_COUNT = 2**26
-# Hard cap on the entries of a dense Kronecker power or full n**d index array.
+# Hard cap on the entries of any array built here; lifts are desk-scale.
 MAX_DENSE_ENTRIES = 2**27
+# Index structures up to this size stay in 32-slot LRU caches (36 MiB at
+# most); larger ones are rebuilt on each call rather than kept.
+_CACHED_ENTRIES = 2**15
 
 
 class LiftSizeError(ValueError):
     """Requested index set or lift is too large to materialize."""
 
 
-def _check_size(n: int, d: int) -> int:
-    count = math.comb(n + d - 1, d)
-    if count > MAX_INDEX_COUNT:
-        raise LiftSizeError(
-            f"C({n}+{d}-1,{d}) = {count} exceeds the materialization cap {MAX_INDEX_COUNT}"
-        )
-    return count
-
-
-def _check_dense(n: int, m: int, d: int) -> None:
-    """Refuse an n**d x m**d dense array before it is allocated."""
-    entries = n**d * m**d
+def _check_entries(shape: tuple[int, ...], what: str) -> None:
+    """Refuse to build an array of this shape above MAX_DENSE_ENTRIES."""
+    entries = math.prod(shape)
     if entries > MAX_DENSE_ENTRIES:
         raise LiftSizeError(
-            f"an n**d x m**d array with n = {n}, m = {m}, d = {d} has {entries} "
-            f"entries, above the materialization cap {MAX_DENSE_ENTRIES}")
+            f"{what} would have shape {shape}, {entries} entries, "
+            f"above the materialization cap {MAX_DENSE_ENTRIES}")
 
 
 class _IndexPlan(NamedTuple):
@@ -61,10 +51,8 @@ class _IndexPlan(NamedTuple):
     orbit: np.ndarray  # distinct orderings of each row
 
 
-@functools.lru_cache(maxsize=64)
-def _plan(n: int, d: int) -> _IndexPlan:
-    """Multiset index rows over 0..n-1 and their orbit sizes (read-only)."""
-    count = _check_size(n, d)
+def _build_plan(n: int, d: int) -> _IndexPlan:
+    count = math.comb(n + d - 1, d)
     rows = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations_with_replacement(range(n), d)),
         dtype=np.int64, count=count * d).reshape(count, d)
@@ -78,6 +66,16 @@ def _plan(n: int, d: int) -> _IndexPlan:
     rows.flags.writeable = False
     orbit.flags.writeable = False
     return _IndexPlan(rows, orbit)
+
+
+_cached_plan = functools.lru_cache(maxsize=32)(_build_plan)
+
+
+def _plan(n: int, d: int) -> _IndexPlan:
+    """Multiset index rows over 0..n-1 and their orbit sizes (read-only)."""
+    shape = (math.comb(n + d - 1, d), d)
+    _check_entries(shape, f"the multiset index rows for n = {n}, d = {d}")
+    return (_cached_plan if math.prod(shape) <= _CACHED_ENTRIES else _build_plan)(n, d)
 
 
 def _flat(rows: np.ndarray, n: int) -> np.ndarray:
@@ -94,14 +92,32 @@ def _rank(sorted_rows: np.ndarray, n: int) -> np.ndarray:
     return np.searchsorted(_flat(plan.rows, n), _flat(sorted_rows, n))
 
 
-@functools.lru_cache(maxsize=16)
-def _orbit_ids(n: int, d: int) -> np.ndarray:
-    """Plan row of every flat position of the full n**d space (read-only)."""
-    _check_dense(n, 1, d)
+class _Orbits(NamedTuple):
+    ids: np.ndarray      # plan row of every flat position of the n**d space
+    mean: sp.csr_matrix  # C(n+d-1, d) x n**d, averages the positions of each orbit
+
+
+def _build_orbits(n: int, d: int) -> _Orbits:
     digits = np.indices((n,) * d).reshape(d, -1).T
     ids = _rank(np.sort(digits, axis=1), n)
-    ids.flags.writeable = False
-    return ids
+    orbit = _plan(n, d).orbit
+    mean = sp.csr_matrix((1.0 / orbit[ids], (ids, np.arange(ids.size))),
+                         shape=(orbit.size, ids.size))
+    for arr in (ids, mean.data, mean.indices, mean.indptr):
+        arr.flags.writeable = False
+    return _Orbits(ids, mean)
+
+
+_cached_orbits = functools.lru_cache(maxsize=32)(_build_orbits)
+
+
+def _orbits(n: int, d: int) -> _Orbits:
+    """Orbit ids of the n**d space and the averaging map (shared, read-only).
+
+    ``mean`` is sel_avg(n, d).T; ``(mean @ X)[ids]`` symmetrizes the rows of X.
+    """
+    _check_entries((n**d,), f"the orbit ids of the {n}**{d} coordinate space")
+    return (_cached_orbits if n**d <= _CACHED_ENTRIES else _build_orbits)(n, d)
 
 
 @dataclass(frozen=True)
@@ -123,26 +139,13 @@ class MultiIndex:
     def d(self) -> int:
         return len(self.entries)
 
-    def multiplicities(self) -> list[int]:
-        """Multiplicity of each distinct value, in order of appearance."""
-        return [len(list(g)) for _, g in itertools.groupby(self.entries)]
-
     def orbit_size(self) -> int:
         """Number of distinct orderings of the tuple."""
-        return math.factorial(self.d) // math.prod(
-            math.factorial(t) for t in self.multiplicities())
+        return int(_plan(self.n, self.d).orbit[self.rank() - 1])
 
     def rank(self) -> int:
         """1-based position in the lexicographic enumeration."""
-        n, d = self.n, self.d
-        r = 0
-        prev = 1
-        for pos, v in enumerate(self.entries):
-            for w in range(prev, v):
-                remaining = d - pos - 1
-                r += math.comb((n - w + 1) + remaining - 1, remaining)
-            prev = v
-        return r + 1
+        return int(_rank(np.array(self.entries) - 1, self.n)) + 1
 
 
 def enumerate_multi_indices(n: int, d: int) -> list[MultiIndex]:
@@ -153,11 +156,8 @@ def enumerate_multi_indices(n: int, d: int) -> list[MultiIndex]:
 
 
 def sym_coords(X: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Isometric multiset coordinates of flattened symmetric d-tensors.
-
-    The last axis of X holds the n**d full coordinates; coordinate c of the
-    result is the entry at multiset row c times sqrt(orbit size).
-    """
+    """Isometric multiset coordinates of flattened symmetric d-tensors (last
+    axis): the entry at each multiset row times sqrt(its orbit size)."""
     X = np.asarray(X, dtype=float)
     if X.shape[-1] != n**d:
         raise ValueError(f"expected {n}**{d} = {n**d} full coordinates, got {X.shape[-1]}")
@@ -166,16 +166,13 @@ def sym_coords(X: np.ndarray, n: int, d: int) -> np.ndarray:
 
 
 def from_sym_coords(Y: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Flattened symmetric d-tensors with the given isometric coordinates.
-
-    Inverse of :func:`sym_coords` on symmetric tensors; the last axis of Y
-    holds C(n+d-1, d) coordinates and becomes n**d full coordinates.
-    """
+    """Flattened symmetric d-tensors with the given isometric coordinates
+    (last axis); the inverse of :func:`sym_coords` on symmetric tensors."""
     Y = np.asarray(Y, dtype=float)
     orbit = _plan(n, d).orbit
     if Y.shape[-1] != orbit.size:
         raise ValueError(f"expected {orbit.size} symmetric coordinates, got {Y.shape[-1]}")
-    return (Y * (1.0 / np.sqrt(orbit)))[..., _orbit_ids(n, d)]
+    return (Y * (1.0 / np.sqrt(orbit)))[..., _orbits(n, d).ids]
 
 
 @dataclass(frozen=True)
@@ -222,7 +219,8 @@ def kron_power(U: np.ndarray, d: int) -> np.ndarray:
     U = np.asarray(U, dtype=float)
     if d < 1:
         raise ValueError("d must be at least 1")
-    _check_dense(*(U.shape if U.ndim == 2 else (U.size, 1)), d)
+    dims = ", ".join(f"{name} = {k}" for name, k in zip("nm", U.shape))
+    _check_entries(tuple(k**d for k in U.shape), f"the Kronecker power with {dims}, d = {d}")
     return reduce(np.kron, [U] * d)
 
 
@@ -241,7 +239,8 @@ def sym_kron(factors: list[np.ndarray]) -> LiftMatrix:
 
     The column for a non-decreasing tuple (i_1, ..., i_d) is the average over
     all permutations pi of factor_1[:, i_pi(1)] tensor ... tensor
-    factor_d[:, i_pi(d)].
+    factor_d[:, i_pi(d)]: the Kronecker product times ``sel_avg(m, d)``, formed
+    C(m+d-1, d) Kronecker columns at a time so no temporary outgrows the lift.
     """
     mats = [np.asarray(F, dtype=float) for F in factors]
     d = len(mats)
@@ -252,16 +251,36 @@ def sym_kron(factors: list[np.ndarray]) -> LiftMatrix:
         raise ValueError("all factors must share the same shape")
     n, m = shape
     indices = enumerate_multi_indices(m, d)
-    _check_dense(n, m, d)
-    data = reduce(np.kron, mats) @ sel_avg(m, d)
+    width = len(indices)
+    _check_entries((n**d, width), f"the symmetrized lift with n = {n}, m = {m}, d = {d}")
+    select = _orbits(m, d).mean.T.tocsr()
+    digits = np.indices((m,) * d).reshape(d, -1)
+    data = np.zeros((n**d, width))
+    for start in range(0, m**d, width):
+        block = slice(start, start + width)
+        data += reduce(khatri_rao, [M[:, cols] for M, cols in zip(mats, digits[:, block])]) \
+            @ select[block]
     return LiftMatrix(data, n=n, m=m, d=d, kind="symmetrized", column_order=indices)
 
 
 def sym_lift(U: np.ndarray, d: int) -> LiftMatrix:
-    """Symmetric d-th order lift of U (the d-fold symmetrized Kronecker power)."""
+    """Symmetric d-th order lift of U (the d-fold symmetrized Kronecker power).
+
+    With equal factors, permuting the column indices of a Kronecker column
+    permutes its tensor modes, so the column for a multiset row is the
+    mode-permutation average of its single Kronecker column.
+    """
     if d < 1:
         raise ValueError("d must be at least 1")
-    return sym_kron([U] * d)
+    U = np.asarray(U, dtype=float)
+    n, m = U.shape
+    indices = enumerate_multi_indices(m, d)
+    _check_entries((n**d, len(indices)), f"the symmetrized lift with n = {n}, m = {m}, d = {d}")
+    # np.take keeps the Kronecker columns C-contiguous, so the sparse product
+    # reads them in place; they are freed before the gather allocates the lift.
+    ids, mean = _orbits(n, d)
+    means = mean @ reduce(khatri_rao, [np.take(U, col, axis=1) for col in _plan(m, d).rows.T])
+    return LiftMatrix(means[ids], n=n, m=m, d=d, kind="symmetrized", column_order=indices)
 
 
 def full_lift(U: np.ndarray, d: int) -> LiftMatrix:
@@ -276,15 +295,14 @@ def sym_project(v: np.ndarray, n: int, d: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (n**d,):
         raise ValueError(f"expected a vector of length {n}**{d} = {n**d}, got {v.shape}")
-    ids, orbit = _orbit_ids(n, d), _plan(n, d).orbit
-    return (np.bincount(ids, weights=v, minlength=orbit.size) / orbit)[ids]
+    ids, mean = _orbits(n, d)
+    return (mean @ v)[ids]
 
 
 def sym_projector_matrix(n: int, d: int) -> np.ndarray:
     """Dense n**d x n**d matrix of the mode-permutation averaging projector."""
-    if n**d > 2**13:
-        raise LiftSizeError(f"projector of side {n**d} is too large to materialize")
-    ids = _orbit_ids(n, d)
+    _check_entries((n**d, n**d), f"the projector with n = {n}, d = {d}")
+    ids = _orbits(n, d).ids
     return np.where(ids[:, None] == ids, 1.0 / _plan(n, d).orbit[ids], 0.0)
 
 
@@ -298,10 +316,8 @@ def sel_avg(m: int, d: int) -> np.ndarray:
     """
     if m < 1 or d < 1:
         raise ValueError("m and d must be at least 1")
-    ids, orbit = _orbit_ids(m, d), _plan(m, d).orbit
-    S = np.zeros((m**d, orbit.size))
-    S[np.arange(m**d), ids] = 1.0 / orbit[ids]
-    return S
+    _check_entries((m**d, math.comb(m + d - 1, d)), f"the selector with m = {m}, d = {d}")
+    return _orbits(m, d).mean.T.toarray()
 
 
 @dataclass(frozen=True)
@@ -343,13 +359,9 @@ def sym_merge(n: int, k1: int, k2: int, variant: str = "unit_merge") -> SymMerge
     pairs = np.hstack([np.repeat(left.rows, len(right.rows), axis=0),
                        np.tile(right.rows, (len(left.rows), 1))])
     rows = _rank(np.sort(pairs, axis=1), n)
-    if variant == "unit_merge":
-        vals = np.ones(rows.size)
-    else:
-        # prod(multiplicity!) of the union K is (k1+k2)! / orbit(K).
-        d_tot = math.factorial(k1 + k2)
-        vals = np.sqrt(np.outer(left.orbit, right.orbit).ravel()
-                       * (d_tot // out.orbit[rows]) / d_tot)
-    cols = np.arange(rows.size, dtype=np.int64)
-    data = sp.csr_matrix((vals, (rows, cols)), shape=(out.orbit.size, rows.size))
+    # prod(multiplicity!) of the union K is (k1+k2)! / orbit(K).
+    d_tot = math.factorial(k1 + k2)
+    vals = np.ones(rows.size) if variant == "unit_merge" else np.sqrt(
+        np.outer(left.orbit, right.orbit).ravel() * (d_tot // out.orbit[rows]) / d_tot)
+    data = sp.csr_matrix((vals, (rows, np.arange(rows.size))), shape=(out.orbit.size, rows.size))
     return SymMergeOperator(n=n, k1=k1, k2=k2, variant=variant, data=data)

@@ -32,14 +32,6 @@ from .tensor_lift import (LiftSizeError, from_sym_coords, sym_coords, sym_lift,
 ORTHO_DROP_RTOL = 1e-8
 
 
-def _flat_index(entries: tuple[int, ...], n: int) -> int:
-    """Row-major position of a 1-based tuple in the full n**d coordinate space."""
-    idx = 0
-    for e in entries:
-        idx = idx * n + (e - 1)
-    return idx
-
-
 def determinantal_generators(n1: int, n2: int, r: int) -> list[np.ndarray]:
     """Dual tensors of all (r+1) x (r+1) minors of an n1 x n2 matrix of variables.
 
@@ -61,9 +53,9 @@ def determinantal_generators(n1: int, n2: int, r: int) -> list[np.ndarray]:
             F = np.zeros(N**d)
             for pi in itertools.permutations(range(d)):
                 sign = _perm_sign(pi)
-                vars_flat = tuple(I[t] * n2 + J[pi[t]] + 1 for t in range(d))
+                vars_flat = tuple(I[t] * n2 + J[pi[t]] for t in range(d))
                 for arrangement in itertools.permutations(vars_flat):
-                    F[_flat_index(arrangement, N)] += sign * w
+                    F[np.ravel_multi_index(arrangement, (N,) * d)] += sign * w
             gens.append(F)
     return gens
 

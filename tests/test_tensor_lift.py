@@ -75,7 +75,7 @@ def ref_power_row(u, r):
 
 
 class TestAgainstReferenceLoops:
-    SHAPES = [(3, 2, 2), (2, 3, 3), (2, 2, 4), (3, 2, 4), (4, 3, 1)]
+    SHAPES = [(3, 2, 2), (2, 3, 3), (2, 2, 4), (3, 2, 4), (4, 3, 1), (3, 4, 3), (3, 8, 3)]
 
     @pytest.mark.parametrize("n,m,d", SHAPES)
     def test_sym_kron_distinct_factors(self, n, m, d):
@@ -131,18 +131,44 @@ class TestSymCoords:
 class TestDenseSizeGuard:
     def test_refuses_before_allocating(self, monkeypatch):
         monkeypatch.setattr(tensor_lift, "MAX_DENSE_ENTRIES", 100)
-        tensor_lift._orbit_ids.cache_clear()
         U = np.ones((3, 2))
-        with pytest.raises(LiftSizeError, match="n = 3, m = 2, d = 3"):
+        with pytest.raises(LiftSizeError, match="Kronecker power with n = 3, m = 2, d = 3"):
             kron_power(U, 3)
-        with pytest.raises(LiftSizeError, match="n = 3, m = 2, d = 3"):
+        with pytest.raises(LiftSizeError, match="lift with n = 3, m = 2, d = 3"):
             sym_lift(U, 3)
-        with pytest.raises(LiftSizeError, match="n = 5, m = 1, d = 3"):
+        with pytest.raises(LiftSizeError, match="lift with n = 3, m = 2, d = 3"):
+            sym_kron([U] * 3)
+        with pytest.raises(LiftSizeError, match=r"orbit ids of the 5\*\*3 coordinate space"):
             sym_project(np.ones(125), 5, 3)
-        with pytest.raises(LiftSizeError, match="n = 5, m = 1, d = 3"):
+        with pytest.raises(LiftSizeError, match="selector with m = 5, d = 3"):
             sel_avg(5, 3)
+        with pytest.raises(LiftSizeError, match="projector with n = 4, d = 2"):
+            sym_projector_matrix(4, 2)
+        with pytest.raises(LiftSizeError, match="index rows for n = 20, d = 2"):
+            enumerate_multi_indices(20, 2)
         assert kron_power(U, 2).shape == (9, 4)
-        tensor_lift._orbit_ids.cache_clear()
+
+    def test_cap_counts_the_lift_not_the_kronecker_power(self, monkeypatch):
+        n, m, d = 3, 4, 3
+        monkeypatch.setattr(tensor_lift, "MAX_DENSE_ENTRIES", n**d * math.comb(m + d - 1, d))
+        rng = np.random.default_rng(5)
+        U = rng.standard_normal((n, m))
+        mats = [rng.standard_normal((n, m)) for _ in range(d)]
+        with pytest.raises(LiftSizeError):
+            kron_power(U, d)
+        assert np.abs(sym_lift(U, d).data - ref_sym_kron([U] * d)).max() <= 1e-12
+        assert np.abs(sym_kron(mats).data - ref_sym_kron(mats)).max() <= 1e-12
+
+    def test_large_index_arrays_are_not_cached(self, monkeypatch):
+        def lookups():
+            return [cached.cache_info().hits + cached.cache_info().misses
+                    for cached in (tensor_lift._cached_plan, tensor_lift._cached_orbits)]
+
+        monkeypatch.setattr(tensor_lift, "_CACHED_ENTRIES", 10)
+        before = lookups()
+        v = np.random.default_rng(2).standard_normal(4**3)
+        assert np.abs(sym_project(v, 4, 3) - ref_sym_project(v, 4, 3)).max() <= 1e-12
+        assert lookups() == before
 
 
 class TestMultiIndex:
