@@ -17,19 +17,11 @@ import numpy as np
 
 from . import harness as hs
 from . import rng as _rng
-from .matrixio import dump_json, load_matrix_csv, matrix_to_csv
+from .matrixio import dump_json, format_float, load_matrix_csv, matrix_to_csv
 from .spectral import leave_one_out, numerical_rank, singular_values
 from .tensor_lift import sym_lift
 from .varieties import certify as run_certify
 from .varieties import orthonormalize_basis, variety_from_spec
-
-POWERSUM_CHECKS = ["prop71", "prop72", "prop73", "lemma74", "claim76",
-                   "claim77", "conj81", "conj82"]
-
-_DEFAULT_THRESHOLDS = {
-    "prop71": 1e-8, "prop72": 1e-8, "prop73": 1e-8, "lemma74": 1e-8,
-    "claim76": 1e-8, "claim77": 1e-8, "conj81": 1e-6, "conj82": 1e-6,
-}
 
 
 class UsageError(ValueError):
@@ -143,13 +135,10 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_powersum(args) -> int:
-    params: dict = {}
-    for key in ("n", "m", "ell", "s", "d", "r", "dim", "N"):
-        value = getattr(args, key if key != "N" else "rows")
-        if value is not None:
-            params[key] = value
+    params = {key: getattr(args, key) for key in _powersum_params()
+              if getattr(args, key) is not None}
     threshold = args.threshold if args.threshold is not None \
-        else _DEFAULT_THRESHOLDS[args.check]
+        else hs.TARGETS[args.check].threshold
     config = hs.ExperimentConfig(
         target=args.check, params=params, rho_grid=[args.rho],
         trials=args.trials, master_seed=args.seed, threshold=threshold,
@@ -158,11 +147,17 @@ def _cmd_powersum(args) -> int:
     lines = [f"# config: {json.dumps(config.resolved(), sort_keys=True)}"]
     lines.append("trial,seed,sigma_target,threshold,pass")
     for r in result.reports:
-        from .matrixio import format_float
         lines.append(",".join([str(r.trial), str(r.seed), format_float(r.sigma),
                                format_float(r.threshold), str(int(r.passed))]))
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if result.accepted() else 1
+
+
+def _powersum_params() -> list[str]:
+    """The int params of the powersum checks; each has a --flag."""
+    return list(dict.fromkeys(name for target in hs.TARGETS.values()
+                              if target.threshold is not None
+                              for name, param in target.params.items() if param.type is int))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser(
         "experiment",
         help="run a JSON-configured Monte Carlo experiment",
-        description="Targets: " + ", ".join(hs.TARGET_NAMES)
+        description="Targets: " + ", ".join(hs.TARGETS)
                     + ". The config file fields are target, params, rho_grid, "
                       "trials, master_seed, threshold, name, min_passes, study.")
     p_exp.add_argument("--config", required=True)
@@ -216,15 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.set_defaults(func=_cmd_experiment)
 
     p_pow = sub.add_parser("powersum", help="run one structured-matrix check")
-    p_pow.add_argument("--check", required=True, choices=POWERSUM_CHECKS)
-    p_pow.add_argument("--n", type=int, default=None)
-    p_pow.add_argument("--m", type=int, default=None)
-    p_pow.add_argument("--ell", type=int, default=None)
-    p_pow.add_argument("--s", type=int, default=None)
-    p_pow.add_argument("--d", type=int, default=None)
-    p_pow.add_argument("--r", type=int, default=None)
-    p_pow.add_argument("--dim", type=int, default=None)
-    p_pow.add_argument("--N", type=int, default=None, dest="rows")
+    p_pow.add_argument("--check", required=True,
+                       choices=[name for name, target in hs.TARGETS.items()
+                                if target.threshold is not None])
+    for name in _powersum_params():
+        p_pow.add_argument(f"--{name}", type=int, default=None)
     p_pow.add_argument("--rho", type=float, required=True)
     p_pow.add_argument("--trials", type=int, required=True)
     p_pow.add_argument("--seed", type=int, required=True)

@@ -1,11 +1,12 @@
 """Monte Carlo experiment engine.
 
 An experiment is (target, params, rho_grid, trials, master_seed, threshold).
-Each trial derives its own random stream from (master_seed, trial index) and
-touches no shared mutable state, so trials run in a thread pool and the
-aggregation is a deterministic fold over trial order.  Noise layers are keyed
-by trial index only, never by rho, so comparisons across a rho grid are
-paired by construction.
+``TARGETS`` declares each target's params, which a config checks by name when
+it is built, and a bind function that checks the dimension budget before any
+trial.  Each trial derives its own random stream from (master_seed, trial
+index); trials run in index order in one thread, and the aggregation is a fold
+over that order.  Noise layers are keyed by trial index only, never by rho, so
+comparisons across a rho grid are paired by construction.
 
 Output contract: one CSV row per trial plus a JSON summary, both
 byte-reproducible for a fixed config (timings never enter the files).
@@ -14,10 +15,9 @@ byte-reproducible for a fixed config (timings never enter the files).
 from __future__ import annotations
 
 import math
-import os
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,18 +29,52 @@ from .stats import quantile_summary, wilson_interval
 from .tensor_lift import from_sym_coords, khatri_rao, sym_lift
 from .varieties import certify, orthonormalize_basis, variety_from_spec
 
-TARGET_NAMES = [
-    "thm51", "thm52", "cor53", "certify",
-    "prop71", "prop72", "prop73", "lemma74", "claim77", "claim76",
-    "conj81", "conj82",
-    "caa_probe", "jacobian_probe", "sigma_basic",
-    "const_control",
-]
+REQUIRED = object()
+
+
+class Param(NamedTuple):
+    """A target param: int, float, str or bool, its default, and an int's least value."""
+
+    type: type
+    default: object = REQUIRED
+    low: int = 1
+
+
+class Target(NamedTuple):
+    """``bind(resolved params, config)`` returns ``measure(rho, trial, seed) ->
+    (sigma, threshold or None, passed or None)``; None means the config's
+    threshold and ``sigma >= threshold``.  The targets with a default
+    ``threshold`` are the ``liftcert powersum`` checks."""
+
+    params: dict
+    bind: Callable
+    threshold: float | None = None
+
+    def resolve(self, given: dict) -> dict:
+        """The given params checked by name, with the defaults filled in."""
+        unknown = sorted(given.keys() - self.params.keys())
+        if unknown:
+            raise ValueError(f"unknown param {unknown[0]!r}; known: {sorted(self.params)}")
+        out = {}
+        for name, (kind, default, low) in self.params.items():
+            value = given.get(name, default)
+            if value is REQUIRED:
+                raise ValueError(f"missing required param {name!r}")
+            numeric = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+            if not isinstance(value, numeric) or isinstance(value, bool) != (kind is bool):
+                raise ValueError(f"param {name!r} must be {kind.__name__}, got {value!r}")
+            if kind is int and value < low:
+                raise ValueError(f"param {name!r} must be >= {low}, got {value}")
+            if kind is float and not math.isfinite(value):
+                raise ValueError(f"param {name!r} must be finite, got {value}")
+            out[name] = kind(value)
+        return out
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment description; see README for target params."""
+    """Experiment description; see README for target params.  ``params`` are
+    kept as given for the output headers, ``resolved_params`` with defaults."""
 
     target: str
     params: dict
@@ -51,26 +85,36 @@ class ExperimentConfig:
     name: str = ""
     min_passes: int | None = None
     study: str | None = None
+    resolved_params: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.target not in TARGET_NAMES:
-            raise ValueError(f"unknown target {self.target!r}; known: {TARGET_NAMES}")
+        if self.target not in TARGETS:
+            raise ValueError(f"unknown target {self.target!r}; known: {list(TARGETS)}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not self.rho_grid:
             raise ValueError("rho_grid must be nonempty")
+        if not all(math.isfinite(rho) and rho >= 0 for rho in self.rho_grid):
+            raise ValueError(f"rho_grid entries must be finite and >= 0, got {self.rho_grid}")
+        if not math.isfinite(self.threshold):
+            raise ValueError(f"threshold must be finite, got {self.threshold}")
+        if self.min_passes is not None and self.min_passes < 0:
+            raise ValueError(f"min_passes must be >= 0, got {self.min_passes}")
         if self.study not in (None, "scaling"):
             raise ValueError(f"unknown study {self.study!r}")
         if not self.name:
             object.__setattr__(self, "name", self.target)
+        object.__setattr__(self, "resolved_params",
+                           TARGETS[self.target].resolve(self.params))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict) or not isinstance(raw.get("params", {}), dict):
+            raise ValueError("the config and its params must be JSON objects")
         raw = dict(raw)
         if "rho" in raw and "rho_grid" not in raw:
             raw["rho_grid"] = [raw.pop("rho")]
-        known = {"target", "params", "rho_grid", "trials", "master_seed",
-                 "threshold", "name", "min_passes", "study"}
+        known = {f.name for f in fields(cls) if f.init}
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
@@ -90,26 +134,12 @@ class ExperimentConfig:
         )
 
     def resolved(self) -> dict:
-        return {
-            "target": self.target,
-            "params": self.params,
-            "rho_grid": self.rho_grid,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "threshold": self.threshold,
-            "name": self.name,
-            "min_passes": self.min_passes,
-            "study": self.study,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
 
 @dataclass(frozen=True)
 class TrialReport:
-    """One trial: the measured value, the threshold it faced, and the verdict.
-
-    Wall time is kept in memory for interactive use but never serialized, so
-    reruns are byte-identical.
-    """
+    """One trial: the measured value, the threshold it faced, and the verdict."""
 
     rho: float
     trial: int
@@ -117,12 +147,6 @@ class TrialReport:
     sigma: float
     threshold: float
     passed: bool
-    wall_time: float = field(default=0.0, compare=False)
-
-
-def _lift_sigma(matrix: np.ndarray, k: int) -> float:
-    s = singular_values(matrix)
-    return float(s[k - 1]) if k <= s.size else 0.0
 
 
 def _random_row_isometry(rows: int, dim: int, master_seed: int, *path) -> np.ndarray:
@@ -153,195 +177,179 @@ def _make_base(kind: str, n: int, m: int, master_seed: int) -> np.ndarray:
     raise ValueError(f"unknown base kind {kind!r}")
 
 
-def _make_measure(config: ExperimentConfig):
-    """Bind per-experiment fixtures and return measure(rho, trial, seed)."""
-    p = config.params
-    target = config.target
-    seed0 = config.master_seed
+def _need(ok: bool, rule: str, p: dict) -> None:
+    """Refuse params that break a target's dimension budget, naming them."""
+    if not ok:
+        given = ", ".join(f"{name}={value}" for name, value in p.items())
+        raise ValueError(f"params {given} break the dimension budget {rule}")
 
-    if target in ("thm51", "cor53"):
-        n, m, d = int(p["n"]), int(p["m"]), int(p.get("d", 2))
-        delta = float(p.get("delta", 0.5))
-        blocks = int(p.get("blocks", 1)) if target == "cor53" else 1
-        rank = math.ceil(delta * math.comb(n + d - 1, d))
-        phi = _random_sym_projector_rows(n, d, rank, seed0, "projector")
-        bases = [_make_base(p.get("base", "zero"), n, m, _rng.derive_seed(seed0, "b", j))
-                 for j in range(blocks)]
-        k = blocks * math.comb(m + d - 1, d)
 
-        def measure(rho, trial, seed):
-            lifts = []
-            for j in range(blocks):
-                Z = _rng.gaussians((n, m), seed, "noise", j)
-                lifts.append(sym_lift(bases[j] + rho * Z, d).data)
-            return _lift_sigma(phi @ np.hstack(lifts), k), None, None
-        return measure
+def _bind_lift(p, config):
+    """thm51 and cor53: a random symmetric-space projector applied to
+    ``blocks`` concatenated order-d lifts (thm51 has one)."""
+    n, m, d, blocks = p["n"], p["m"], p["d"], p.get("blocks", 1)
+    rank = math.ceil(p["delta"] * math.comb(n + d - 1, d))
+    k = blocks * math.comb(m + d - 1, d)
+    _need(k <= rank, f"blocks*C(m+d-1,d) = {k} <= ceil(delta*C(n+d-1,d)) = {rank}", p)
+    phi = _random_sym_projector_rows(n, d, rank, config.master_seed, "projector")
+    bases = [_make_base(p["base"], n, m, _rng.derive_seed(config.master_seed, "b", j))
+             for j in range(blocks)]
 
-    if target == "thm52":
-        n, m, d = int(p["n"]), int(p["m"]), int(p.get("d", 2))
-        delta = float(p.get("delta", 0.5))
-        rank = math.ceil(delta * math.comb(n + d - 1, d))
-        psi = _random_row_isometry(rank, n**d, seed0, "operator")
-        bases = [_make_base(p.get("base", "zero"), n, m, _rng.derive_seed(seed0, "b", j))
-                 for j in range(d)]
+    def measure(rho, trial, seed):
+        lifts = []
+        for j in range(blocks):
+            Z = _rng.gaussians((n, m), seed, "noise", j)
+            lifts.append(sym_lift(bases[j] + rho * Z, d).data)
+        return float(singular_values(phi @ np.hstack(lifts))[k - 1]), None, None
+    return measure
 
-        def measure(rho, trial, seed):
-            prod = None
-            for j in range(d):
-                M = bases[j] + rho * _rng.gaussians((n, m), seed, "noise", j)
-                prod = M if prod is None else np.kron(prod, M)
-            return _lift_sigma(psi @ prod, m**d), None, None
-        return measure
 
-    if target == "certify":
-        op = variety_from_spec(p.get("variety", "determinantal:4,4,1"))
-        m = int(p.get("m", 3))
-        planted = bool(p.get("planted", False))
-        base = _unit_columns((op.n, m), seed0, "base")
-        plant_point = None
+def _bind_thm52(p, config):
+    n, m, d = p["n"], p["m"], p["d"]
+    rank = math.ceil(p["delta"] * math.comb(n + d - 1, d))
+    _need(m**d <= rank, f"m**d = {m**d} <= ceil(delta*C(n+d-1,d)) = {rank}", p)
+    psi = _random_row_isometry(rank, n**d, config.master_seed, "operator")
+    bases = [_make_base(p["base"], n, m, _rng.derive_seed(config.master_seed, "b", j))
+             for j in range(d)]
+
+    def measure(rho, trial, seed):
+        prod = None
+        for j in range(d):
+            M = bases[j] + rho * _rng.gaussians((n, m), seed, "noise", j)
+            prod = M if prod is None else np.kron(prod, M)
+        return float(singular_values(psi @ prod)[m**d - 1]), None, None
+    return measure
+
+
+def _bind_certify(p, config):
+    op = variety_from_spec(p["variety"])
+    m, planted = p["m"], p["planted"]
+    _need(math.comb(m + op.d - 1, op.d) <= op.p, f"C(m+d-1,d) <= p = {op.p} generators", p)
+    base = _unit_columns((op.n, m), config.master_seed, "base")
+
+    def measure(rho, trial, seed):
+        B = base + rho * _rng.gaussians((op.n, m), seed, "noise")
         if planted:
-            plant_point = np.zeros(op.n)
-            plant_point[0] = 1.0
-
-        def measure(rho, trial, seed):
-            B = base + rho * _rng.gaussians((op.n, m), seed, "noise")
-            if plant_point is not None:
-                B = B.copy()
-                B[:, 0] = plant_point
-            Q = orthonormalize_basis(B, keep_first=planted)
-            report = certify(op, Q, tolerance=config.threshold)
-            return report.eta, None, None
-        return measure
-
-    if target == "prop71":
-        n, m = int(p["n"]), int(p["m"])
-
-        def measure(rho, trial, seed):
-            C = ps.make_symmetric_columns(n, m, rho, seed)
-            M = ps.symmetric_cube_lift(C, n)
-            return float(singular_values(M)[-1]), None, None
-        return measure
-
-    if target == "prop72":
-        n, m, ell = int(p["n"]), int(p["m"]), int(p["ell"])
-        bases = []
-        for t in range(m):
-            B = _rng.gaussians((n, n), seed0, "base", t)
-            bases.append(B / np.linalg.norm(B))
-
-        def measure(rho, trial, seed):
-            mats = [bases[t] + rho * _rng.gaussians((n, n), seed, "noise", t)
-                    for t in range(m)]
-            V = ps.build_projected_V(mats, ell)
-            return float(singular_values(V)[-1]), None, None
-        return measure
-
-    if target in ("prop73", "lemma74", "claim77", "claim76"):
-        n, m = int(p["n"]), int(p["m"])
-
-        def measure(rho, trial, seed):
-            inst = ps.make_power_sum_instance(n, m, rho, seed)
-            if target == "prop73":
-                M = ps.build_sym4_IkronA(inst)
-                s = singular_values(M)
-                want = m * inst.n2 - math.comb(m, 2)
-                rank = int(np.count_nonzero(s >= config.threshold))
-                witness_ok = bool(
-                    np.linalg.norm(M @ ps.antisym_witnesses(inst), axis=0).max()
-                    <= config.threshold) if m > 1 else True
-                return float(s[want - 1]), None, bool(rank == want and witness_ok)
-            if target == "lemma74":
-                M = ps.build_solution_space_M(inst)
-                return float(singular_values(M)[-1]), None, None
-            split = rho / math.sqrt(2.0)
-            if target == "claim77":
-                Q = ps.build_claim_Q(inst, split, split)
-                return float(singular_values(Q)[-1]), None, None
-            W = ps.build_claim_W(inst, split, split)
-            robust_rank = 2 * m * inst.n2 - math.comb(2 * m, 2)
-            return _lift_sigma(W, robust_rank), None, None
-        return measure
-
-    if target == "conj81":
-        n, m, s_blocks = int(p["n"]), int(p["m"]), int(p.get("s", 2))
-        d = int(p.get("d", 2))
-        duplicate = p.get("control") == "duplicate"
-        shared = bool(p.get("shared_base", True))
-        proto = ps.make_clustering_instance(n, m, s_blocks, d, rho=1.0, seed=seed0,
-                                            shared_base=shared)
-
-        def measure(rho, trial, seed):
-            inst = ps.ClusteringInstance(bases=proto.bases, d=d,
-                                         rho=0.0 if duplicate else rho, seed=seed)
-            M = ps.build_block_lift(inst)
-            return float(singular_values(M)[-1]), None, None
-        return measure
-
-    if target == "conj82":
-        dim, r, N = int(p["dim"]), int(p["r"]), int(p["N"])
-        base = _rng.gaussians((N, dim), seed0, "points")
-        base /= np.linalg.norm(base, axis=1, keepdims=True)
-
-        def measure(rho, trial, seed):
-            pts = base + rho * _rng.gaussians((N, dim), seed, "noise")
-            M = ps.build_power_matrix(pts, r)
-            return float(singular_values(M)[-1]), None, None
-        return measure
-
-    if target == "caa_probe":
-        probe = _make_caa_measure(config)
-        return probe
-
-    if target == "jacobian_probe":
-        n, m, k = int(p["n"]), int(p["m"]), int(p["k"])
-        tau_factor = float(p.get("tau_factor", 0.1))
-        baseU = _rng.gaussians((n, m), seed0, "baseU")
-        baseV = _rng.gaussians((n, m), seed0, "baseV")
-        need = math.ceil(n * k / 2)
-
-        def measure(rho, trial, seed):
-            alpha = np.zeros(m)
-            support = _rng.rng(seed, "support").choice(m, size=k, replace=False)
-            alpha[support] = 1.0
-            U = baseU + rho * _rng.gaussians((n, m), seed, "noise", 0)
-            V = baseV + rho * _rng.gaussians((n, m), seed, "noise", 1)
-            J = jacobian_khatri_rao(alpha, U, V)
-            count = count_large_singulars(J, tau_factor * rho)
-            return float(count), float(need), bool(count >= need)
-        return measure
-
-    if target == "sigma_basic":
-        n, k = int(p["n"]), int(p["k"])
-        delta = float(p.get("delta", 1.0))
-        h = float(p.get("h", 0.3))
-        base = _make_base(p.get("base", "zero"), n, k, seed0)
-        alpha = np.full(k, delta)
-        order = math.ceil(k / 2)
-
-        def measure(rho, trial, seed):
-            V = base + rho * _rng.gaussians((n, k), seed, "noise")
-            sigma = _lift_sigma(V @ np.diag(alpha), order)
-            return sigma, h * rho * delta, None
-        return measure
-
-    if target == "const_control":
-        n, m = int(p.get("n", 10)), int(p.get("m", 3))
-        M = _rng.gaussians((n, m), seed0, "const")
-        value = float(singular_values(M)[-1])
-
-        def measure(rho, trial, seed):
-            return value, None, None
-        return measure
-
-    raise ValueError(f"no builder bound to target {config.target!r}")
+            B[:, 0] = 0.0
+            B[0, 0] = 1.0
+        Q = orthonormalize_basis(B, keep_first=planted)
+        return certify(op, Q, tolerance=config.threshold).eta, None, None
+    return measure
 
 
-def _make_caa_measure(config: ExperimentConfig):
+def _bind_prop71(p, config):
+    def measure(rho, trial, seed):
+        C = ps.make_symmetric_columns(p["n"], p["m"], rho, seed)
+        return float(singular_values(ps.symmetric_cube_lift(C, p["n"]))[-1]), None, None
+    return measure
+
+
+def _bind_prop72(p, config):
+    n, m, ell = p["n"], p["m"], p["ell"]
+    slack = n * n - n * ell - m * math.comb(ell + 1, 2) - m + 1
+    _need(ell <= n and slack > 0,
+          f"ell <= n and n^2 - n*ell - m*C(ell+1,2) - m + 1 = {slack} > 0", p)
+    bases = []
+    for t in range(m):
+        B = _rng.gaussians((n, n), config.master_seed, "base", t)
+        bases.append(B / np.linalg.norm(B))
+
+    def measure(rho, trial, seed):
+        mats = [bases[t] + rho * _rng.gaussians((n, n), seed, "noise", t)
+                for t in range(m)]
+        return float(singular_values(ps.build_projected_V(mats, ell))[-1]), None, None
+    return measure
+
+
+def _power_sum_need(p) -> None:
+    n2 = math.comb(p["n"] + 1, 2)
+    _need(p["m"] < n2, f"m < N2 = C(n+1,2) = {n2}", p)
+
+
+def _bind_prop73(p, config):
+    n, m = p["n"], p["m"]
+    want = m * math.comb(n + 1, 2) - math.comb(m, 2)
+    _power_sum_need(p)
+    rows = math.comb(n + 3, 4)
+    _need(want <= rows, f"m*N2 - C(m,2) = {want} <= C(n+3,4) = {rows}", p)
+
+    def measure(rho, trial, seed):
+        inst = ps.make_power_sum_instance(n, m, rho, seed)
+        M = ps.build_sym4_IkronA(inst)
+        s = singular_values(M)
+        rank = int(np.count_nonzero(s >= config.threshold))
+        witness_ok = bool(
+            np.linalg.norm(M @ ps.antisym_witnesses(inst), axis=0).max()
+            <= config.threshold) if m > 1 else True
+        return float(s[want - 1]), None, bool(rank == want and witness_ok)
+    return measure
+
+
+def _bind_lemma74(p, config):
+    _power_sum_need(p)
+
+    def measure(rho, trial, seed):
+        inst = ps.make_power_sum_instance(p["n"], p["m"], rho, seed)
+        return float(singular_values(ps.build_solution_space_M(inst))[-1]), None, None
+    return measure
+
+
+def _bind_claim77(p, config):
+    _power_sum_need(p)
+
+    def measure(rho, trial, seed):
+        inst = ps.make_power_sum_instance(p["n"], p["m"], rho, seed)
+        Q = ps.build_claim_Q(inst, rho / math.sqrt(2.0), rho / math.sqrt(2.0))
+        return float(singular_values(Q)[-1]), None, None
+    return measure
+
+
+def _bind_claim76(p, config):
+    m = p["m"]
+    rank = 2 * m * math.comb(p["n"] + 1, 2) - math.comb(2 * m, 2)
+    _power_sum_need(p)
+    rows = math.comb(p["n"] + 3, 4)
+    _need(rank <= rows, f"2*m*N2 - C(2m,2) = {rank} <= C(n+3,4) = {rows}", p)
+
+    def measure(rho, trial, seed):
+        inst = ps.make_power_sum_instance(p["n"], m, rho, seed)
+        W = ps.build_claim_W(inst, rho / math.sqrt(2.0), rho / math.sqrt(2.0))
+        return float(singular_values(W)[rank - 1]), None, None
+    return measure
+
+
+def _bind_conj81(p, config):
+    n, m, s, d = p["n"], p["m"], p["s"], p["d"]
+    _need(s * math.comb(m + d - 1, d) <= math.comb(n + d - 1, d),
+          "s*C(m+d-1,d) <= C(n+d-1,d)", p)
+    if p["control"] not in ("none", "duplicate"):
+        raise ValueError(f"param 'control' must be 'none' or 'duplicate', got {p['control']!r}")
+    duplicate = p["control"] == "duplicate"
+    proto = ps.make_clustering_instance(n, m, s, d, rho=1.0, seed=config.master_seed,
+                                        shared_base=p["shared_base"])
+
+    def measure(rho, trial, seed):
+        inst = ps.ClusteringInstance(bases=proto.bases, d=d,
+                                     rho=0.0 if duplicate else rho, seed=seed)
+        return float(singular_values(ps.build_block_lift(inst))[-1]), None, None
+    return measure
+
+
+def _bind_conj82(p, config):
+    dim, N = p["dim"], p["N"]
+    base = _rng.gaussians((N, dim), config.master_seed, "points")
+    base /= np.linalg.norm(base, axis=1, keepdims=True)
+
+    def measure(rho, trial, seed):
+        pts = base + rho * _rng.gaussians((N, dim), seed, "noise")
+        return float(singular_values(ps.build_power_matrix(pts, p["r"]))[-1]), None, None
+    return measure
+
+
+def _bind_caa_probe(p, config):
     """Khatri-Rao small-ball probe; the grid values of the config are h levels."""
-    p = config.params
-    n, m, k = int(p["n"]), int(p["m"]), int(p["k"])
-    rho = float(p.get("rho", 1.0))
-    pilot_trials = int(p.get("pilot_trials", 64))
+    n, m, k, rho = p["n"], p["m"], p["k"], p["rho"]
+    _need(k <= m, "k <= m", p)
     seed0 = config.master_seed
     delta = 1.0 / math.sqrt(k)
     baseU = _unit_columns((n, m), seed0, "baseU")
@@ -356,8 +364,8 @@ def _make_caa_measure(config: ExperimentConfig):
         return float(np.linalg.norm(khatri_rao(U, V) @ alpha))
 
     pilot = sorted(combo_norm(_rng.derive_seed(seed0, "pilot", t))
-                   for t in range(pilot_trials))
-    pilot_median = pilot[pilot_trials // 2]
+                   for t in range(p["pilot_trials"]))
+    pilot_median = pilot[p["pilot_trials"] // 2]
     if pilot_median <= 0:
         raise ValueError("degenerate pilot: median combination norm is zero")
     lambda_hat = delta / pilot_median
@@ -369,6 +377,74 @@ def _make_caa_measure(config: ExperimentConfig):
     measure.lambda_hat = lambda_hat
     measure.delta = delta
     return measure
+
+
+def _bind_jacobian_probe(p, config):
+    n, m, k = p["n"], p["m"], p["k"]
+    _need(k <= m, "k <= m", p)
+    baseU = _rng.gaussians((n, m), config.master_seed, "baseU")
+    baseV = _rng.gaussians((n, m), config.master_seed, "baseV")
+    need = math.ceil(n * k / 2)
+
+    def measure(rho, trial, seed):
+        alpha = np.zeros(m)
+        support = _rng.rng(seed, "support").choice(m, size=k, replace=False)
+        alpha[support] = 1.0
+        U = baseU + rho * _rng.gaussians((n, m), seed, "noise", 0)
+        V = baseV + rho * _rng.gaussians((n, m), seed, "noise", 1)
+        J = jacobian_khatri_rao(alpha, U, V)
+        count = count_large_singulars(J, p["tau_factor"] * rho)
+        return float(count), float(need), bool(count >= need)
+    return measure
+
+
+def _bind_sigma_basic(p, config):
+    n, k, delta = p["n"], p["k"], p["delta"]
+    order = math.ceil(k / 2)
+    _need(order <= min(n, k), "ceil(k/2) <= min(n,k)", p)
+    base = _make_base(p["base"], n, k, config.master_seed)
+    alpha = np.full(k, delta)
+
+    def measure(rho, trial, seed):
+        V = base + rho * _rng.gaussians((n, k), seed, "noise")
+        sigma = float(singular_values(V @ np.diag(alpha))[order - 1])
+        return sigma, p["h"] * rho * delta, None
+    return measure
+
+
+def _bind_const_control(p, config):
+    value = float(singular_values(_rng.gaussians((p["n"], p["m"]), config.master_seed,
+                                                 "const"))[-1])
+    return lambda rho, trial, seed: (value, None, None)
+
+
+_N_M = {"n": Param(int), "m": Param(int)}
+_LIFT = {**_N_M, "d": Param(int, 2), "delta": Param(float, 0.5), "base": Param(str, "zero")}
+
+TARGETS: dict[str, Target] = {
+    "thm51": Target(_LIFT, _bind_lift),
+    "thm52": Target(_LIFT, _bind_thm52),
+    "cor53": Target({**_LIFT, "blocks": Param(int, 1)}, _bind_lift),
+    "certify": Target({"variety": Param(str, "determinantal:4,4,1"), "m": Param(int, 3),
+                       "planted": Param(bool, False)}, _bind_certify),
+    "prop71": Target(_N_M, _bind_prop71, 1e-8),
+    "prop72": Target({**_N_M, "ell": Param(int)}, _bind_prop72, 1e-8),
+    "prop73": Target(_N_M, _bind_prop73, 1e-8),
+    "lemma74": Target(_N_M, _bind_lemma74, 1e-8),
+    "claim77": Target(_N_M, _bind_claim77, 1e-8),
+    "claim76": Target(_N_M, _bind_claim76, 1e-8),
+    "conj81": Target({**_N_M, "s": Param(int, 2), "d": Param(int, 2),
+                      "control": Param(str, "none"), "shared_base": Param(bool, True)},
+                     _bind_conj81, 1e-6),
+    "conj82": Target({"dim": Param(int), "r": Param(int), "N": Param(int)}, _bind_conj82, 1e-6),
+    "caa_probe": Target({**_N_M, "k": Param(int), "rho": Param(float, 1.0),
+                         "pilot_trials": Param(int, 64)}, _bind_caa_probe),
+    "jacobian_probe": Target({**_N_M, "k": Param(int, low=0), "tau_factor": Param(float, 0.1)},
+                             _bind_jacobian_probe),
+    "sigma_basic": Target({"n": Param(int), "k": Param(int), "delta": Param(float, 1.0),
+                           "h": Param(float, 0.3), "base": Param(str, "zero")}, _bind_sigma_basic),
+    "const_control": Target({"n": Param(int, 10), "m": Param(int, 3)}, _bind_const_control),
+}
 
 
 @dataclass
@@ -406,13 +482,6 @@ class ExperimentResult:
         return out
 
 
-def _max_workers() -> int:
-    env = os.environ.get("LIFTCERT_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run all trials of the configured target over its rho grid.
 
@@ -421,34 +490,31 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     value quantiles; acceptance (when ``min_passes`` is set) requires the raw
     pass count at every grid point.
     """
-    measure = _make_measure(config)
+    measure = TARGETS[config.target].bind(config.resolved_params, config)
     seeds = [_rng.derive_seed(config.master_seed, "trial", t)
              for t in range(config.trials)]
 
     reports: list[TrialReport] = []
     per_rho = []
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        for rho in config.rho_grid:
-            def one(t, rho=rho):
-                tick = time.perf_counter()
-                sigma, thresh, passed = measure(rho, t, seeds[t])
-                thresh = config.threshold if thresh is None else thresh
-                passed = bool(sigma >= thresh) if passed is None else passed
-                return TrialReport(rho=rho, trial=t, seed=seeds[t], sigma=sigma,
-                                   threshold=thresh, passed=passed,
-                                   wall_time=time.perf_counter() - tick)
-            rows = list(pool.map(one, range(config.trials)))
-            reports.extend(rows)
-            count = sum(r.passed for r in rows)
-            low, high = wilson_interval(count, config.trials)
-            per_rho.append({
-                "rho": rho,
-                "pass_count": count,
-                "pass_rate": count / config.trials,
-                "wilson_low": low,
-                "wilson_high": high,
-                "sigma": quantile_summary([r.sigma for r in rows]),
-            })
+    for rho in config.rho_grid:
+        rows = []
+        for t, seed in enumerate(seeds):
+            sigma, thresh, passed = measure(rho, t, seed)
+            thresh = config.threshold if thresh is None else thresh
+            passed = bool(sigma >= thresh) if passed is None else passed
+            rows.append(TrialReport(rho=rho, trial=t, seed=seed, sigma=sigma,
+                                    threshold=thresh, passed=passed))
+        reports.extend(rows)
+        count = sum(r.passed for r in rows)
+        low, high = wilson_interval(count, config.trials)
+        per_rho.append({
+            "rho": rho,
+            "pass_count": count,
+            "pass_rate": count / config.trials,
+            "wilson_low": low,
+            "wilson_high": high,
+            "sigma": quantile_summary([r.sigma for r in rows]),
+        })
     extras = {}
     for attr in ("lambda_hat", "delta"):
         if hasattr(measure, attr):
@@ -463,8 +529,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 def _scaling_flags(config: ExperimentConfig, per_rho: list[dict]) -> dict:
     medians = [agg["sigma"]["median"] for agg in per_rho]
     rhos = [agg["rho"] for agg in per_rho]
-    d = int(config.params.get("d", config.params.get("r", 1)))
-    n = int(config.params.get("n", config.params.get("dim", 1)))
+    p = config.resolved_params
+    d = p.get("d", p.get("r", 1))
+    n = p.get("n", p.get("dim", 1))
     nondecreasing = all(b >= a - 1e-12 for a, b in zip(medians, medians[1:]))
     envelope = all(med >= rho**d / n**6 for med, rho in zip(medians, rhos))
     responsive = medians[0] > 0 and medians[-1] > 1.05 * medians[0]

@@ -178,6 +178,21 @@ class TestExperiment:
         code, _, err = run_cli(capsys, "experiment", "--config", str(path))
         assert code == 2 and "bogus_field" in err
 
+    @pytest.mark.parametrize("overrides, named", [
+        ({"params": {"m": 2}}, "missing required param 'n'"),
+        ({"params": {"n": 8, "m": 2, "dd": 3}}, "unknown param 'dd'"),
+        ({"threshold": float("nan")}, "threshold must be finite"),
+        ({"rho_grid": [-0.1]}, "rho_grid entries must be finite and >= 0"),
+        ({"target": "claim76", "params": {"n": 5, "m": 3}}, "params n=5, m=3 break"),
+        ({"params": [8, 2]}, "params must be JSON objects"),
+    ])
+    def test_bad_field_is_usage_error(self, tmp_path, capsys, overrides, named):
+        cfg = self.config_file(tmp_path, **overrides)
+        code, _, err = run_cli(capsys, "experiment", "--config", str(cfg),
+                               "--out-dir", str(tmp_path))
+        assert code == 2 and named in err
+        assert not (tmp_path / "demo.csv").exists()
+
     def test_help_enumerates_targets(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--help"])
@@ -209,6 +224,11 @@ class TestPowersum:
                                "--rho", "0.2", "--trials", "2", "--seed", "3",
                                "--threshold", "1e9", "--min-passes", "1")
         assert code == 1
+
+    def test_missing_param_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "powersum", "--check", "conj82",
+                               "--rho", "0.1", "--trials", "1", "--seed", "0")
+        assert code == 2 and "missing required param 'dim'" in err
 
     def test_unknown_check_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

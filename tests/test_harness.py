@@ -1,9 +1,12 @@
 import math
-import os
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liftcert.harness import (TARGET_NAMES, ExperimentConfig, caa_probe,
+from liftcert.harness import (REQUIRED, TARGETS, ExperimentConfig, caa_probe,
                               jacobian_probe, run_experiment, scaling_study,
                               sigma_basic_check)
 
@@ -36,11 +39,74 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({**raw, "bogus": 1})
 
+    def test_threshold_must_be_finite(self):
+        with pytest.raises(ValueError, match="threshold"):
+            cfg(threshold=float("nan"))
+        with pytest.raises(ValueError, match="threshold"):
+            cfg(threshold=float("inf"))
+
+    def test_rho_grid_entries_finite_and_nonnegative(self):
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="rho_grid"):
+                cfg(rho_grid=[0.1, bad])
+        assert cfg(rho_grid=[0.0]).rho_grid == [0.0]
+
+    def test_min_passes_nonnegative(self):
+        with pytest.raises(ValueError, match="min_passes"):
+            cfg(min_passes=-1)
+        assert cfg(min_passes=0).min_passes == 0
+
+    def test_params_resolved_against_the_target_table(self):
+        config = cfg(params={"n": 8, "m": 2})
+        assert config.params == {"n": 8, "m": 2}
+        assert config.resolved_params == {"n": 8, "m": 2, "d": 2, "delta": 0.5,
+                                          "base": "zero"}
+        assert cfg(params={"n": 8, "m": 2, "delta": 1}).resolved_params["delta"] == 1.0
+        with pytest.raises(ValueError, match="unknown param 'dd'"):
+            cfg(params={"n": 8, "m": 2, "dd": 3})
+        with pytest.raises(ValueError, match="missing required param 'n'"):
+            cfg(params={"m": 2})
+        for bad in ("8", 8.0, True, None):
+            with pytest.raises(ValueError, match="param 'n' must be int"):
+                cfg(params={"n": bad, "m": 2})
+        with pytest.raises(ValueError, match="param 'delta' must be finite"):
+            cfg(params={"n": 8, "m": 2, "delta": float("nan")})
+        with pytest.raises(ValueError, match="param 'm' must be >= 1"):
+            cfg(params={"n": 8, "m": 0})
+        with pytest.raises(ValueError, match="param 'planted' must be bool"):
+            cfg(target="certify", params={"planted": 1})
+        with pytest.raises(ValueError, match="param 'control' must be"):
+            run_experiment(cfg(target="conj81", params={"n": 8, "m": 2,
+                                                        "control": "duplicat"}))
+
+    @pytest.mark.parametrize("target, params, named", [
+        ("thm51", {"n": 2, "m": 3}, "n=2, m=3, d=2, delta=0.5"),
+        ("cor53", {"n": 4, "m": 2, "blocks": 4}, "blocks=4"),
+        ("thm52", {"n": 3, "m": 3}, "n=3, m=3, d=2"),
+        ("claim76", {"n": 5, "m": 3}, "n=5, m=3"),
+        ("prop73", {"n": 3, "m": 5}, "n=3, m=5"),
+        ("sigma_basic", {"n": 1, "k": 4}, "n=1, k=4"),
+        ("conj81", {"n": 3, "m": 4}, "n=3, m=4, s=2, d=2"),
+        ("prop72", {"n": 3, "m": 2, "ell": 4}, "ell=4"),
+        ("jacobian_probe", {"n": 4, "m": 2, "k": 3}, "m=2, k=3"),
+        ("certify", {"variety": "separable:2,2", "m": 2}, "variety=separable:2,2, m=2"),
+    ])
+    def test_dimension_budget_refused_before_any_trial(self, target, params, named):
+        config = cfg(target=target, params=params)
+        with pytest.raises(ValueError, match="dimension budget") as exc:
+            run_experiment(config)
+        assert named in str(exc.value)
+
+    def test_readme_target_table_matches(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        table = readme.split("Targets:", 1)[1]
+        assert re.findall(r"^\| `(\w+)` \|", table, re.M) == list(TARGETS)
+
     def test_every_registered_target_named(self):
         for required in ("thm51", "thm52", "cor53", "certify", "prop72",
                          "prop73", "lemma74", "conj81", "conj82", "caa_probe",
                          "jacobian_probe", "sigma_basic"):
-            assert required in TARGET_NAMES
+            assert required in TARGETS
 
 
 class TestRunExperiment:
@@ -51,20 +117,6 @@ class TestRunExperiment:
         sa = run_experiment(cfg()).summary()
         sb = run_experiment(cfg()).summary()
         assert sa == sb
-
-    def test_threads_do_not_change_results(self):
-        old = os.environ.get("LIFTCERT_THREADS")
-        try:
-            os.environ["LIFTCERT_THREADS"] = "1"
-            serial = run_experiment(cfg(trials=8)).to_csv()
-            os.environ["LIFTCERT_THREADS"] = "4"
-            parallel = run_experiment(cfg(trials=8)).to_csv()
-        finally:
-            if old is None:
-                os.environ.pop("LIFTCERT_THREADS", None)
-            else:
-                os.environ["LIFTCERT_THREADS"] = old
-        assert serial == parallel
 
     def test_duplicated_base_is_degenerate(self):
         config = cfg(params={"n": 8, "m": 2, "d": 2, "delta": 0.5,
@@ -109,6 +161,14 @@ class TestScalingStudy:
             master_seed=3, threshold=1e-9)
         flags = scaling_study(config).extras["scaling"]
         assert 0.8 <= flags["loglog_slope"] <= 1.2
+
+    def test_envelope_uses_the_default_degree(self):
+        config = ExperimentConfig(
+            target="thm51", params={"n": 6, "m": 2}, rho_grid=[0.1, 0.2, 0.4],
+            trials=3, master_seed=0, threshold=1e-9)
+        flags = scaling_study(config).extras["scaling"]
+        assert flags["envelope_rule"] == "rho^2 / 6^6"
+        assert abs(flags["loglog_slope"] - 2.0) <= 1e-6
 
     def test_constant_target_flagged_unresponsive(self):
         config = ExperimentConfig(
@@ -203,3 +263,85 @@ class TestProbesThroughGenericPath:
             rho_grid=[0.5], trials=20, master_seed=9, threshold=0.0)
         result = run_experiment(config)
         assert result.per_rho[0]["pass_count"] == 20  # no bad events expected
+
+
+# Small draws for every declared param; the dimension budgets below decide
+# which draws are feasible.
+SMALL = {
+    "n": st.integers(1, 5), "m": st.integers(1, 4), "d": st.integers(1, 3),
+    "delta": st.sampled_from([0.25, 0.5, 1.0]), "base": st.sampled_from(["zero", "random"]),
+    "blocks": st.integers(1, 3), "planted": st.booleans(),
+    "variety": st.sampled_from(["determinantal:3,3,1", "separable:2,2"]),
+    "ell": st.integers(1, 3), "s": st.integers(1, 3), "shared_base": st.booleans(),
+    "control": st.sampled_from(["none", "duplicate"]),
+    "dim": st.integers(1, 4), "r": st.integers(1, 3), "N": st.integers(1, 20),
+    "k": st.integers(1, 4), "rho": st.sampled_from([0.5, 1.0]),
+    "pilot_trials": st.integers(1, 8), "tau_factor": st.sampled_from([0.1, 0.5]),
+    "h": st.sampled_from([0.1, 0.3]),
+}
+
+
+def _lift_rank(p):
+    return math.ceil(p["delta"] * math.comb(p["n"] + p["d"] - 1, p["d"]))
+
+
+def _power_sum_ok(p, rank=0):
+    return p["m"] < math.comb(p["n"] + 1, 2) and rank <= math.comb(p["n"] + 3, 4)
+
+
+FEASIBLE = {
+    "thm51": lambda p: math.comb(p["m"] + p["d"] - 1, p["d"]) <= _lift_rank(p),
+    "cor53": lambda p: p["blocks"] * math.comb(p["m"] + p["d"] - 1, p["d"]) <= _lift_rank(p),
+    "thm52": lambda p: p["m"] ** p["d"] <= _lift_rank(p),
+    "prop72": lambda p: p["ell"] <= p["n"] and p["n"] ** 2 - p["n"] * p["ell"]
+    - p["m"] * math.comb(p["ell"] + 1, 2) - p["m"] + 1 > 0,
+    "prop73": lambda p: _power_sum_ok(
+        p, p["m"] * math.comb(p["n"] + 1, 2) - math.comb(p["m"], 2)),
+    "lemma74": _power_sum_ok,
+    "claim77": _power_sum_ok,
+    "claim76": lambda p: _power_sum_ok(
+        p, 2 * p["m"] * math.comb(p["n"] + 1, 2) - math.comb(2 * p["m"], 2)),
+    "conj81": lambda p: p["s"] * math.comb(p["m"] + p["d"] - 1, p["d"])
+    <= math.comb(p["n"] + p["d"] - 1, p["d"]),
+    "certify": lambda p: math.comb(p["m"] + 1, 2) <= {
+        "determinantal:4,4,1": 36, "determinantal:3,3,1": 9, "separable:2,2": 1}[p["variety"]],
+    "caa_probe": lambda p: p["k"] <= p["m"],
+    "jacobian_probe": lambda p: p["k"] <= p["m"],
+    "sigma_basic": lambda p: math.ceil(p["k"] / 2) <= min(p["n"], p["k"]),
+}
+
+
+def _draw_params(data, target):
+    names = sorted(TARGETS[target].params)
+    given = data.draw(st.lists(st.sampled_from(names), unique=True), label="given")
+    required = [n for n, p in TARGETS[target].params.items()
+                if p.default is REQUIRED]
+    return {n: data.draw(SMALL[n], label=n) for n in sorted(set(given) | set(required))}
+
+
+class TestTargetTable:
+    @pytest.mark.parametrize("target", list(TARGETS))
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_small_params_give_finite_sigmas_or_a_named_refusal(self, target, data):
+        params = _draw_params(data, target)
+        config = ExperimentConfig(target=target, params=params, rho_grid=[0.3],
+                                  trials=1, master_seed=1, threshold=1e-9)
+        if FEASIBLE.get(target, lambda p: True)(config.resolved_params):
+            result = run_experiment(config)
+            assert all(math.isfinite(r.sigma) for r in result.reports)
+        else:
+            with pytest.raises(ValueError, match="dimension budget") as exc:
+                run_experiment(config)
+            assert re.search(rf"\b({'|'.join(params)})=", str(exc.value))
+
+    @pytest.mark.parametrize("target", list(TARGETS))
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(data=st.data(), name=st.from_regex(r"[a-z_]{1,8}", fullmatch=True))
+    def test_unknown_param_named(self, target, data, name):
+        params = _draw_params(data, target)
+        if name in TARGETS[target].params:
+            return
+        with pytest.raises(ValueError, match=f"unknown param '{name}'"):
+            ExperimentConfig(target=target, params={**params, name: 1},
+                             rho_grid=[0.3], trials=1, master_seed=1, threshold=1e-9)
