@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
@@ -26,7 +27,7 @@ from . import rng as _rng
 from .matrixio import format_float
 from .spectral import count_large_singulars, jacobian_khatri_rao, singular_values
 from .stats import quantile_summary, wilson_interval
-from .tensor_lift import from_sym_coords, khatri_rao, sym_lift
+from .tensor_lift import khatri_rao, sym_coords, sym_lift
 from .varieties import certify, orthonormalize_basis, variety_from_spec
 
 REQUIRED = object()
@@ -60,15 +61,21 @@ class Target(NamedTuple):
             value = given.get(name, default)
             if value is REQUIRED:
                 raise ValueError(f"missing required param {name!r}")
-            numeric = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
-            if not isinstance(value, numeric) or isinstance(value, bool) != (kind is bool):
-                raise ValueError(f"param {name!r} must be {kind.__name__}, got {value!r}")
-            if kind is int and value < low:
-                raise ValueError(f"param {name!r} must be >= {low}, got {value}")
-            if kind is float and not math.isfinite(value):
-                raise ValueError(f"param {name!r} must be finite, got {value}")
-            out[name] = kind(value)
+            out[name] = _typed(f"param {name!r}", value, kind, low)
         return out
+
+
+def _typed(what: str, value, kind: type, low: int | None = None):
+    """``value`` as ``kind``, refused by ``what`` unless it is an int (not a
+    bool) of at least ``low``, a finite real, a str or a bool as asked."""
+    numeric = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+    if not isinstance(value, numeric) or isinstance(value, bool) != (kind is bool):
+        raise ValueError(f"{what} must be {kind.__name__}, got {value!r}")
+    if kind is int and low is not None and value < low:
+        raise ValueError(f"{what} must be >= {low}, got {value}")
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -88,24 +95,26 @@ class ExperimentConfig:
     resolved_params: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.target not in TARGETS:
+        if not isinstance(self.target, str) or self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}; known: {list(TARGETS)}")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if not self.rho_grid:
-            raise ValueError("rho_grid must be nonempty")
-        if not all(math.isfinite(rho) and rho >= 0 for rho in self.rho_grid):
+        if not isinstance(self.rho_grid, (list, tuple)) or not self.rho_grid:
+            raise ValueError(f"rho_grid must be a nonempty list of reals, got {self.rho_grid!r}")
+        typed = {"rho_grid": [_typed("rho_grid entries", rho, float) for rho in self.rho_grid],
+                 "trials": _typed("trials", self.trials, int, 1),
+                 "master_seed": _typed("master_seed", self.master_seed, int),
+                 "threshold": _typed("threshold", self.threshold, float)}
+        if self.min_passes is not None:
+            typed["min_passes"] = _typed("min_passes", self.min_passes, int, 0)
+        if not all(rho >= 0 for rho in typed["rho_grid"]):
             raise ValueError(f"rho_grid entries must be finite and >= 0, got {self.rho_grid}")
-        if not math.isfinite(self.threshold):
-            raise ValueError(f"threshold must be finite, got {self.threshold}")
-        if self.min_passes is not None and self.min_passes < 0:
-            raise ValueError(f"min_passes must be >= 0, got {self.min_passes}")
         if self.study not in (None, "scaling"):
             raise ValueError(f"unknown study {self.study!r}")
-        if not self.name:
-            object.__setattr__(self, "name", self.target)
-        object.__setattr__(self, "resolved_params",
-                           TARGETS[self.target].resolve(self.params))
+        if not isinstance(self.name, str) or os.path.basename(self.name) != self.name:
+            raise ValueError(f"name must be a plain file name, got {self.name!r}")
+        typed["name"] = self.name or self.target
+        typed["resolved_params"] = TARGETS[self.target].resolve(self.params)
+        for name, value in typed.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -121,17 +130,7 @@ class ExperimentConfig:
         missing = {"target", "rho_grid", "trials", "master_seed", "threshold"} - set(raw)
         if missing:
             raise ValueError(f"missing config fields: {sorted(missing)}")
-        return cls(
-            target=raw["target"],
-            params=dict(raw.get("params", {})),
-            rho_grid=[float(x) for x in raw["rho_grid"]],
-            trials=int(raw["trials"]),
-            master_seed=int(raw["master_seed"]),
-            threshold=float(raw["threshold"]),
-            name=str(raw.get("name", raw["target"])),
-            min_passes=None if raw.get("min_passes") is None else int(raw["min_passes"]),
-            study=raw.get("study"),
-        )
+        return cls(**{**raw, "params": dict(raw.get("params", {}))})
 
     def resolved(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
@@ -153,12 +152,6 @@ def _random_row_isometry(rows: int, dim: int, master_seed: int, *path) -> np.nda
     G = _rng.gaussians((dim, rows), master_seed, *path)
     Q, _ = np.linalg.qr(G)
     return Q.T
-
-
-def _random_sym_projector_rows(n: int, d: int, rank: int, master_seed: int, *path):
-    """rank x n**d matrix with orthonormal rows spanning symmetric tensors."""
-    coeff = _random_row_isometry(rank, math.comb(n + d - 1, d), master_seed, *path)
-    return from_sym_coords(coeff, n, d)
 
 
 def _unit_columns(shape, master_seed, *path) -> np.ndarray:
@@ -191,7 +184,8 @@ def _bind_lift(p, config):
     rank = math.ceil(p["delta"] * math.comb(n + d - 1, d))
     k = blocks * math.comb(m + d - 1, d)
     _need(k <= rank, f"blocks*C(m+d-1,d) = {k} <= ceil(delta*C(n+d-1,d)) = {rank}", p)
-    phi = _random_sym_projector_rows(n, d, rank, config.master_seed, "projector")
+    # Orthonormal rows spanning symmetric tensors, in isometric coordinates.
+    phi = _random_row_isometry(rank, math.comb(n + d - 1, d), config.master_seed, "projector")
     bases = [_make_base(p["base"], n, m, _rng.derive_seed(config.master_seed, "b", j))
              for j in range(blocks)]
 
@@ -199,8 +193,8 @@ def _bind_lift(p, config):
         lifts = []
         for j in range(blocks):
             Z = _rng.gaussians((n, m), seed, "noise", j)
-            lifts.append(sym_lift(bases[j] + rho * Z, d).data)
-        return float(singular_values(phi @ np.hstack(lifts))[k - 1]), None, None
+            lifts.append(sym_coords(sym_lift(bases[j] + rho * Z, d).data.T, n, d))
+        return float(singular_values(np.vstack(lifts) @ phi.T)[k - 1]), None, None
     return measure
 
 

@@ -317,8 +317,7 @@ def symmetric_cube_lift(C: np.ndarray, n: int) -> np.ndarray:
     C = np.asarray(C, dtype=float)
     if C.shape[0] != n * n:
         raise ValueError(f"columns must be vectorized {n} x {n} matrices")
-    L = sym_lift(C, 3).data
-    return np.column_stack([sym_project(L[:, j], n, 6) for j in range(L.shape[1])])
+    return sym_project(sym_lift(C, 3).data, n, 6)
 
 
 def make_symmetric_columns(n: int, m: int, rho: float, seed: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as _rng
-from .tensor_lift import kron_power, sel_avg
+from .tensor_lift import _check_entries, kron_power, sel_avg
 
 # Frozen empirical constants for the remainder-norm envelope
 #   ||E||_F <= ERROR_NORM_CONST[d] * (1 + ||U||^(d-2)) * rho^2 * (n m)^(d/2).
@@ -114,6 +114,8 @@ def decouple(smoothed: SmoothedMatrix, d: int, split="equal") -> DecoupledFactor
         raise ValueError("decoupling needs d >= 2")
     base = smoothed.base
     n, m = base.shape
+    # The largest array below is the level-0 np.kron(W, Eprime).
+    _check_entries((n**d, m**d), f"the decoupling array with n = {n}, m = {m}, d = {d}")
     rho = smoothed.rho
     rhos = _split_rhos(rho, d, split, n, m)
 

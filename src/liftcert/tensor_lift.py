@@ -291,10 +291,11 @@ def full_lift(U: np.ndarray, d: int) -> LiftMatrix:
 
 
 def sym_project(v: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Average a flattened d-tensor over all d! mode permutations."""
+    """Average a flattened d-tensor, or each column of a matrix of them, over
+    all d! mode permutations."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (n**d,):
-        raise ValueError(f"expected a vector of length {n}**{d} = {n**d}, got {v.shape}")
+    if v.ndim not in (1, 2) or v.shape[0] != n**d:
+        raise ValueError(f"expected {n}**{d} = {n**d} rows, got shape {v.shape}")
     ids, mean = _orbits(n, d)
     return (mean @ v)[ids]
 

@@ -1,11 +1,12 @@
 """Cutting polynomials for matrix varieties and the distance certificate.
 
 A conic variety is handed around as an orthonormalized family of dual
-tensors: degree-d symmetric forms that vanish on the variety.  The induced
-operator maps a d-tensor to the vector of form evaluations; applying it to
-the symmetric lift of an orthonormal subspace basis and reading off the least
-singular value yields a scale-free certificate that every unit vector of the
-variety is far from the subspace.
+tensors: degree-d symmetric forms that vanish on the variety, stored in
+isometric symmetric coordinates (``tensor_lift.sym_coords``), one row per
+form.  The induced operator maps a symmetric d-tensor to the vector of form
+evaluations; applying it to the symmetric lift of an orthonormal subspace
+basis and reading off the least singular value yields a scale-free
+certificate that every unit vector of the variety is far from the subspace.
 
 Supported constructions: the determinantal variety of n1 x n2 matrices of
 rank at most r (all (r+1)-minors, expanded into dual tensors), and the
@@ -26,56 +27,47 @@ import numpy as np
 from . import rng as _rng
 from .matrixio import matrix_sha256
 from .spectral import sign_normalize_rows, singular_values
-from .tensor_lift import (LiftSizeError, from_sym_coords, sym_coords, sym_lift,
-                          sym_project)
+from .tensor_lift import (LiftSizeError, _check_entries, _rank, from_sym_coords,
+                          sym_coords, sym_lift)
 
 ORTHO_DROP_RTOL = 1e-8
 
 
-def determinantal_generators(n1: int, n2: int, r: int) -> list[np.ndarray]:
+def determinantal_generators(n1: int, n2: int, r: int) -> np.ndarray:
     """Dual tensors of all (r+1) x (r+1) minors of an n1 x n2 matrix of variables.
 
-    One generator per (row-set, column-set) pair: the signed-permutation
-    expansion of that minor, symmetrized into a degree-(r+1) dual tensor over
-    the n1*n2 entry variables.  Every generator evaluates to zero on matrices
-    of rank at most r.
+    One row per (row-set, column-set) pair, in isometric symmetric coordinates
+    over the N = n1*n2 entry variables.  Row set I and permutation pi of the
+    column set J give the monomial prod_t x[I_t, J_pi(t)]; its variables are
+    distinct and already increasing, so its coordinate is sign(pi) / sqrt(d!)
+    for d = r + 1.  Every row evaluates to zero on matrices of rank at most r.
     """
     if not 1 <= r < min(n1, n2):
         raise ValueError(f"r = {r} must satisfy 1 <= r < min({n1}, {n2})")
     N = n1 * n2
     d = r + 1
-    if N**d > 2**24:
-        raise LiftSizeError(f"dual tensors of size {N}^{d} are too large")
-    w = 1.0 / math.factorial(d)
-    gens = []
-    for I in itertools.combinations(range(n1), d):
-        for J in itertools.combinations(range(n2), d):
-            F = np.zeros(N**d)
-            for pi in itertools.permutations(range(d)):
-                sign = _perm_sign(pi)
-                vars_flat = tuple(I[t] * n2 + J[pi[t]] for t in range(d))
-                for arrangement in itertools.permutations(vars_flat):
-                    F[np.ravel_multi_index(arrangement, (N,) * d)] += sign * w
-            gens.append(F)
-    return gens
+    shape = (math.comb(n1, d) * math.comb(n2, d), math.comb(N + d - 1, d))
+    _check_entries(shape, f"the determinantal generators with n1 = {n1}, n2 = {n2}, r = {r}")
+    rows = np.array(list(itertools.combinations(range(n1), d)))
+    cols = np.array(list(itertools.combinations(range(n2), d)))
+    perms = np.array(list(itertools.permutations(range(d))))
+    sign = np.linalg.det(np.eye(d)[perms])  # of each permutation matrix: +-1
+    # variables[I, J, pi, t] = I_t * n2 + J_pi(t), increasing in t.
+    variables = rows[:, None, None, :] * n2 + cols[:, perms][None]
+    G = np.zeros(shape)
+    G[np.arange(shape[0])[:, None], _rank(variables, N).reshape(shape[0], -1)] = \
+        sign / math.sqrt(math.factorial(d))
+    return G
 
 
-def _perm_sign(pi) -> float:
-    sign = 1.0
-    for a, b in itertools.combinations(range(len(pi)), 2):
-        if pi[a] > pi[b]:
-            sign = -sign
-    return sign
-
-
-def separable_generators(dims: tuple[int, ...]) -> list[np.ndarray]:
+def separable_generators(dims: tuple[int, ...]) -> np.ndarray:
     """Orthonormal quadratic dual tensors vanishing on all product tensors.
 
     The squares of separable vectors span (after rearrangement) the tensor
     product of the per-axis symmetric-matrix spaces; the generators are an
     orthonormal basis of its orthogonal complement inside the symmetric
-    matrices on the product space, returned as dual vectors over the
-    prod(dims)^2 coordinates.
+    matrices on the product space, returned as rows in isometric symmetric
+    coordinates over prod(dims) variables.
     """
     dims = tuple(int(x) for x in dims)
     if len(dims) < 2 or any(x < 2 for x in dims):
@@ -92,28 +84,33 @@ def separable_generators(dims: tuple[int, ...]) -> list[np.ndarray]:
 
     _, s, Vt = np.linalg.svd(B.T, full_matrices=True)
     rank = int(np.count_nonzero(s > ORTHO_DROP_RTOL * s[0]))
-    kernel = sign_normalize_rows(Vt[rank:])
-    return list(from_sym_coords(kernel, N, 2))
+    return sign_normalize_rows(Vt[rank:])
 
 
 @dataclass(frozen=True)
 class VarietyOperator:
     """Orthonormalized dual generators and the induced evaluation map.
 
-    ``phi`` is p x n**d with orthonormal rows, each row a symmetric tensor,
-    so phi @ v equals the generator evaluations at the symmetrization of v.
-    ``generators`` carries the same rows in isometric symmetric coordinates.
+    ``generators`` is p x C(n+d-1, d) with orthonormal rows in isometric
+    symmetric coordinates, so generators @ sym_coords(v) equals the generator
+    evaluations at a symmetric tensor v.  ``phi`` is the same map in full
+    n**d coordinates, built on each access.
     """
 
     n: int
     d: int
-    phi: np.ndarray
     generators: np.ndarray
     provenance: str = "custom"
 
     @property
+    def phi(self) -> np.ndarray:
+        """p x n**d with orthonormal rows, each row a symmetric tensor, so
+        phi @ v equals the generator evaluations at the symmetrization of v."""
+        return from_sym_coords(self.generators, self.n, self.d)
+
+    @property
     def p(self) -> int:
-        return self.phi.shape[0]
+        return self.generators.shape[0]
 
     @property
     def ambient_sym_dim(self) -> int:
@@ -126,34 +123,30 @@ class VarietyOperator:
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Generator evaluations at the d-th power of a point x in R^n."""
-        x = np.asarray(x, dtype=float)
-        power = x
-        for _ in range(self.d - 1):
-            power = np.kron(power, x)
-        return self.phi @ power
+        power = reduce(np.kron, [np.asarray(x, dtype=float)] * self.d)
+        return self.generators @ sym_coords(power, self.n, self.d)
 
 
-def build_phi(generators: list[np.ndarray], n: int, d: int,
+def build_phi(generators: np.ndarray, n: int, d: int,
               provenance: str = "custom") -> VarietyOperator:
-    """Orthonormalize dual generators and materialize the evaluation map.
+    """Orthonormalize dual generators given as rows in isometric symmetric
+    coordinates (``tensor_lift.sym_coords``) over R^n, degree d.
 
     Numerically dependent generators are dropped at a relative tolerance of
     1e-8; the surviving count p is recorded in the operator.
     """
-    if not generators:
+    G = np.asarray(generators, dtype=float)
+    if G.size == 0:
         raise ValueError("no generators given")
-    G = np.vstack([np.asarray(g, dtype=float).reshape(-1) for g in generators])
-    if G.shape[1] != n**d:
-        raise ValueError(f"generators must live in R^({n}^{d}); got length {G.shape[1]}")
-    G = np.vstack([sym_project(row, n, d) for row in G])
+    width = math.comb(n + d - 1, d)
+    if G.ndim != 2 or G.shape[1] != width:
+        raise ValueError(f"generators must be rows of C({n}+{d}-1, {d}) = {width} "
+                         f"symmetric coordinates; got shape {G.shape}")
     _, s, Vt = np.linalg.svd(G, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        raise ValueError("all generators vanish after symmetrization")
     keep = s > ORTHO_DROP_RTOL * s[0]
     if not keep.any():
         raise ValueError("no generators survive orthonormalization")
-    phi = sign_normalize_rows(Vt[: int(keep.sum())])
-    return VarietyOperator(n=n, d=d, phi=phi, generators=sym_coords(phi, n, d),
+    return VarietyOperator(n=n, d=d, generators=sign_normalize_rows(Vt[: int(keep.sum())]),
                            provenance=provenance)
 
 
@@ -249,8 +242,8 @@ def certify(op: VarietyOperator, basis: np.ndarray,
     if lifted_cols > op.p:
         raise ValueError(
             f"lift has {lifted_cols} columns but the operator rank budget is {op.p}")
-    L = sym_lift(basis, op.d)
-    s = singular_values(op.phi @ L.data)
+    lift = sym_coords(sym_lift(basis, op.d).data.T, n, op.d)
+    s = singular_values(lift @ op.generators.T)
     eta = float(s[-1])
     verdict = "certified_far" if eta > tolerance else "dont_know"
     return CertificateReport(eta=eta, m=m, n=n, d=op.d, verdict=verdict,

@@ -185,13 +185,19 @@ class TestExperiment:
         ({"rho_grid": [-0.1]}, "rho_grid entries must be finite and >= 0"),
         ({"target": "claim76", "params": {"n": 5, "m": 3}}, "params n=5, m=3 break"),
         ({"params": [8, 2]}, "params must be JSON objects"),
+        ({"trials": "x"}, "trials must be int, got 'x'"),
+        ({"trials": 2.7}, "trials must be int, got 2.7"),
+        ({"master_seed": 1.9}, "master_seed must be int, got 1.9"),
+        ({"rho_grid": "ab"}, "rho_grid must be a nonempty list of reals"),
+        ({"rho_grid": 0.3}, "rho_grid must be a nonempty list of reals"),
+        ({"name": "../../x"}, "name must be a plain file name"),
     ])
     def test_bad_field_is_usage_error(self, tmp_path, capsys, overrides, named):
         cfg = self.config_file(tmp_path, **overrides)
         code, _, err = run_cli(capsys, "experiment", "--config", str(cfg),
-                               "--out-dir", str(tmp_path))
+                               "--out-dir", str(tmp_path / "a" / "b"))
         assert code == 2 and named in err
-        assert not (tmp_path / "demo.csv").exists()
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
 
     def test_help_enumerates_targets(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftcert.harness import (REQUIRED, TARGETS, ExperimentConfig, caa_probe,
-                              jacobian_probe, run_experiment, scaling_study,
-                              sigma_basic_check)
+from liftcert import rng
+from liftcert.harness import (REQUIRED, TARGETS, ExperimentConfig,
+                              _random_row_isometry, caa_probe, jacobian_probe,
+                              run_experiment, scaling_study, sigma_basic_check)
+from liftcert.spectral import singular_values
+from liftcert.tensor_lift import from_sym_coords, sym_lift
 
 
 def cfg(**kw):
@@ -133,6 +136,18 @@ class TestRunExperiment:
                              "base": "duplicated"},
                      rho_grid=[1e-300], trials=5, min_passes=1)
         assert not run_experiment(config).accepted()
+
+    def test_sigma_matches_full_coordinate_projector(self):
+        n, m, d = 5, 2, 3
+        config = cfg(params={"n": n, "m": m, "d": d}, rho_grid=[0.3, 1.0], trials=3)
+        rank = math.ceil(0.5 * math.comb(n + d - 1, d))
+        projector = from_sym_coords(_random_row_isometry(
+            rank, math.comb(n + d - 1, d), config.master_seed, "projector"), n, d)
+        for report in run_experiment(config).reports:
+            noise = report.rho * rng.gaussians((n, m), report.seed, "noise", 0)
+            lift = sym_lift(noise, d).data  # the zero base adds nothing
+            want = singular_values(projector @ lift)[math.comb(m + d - 1, d) - 1]
+            assert abs(report.sigma - want) <= 1e-12 * want
 
     def test_wilson_interval_reported(self):
         agg = run_experiment(cfg()).per_rho[0]

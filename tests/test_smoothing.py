@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from liftcert import tensor_lift
 from liftcert.smoothing import (ERROR_NORM_CONST, DecoupledFactors,
                                 decouple, decoupling_residual,
                                 error_norm_bound,
                                 gaussian_ball_log_prob_bound, perturb)
-from liftcert.tensor_lift import sym_project, sym_projector_matrix
+from liftcert.tensor_lift import LiftSizeError, sym_project, sym_projector_matrix
 
 
 def symmetric_row_operator(n, d, rows, seed):
@@ -97,6 +98,15 @@ class TestDecouple:
             decouple(sm, 2, split=[0.5, 0.5])
         with pytest.raises(ValueError):
             decouple(sm, 1)
+
+    def test_size_checked_before_allocating(self, monkeypatch):
+        # The cap admits the selector and the square Kronecker powers but not
+        # the 4**3 x 3**3 decoupling array.
+        monkeypatch.setattr(tensor_lift, "MAX_DENSE_ENTRIES", 1000)
+        sm = perturb(np.random.default_rng(12).standard_normal((4, 3)), 0.3, seed=12)
+        with pytest.raises(LiftSizeError, match="decoupling array with n = 4, m = 3, d = 3"):
+            decouple(sm, 3)
+        assert decouple(sm, 2).error.shape == (16, 6)
 
     def test_degenerate_noise_gives_base_factors_and_zero_error(self):
         base = np.arange(1.0, 9.0).reshape(4, 2)

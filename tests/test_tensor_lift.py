@@ -95,6 +95,14 @@ class TestAgainstReferenceLoops:
         P = np.column_stack([ref_sym_project(e, n, d) for e in np.eye(n**d)])
         assert np.abs(sym_projector_matrix(n, d) - P).max() <= 1e-12
 
+    @pytest.mark.parametrize("n,d", [(2, 2), (3, 3), (2, 4), (3, 4), (4, 1)])
+    def test_sym_project_matrix(self, n, d):
+        V = np.random.default_rng(n + d).standard_normal((n**d, 3))
+        ref = np.column_stack([ref_sym_project(v, n, d) for v in V.T])
+        assert np.abs(sym_project(V, n, d) - ref).max() <= 1e-12
+        with pytest.raises(ValueError):
+            sym_project(V.reshape(n**d, 3, 1), n, d)
+
     def test_sel_avg(self):
         for m in range(1, 5):
             for d in range(1, 5):

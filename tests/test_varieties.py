@@ -1,14 +1,36 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from liftcert import tensor_lift
+from liftcert.spectral import singular_values
+from liftcert.tensor_lift import LiftSizeError, from_sym_coords, sym_coords, sym_lift
 from liftcert.varieties import (CertificateReport, build_phi, certify,
                                 determinantal_generators,
                                 determinantal_operator, orthonormalize_basis,
                                 random_rank_le_point, random_separable_point,
                                 separable_generators, variety_from_spec)
+
+
+def ref_determinantal_generators(n1, n2, r):
+    """Full-coordinate dual tensors of the (r+1)-minors: every signed
+    permutation of every minor, spread over all orderings of its variables."""
+    N, d = n1 * n2, r + 1
+    gens = []
+    for I in itertools.combinations(range(n1), d):
+        for J in itertools.combinations(range(n2), d):
+            F = np.zeros(N**d)
+            for pi in itertools.permutations(range(d)):
+                sign = (-1.0) ** sum(pi[a] > pi[b]
+                                     for a, b in itertools.combinations(range(d), 2))
+                variables = tuple(I[t] * n2 + J[pi[t]] for t in range(d))
+                for arrangement in itertools.permutations(variables):
+                    F[np.ravel_multi_index(arrangement, (N,) * d)] += sign / math.factorial(d)
+            gens.append(F)
+    return np.array(gens)
 
 
 class TestDeterminantalGenerators:
@@ -21,13 +43,13 @@ class TestDeterminantalGenerators:
                 assert len(gens) == math.comb(n1, r + 1) * math.comb(n2, r + 1)
 
     def test_two_by_two_determinant_form(self):
-        (F,) = determinantal_generators(2, 2, 1)
+        (F,) = from_sym_coords(determinantal_generators(2, 2, 1), 4, 2)
         X = np.array([[1.0, 2.0], [3.0, 4.0]])
         x = X.reshape(4)
         assert abs(F @ np.kron(x, x) - np.linalg.det(X)) <= 1e-12
 
     def test_vanishes_on_low_rank(self):
-        gens = determinantal_generators(3, 4, 1)
+        gens = from_sym_coords(determinantal_generators(3, 4, 1), 12, 2)
         e1 = np.zeros((3, 1))
         e1[0] = 1.0
         f1 = np.zeros((1, 4))
@@ -38,7 +60,7 @@ class TestDeterminantalGenerators:
 
     def test_matches_direct_minors(self):
         rng = np.random.default_rng(0)
-        gens = determinantal_generators(3, 3, 1)
+        gens = from_sym_coords(determinantal_generators(3, 3, 1), 9, 2)
         pairs = [(I, J) for I in itertools.combinations(range(3), 2)
                  for J in itertools.combinations(range(3), 2)]
         for _ in range(50):
@@ -46,6 +68,21 @@ class TestDeterminantalGenerators:
             xx = np.kron(X.reshape(9), X.reshape(9))
             for F, (I, J) in zip(gens, pairs):
                 assert abs(F @ xx - np.linalg.det(X[np.ix_(I, J)])) <= 1e-12
+
+    @pytest.mark.parametrize("n1,n2,r", [(2, 2, 1), (3, 4, 1), (4, 4, 2)])
+    def test_matches_reference_expansion(self, n1, n2, r):
+        ref = ref_determinantal_generators(n1, n2, r)
+        gens = determinantal_generators(n1, n2, r)
+        assert np.abs(sym_coords(ref, n1 * n2, r + 1) - gens).max() <= 1e-15
+        assert np.abs(from_sym_coords(gens, n1 * n2, r + 1) - ref).max() <= 1e-15
+
+    def test_size_checked_before_allocating(self, monkeypatch):
+        # 16 generators x C(18, 3) = 816 coordinates.
+        monkeypatch.setattr(tensor_lift, "MAX_DENSE_ENTRIES", 16 * 816 - 1)
+        with pytest.raises(LiftSizeError,
+                           match="determinantal generators with n1 = 4, n2 = 4, r = 2"):
+            determinantal_generators(4, 4, 2)
+        assert determinantal_generators(4, 4, 1).shape == (36, 136)
 
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError):
@@ -64,7 +101,7 @@ class TestSeparableGenerators:
             assert len(gens) == expected
 
     def test_two_qubit_generator_is_determinant(self):
-        (g,) = separable_generators((2, 2))
+        (g,) = from_sym_coords(separable_generators((2, 2)), 4, 2)
         det_dual = np.zeros(16)
         det_dual[0 * 4 + 3] = det_dual[3 * 4 + 0] = 0.5
         det_dual[1 * 4 + 2] = det_dual[2 * 4 + 1] = -0.5
@@ -72,11 +109,15 @@ class TestSeparableGenerators:
         assert abs(cos - 1.0) <= 1e-10
 
     def test_vanishes_on_separable_squares(self):
-        gens = separable_generators((2, 3))
+        gens = from_sym_coords(separable_generators((2, 3)), 6, 2)
         for t in range(100):
             v = random_separable_point((2, 3), seed=1, tag=t)
             for g in gens:
                 assert abs(g @ np.kron(v, v)) <= 1e-10
+
+    def test_refuses_large_ambient_dimension(self):
+        with pytest.raises(LiftSizeError, match="ambient dimension 65"):
+            separable_generators((5, 13))
 
     def test_rejects_small_dims(self):
         with pytest.raises(ValueError):
@@ -89,7 +130,7 @@ class TestBuildPhi:
     def test_single_unit_generator(self):
         g = np.zeros(4)
         g[0] = 1.0  # dual of x_1^2 over R^2
-        op = build_phi([g], n=2, d=2)
+        op = build_phi([sym_coords(g, 2, 2)], n=2, d=2)
         assert op.p == 1
         assert np.allclose(np.abs(op.phi[0]), g)
 
@@ -107,6 +148,7 @@ class TestBuildPhi:
     def test_dependent_generators_dropped(self):
         g = np.zeros(4)
         g[0] = 1.0
+        g = sym_coords(g, 2, 2)
         op = build_phi([g, 2.0 * g, -g], n=2, d=2)
         assert op.p == 1
 
@@ -115,6 +157,17 @@ class TestBuildPhi:
             build_phi([], n=2, d=2)
         with pytest.raises(ValueError):
             build_phi([np.zeros(4)], n=2, d=2)
+
+    def test_rejects_full_coordinates_and_vanishing_rows(self):
+        with pytest.raises(ValueError, match="C\\(2\\+2-1, 2\\) = 3 symmetric coordinates"):
+            build_phi([np.eye(4)[0]], n=2, d=2)
+        with pytest.raises(ValueError, match="no generators survive"):
+            build_phi([np.zeros(3)], n=2, d=2)
+
+    def test_phi_is_the_full_coordinate_view(self):
+        op = determinantal_operator(3, 3, 1)
+        assert np.array_equal(op.phi, from_sym_coords(op.generators, 9, 2))
+        assert "phi" not in {f.name for f in dataclasses.fields(op)}
 
     def test_spec_string_parsing(self):
         op = variety_from_spec("determinantal:2,2,1")
@@ -186,6 +239,16 @@ class TestCertify:
             certify(op, wide)  # C(3, 2) = 3 lifted columns > p = 1
         with pytest.raises(ValueError):
             certify(op, np.eye(3))  # wrong ambient dimension
+
+    @pytest.mark.parametrize("spec,m", [("determinantal:3,3,1", 2), ("determinantal:4,4,2", 3),
+                                        ("separable:2,3", 2), ("separable:2,2,2", 3)])
+    def test_eta_matches_full_coordinate_operator(self, spec, m):
+        op = variety_from_spec(spec)
+        rng = np.random.default_rng(10)
+        for _ in range(5):
+            Q = orthonormalize_basis(rng.standard_normal((op.n, m)))
+            want = singular_values(op.phi @ sym_lift(Q, op.d).data)[-1]
+            assert abs(certify(op, Q).eta - want) <= 1e-12 * want
 
     def test_report_serialization(self):
         op = determinantal_operator(2, 2, 1)
