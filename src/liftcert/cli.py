@@ -18,7 +18,7 @@ import numpy as np
 from . import harness as hs
 from . import rng as _rng
 from .matrixio import dump_json, format_float, load_matrix_csv, matrix_to_csv
-from .spectral import leave_one_out, numerical_rank, singular_values
+from .spectral import _rank_of_values, leave_one_out, singular_values
 from .tensor_lift import sym_lift
 from .varieties import certify as run_certify
 from .varieties import orthonormalize_basis, variety_from_spec
@@ -71,7 +71,7 @@ def _cmd_spectrum(args) -> int:
         "config": {"command": "spectrum", "matrix": args.matrix, "tol": args.tol},
         "shape": list(A.shape),
         "singular_values": [float(x) for x in s],
-        "numerical_rank": numerical_rank(A, args.tol),
+        "numerical_rank": _rank_of_values(s, args.tol),
     }
     if args.leave_one_out:
         payload["leave_one_out"] = leave_one_out(A)

@@ -17,11 +17,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import rng as _rng
 from .spectral import sign_normalize_rows
 from .stats import wilson_interval
-from .tensor_lift import _plan, sym_lift, sym_merge, sym_project
+from .tensor_lift import _plan, khatri_rao, sym_lift, sym_merge, sym_project
 
 
 @dataclass(frozen=True)
@@ -95,13 +96,8 @@ def build_sym4_IkronA(instance: PowerSumInstance,
     spanned by the antisymmetric pair witnesses, so the numerical rank of the
     result is m*N2 - C(m, 2) for perturbed instances.
     """
-    n2, m = instance.n2, instance.m
     merge = sym_merge(instance.n, 2, 2, variant)
-    out = np.empty((merge.shape[0], n2 * m))
-    for i in range(n2):
-        block = merge.data[:, i * n2:(i + 1) * n2]
-        out[:, i * m:(i + 1) * m] = block @ instance.A
-    return out
+    return (merge.data @ sp.kron(sp.eye(instance.n2), instance.A, format="csr")).toarray()
 
 
 def antisym_witnesses(instance: PowerSumInstance) -> np.ndarray:
@@ -130,18 +126,17 @@ def build_solution_space_M(instance: PowerSumInstance,
     order, then merged (a_i f_j + f_j a_i) over cross pairs (i, j).  The
     column count is C(m+1, 2) + m (N2 - m) = m N2 - C(m, 2).
     """
-    n2, m = instance.n2, instance.m
+    A, F = instance.A, instance.F
     merge = sym_merge(instance.n, 2, 2, variant)
-    cols = []
-    for i in range(m):
-        for j in range(i, m):
-            cols.append(merge.apply_pair(instance.A[:, i], instance.A[:, j])
-                        + merge.apply_pair(instance.A[:, j], instance.A[:, i]))
-    for i in range(m):
-        for j in range(n2 - m):
-            cols.append(merge.apply_pair(instance.A[:, i], instance.F[:, j])
-                        + merge.apply_pair(instance.F[:, j], instance.A[:, i]))
-    return np.column_stack(cols)
+
+    def merged(X, Y):
+        return merge.data @ khatri_rao(X, Y) + merge.data @ khatri_rao(Y, X)
+
+    # One column group at a time keeps the Khatri-Rao temporaries small.
+    ii, jj = np.triu_indices(instance.m)
+    groups = [merged(A[:, ii], A[:, jj])]
+    groups += [merged(np.broadcast_to(A[:, [t]], F.shape), F) for t in range(instance.m)]
+    return np.hstack(groups)
 
 
 def build_claim_Q(instance: PowerSumInstance, rho1: float, rho2: float) -> np.ndarray:
@@ -160,10 +155,8 @@ def build_claim_W(instance: PowerSumInstance, rho1: float, rho2: float,
     """
     Z1, Z2 = _noise_layers(instance, rho1, rho2)
     U = np.hstack([instance.base + Z1, Z2])
-    n2 = instance.n2
     merge = sym_merge(instance.n, 2, 2, variant)
-    blocks = [merge.data[:, i * n2:(i + 1) * n2] @ U for i in range(n2)]
-    return np.hstack(blocks)
+    return (merge.data @ sp.kron(sp.eye(instance.n2), U, format="csr")).toarray()
 
 
 def build_projected_V(matrices: list[np.ndarray], ell: int,

@@ -45,12 +45,17 @@ def count_large_singulars(A: np.ndarray, tau: float) -> int:
     return int(np.count_nonzero(singular_values(A) >= tau))
 
 
-def numerical_rank(A: np.ndarray, tolerance: float | None = None) -> int:
-    s = singular_values(A)
+def _rank_of_values(s: np.ndarray, tolerance: float | None = None) -> int:
+    """Number of non-increasing singular values s at or above the tolerance
+    (default DEFAULT_RTOL times the largest); 0 when the largest is zero."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     tol = DEFAULT_RTOL * s[0] if tolerance is None else tolerance
     return int(np.count_nonzero(s >= tol))
+
+
+def numerical_rank(A: np.ndarray, tolerance: float | None = None) -> int:
+    return _rank_of_values(singular_values(A), tolerance)
 
 
 @dataclass(frozen=True)
@@ -77,29 +82,46 @@ def _orthonormal_range(A: np.ndarray, tolerance: float | None = None) -> np.ndar
     if A.size == 0 or A.shape[1] == 0:
         return np.zeros((A.shape[0], 0))
     U, s, _ = np.linalg.svd(A, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((A.shape[0], 0))
-    tol = DEFAULT_RTOL * s[0] if tolerance is None else tolerance
-    return U[:, s >= tol]
+    return U[:, :_rank_of_values(s, tolerance)]
+
+
+def _inverse_r(U: np.ndarray) -> np.ndarray | None:
+    """Inverse of the triangular factor R of U = QR, or None when the columns
+    of U are dependent: more columns than rows, or a zero pivot of R.
+
+    An inverse with an entry beyond the float range also gives None: that
+    entry's row, and so its leave-one-out distance, is then below 1e-308.
+    """
+    if not np.isfinite(U).all():
+        raise ValueError("matrix has non-finite entries")
+    rows, cols = U.shape
+    if cols > rows:
+        return None
+    R = np.linalg.qr(U, mode="r")
+    if not np.diagonal(R).all():
+        return None
+    Ri = np.linalg.inv(R)
+    return Ri if np.isfinite(Ri).all() else None
 
 
 def leave_one_out(U: np.ndarray) -> float:
     """Minimum distance of any column of U to the span of the other columns.
 
     Sandwiches the least singular value: leave_one_out(U) / sqrt(m) <=
-    sigma_min(U) <= leave_one_out(U) for an m-column U.
+    sigma_min(U) <= leave_one_out(U) for an m-column U.  With U = QR the
+    distance of column i is 1 / ||row i of R^-1|| (row i of the
+    pseudoinverse R^-1 Q^T has the same norm), so one QR factorisation gives
+    every distance.  The value is exactly 0.0 when U has more columns than
+    rows, R has a zero pivot or R^-1 overflows; other dependent columns give
+    a value at rounding level.
     """
     U = np.asarray(U, dtype=float)
     if U.ndim != 2 or U.shape[1] < 1:
         raise ValueError("U must be a matrix with at least one column")
-    m = U.shape[1]
-    best = math.inf
-    for i in range(m):
-        others = np.delete(U, i, axis=1)
-        Q = _orthonormal_range(others)
-        resid = U[:, i] - Q @ (Q.T @ U[:, i])
-        best = min(best, float(np.linalg.norm(resid)))
-    return best
+    Ri = _inverse_r(U)
+    if Ri is None:
+        return 0.0
+    return float(1.0 / np.linalg.norm(Ri, axis=1).max())
 
 
 @dataclass(frozen=True)
@@ -124,9 +146,8 @@ class BlockFamily:
     def rows(self) -> int:
         return self.blocks[0].shape[0]
 
-    def concat(self, skip=None) -> np.ndarray:
-        keep = [B for j, B in enumerate(self.blocks) if j != skip]
-        return np.hstack(keep) if keep else np.zeros((self.rows, 0))
+    def concat(self) -> np.ndarray:
+        return np.hstack(self.blocks)
 
 
 def block_leave_one_out(family: BlockFamily) -> float:
@@ -134,14 +155,20 @@ def block_leave_one_out(family: BlockFamily) -> float:
     after projecting out the span of all other blocks.
 
     For t blocks, the value sandwiches sigma_min of the concatenation within a
-    sqrt(t) factor.
+    sqrt(t) factor.  With the concatenation factored as QR, the Schur
+    complement identity gives block j's value as 1 / sigma_max(R^-1[J_j, :])
+    for its column range J_j.  The value is exactly 0.0 when a block has no
+    columns, when the concatenation has more columns than rows, or when R
+    has a zero pivot or R^-1 overflows.
     """
-    best = math.inf
-    for j, B in enumerate(family.blocks):
-        P = orth_complement_projector(family.concat(skip=j))
-        s = singular_values(P @ B)
-        best = min(best, float(s[-1]) if s.size else 0.0)
-    return best
+    widths = [B.shape[1] for B in family.blocks]
+    if min(widths) == 0:
+        return 0.0
+    Ri = _inverse_r(np.asarray(family.concat(), dtype=float))
+    if Ri is None:
+        return 0.0
+    rows_of_blocks = np.split(Ri, np.cumsum(widths)[:-1])
+    return float(1.0 / max(np.linalg.norm(part, 2) for part in rows_of_blocks))
 
 
 def orth_complement_projector(columns: np.ndarray, tolerance: float | None = None) -> np.ndarray:

@@ -63,6 +63,13 @@ class TestSpectrum:
         assert abs(payload["singular_values"][0] - 3.0) <= 1e-12
         assert "leave_one_out" in payload
 
+    def test_rank_honours_tol(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        save_matrix_csv(path, np.diag([3.0, 1.0, 1e-14]))
+        code, out, _ = run_cli(capsys, "spectrum", "--matrix", str(path),
+                               "--tol", "1e-15")
+        assert code == 0 and json.loads(out)["numerical_rank"] == 3
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--matrix", "no_such.csv")
         assert code == 2 and "no_such.csv" in err

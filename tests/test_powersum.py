@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from liftcert.powersum import (ClusteringInstance, antisym_witnesses,
+from liftcert.powersum import (ClusteringInstance, _noise_layers, antisym_witnesses,
                                build_block_lift, build_claim_Q, build_claim_W,
                                build_power_matrix, build_projected_V,
                                build_solution_space_M, evaluate_power_row,
@@ -19,6 +19,45 @@ from liftcert.tensor_lift import sym_merge
 @pytest.fixture(scope="module")
 def inst43():
     return make_power_sum_instance(4, 3, 0.1, seed=123)
+
+
+VARIANTS = ["unit_merge", "weighted_merge"]
+# (n, m) with m = 1 and m = N2 - 1 among them.
+SIZES = [(10, 8), (10, 4), (5, 2), (3, 1), (3, 5)]
+
+
+def _loop_solution_space_M(instance, variant):
+    """One apply_pair product per column."""
+    n2, m = instance.n2, instance.m
+    merge = sym_merge(instance.n, 2, 2, variant)
+    A, F = instance.A, instance.F
+    cols = [merge.apply_pair(A[:, i], A[:, j]) + merge.apply_pair(A[:, j], A[:, i])
+            for i in range(m) for j in range(i, m)]
+    cols += [merge.apply_pair(A[:, i], F[:, j]) + merge.apply_pair(F[:, j], A[:, i])
+             for i in range(m) for j in range(n2 - m)]
+    return np.column_stack(cols)
+
+
+def _sliced_merge_product(instance, U, variant):
+    """Slice i of the merge operator times U, slices side by side."""
+    n2 = instance.n2
+    merge = sym_merge(instance.n, 2, 2, variant)
+    return np.hstack([merge.data[:, i * n2:(i + 1) * n2] @ U for i in range(n2)])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("n, m", SIZES)
+def test_builders_match_loop_oracles(n, m, variant):
+    inst = make_power_sum_instance(n, m, 0.3, seed=n + m)
+    assert np.array_equal(build_solution_space_M(inst, variant),
+                          _loop_solution_space_M(inst, variant))
+    assert np.array_equal(build_sym4_IkronA(inst, variant),
+                          _sliced_merge_product(inst, inst.A, variant))
+    rho1, rho2 = 0.2, math.sqrt(0.3**2 - 0.2**2)
+    Z1, Z2 = _noise_layers(inst, rho1, rho2)
+    U = np.hstack([inst.base + Z1, Z2])
+    assert np.array_equal(build_claim_W(inst, rho1, rho2, variant),
+                          _sliced_merge_product(inst, U, variant))
 
 
 class TestPowerSumInstance:

@@ -62,6 +62,26 @@ class TestSpectrumQuery:
             SpectrumQuery(np.eye(2), tolerance=-1.0)
 
 
+def _loop_leave_one_out(U):
+    """Column distances by projecting out the span of the other columns."""
+    best = math.inf
+    for i in range(U.shape[1]):
+        P = orth_complement_projector(np.delete(U, i, axis=1))
+        best = min(best, float(np.linalg.norm(P @ U[:, i])))
+    return best
+
+
+def _loop_block_leave_one_out(family):
+    """Block distances by projecting out the span of the other blocks."""
+    best = math.inf
+    for j, B in enumerate(family.blocks):
+        others = [C for k, C in enumerate(family.blocks) if k != j]
+        P = orth_complement_projector(np.hstack(others)) if others else np.eye(family.rows)
+        s = singular_values(P @ B)
+        best = min(best, float(s[-1]) if s.size else 0.0)
+    return best
+
+
 class TestLeaveOneOut:
     def test_orthonormal_columns(self):
         assert abs(leave_one_out(np.eye(3)) - 1.0) <= 1e-12
@@ -79,6 +99,38 @@ class TestLeaveOneOut:
             smin = singular_values(U)[-1]
             assert ell / math.sqrt(4) <= smin + 1e-10
             assert smin <= ell + 1e-10
+
+    @pytest.mark.parametrize("shape", [(8, 1), (8, 4), (30, 12), (60, 60), (200, 60)])
+    def test_matches_projector_loop(self, shape):
+        rng = np.random.default_rng(shape[1])
+        for _ in range(5):
+            U = rng.standard_normal(shape) * rng.uniform(0.1, 10.0, shape[1])
+            want = _loop_leave_one_out(U)
+            assert abs(leave_one_out(U) - want) <= 1e-12 * want
+
+    def test_wide_input_is_exactly_zero(self):
+        U = np.random.default_rng(10).standard_normal((3, 5))
+        assert leave_one_out(U) == 0.0
+
+    @pytest.mark.parametrize("dependent", [
+        np.zeros(6),                           # zero column
+        np.eye(6)[:, 0],                       # repeats column 0
+        np.eye(6)[:, 2] + np.eye(6)[:, 3],     # sum of columns 1 and 2
+    ])
+    def test_dependent_columns_are_exactly_zero(self, dependent):
+        # Axis columns come first, so the dependency gives an exact zero pivot.
+        U = np.hstack([np.eye(6)[:, [0, 2, 3]], dependent[:, None],
+                       np.random.default_rng(11).standard_normal((6, 2))])
+        assert leave_one_out(U) == 0.0
+
+    def test_near_dependent_column_stays_small(self):
+        U = np.random.default_rng(12).standard_normal((10, 4))
+        U[:, 3] = U[:, 0] + U[:, 1] + 1e-13 * np.eye(10)[:, 9]
+        assert leave_one_out(U) <= 1e-12
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            leave_one_out(np.array([[1.0], [np.inf]]))
 
 
 class TestBlockLeaveOneOut:
@@ -101,6 +153,33 @@ class TestBlockLeaveOneOut:
             smin = singular_values(np.hstack(blocks))[-1]
             assert ell / math.sqrt(3) <= smin + 1e-10
             assert smin <= ell + 1e-10
+
+    @pytest.mark.parametrize("widths", [[1], [3], [2, 2, 2], [1, 4, 2, 3], [5] * 12])
+    def test_matches_projector_loop(self, widths):
+        rng = np.random.default_rng(len(widths))
+        for _ in range(5):
+            rows = sum(widths) + 4
+            fam = BlockFamily([rng.standard_normal((rows, w)) * rng.uniform(0.1, 10.0)
+                               for w in widths])
+            want = _loop_block_leave_one_out(fam)
+            assert abs(block_leave_one_out(fam) - want) <= 1e-12 * want
+
+    def test_wide_concatenation_is_exactly_zero(self):
+        rng = np.random.default_rng(13)
+        fam = BlockFamily([rng.standard_normal((4, 3)) for _ in range(2)])
+        assert block_leave_one_out(fam) == 0.0
+
+    def test_dependent_blocks_are_exactly_zero(self):
+        rng = np.random.default_rng(14)
+        axes = np.eye(6)[:, :2]
+        fam = BlockFamily([axes, axes[:, ::-1], rng.standard_normal((6, 2))])
+        assert block_leave_one_out(fam) == 0.0
+
+    def test_zero_width_block_is_zero(self):
+        rng = np.random.default_rng(15)
+        fam = BlockFamily([rng.standard_normal((6, 2)), np.zeros((6, 0))])
+        assert block_leave_one_out(fam) == 0.0
+        assert _loop_block_leave_one_out(fam) == 0.0
 
     def test_empty_family(self):
         with pytest.raises(ValueError):
