@@ -4,8 +4,7 @@ and a reproducible Monte Carlo experiment harness."""
 from .harness import ExperimentConfig, run_experiment, scaling_study
 from .smoothing import SmoothedMatrix, decouple, perturb
 from .spectral import leave_one_out, singular_values
-from .tensor_lift import (MultiIndex, enumerate_multi_indices, khatri_rao,
-                          kron, sel_avg, sym_lift, sym_merge)
+from .tensor_lift import enumerate_multi_indices, khatri_rao, sel_avg, sym_lift, sym_merge
 from .varieties import certify, determinantal_operator, separable_operator
 
 __version__ = "0.1.0"
@@ -14,8 +13,7 @@ __all__ = [
     "ExperimentConfig", "run_experiment", "scaling_study",
     "SmoothedMatrix", "decouple", "perturb",
     "leave_one_out", "singular_values",
-    "MultiIndex", "enumerate_multi_indices", "khatri_rao", "kron",
-    "sel_avg", "sym_lift", "sym_merge",
+    "enumerate_multi_indices", "khatri_rao", "sel_avg", "sym_lift", "sym_merge",
     "certify", "determinantal_operator", "separable_operator",
     "__version__",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -26,6 +27,20 @@ from .varieties import orthonormalize_basis, variety_from_spec
 
 class UsageError(ValueError):
     pass
+
+
+def _at_least(kind: type, low):
+    """argparse type: a finite ``kind`` (int or float) of at least ``low``."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not (math.isfinite(value) and value >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite {kind.__name__} >= {low}, got {text!r}")
+        return value
+    return parse
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -82,7 +97,10 @@ def _cmd_spectrum(args) -> int:
 def _resolve_basis(spec: str, op, rho: float, seed: int) -> tuple[np.ndarray, bool]:
     """Returns (orthonormal basis, planted?) for the certify subcommand."""
     if spec.startswith("random:"):
-        m = int(spec[len("random:"):])
+        try:
+            m = _at_least(int, 1)(spec[len("random:"):])
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"--basis random:m: m {exc}") from exc
         base = _rng.gaussians((op.n, m), seed, "cli", "basis")
         base /= np.linalg.norm(base, axis=0)
         pert = base + rho * _rng.gaussians((op.n, m), seed, "cli", "basis_noise") \
@@ -169,9 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_lift = sub.add_parser("lift", help="emit the symmetric lift of a matrix as CSV")
-    p_lift.add_argument("--n", type=int, required=True)
-    p_lift.add_argument("--m", type=int, required=True)
-    p_lift.add_argument("--d", type=int, required=True)
+    p_lift.add_argument("--n", type=_at_least(int, 1), required=True)
+    p_lift.add_argument("--m", type=_at_least(int, 1), required=True)
+    p_lift.add_argument("--d", type=_at_least(int, 1), required=True)
     p_lift.add_argument("--matrix", default="id",
                         help="id | random[:seed] | file:path.csv")
     p_lift.add_argument("--seed", type=int, default=0)
@@ -182,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="singular values and rank of a CSV matrix")
     p_spec.add_argument("--matrix", required=True)
-    p_spec.add_argument("--tol", type=float, default=None)
+    p_spec.add_argument("--tol", type=_at_least(float, 0.0), default=None)
     p_spec.add_argument("--leave-one-out", action="store_true")
     p_spec.add_argument("--out", default=None)
     p_spec.set_defaults(func=_cmd_spectrum)
@@ -193,10 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="determinantal:n1,n2,r or separable:n1,n2[,...]")
     p_cert.add_argument("--basis", required=True,
                         help="random:m | file:path.csv | path.csv | planted:path.csv+index")
-    p_cert.add_argument("--rho", type=float, default=0.0,
+    p_cert.add_argument("--rho", type=_at_least(float, 0.0), default=0.0,
                         help="perturbation scale for random bases")
     p_cert.add_argument("--seed", type=int, default=0)
-    p_cert.add_argument("--tol", type=float, default=1e-9)
+    p_cert.add_argument("--tol", type=_at_least(float, 0.0), default=1e-9)
     p_cert.add_argument("--out", default=None)
     p_cert.set_defaults(func=_cmd_certify)
 

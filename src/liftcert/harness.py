@@ -27,7 +27,7 @@ from . import rng as _rng
 from .matrixio import format_float
 from .spectral import count_large_singulars, jacobian_khatri_rao, singular_values
 from .stats import quantile_summary, wilson_interval
-from .tensor_lift import khatri_rao, sym_coords, sym_lift
+from .tensor_lift import khatri_rao, sym_lift
 from .varieties import certify, orthonormalize_basis, variety_from_spec
 
 REQUIRED = object()
@@ -193,7 +193,7 @@ def _bind_lift(p, config):
         lifts = []
         for j in range(blocks):
             Z = _rng.gaussians((n, m), seed, "noise", j)
-            lifts.append(sym_coords(sym_lift(bases[j] + rho * Z, d).data.T, n, d))
+            lifts.append(sym_lift(bases[j] + rho * Z, d).coords.T)
         return float(singular_values(np.vstack(lifts) @ phi.T)[k - 1]), None, None
     return measure
 
@@ -227,7 +227,7 @@ def _bind_certify(p, config):
             B[:, 0] = 0.0
             B[0, 0] = 1.0
         Q = orthonormalize_basis(B, keep_first=planted)
-        return certify(op, Q, tolerance=config.threshold).eta, None, None
+        return certify(op, Q).eta, None, None
     return measure
 
 

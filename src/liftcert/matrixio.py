@@ -54,8 +54,5 @@ def matrix_sha256(A: np.ndarray) -> str:
 
 
 def dump_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def save_json(path: str | Path, payload: dict) -> None:
-    Path(path).write_text(dump_json(payload))
+    """Sorted, indented JSON; a NaN or infinity is refused, since JSON has none."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"

@@ -228,7 +228,9 @@ def build_block_lift(instance: ClusteringInstance) -> np.ndarray:
 
     Each base P_i receives i.i.d. noise of entrywise variance rho^2 / n, is
     re-orthonormalized, and lifted to order d.  rho = 0 skips the
-    perturbation (degenerate control).
+    perturbation (degenerate control).  The rows are the C(n+d-1, d)
+    isometric coordinates of the lift (``LiftMatrix.coords``), so the
+    singular values are those of the full n**d-row lifts.
     """
     n, m = instance.shape
     d, s = instance.d, len(instance.bases)
@@ -242,7 +244,7 @@ def build_block_lift(instance: ClusteringInstance) -> np.ndarray:
             Q, _ = np.linalg.qr(P + noise)
         else:
             Q = P
-        blocks.append(sym_lift(Q, d).data)
+        blocks.append(sym_lift(Q, d).coords)
     return np.hstack(blocks)
 
 

@@ -58,24 +58,6 @@ def numerical_rank(A: np.ndarray, tolerance: float | None = None) -> int:
     return _rank_of_values(singular_values(A), tolerance)
 
 
-@dataclass(frozen=True)
-class SpectrumQuery:
-    """A matrix together with the numerical-zero threshold for rank decisions."""
-
-    matrix: np.ndarray
-    tolerance: float | None = None
-
-    def __post_init__(self):
-        if self.tolerance is not None and self.tolerance < 0:
-            raise ValueError("tolerance must be non-negative")
-
-    def values(self) -> np.ndarray:
-        return singular_values(self.matrix)
-
-    def rank(self) -> int:
-        return numerical_rank(self.matrix, self.tolerance)
-
-
 def _orthonormal_range(A: np.ndarray, tolerance: float | None = None) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical column span of A."""
     A = np.asarray(A, dtype=float)

@@ -7,7 +7,9 @@ lift, and sparse merge operators that multiply monomial coefficient vectors.
 
 Symmetric tensors are multiset index rows in lexicographic order plus their
 orbit sizes (a plan per (n, d)), and for full n**d coordinates the orbit of
-every flat position; every builder below is array arithmetic on these.
+every flat position; every builder below is array arithmetic on these.  A
+symmetric lift keeps one row per orbit and reads its isometric or full
+coordinates off that.
 
 All tensor reshaping is row-major with mode 1 slowest, so ``np.kron`` of
 column vectors and ``ndarray.reshape`` agree with the flattening used here.
@@ -19,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import NamedTuple
 
@@ -120,39 +122,14 @@ def _orbits(n: int, d: int) -> _Orbits:
     return (_cached_orbits if n**d <= _CACHED_ENTRIES else _build_orbits)(n, d)
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """A non-decreasing d-tuple over 1..n; canonical column label for lifts."""
-
-    entries: tuple[int, ...]
-    n: int
-
-    def __post_init__(self):
-        if not self.entries:
-            raise ValueError("MultiIndex needs at least one entry")
-        if any(e < 1 or e > self.n for e in self.entries):
-            raise ValueError(f"entries {self.entries} out of range 1..{self.n}")
-        if any(a > b for a, b in zip(self.entries, self.entries[1:])):
-            raise ValueError(f"entries {self.entries} are not non-decreasing")
-
-    @property
-    def d(self) -> int:
-        return len(self.entries)
-
-    def orbit_size(self) -> int:
-        """Number of distinct orderings of the tuple."""
-        return int(_plan(self.n, self.d).orbit[self.rank() - 1])
-
-    def rank(self) -> int:
-        """1-based position in the lexicographic enumeration."""
-        return int(_rank(np.array(self.entries) - 1, self.n)) + 1
-
-
-def enumerate_multi_indices(n: int, d: int) -> list[MultiIndex]:
-    """All non-decreasing d-tuples over 1..n in lexicographic order."""
+def enumerate_multi_indices(n: int, d: int) -> np.ndarray:
+    """All non-decreasing d-tuples over 1..n in lexicographic order, one
+    read-only row each (the plan rows, 1-based)."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be at least 1")
-    return [MultiIndex(tuple(entries), n) for entries in (_plan(n, d).rows + 1).tolist()]
+    rows = _plan(n, d).rows + 1
+    rows.flags.writeable = False
+    return rows
 
 
 def sym_coords(X: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -177,41 +154,37 @@ def from_sym_coords(Y: np.ndarray, n: int, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LiftMatrix:
-    """A dense lift with its column-index bookkeeping.
+    """The symmetric lift of an n x m matrix, stored once per orbit.
 
-    ``kind`` is ``"symmetrized"`` (columns indexed by non-decreasing tuples,
-    each a permutation average) or ``"full_kron"`` (all m**d ordered tuples).
+    ``means`` is C(n+d-1, d) x C(m+d-1, d): row I holds the lift's entries at
+    every ordering of the multiset row I of the (n, d) plan, and column c is
+    labelled by ``column_order[c]``, a non-decreasing 1-based m-tuple.
+    ``coords`` (isometric coordinates, as ``sym_coords``) and ``data`` (full
+    n**d rows) are built on each access.
     """
 
-    data: np.ndarray
+    means: np.ndarray
     n: int
     m: int
     d: int
-    kind: str
-    column_order: list[MultiIndex] = field(default_factory=list)
+    column_order: np.ndarray
 
-    def __post_init__(self):
-        if self.kind not in ("symmetrized", "full_kron"):
-            raise ValueError(f"unknown lift kind {self.kind!r}")
-        expected = (math.comb(self.m + self.d - 1, self.d)
-                    if self.kind == "symmetrized" else self.m**self.d)
-        if self.data.shape[1] != expected:
-            raise ValueError(
-                f"{self.kind} lift must have {expected} columns, got {self.data.shape[1]}")
+    @property
+    def coords(self) -> np.ndarray:
+        return self.means * np.sqrt(_plan(self.n, self.d).orbit)[:, None]
+
+    @property
+    def data(self) -> np.ndarray:
+        return self.means[_orbits(self.n, self.d).ids]
 
     def descriptor(self) -> dict:
         return {
             "n": self.n,
             "m": self.m,
             "d": self.d,
-            "kind": self.kind,
-            "column_order": [list(ix.entries) for ix in self.column_order],
+            "kind": "symmetrized",
+            "column_order": self.column_order.tolist(),
         }
-
-
-def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kronecker product; block (i, j) of the result is A[i, j] * B."""
-    return np.kron(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
 
 
 def kron_power(U: np.ndarray, d: int) -> np.ndarray:
@@ -234,13 +207,16 @@ def khatri_rao(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (A[:, None, :] * B[None, :, :]).reshape(na * nb, m)
 
 
-def sym_kron(factors: list[np.ndarray]) -> LiftMatrix:
-    """Symmetrized Kronecker product of d equal-shape factors.
+def sym_kron(factors: list[np.ndarray]) -> np.ndarray:
+    """Symmetrized Kronecker product of d equal-shape n x m factors.
 
-    The column for a non-decreasing tuple (i_1, ..., i_d) is the average over
-    all permutations pi of factor_1[:, i_pi(1)] tensor ... tensor
-    factor_d[:, i_pi(d)]: the Kronecker product times ``sel_avg(m, d)``, formed
-    C(m+d-1, d) Kronecker columns at a time so no temporary outgrows the lift.
+    The column for a non-decreasing tuple (i_1, ..., i_d), in the order of
+    ``enumerate_multi_indices(m, d)``, is the average over all permutations
+    pi of factor_1[:, i_pi(1)] tensor ... tensor factor_d[:, i_pi(d)]: the
+    Kronecker product times ``sel_avg(m, d)``, formed C(m+d-1, d) Kronecker
+    columns at a time so no temporary outgrows the result.  With distinct
+    factors the columns are not symmetric tensors, so the result is a plain
+    n**d x C(m+d-1, d) array rather than a :class:`LiftMatrix`.
     """
     mats = [np.asarray(F, dtype=float) for F in factors]
     d = len(mats)
@@ -250,8 +226,7 @@ def sym_kron(factors: list[np.ndarray]) -> LiftMatrix:
     if any(M.shape != shape for M in mats):
         raise ValueError("all factors must share the same shape")
     n, m = shape
-    indices = enumerate_multi_indices(m, d)
-    width = len(indices)
+    width = math.comb(m + d - 1, d)
     _check_entries((n**d, width), f"the symmetrized lift with n = {n}, m = {m}, d = {d}")
     select = _orbits(m, d).mean.T.tocsr()
     digits = np.indices((m,) * d).reshape(d, -1)
@@ -260,7 +235,7 @@ def sym_kron(factors: list[np.ndarray]) -> LiftMatrix:
         block = slice(start, start + width)
         data += reduce(khatri_rao, [M[:, cols] for M, cols in zip(mats, digits[:, block])]) \
             @ select[block]
-    return LiftMatrix(data, n=n, m=m, d=d, kind="symmetrized", column_order=indices)
+    return data
 
 
 def sym_lift(U: np.ndarray, d: int) -> LiftMatrix:
@@ -268,26 +243,21 @@ def sym_lift(U: np.ndarray, d: int) -> LiftMatrix:
 
     With equal factors, permuting the column indices of a Kronecker column
     permutes its tensor modes, so the column for a multiset row is the
-    mode-permutation average of its single Kronecker column.
+    mode-permutation average of its single Kronecker column; only the orbit
+    means of those averages are kept.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
     U = np.asarray(U, dtype=float)
     n, m = U.shape
-    indices = enumerate_multi_indices(m, d)
-    _check_entries((n**d, len(indices)), f"the symmetrized lift with n = {n}, m = {m}, d = {d}")
-    # np.take keeps the Kronecker columns C-contiguous, so the sparse product
-    # reads them in place; they are freed before the gather allocates the lift.
-    ids, mean = _orbits(n, d)
-    means = mean @ reduce(khatri_rao, [np.take(U, col, axis=1) for col in _plan(m, d).rows.T])
-    return LiftMatrix(means[ids], n=n, m=m, d=d, kind="symmetrized", column_order=indices)
-
-
-def full_lift(U: np.ndarray, d: int) -> LiftMatrix:
-    """Full Kronecker power of U wrapped with column metadata."""
-    U = np.asarray(U, dtype=float)
-    n, m = U.shape
-    return LiftMatrix(kron_power(U, d), n=n, m=m, d=d, kind="full_kron")
+    column_order = enumerate_multi_indices(m, d)
+    _check_entries((n**d, len(column_order)),
+                   f"the symmetrized lift with n = {n}, m = {m}, d = {d}")
+    # np.take keeps the n**d-row Kronecker columns C-contiguous, so the sparse
+    # product reads them in place.
+    means = _orbits(n, d).mean @ reduce(
+        khatri_rao, [np.take(U, col, axis=1) for col in _plan(m, d).rows.T])
+    return LiftMatrix(means, n=n, m=m, d=d, column_order=column_order)
 
 
 def sym_project(v: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -343,10 +313,6 @@ class SymMergeOperator:
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape
-
-    def apply_pair(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Image of x tensor y for coefficient vectors x, y."""
-        return self.data @ np.kron(x, y)
 
 
 def sym_merge(n: int, k1: int, k2: int, variant: str = "unit_merge") -> SymMergeOperator:

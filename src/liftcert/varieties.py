@@ -151,9 +151,11 @@ def build_phi(generators: np.ndarray, n: int, d: int,
 
 
 def determinantal_operator(n1: int, n2: int, r: int) -> VarietyOperator:
-    gens = determinantal_generators(n1, n2, r)
-    return build_phi(gens, n=n1 * n2, d=r + 1,
-                     provenance=f"determinantal({n1},{n2},{r})")
+    """The minors' generators as they are: each row has d! entries +-1/sqrt(d!)
+    and distinct minors have disjoint monomial supports, so the rows are
+    already orthonormal and ``build_phi``'s SVD would only rotate them."""
+    return VarietyOperator(n1 * n2, r + 1, determinantal_generators(n1, n2, r),
+                           f"determinantal({n1},{n2},{r})")
 
 
 def separable_operator(dims: tuple[int, ...]) -> VarietyOperator:
@@ -231,6 +233,8 @@ def certify(op: VarietyOperator, basis: np.ndarray,
     at distance at least eta / d (up to the lift's conditioning) from the
     subspace; the report carries the raw eta and the threshold verdict.
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     basis = np.asarray(basis, dtype=float)
     n, m = basis.shape
     if n != op.n:
@@ -242,8 +246,7 @@ def certify(op: VarietyOperator, basis: np.ndarray,
     if lifted_cols > op.p:
         raise ValueError(
             f"lift has {lifted_cols} columns but the operator rank budget is {op.p}")
-    lift = sym_coords(sym_lift(basis, op.d).data.T, n, op.d)
-    s = singular_values(lift @ op.generators.T)
+    s = singular_values(sym_lift(basis, op.d).coords.T @ op.generators.T)
     eta = float(s[-1])
     verdict = "certified_far" if eta > tolerance else "dont_know"
     return CertificateReport(eta=eta, m=m, n=n, d=op.d, verdict=verdict,

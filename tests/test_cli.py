@@ -1,16 +1,25 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from liftcert.cli import main
-from liftcert.matrixio import load_matrix_csv, save_matrix_csv
+from liftcert.matrixio import dump_json, load_matrix_csv, save_matrix_csv
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def flag_error(capsys, *argv):
+    """stderr of a command that argparse refuses with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr().err
 
 
 class TestLift:
@@ -50,6 +59,25 @@ class TestLift:
         assert code == 2
         assert "matrix spec" in err
 
+    def test_golden_bytes(self, tmp_path, capsys):
+        # Pinned output bytes: any change to them is a change in output.
+        csv_path, desc = tmp_path / "lift.csv", tmp_path / "lift.json"
+        code, _, _ = run_cli(capsys, "lift", "--n", "4", "--m", "3", "--d", "3",
+                             "--matrix", "random:3", "--out", str(csv_path),
+                             "--descriptor", str(desc))
+        assert code == 0
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == \
+            "00e9870343f27b32e340b96ce922385d0ca2d693b4dc95cdd5bbc7184048ce23"
+        assert hashlib.sha256(desc.read_bytes()).hexdigest() == \
+            "b703182e5b9278efb23d9e12e11f54dc9388e55cbe2f463e12cf95ceee6e76a4"
+
+    @pytest.mark.parametrize("flag", ["--n", "--m", "--d"])
+    @pytest.mark.parametrize("value", ["0", "-2", "x"])
+    def test_sizes_must_be_positive_ints(self, capsys, flag, value):
+        argv = {"--n": "2", "--m": "2", "--d": "2", flag: value}
+        err = flag_error(capsys, "lift", *[tok for item in argv.items() for tok in item])
+        assert f"argument {flag}" in err
+
 
 class TestSpectrum:
     def test_reports_values_and_rank(self, tmp_path, capsys):
@@ -69,6 +97,13 @@ class TestSpectrum:
         code, out, _ = run_cli(capsys, "spectrum", "--matrix", str(path),
                                "--tol", "1e-15")
         assert code == 0 and json.loads(out)["numerical_rank"] == 3
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_tol_must_be_finite_and_non_negative(self, tmp_path, capsys, tol):
+        path = tmp_path / "m.csv"
+        save_matrix_csv(path, np.eye(2))
+        assert "argument --tol" in flag_error(capsys, "spectrum", "--matrix", str(path),
+                                              "--tol", tol)
 
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--matrix", "no_such.csv")
@@ -132,6 +167,35 @@ class TestCertify:
         code, _, err = run_cli(capsys, "certify", "--variety", "conic:9",
                                "--basis", "random:2")
         assert code == 2 and "variety" in err
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_tol_must_be_finite_and_non_negative(self, tmp_path, capsys, tol):
+        # A rank-1 column planted in the basis: eta is rounding noise, which a
+        # negative tolerance would certify as far.
+        path = tmp_path / "B.csv"
+        save_matrix_csv(path, np.eye(9)[:, :2])
+        err = flag_error(capsys, "certify", "--variety", "determinantal:3,3,1",
+                         "--basis", f"planted:{path}+0", "--tol", tol)
+        assert "argument --tol" in err
+
+    @pytest.mark.parametrize("rho", ["nan", "-5", "inf"])
+    def test_rho_must_be_finite_and_non_negative(self, capsys, rho):
+        err = flag_error(capsys, "certify", "--variety", "determinantal:3,3,1",
+                         "--basis", "random:2", "--rho", rho)
+        assert "argument --rho" in err
+
+    @pytest.mark.parametrize("m", ["-1", "0", "x", ""])
+    def test_random_basis_needs_positive_m(self, capsys, m):
+        code, _, err = run_cli(capsys, "certify", "--variety", "determinantal:3,3,1",
+                               "--basis", f"random:{m}")
+        assert code == 2 and "--basis random:m" in err
+
+
+class TestJson:
+    def test_refuses_nan_and_infinity(self):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                dump_json({"rho": value})
 
 
 class TestExperiment:

@@ -13,7 +13,7 @@ from liftcert.powersum import (ClusteringInstance, _noise_layers, antisym_witnes
                                build_sym4_IkronA, power_row,
                                small_ball_estimate, symmetric_cube_lift)
 from liftcert.spectral import singular_values
-from liftcert.tensor_lift import sym_merge
+from liftcert.tensor_lift import sym_lift, sym_merge
 
 
 @pytest.fixture(scope="module")
@@ -26,14 +26,19 @@ VARIANTS = ["unit_merge", "weighted_merge"]
 SIZES = [(10, 8), (10, 4), (5, 2), (3, 1), (3, 5)]
 
 
+def _merge_pair(merge, x, y):
+    """Image of x tensor y under a merge operator."""
+    return merge.data @ np.kron(x, y)
+
+
 def _loop_solution_space_M(instance, variant):
-    """One apply_pair product per column."""
+    """One merged pair product per column."""
     n2, m = instance.n2, instance.m
     merge = sym_merge(instance.n, 2, 2, variant)
     A, F = instance.A, instance.F
-    cols = [merge.apply_pair(A[:, i], A[:, j]) + merge.apply_pair(A[:, j], A[:, i])
+    cols = [_merge_pair(merge, A[:, i], A[:, j]) + _merge_pair(merge, A[:, j], A[:, i])
             for i in range(m) for j in range(i, m)]
-    cols += [merge.apply_pair(A[:, i], F[:, j]) + merge.apply_pair(F[:, j], A[:, i])
+    cols += [_merge_pair(merge, A[:, i], F[:, j]) + _merge_pair(merge, F[:, j], A[:, i])
              for i in range(m) for j in range(n2 - m)]
     return np.column_stack(cols)
 
@@ -118,12 +123,12 @@ class TestSolutionSpace:
         M = build_solution_space_M(inst)
         assert M.shape[1] == 1 * inst.n2 - 0 == 3
         merge = sym_merge(2, 2, 2)
-        first = merge.apply_pair(inst.A[:, 0], inst.A[:, 0])
+        first = _merge_pair(merge, inst.A[:, 0], inst.A[:, 0])
         cos = first @ M[:, 0] / (np.linalg.norm(first) * np.linalg.norm(M[:, 0]))
         assert abs(abs(cos) - 1.0) <= 1e-12
         for j in range(2):
-            cross = merge.apply_pair(inst.A[:, 0], inst.F[:, j]) + \
-                merge.apply_pair(inst.F[:, j], inst.A[:, 0])
+            cross = _merge_pair(merge, inst.A[:, 0], inst.F[:, j]) + \
+                _merge_pair(merge, inst.F[:, j], inst.A[:, 0])
             assert np.allclose(M[:, 1 + j], cross)
 
     def test_well_conditioned_at_desk_scale(self, inst43):
@@ -213,6 +218,17 @@ class TestBlockLift:
     def test_perturbation_separates_shared_base(self):
         inst = make_clustering_instance(8, 2, 2, 2, rho=0.2, seed=6)
         assert singular_values(build_block_lift(inst))[-1] >= 1e-6
+
+    @pytest.mark.parametrize("n,m,s,d", [(6, 2, 2, 2), (10, 3, 3, 3), (5, 2, 3, 3), (4, 2, 2, 4)])
+    def test_spectrum_matches_full_coordinate_lifts(self, n, m, s, d):
+        rng = np.random.default_rng(n + m + s + d)
+        bases = [np.linalg.qr(rng.standard_normal((n, m)))[0] for _ in range(s)]
+        inst = ClusteringInstance(bases=bases, d=d, rho=0.0, seed=0)
+        got = singular_values(build_block_lift(inst))
+        want = singular_values(np.hstack([sym_lift(P, d).data for P in bases]))
+        assert np.abs(got - want).max() <= 1e-12 * want[0]
+        duplicated = ClusteringInstance(bases=[bases[0]] * s, d=d, rho=0.0, seed=0)
+        assert singular_values(build_block_lift(duplicated))[-1] <= 1e-10
 
     def test_budget_violation(self):
         Q = np.eye(3)

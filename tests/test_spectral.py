@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from liftcert.spectral import (BlockFamily, RankError, SpectrumQuery,
-                               block_leave_one_out, count_large_singulars,
-                               good_blocks, jacobian_khatri_rao,
-                               leave_one_out, orth_complement_projector,
-                               singular_values, spread_vector,
-                               wellcond_column_subset)
+from liftcert.spectral import (BlockFamily, RankError, block_leave_one_out,
+                               count_large_singulars, good_blocks,
+                               jacobian_khatri_rao, leave_one_out, numerical_rank,
+                               orth_complement_projector, singular_values,
+                               spread_vector, wellcond_column_subset)
 
 
 class TestSingularValues:
@@ -50,16 +49,12 @@ class TestCountLargeSingulars:
             count_large_singulars(np.eye(2), -1.0)
 
 
-class TestSpectrumQuery:
+class TestNumericalRank:
     def test_rank_uses_tolerance(self):
         A = np.diag([1.0, 1e-6, 1e-14])
-        assert SpectrumQuery(A).rank() == 2
-        assert SpectrumQuery(A, tolerance=1e-8).rank() == 2
-        assert SpectrumQuery(A, tolerance=1e-3).rank() == 1
-
-    def test_negative_tolerance(self):
-        with pytest.raises(ValueError):
-            SpectrumQuery(np.eye(2), tolerance=-1.0)
+        assert numerical_rank(A) == 2
+        assert numerical_rank(A, tolerance=1e-8) == 2
+        assert numerical_rank(A, tolerance=1e-3) == 1
 
 
 def _loop_leave_one_out(U):

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from liftcert import tensor_lift
 from liftcert.powersum import build_power_matrix, evaluate_power_row, power_row
-from liftcert.tensor_lift import (LiftMatrix, LiftSizeError, MultiIndex,
-                                  enumerate_multi_indices, from_sym_coords,
-                                  full_lift, khatri_rao, kron, kron_power,
+from liftcert.tensor_lift import (LiftSizeError, enumerate_multi_indices,
+                                  from_sym_coords, khatri_rao, kron_power,
                                   sel_avg, sym_coords, sym_kron, sym_lift,
                                   sym_merge, sym_project, sym_projector_matrix)
 
@@ -81,12 +80,16 @@ class TestAgainstReferenceLoops:
     def test_sym_kron_distinct_factors(self, n, m, d):
         rng = np.random.default_rng(n * 100 + m * 10 + d)
         mats = [rng.standard_normal((n, m)) for _ in range(d)]
-        assert np.abs(sym_kron(mats).data - ref_sym_kron(mats)).max() <= 1e-12
+        assert np.abs(sym_kron(mats) - ref_sym_kron(mats)).max() <= 1e-12
 
     @pytest.mark.parametrize("n,m,d", SHAPES)
     def test_sym_lift(self, n, m, d):
         U = np.random.default_rng(d).standard_normal((n, m))
-        assert np.abs(sym_lift(U, d).data - ref_sym_kron([U] * d)).max() <= 1e-12
+        ref = ref_sym_kron([U] * d)
+        lift = sym_lift(U, d)
+        assert np.abs(lift.data - ref).max() <= 1e-12
+        assert np.abs(lift.coords - sym_coords(ref.T, n, d).T).max() <= 1e-12
+        assert lift.coords.shape == (math.comb(n + d - 1, d), math.comb(m + d - 1, d))
 
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 3), (2, 4), (3, 4), (4, 1)])
     def test_sym_project_and_projector(self, n, d):
@@ -165,7 +168,7 @@ class TestDenseSizeGuard:
         with pytest.raises(LiftSizeError):
             kron_power(U, d)
         assert np.abs(sym_lift(U, d).data - ref_sym_kron([U] * d)).max() <= 1e-12
-        assert np.abs(sym_kron(mats).data - ref_sym_kron(mats)).max() <= 1e-12
+        assert np.abs(sym_kron(mats) - ref_sym_kron(mats)).max() <= 1e-12
 
     def test_large_index_arrays_are_not_cached(self, monkeypatch):
         def lookups():
@@ -181,10 +184,8 @@ class TestDenseSizeGuard:
 
 class TestMultiIndex:
     def test_small_enumerations(self):
-        assert [ix.entries for ix in enumerate_multi_indices(2, 2)] == \
-            [(1, 1), (1, 2), (2, 2)]
-        assert [ix.entries for ix in enumerate_multi_indices(3, 1)] == \
-            [(1,), (2,), (3,)]
+        assert enumerate_multi_indices(2, 2).tolist() == [[1, 1], [1, 2], [2, 2]]
+        assert enumerate_multi_indices(3, 1).tolist() == [[1], [2], [3]]
         assert len(enumerate_multi_indices(3, 2)) == len(brute_force_tuples(3, 2)) == 6
 
     def test_counts_match_brute_force(self):
@@ -194,19 +195,19 @@ class TestMultiIndex:
                 assert len(got) == len(brute_force_tuples(n, d))
                 assert len(got) == math.comb(n + d - 1, d)
 
+    def test_rows_are_read_only_and_match_brute_force(self):
+        for n in range(1, 5):
+            for d in range(1, 5):
+                rows = enumerate_multi_indices(n, d)
+                assert [tuple(row) for row in rows.tolist()] == brute_force_tuples(n, d)
+                with pytest.raises(ValueError):
+                    rows[0, 0] = 2
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 4))
     def test_rank_is_lexicographic_bijection(self, n, d):
-        indices = enumerate_multi_indices(n, d)
-        assert [ix.rank() for ix in indices] == list(range(1, len(indices) + 1))
-
-    def test_invariant_violations(self):
-        with pytest.raises(ValueError):
-            MultiIndex((2, 1), n=3)
-        with pytest.raises(ValueError):
-            MultiIndex((0, 1), n=3)
-        with pytest.raises(ValueError):
-            MultiIndex((1, 4), n=3)
+        rows = enumerate_multi_indices(n, d)
+        assert tensor_lift._rank(rows - 1, n).tolist() == list(range(len(rows)))
 
     def test_size_guard(self):
         with pytest.raises(LiftSizeError):
@@ -215,21 +216,19 @@ class TestMultiIndex:
 
 class TestKron:
     def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
+        assert np.array_equal(kron_power(np.eye(2), 2), np.eye(4))
 
     def test_mixed_product(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            A, B, C, D = (rng.standard_normal((2, 2)) for _ in range(4))
-            lhs = kron(A, B) @ kron(C, D)
-            rhs = kron(A @ C, B @ D)
-            assert np.linalg.norm(lhs - rhs) <= 1e-12
+            A, C = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
+            lhs = kron_power(A, 2) @ kron_power(C, 2)
+            assert np.linalg.norm(lhs - kron_power(A @ C, 2)) <= 1e-12
 
     def test_mixed_product_rectangular(self):
         rng = np.random.default_rng(1)
-        A, B = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
-        C, D = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
-        assert np.linalg.norm(kron(A, B) @ kron(C, D) - kron(A @ C, B @ D)) <= 1e-12
+        A, C = rng.standard_normal((3, 2)), rng.standard_normal((2, 2))
+        assert np.linalg.norm(kron_power(A, 3) @ kron_power(C, 3) - kron_power(A @ C, 3)) <= 1e-12
 
     def test_basis_index_arithmetic(self):
         e1, e2 = np.eye(2)[:, 0], np.eye(2)[:, 1]
@@ -249,7 +248,7 @@ class TestKhatriRao:
         rng = np.random.default_rng(2)
         A, B = rng.standard_normal((3, 4)), rng.standard_normal((2, 4))
         K = khatri_rao(A, B)
-        full = kron(A, B)
+        full = np.kron(A, B)
         for i in range(4):
             assert np.allclose(K[:, i], full[:, i * 4 + i])
 
@@ -267,21 +266,20 @@ class TestSymKron:
         rng = np.random.default_rng(3)
         U = rng.standard_normal((4, 3))
         L = sym_kron([U, U])
-        for c, ix in enumerate(L.column_order):
-            i, j = ix.entries
+        for c, (i, j) in enumerate(enumerate_multi_indices(3, 2)):
             ui, uj = U[:, i - 1], U[:, j - 1]
             expected = 0.5 * (np.kron(ui, uj) + np.kron(uj, ui))
-            assert np.allclose(L.data[:, c], expected)
+            assert np.allclose(L[:, c], expected)
 
     def test_identity_factor_columns(self):
         L = sym_kron([np.eye(2), np.eye(2)])
-        col = L.data[:, [ix.entries for ix in L.column_order].index((1, 2))]
+        col = L[:, enumerate_multi_indices(2, 2).tolist().index([1, 2])]
         assert np.allclose(col, np.array([0.0, 0.5, 0.5, 0.0]))
 
     def test_order_one_is_input(self):
         rng = np.random.default_rng(4)
         U = rng.standard_normal((5, 3))
-        assert np.array_equal(sym_kron([U]).data, U)
+        assert np.array_equal(sym_kron([U]), U)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -293,8 +291,7 @@ class TestSymLift:
         n = 3
         L = sym_lift(np.eye(n), 2)
         G = L.data.T @ L.data
-        expected = np.diag([1.0 if ix.entries[0] == ix.entries[1] else 0.5
-                            for ix in L.column_order])
+        expected = np.diag([1.0 if i == j else 0.5 for i, j in L.column_order])
         assert np.allclose(G, expected)
 
     def test_scalar_cube(self):
@@ -373,7 +370,7 @@ class TestSelAvg:
         rng = np.random.default_rng(9)
         mats = [rng.standard_normal((3, 2)) for _ in range(3)]
         full = np.kron(np.kron(mats[0], mats[1]), mats[2])
-        direct = sym_kron(mats).data
+        direct = sym_kron(mats)
         assert np.linalg.norm(full @ sel_avg(2, 3) - direct) <= 1e-12
 
 
@@ -408,7 +405,7 @@ class TestSymMerge:
         op = sym_merge(2, 1, 1)
         assert op.shape == (3, 4)
         e1, e2 = np.eye(2)[:, 0], np.eye(2)[:, 1]
-        image = op.apply_pair(e1, e2)
+        image = op.data @ np.kron(e1, e2)
         expected = np.zeros(3)
         expected[1] = 1.0  # multiset {1, 2} is the middle degree-2 index
         assert np.allclose(image, expected)
@@ -442,8 +439,7 @@ class TestSymMerge:
 
         def embed_pair(c):
             v = np.zeros(n * n)
-            for coeff, ix in zip(c, pairs):
-                i, j = ix.entries
+            for coeff, (i, j) in zip(c, pairs):
                 vec = np.zeros(n * n)
                 if i == j:
                     vec[(i - 1) * n + (j - 1)] = 1.0
@@ -455,13 +451,13 @@ class TestSymMerge:
 
         rng = np.random.default_rng(11)
         x, y = rng.standard_normal(len(pairs)), rng.standard_normal(len(pairs))
-        got = op.apply_pair(x, y)
+        got = op.data @ np.kron(x, y)
         T = sym_project(np.kron(embed_pair(x), embed_pair(y)), n, 4)
         T = T.reshape((n,) * 4)
         oracle = np.zeros(len(quads))
-        for c, ix in enumerate(quads):
-            entry = tuple(e - 1 for e in ix.entries)
-            oracle[c] = T[entry] * math.sqrt(ix.orbit_size())
+        for c, ix in enumerate(quads.tolist()):
+            orbit = len(set(itertools.permutations(ix)))
+            oracle[c] = T[tuple(e - 1 for e in ix)] * math.sqrt(orbit)
         assert np.linalg.norm(got - oracle) <= 1e-10
 
     def test_unknown_variant(self):
@@ -470,24 +466,18 @@ class TestSymMerge:
 
 
 class TestLiftMatrix:
-    def test_column_count_validation(self):
-        with pytest.raises(ValueError):
-            LiftMatrix(np.ones((4, 5)), n=2, m=2, d=2, kind="symmetrized")
-        with pytest.raises(ValueError):
-            LiftMatrix(np.ones((4, 3)), n=2, m=2, d=2, kind="full_kron")
-        with pytest.raises(ValueError):
-            LiftMatrix(np.ones((4, 3)), n=2, m=2, d=2, kind="other")
-
     def test_descriptor_round_trip_fields(self):
         L = sym_lift(np.eye(2), 2)
         desc = L.descriptor()
         assert desc["kind"] == "symmetrized"
         assert desc["column_order"] == [[1, 1], [1, 2], [2, 2]]
 
-    def test_full_kron_kind(self):
-        rng = np.random.default_rng(12)
-        U = rng.standard_normal((3, 2))
-        L = full_lift(U, 2)
-        assert L.kind == "full_kron"
-        assert L.data.shape == (9, 4)
-        assert np.array_equal(L.data, kron_power(U, 2))
+    def test_stores_one_row_per_orbit(self):
+        U = np.random.default_rng(12).standard_normal((4, 3))
+        L = sym_lift(U, 3)
+        assert L.means.shape == (math.comb(6, 3), math.comb(5, 3))
+        assert np.array_equal(L.column_order, enumerate_multi_indices(3, 3))
+        T = L.data.reshape(4, 4, 4, -1)
+        for axes in itertools.permutations(range(3)):
+            assert np.array_equal(T.transpose(*axes, 3), T)
+        assert np.abs(L.coords.T @ L.coords - L.data.T @ L.data).max() <= 1e-12

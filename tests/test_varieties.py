@@ -84,6 +84,15 @@ class TestDeterminantalGenerators:
             determinantal_generators(4, 4, 2)
         assert determinantal_generators(4, 4, 1).shape == (36, 136)
 
+    @pytest.mark.parametrize("n1,n2,r", [(2, 2, 1), (3, 3, 1), (3, 4, 2), (4, 4, 2),
+                                         (5, 5, 2), (6, 6, 2)])
+    def test_rows_are_orthonormal_and_used_as_is(self, n1, n2, r):
+        G = determinantal_generators(n1, n2, r)
+        assert np.abs(G @ G.T - np.eye(len(G))).max() <= 1e-15
+        op = determinantal_operator(n1, n2, r)
+        assert np.array_equal(op.generators, G)
+        assert (op.n, op.d, op.provenance) == (n1 * n2, r + 1, f"determinantal({n1},{n2},{r})")
+
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError):
             determinantal_generators(3, 3, 0)
@@ -239,6 +248,16 @@ class TestCertify:
             certify(op, wide)  # C(3, 2) = 3 lifted columns > p = 1
         with pytest.raises(ValueError):
             certify(op, np.eye(3))  # wrong ambient dimension
+
+    @pytest.mark.parametrize("tolerance", [-1.0, -1e-300, math.nan, math.inf])
+    def test_refuses_negative_or_non_finite_tolerance(self, tolerance):
+        op = determinantal_operator(3, 3, 1)
+        B = np.random.default_rng(8).standard_normal((9, 2))
+        B[:, 0] = np.eye(9)[0]  # a rank-1 matrix, so eta is rounding noise
+        Q = orthonormalize_basis(B, keep_first=True)
+        with pytest.raises(ValueError, match="tolerance"):
+            certify(op, Q, tolerance=tolerance)
+        assert certify(op, Q).verdict == "dont_know"
 
     @pytest.mark.parametrize("spec,m", [("determinantal:3,3,1", 2), ("determinantal:4,4,2", 3),
                                         ("separable:2,3", 2), ("separable:2,2,2", 3)])
