@@ -55,7 +55,10 @@ def _load_base_matrix(spec: str, n: int, m: int, seed: int) -> np.ndarray:
         return np.eye(n, m)
     if spec.startswith("random"):
         _, _, tail = spec.partition(":")
-        local_seed = int(tail) if tail else seed
+        try:
+            local_seed = int(tail) if tail else seed
+        except ValueError:
+            raise UsageError(f"--matrix random:seed: seed must be an int, got {tail!r}") from None
         B = _rng.gaussians((n, m), local_seed, "cli", "lift_base")
         return B / np.linalg.norm(B, axis=0)
     if spec.startswith("file:"):
@@ -110,9 +113,12 @@ def _resolve_basis(spec: str, op, rho: float, seed: int) -> tuple[np.ndarray, bo
         path, _, index = spec[len("planted:"):].partition("+")
         if not index:
             raise UsageError("planted basis needs the form planted:path.csv+index")
+        try:
+            idx = _at_least(int, 0)(index)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"--basis planted:path.csv+index: index {exc}") from exc
         B = load_matrix_csv(path)
-        idx = int(index)
-        if not 0 <= idx < B.shape[1]:
+        if idx >= B.shape[1]:
             raise UsageError(f"planted column index {idx} out of range")
         order = [idx] + [j for j in range(B.shape[1]) if j != idx]
         return orthonormalize_basis(B[:, order], keep_first=True), True

@@ -32,21 +32,24 @@ def save_matrix_csv(path: str | Path, A: np.ndarray,
 
 
 def load_matrix_csv(path: str | Path) -> np.ndarray:
-    rows = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            rows.append([float(tok) for tok in line.split(",")])
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno} is not numeric CSV: {exc}") from exc
-    if not rows:
+    lines = enumerate(map(str.strip, Path(path).read_text().splitlines()), start=1)
+    data = [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
+    if not data:
         raise ValueError(f"{path}: no data rows")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    try:
+        values = np.array(",".join(line for _, line in data).split(","), dtype=float)
+    except ValueError as exc:
+        # Parse line by line only to name the first bad one.
+        for lineno, line in data:
+            try:
+                np.array(line.split(","), dtype=float)
+            except ValueError as line_exc:
+                raise ValueError(f"{path}: line {lineno} is not numeric CSV: {line_exc}") from line_exc
+        raise ValueError(f"{path}: not numeric CSV: {exc}") from exc
+    width = data[0][1].count(",") + 1
+    if any(line.count(",") + 1 != width for _, line in data):
         raise ValueError(f"{path}: ragged rows (expected width {width})")
-    return np.array(rows)
+    return values.reshape(len(data), width)
 
 
 def matrix_sha256(A: np.ndarray) -> str:

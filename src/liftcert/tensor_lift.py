@@ -7,13 +7,14 @@ lift, and sparse merge operators that multiply monomial coefficient vectors.
 
 Symmetric tensors are multiset index rows in lexicographic order plus their
 orbit sizes (a plan per (n, d)), and for full n**d coordinates the orbit of
-every flat position; every builder below is array arithmetic on these.  A
-symmetric lift keeps one row per orbit and reads its isometric or full
-coordinates off that.
+every flat position plus the positions of each orbit; every builder below is
+numpy array arithmetic on these.  A symmetric lift keeps one row per orbit
+and reads its isometric or full coordinates off that.
 
 All tensor reshaping is row-major with mode 1 slowest, so ``np.kron`` of
 column vectors and ``ndarray.reshape`` agree with the flattening used here.
-Every function is pure; returned arrays are owned by the caller.
+Every function is pure; returned arrays are owned by the caller unless
+they are read-only.
 """
 
 from __future__ import annotations
@@ -26,13 +27,20 @@ from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 # Hard cap on the entries of any array built here; lifts are desk-scale.
 MAX_DENSE_ENTRIES = 2**27
-# Index structures up to this size stay in 32-slot LRU caches (36 MiB at
-# most); larger ones are rebuilt on each call rather than kept.
+# Index structures up to this size stay in 32-slot LRU caches; larger ones
+# are rebuilt on each call rather than kept.
 _CACHED_ENTRIES = 2**15
+# Orbit sums gather at most this many entries at a time, so their
+# temporaries stay within a core's cache.
+_TERM_ENTRIES = 2**16
+# sym_lift takes the column side (2m <= n) while sel_avg(m, d) has at most
+# this many entries.  In a sweep over d = 2..4 on a 2-vCPU VM with OpenBLAS
+# its dense product beat the row side's orbit sums up to about 2k to 9k
+# entries, depending on d.
+_COLUMN_SELECT_ENTRIES = 2**12
 
 
 class LiftSizeError(ValueError):
@@ -94,32 +102,69 @@ def _rank(sorted_rows: np.ndarray, n: int) -> np.ndarray:
     return np.searchsorted(_flat(plan.rows, n), _flat(sorted_rows, n))
 
 
+def _members_by_count(labels: np.ndarray, count: np.ndarray) -> tuple:
+    """For each member count c: (the labels with c members, a c x labels
+    array holding each label's member positions in increasing order).
+    ``count`` is the member count of every label; the arrays are read-only."""
+    order = np.argsort(labels, kind="stable")
+    start = np.cumsum(count) - count
+    groups = tuple((rows, order[start[rows] + np.arange(c)[:, None]])
+                   for c in np.unique(count[count > 0])
+                   for rows in [np.flatnonzero(count == c)])
+    for arr in itertools.chain.from_iterable(groups):
+        arr.flags.writeable = False
+    return groups
+
+
 class _Orbits(NamedTuple):
-    ids: np.ndarray      # plan row of every flat position of the n**d space
-    mean: sp.csr_matrix  # C(n+d-1, d) x n**d, averages the positions of each orbit
+    ids: np.ndarray  # plan row of every flat position of the n**d space
+    groups: tuple    # _members_by_count(ids, orbit): the positions of each orbit
 
 
 def _build_orbits(n: int, d: int) -> _Orbits:
     digits = np.indices((n,) * d).reshape(d, -1).T
     ids = _rank(np.sort(digits, axis=1), n)
-    orbit = _plan(n, d).orbit
-    mean = sp.csr_matrix((1.0 / orbit[ids], (ids, np.arange(ids.size))),
-                         shape=(orbit.size, ids.size))
-    for arr in (ids, mean.data, mean.indices, mean.indptr):
-        arr.flags.writeable = False
-    return _Orbits(ids, mean)
+    ids.flags.writeable = False
+    return _Orbits(ids, _members_by_count(ids, _plan(n, d).orbit))
 
 
 _cached_orbits = functools.lru_cache(maxsize=32)(_build_orbits)
 
 
 def _orbits(n: int, d: int) -> _Orbits:
-    """Orbit ids of the n**d space and the averaging map (shared, read-only).
-
-    ``mean`` is sel_avg(n, d).T; ``(mean @ X)[ids]`` symmetrizes the rows of X.
-    """
+    """Orbit ids of the n**d space and the positions of each orbit (shared,
+    read-only)."""
     _check_entries((n**d,), f"the orbit ids of the {n}**{d} coordinate space")
     return (_cached_orbits if n**d <= _CACHED_ENTRIES else _build_orbits)(n, d)
+
+
+def _orbit_mean(head: np.ndarray, n: int, d: int, last: np.ndarray | None = None) -> np.ndarray:
+    """Mean over each orbit, in plan order, of the n**d rows of head or, with
+    ``last``, of the Khatri-Rao product of head and last (row p is
+    head[p // n] * last[p % n]).
+
+    Only the rows of one chunk of orbits exist at a time.  Each is scaled by
+    1 / orbit size, and an orbit's rows are added one at a time in increasing
+    position order, so every mean rounds as in a sparse averaging product.
+    Numpy sums arrays along the first axis in that order, but a run of
+    single numbers pairwise, so a chunk of one entry is added in Python.
+    """
+    width = head.shape[1]
+    out = np.empty((math.comb(n + d - 1, d), width))
+    for rows, positions in _orbits(n, d).groups:
+        step = max(1, _TERM_ENTRIES // (len(positions) * width))
+        for start in range(0, len(rows), step):
+            part = positions[:, start:start + step]
+            if last is None:
+                terms = np.take(head, part, axis=0)
+            else:
+                high, low = np.divmod(part, n)
+                terms = np.take(head, high, axis=0)
+                terms *= np.take(last, low, axis=0)
+            terms *= 1.0 / len(positions)
+            out[rows[start:start + step]] = (
+                terms.sum(axis=0) if terms[0].size > 1 else sum(terms[1:], terms[0]))
+    return out
 
 
 def enumerate_multi_indices(n: int, d: int) -> np.ndarray:
@@ -213,10 +258,11 @@ def sym_kron(factors: list[np.ndarray]) -> np.ndarray:
     The column for a non-decreasing tuple (i_1, ..., i_d), in the order of
     ``enumerate_multi_indices(m, d)``, is the average over all permutations
     pi of factor_1[:, i_pi(1)] tensor ... tensor factor_d[:, i_pi(d)]: the
-    Kronecker product times ``sel_avg(m, d)``, formed C(m+d-1, d) Kronecker
-    columns at a time so no temporary outgrows the result.  With distinct
-    factors the columns are not symmetric tensors, so the result is a plain
-    n**d x C(m+d-1, d) array rather than a :class:`LiftMatrix`.
+    Kronecker product times ``sel_avg(m, d)``, formed for one ordering of
+    the multisets of one orbit size at a time so no temporary outgrows the
+    result.  With distinct factors the columns are not symmetric tensors, so
+    the result is a plain n**d x C(m+d-1, d) array rather than a
+    :class:`LiftMatrix`.
     """
     mats = [np.asarray(F, dtype=float) for F in factors]
     d = len(mats)
@@ -228,23 +274,30 @@ def sym_kron(factors: list[np.ndarray]) -> np.ndarray:
     n, m = shape
     width = math.comb(m + d - 1, d)
     _check_entries((n**d, width), f"the symmetrized lift with n = {n}, m = {m}, d = {d}")
-    select = _orbits(m, d).mean.T.tocsr()
     digits = np.indices((m,) * d).reshape(d, -1)
-    data = np.zeros((n**d, width))
-    for start in range(0, m**d, width):
-        block = slice(start, start + width)
-        data += reduce(khatri_rao, [M[:, cols] for M, cols in zip(mats, digits[:, block])]) \
-            @ select[block]
+    data = np.empty((n**d, width))
+    for cols, positions in _orbits(m, d).groups:
+        total = sum(reduce(khatri_rao, [M[:, k] for M, k in zip(mats, digits[:, slot])])
+                    for slot in positions)
+        data[:, cols] = total / len(positions)
     return data
 
 
 def sym_lift(U: np.ndarray, d: int) -> LiftMatrix:
     """Symmetric d-th order lift of U (the d-fold symmetrized Kronecker power).
 
-    With equal factors, permuting the column indices of a Kronecker column
-    permutes its tensor modes, so the column for a multiset row is the
-    mode-permutation average of its single Kronecker column; only the orbit
-    means of those averages are kept.
+    The lift's entry at row multiset r and column multiset c is the mean of
+    prod_k U[p_k, c_k] over the orderings p of r (the row side), which
+    equals the mean of prod_k U[r_k, a_k] over the orderings a of c (the
+    column side).  When 2m <= n and ``sel_avg(m, d)`` is small (m <= 4 at
+    d = 3) the column side is used: its m**d orderings are formed for all
+    C(n+d-1, d) row multisets at once, the long axis innermost, and averaged
+    by one product with that dense selector.  Otherwise the row side forms
+    the n**d Kronecker rows one chunk of orbits at a time, from the product
+    of the first d - 1 factors and the last, and sums them in position
+    order, the arithmetic of a sparse averaging product, so those lifts keep
+    the bytes of earlier versions.  The two sides agree to rounding, not bit
+    for bit.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
@@ -253,10 +306,13 @@ def sym_lift(U: np.ndarray, d: int) -> LiftMatrix:
     column_order = enumerate_multi_indices(m, d)
     _check_entries((n**d, len(column_order)),
                    f"the symmetrized lift with n = {n}, m = {m}, d = {d}")
-    # np.take keeps the n**d-row Kronecker columns C-contiguous, so the sparse
-    # product reads them in place.
-    means = _orbits(n, d).mean @ reduce(
-        khatri_rao, [np.take(U, col, axis=1) for col in _plan(m, d).rows.T])
+    if 2 * m <= n and m**d * len(column_order) <= _COLUMN_SELECT_ENTRIES:
+        orderings = reduce(khatri_rao, [np.take(U.T, row, axis=1) for row in _plan(n, d).rows.T])
+        means = orderings.T @ sel_avg(m, d)
+    else:
+        factors = [np.take(U, col, axis=1) for col in _plan(m, d).rows.T]
+        head = reduce(khatri_rao, factors[:-1], np.ones((1, len(column_order))))
+        means = _orbit_mean(head, n, d, last=factors[-1])
     return LiftMatrix(means, n=n, m=m, d=d, column_order=column_order)
 
 
@@ -266,8 +322,8 @@ def sym_project(v: np.ndarray, n: int, d: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or v.shape[0] != n**d:
         raise ValueError(f"expected {n}**{d} = {n**d} rows, got shape {v.shape}")
-    ids, mean = _orbits(n, d)
-    return (mean @ v)[ids]
+    means = _orbit_mean(v.reshape(n**d, -1), n, d)
+    return means[_orbits(n, d).ids].reshape(v.shape)
 
 
 def sym_projector_matrix(n: int, d: int) -> np.ndarray:
@@ -288,7 +344,10 @@ def sel_avg(m: int, d: int) -> np.ndarray:
     if m < 1 or d < 1:
         raise ValueError("m and d must be at least 1")
     _check_entries((m**d, math.comb(m + d - 1, d)), f"the selector with m = {m}, d = {d}")
-    return _orbits(m, d).mean.T.toarray()
+    ids, orbit = _orbits(m, d).ids, _plan(m, d).orbit
+    select = np.zeros((ids.size, orbit.size))
+    select[np.arange(ids.size), ids] = 1.0 / orbit[ids]
+    return select
 
 
 @dataclass(frozen=True)
@@ -296,39 +355,56 @@ class SymMergeOperator:
     """Sparse map merging two symmetric coordinate spaces into a higher one.
 
     Maps the basis pair (I, J) of degree-k1 and degree-k2 multisets to the
-    basis vector of the multiset union I + J in degree k1+k2.  The
-    ``unit_merge`` variant has a single entry 1 per column (polynomial
+    basis vector of the multiset union I + J in degree k1+k2: column (I, J),
+    I slow, has its single entry ``weight`` in row ``target``, the plan row
+    of I + J.  The ``unit_merge`` variant has weight 1 (polynomial
     multiplication of monomial coefficient vectors); ``weighted_merge``
     rescales rows and columns so the operator agrees with the orthogonal
     symmetrization expressed in isometric coordinates.  Both variants share
-    the sparsity pattern and hence the rank.
+    the sparsity pattern and hence the rank.  Both arrays are read-only.
     """
 
     n: int
     k1: int
     k2: int
     variant: str
-    data: sp.csr_matrix
+    target: np.ndarray
+    weight: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.data.shape
+        return math.comb(self.n + self.k1 + self.k2 - 1, self.k1 + self.k2), self.target.size
+
+    @functools.cached_property
+    def row_groups(self) -> tuple:
+        """The columns of each row: ``_members_by_count`` of ``target``."""
+        return _members_by_count(self.target, np.bincount(self.target, minlength=self.shape[0]))
 
 
-def sym_merge(n: int, k1: int, k2: int, variant: str = "unit_merge") -> SymMergeOperator:
-    """Build the degree-(k1+k2) merge operator over n variables."""
-    if variant not in ("unit_merge", "weighted_merge"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if n < 1 or k1 < 1 or k2 < 1:
-        raise ValueError("n, k1, k2 must be at least 1")
+def _build_merge(n: int, k1: int, k2: int, variant: str) -> SymMergeOperator:
     left, right, out = _plan(n, k1), _plan(n, k2), _plan(n, k1 + k2)
     # Column (I, J), I slow, is the multiset union of left row I and right row J.
     pairs = np.hstack([np.repeat(left.rows, len(right.rows), axis=0),
                        np.tile(right.rows, (len(left.rows), 1))])
-    rows = _rank(np.sort(pairs, axis=1), n)
+    target = _rank(np.sort(pairs, axis=1), n)
     # prod(multiplicity!) of the union K is (k1+k2)! / orbit(K).
     d_tot = math.factorial(k1 + k2)
-    vals = np.ones(rows.size) if variant == "unit_merge" else np.sqrt(
-        np.outer(left.orbit, right.orbit).ravel() * (d_tot // out.orbit[rows]) / d_tot)
-    data = sp.csr_matrix((vals, (rows, np.arange(rows.size))), shape=(out.orbit.size, rows.size))
-    return SymMergeOperator(n=n, k1=k1, k2=k2, variant=variant, data=data)
+    weight = np.ones(target.size) if variant == "unit_merge" else np.sqrt(
+        np.outer(left.orbit, right.orbit).ravel() * (d_tot // out.orbit[target]) / d_tot)
+    target.flags.writeable = False
+    weight.flags.writeable = False
+    return SymMergeOperator(n=n, k1=k1, k2=k2, variant=variant, target=target, weight=weight)
+
+
+_cached_merge = functools.lru_cache(maxsize=32)(_build_merge)
+
+
+def sym_merge(n: int, k1: int, k2: int, variant: str = "unit_merge") -> SymMergeOperator:
+    """The degree-(k1+k2) merge operator over n variables (shared, read-only)."""
+    if variant not in ("unit_merge", "weighted_merge"):
+        raise ValueError(f"unknown variant {variant!r}")
+    if n < 1 or k1 < 1 or k2 < 1:
+        raise ValueError("n, k1, k2 must be at least 1")
+    columns = math.comb(n + k1 - 1, k1) * math.comb(n + k2 - 1, k2)
+    _check_entries((columns, k1 + k2), f"the merge pairs for n = {n}, k1 = {k1}, k2 = {k2}")
+    return (_cached_merge if columns <= _CACHED_ENTRIES else _build_merge)(n, k1, k2, variant)

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +63,11 @@ class TestLift:
         assert code == 2
         assert "matrix spec" in err
 
+    def test_non_integer_random_seed_names_the_flag(self, capsys):
+        code, _, err = run_cli(capsys, "lift", "--n", "2", "--m", "2",
+                               "--d", "2", "--matrix", "random:x")
+        assert code == 2 and "--matrix random:seed" in err and "'x'" in err
+
     def test_golden_bytes(self, tmp_path, capsys):
         # Pinned output bytes: any change to them is a change in output.
         csv_path, desc = tmp_path / "lift.csv", tmp_path / "lift.json"
@@ -114,6 +123,32 @@ class TestSpectrum:
         bad.write_text("1,2\n3,oops\n")
         code, _, err = run_cli(capsys, "spectrum", "--matrix", str(bad))
         assert code == 2 and "line 2" in err
+
+
+class TestLoadMatrixCsv:
+    def test_skips_comments_and_blank_lines(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("# header\n\n 1.5, -2e-300 \n# mid\n3,4\n")
+        assert np.array_equal(load_matrix_csv(path), [[1.5, -2e-300], [3.0, 4.0]])
+
+    def test_bad_line_is_counted_in_the_file(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("# header\n1,2\n\n3,\n")
+        with pytest.raises(ValueError, match=r"a\.csv: line 4 is not numeric CSV"):
+            load_matrix_csv(path)
+
+    @pytest.mark.parametrize("text", ["1,2\n3\n", "1\n2,3\n", "1,2\n3,4,5\n"])
+    def test_ragged_rows(self, tmp_path, text):
+        path = tmp_path / "a.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="ragged rows"):
+            load_matrix_csv(path)
+
+    def test_no_data_rows(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("# only a comment\n\n")
+        with pytest.raises(ValueError, match="no data rows"):
+            load_matrix_csv(path)
 
 
 class TestCertify:
@@ -189,6 +224,25 @@ class TestCertify:
         code, _, err = run_cli(capsys, "certify", "--variety", "determinantal:3,3,1",
                                "--basis", f"random:{m}")
         assert code == 2 and "--basis random:m" in err
+
+    @pytest.mark.parametrize("index", ["x", "-1", "1.5"])
+    def test_planted_index_names_the_flag(self, tmp_path, capsys, index):
+        path = tmp_path / "B.csv"
+        save_matrix_csv(path, np.eye(9)[:, :2])
+        code, _, err = run_cli(capsys, "certify", "--variety", "determinantal:3,3,1",
+                               "--basis", f"planted:{path}+{index}")
+        assert code == 2 and "--basis planted:path.csv+index" in err
+
+
+def test_import_leaves_scipy_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    code = ("import sys, liftcert, liftcert.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 class TestJson:

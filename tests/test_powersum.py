@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.stats import norm
 
 from liftcert.powersum import (ClusteringInstance, _noise_layers, antisym_witnesses,
@@ -26,9 +27,15 @@ VARIANTS = ["unit_merge", "weighted_merge"]
 SIZES = [(10, 8), (10, 4), (5, 2), (3, 1), (3, 5)]
 
 
+def _sparse(merge):
+    """The merge operator as a sparse matrix: one entry per column."""
+    return sp.csr_matrix((merge.weight, (merge.target, np.arange(merge.target.size))),
+                         shape=merge.shape)
+
+
 def _merge_pair(merge, x, y):
     """Image of x tensor y under a merge operator."""
-    return merge.data @ np.kron(x, y)
+    return _sparse(merge) @ np.kron(x, y)
 
 
 def _loop_solution_space_M(instance, variant):
@@ -46,8 +53,8 @@ def _loop_solution_space_M(instance, variant):
 def _sliced_merge_product(instance, U, variant):
     """Slice i of the merge operator times U, slices side by side."""
     n2 = instance.n2
-    merge = sym_merge(instance.n, 2, 2, variant)
-    return np.hstack([merge.data[:, i * n2:(i + 1) * n2] @ U for i in range(n2)])
+    merge = _sparse(sym_merge(instance.n, 2, 2, variant))
+    return np.hstack([merge[:, i * n2:(i + 1) * n2] @ U for i in range(n2)])
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,7 +75,10 @@ def ref_power_row(u, r):
 
 
 class TestAgainstReferenceLoops:
-    SHAPES = [(3, 2, 2), (2, 3, 3), (2, 2, 4), (3, 2, 4), (4, 3, 1), (3, 4, 3), (3, 8, 3)]
+    # sym_lift takes the row side for 2m > n and the column side otherwise,
+    # with the dense selector up to (6, 3, 2) and orbit sums at (10, 5, 3).
+    SHAPES = [(3, 2, 2), (2, 3, 3), (2, 2, 4), (3, 2, 4), (4, 3, 1), (3, 4, 3), (3, 8, 3),
+              (4, 2, 3), (6, 3, 2), (5, 2, 4), (10, 5, 3)]
 
     @pytest.mark.parametrize("n,m,d", SHAPES)
     def test_sym_kron_distinct_factors(self, n, m, d):
@@ -400,16 +404,21 @@ def _chain(mats):
     return out
 
 
+def sparse_merge(op):
+    """A merge operator as a sparse matrix: one entry per column."""
+    return sp.csr_matrix((op.weight, (op.target, np.arange(op.target.size))), shape=op.shape)
+
+
 class TestSymMerge:
     def test_pair_merge(self):
         op = sym_merge(2, 1, 1)
         assert op.shape == (3, 4)
         e1, e2 = np.eye(2)[:, 0], np.eye(2)[:, 1]
-        image = op.data @ np.kron(e1, e2)
+        image = sparse_merge(op) @ np.kron(e1, e2)
         expected = np.zeros(3)
         expected[1] = 1.0  # multiset {1, 2} is the middle degree-2 index
         assert np.allclose(image, expected)
-        assert len(set(op.data.nonzero()[0])) == 3
+        assert len(set(sparse_merge(op).nonzero()[0])) == 3
 
     def test_degree4_row_count(self):
         for n in (2, 3, 4):
@@ -418,12 +427,12 @@ class TestSymMerge:
 
     def test_full_row_space(self):
         op = sym_merge(3, 1, 2)
-        dense = op.data.toarray()
+        dense = sparse_merge(op).toarray()
         assert np.linalg.matrix_rank(dense) == math.comb(3 + 2, 3)
 
     def test_variants_share_rank_and_sparsity(self):
-        unit = sym_merge(3, 2, 2, "unit_merge").data
-        weighted = sym_merge(3, 2, 2, "weighted_merge").data
+        unit = sparse_merge(sym_merge(3, 2, 2, "unit_merge"))
+        weighted = sparse_merge(sym_merge(3, 2, 2, "weighted_merge"))
         assert (unit != 0).toarray().tolist() == (weighted != 0).toarray().tolist()
         assert np.linalg.matrix_rank(unit.toarray()) == \
             np.linalg.matrix_rank(weighted.toarray())
@@ -451,7 +460,7 @@ class TestSymMerge:
 
         rng = np.random.default_rng(11)
         x, y = rng.standard_normal(len(pairs)), rng.standard_normal(len(pairs))
-        got = op.data @ np.kron(x, y)
+        got = sparse_merge(op) @ np.kron(x, y)
         T = sym_project(np.kron(embed_pair(x), embed_pair(y)), n, 4)
         T = T.reshape((n,) * 4)
         oracle = np.zeros(len(quads))
@@ -463,6 +472,64 @@ class TestSymMerge:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             sym_merge(2, 1, 1, "other")
+
+    @pytest.mark.parametrize("variant", ["unit_merge", "weighted_merge"])
+    def test_shared_and_read_only(self, variant):
+        op = sym_merge(4, 2, 2, variant)
+        assert sym_merge(4, 2, 2, variant) is op
+        for arr in (op.target, op.weight, *itertools.chain.from_iterable(op.row_groups)):
+            assert not arr.flags.writeable
+        assert op.target.shape == op.weight.shape == (op.shape[1],)
+
+    def test_row_groups_list_each_column_once_in_order(self):
+        op = sym_merge(3, 2, 2)
+        seen = []
+        for rows, columns in op.row_groups:
+            assert columns.shape[1] == rows.size
+            assert (np.diff(columns, axis=0) > 0).all()
+            assert (op.target[columns] == rows).all()
+            seen += columns.ravel().tolist()
+        assert sorted(seen) == list(range(op.shape[1]))
+
+
+def sparse_orbit_mean(n, d):
+    """Orbit-averaging map of the n**d space as a sparse matrix."""
+    ids = np.array([sorted_rank for t in itertools.product(range(1, n + 1), repeat=d)
+                    for sorted_rank in [brute_force_tuples(n, d).index(tuple(sorted(t)))]])
+    orbit = np.bincount(ids)
+    return sp.csr_matrix((1.0 / orbit[ids], (ids, np.arange(ids.size))),
+                         shape=(orbit.size, ids.size))
+
+
+class TestOrbitSums:
+    # The row side of sym_lift (2m > n, or a large selector) and sym_project
+    # add each orbit's rows in position order, which must be the arithmetic
+    # of the sparse averaging product exactly.
+    @pytest.mark.parametrize("n,m,d", [(4, 3, 3), (3, 3, 2), (2, 4, 3), (3, 2, 4), (10, 5, 3)])
+    def test_row_side_is_the_sparse_product(self, n, m, d):
+        U = np.random.default_rng(n + m + d).standard_normal((n, m))
+        cols = [np.array(t) - 1 for t in brute_force_tuples(m, d)]
+        kron_cols = np.column_stack([_chain([U[:, [k]] for k in t]).ravel() for t in cols])
+        assert np.array_equal(sym_lift(U, d).means, sparse_orbit_mean(n, d) @ kron_cols)
+
+    @pytest.mark.parametrize("n,d,shape", [(3, 3, (27, 5)), (2, 4, (16, 5)), (4, 2, (16, 5)),
+                                           (3, 3, (27, 1)), (3, 3, (27,)), (4, 4, (256,))])
+    def test_sym_project_is_the_sparse_product(self, n, d, shape):
+        # (4, 4, 1-D): the 24-member orbit is alone in its group, so one
+        # chunk holds a single entry per term.
+        v = np.random.default_rng(n * d).standard_normal(shape)
+        ids = sparse_orbit_mean(n, d).argmax(axis=0).A1
+        assert np.array_equal(sym_project(v, n, d), (sparse_orbit_mean(n, d) @ v)[ids])
+
+    def test_orbit_sums_bound_their_temporaries(self, monkeypatch):
+        monkeypatch.setattr(tensor_lift, "_TERM_ENTRIES", 7)
+        U = np.random.default_rng(3).standard_normal((4, 3))
+        cols = [np.array(t) - 1 for t in brute_force_tuples(3, 3)]
+        kron_cols = np.column_stack([_chain([U[:, [k]] for k in t]).ravel() for t in cols])
+        assert np.array_equal(sym_lift(U, 3).means, sparse_orbit_mean(4, 3) @ kron_cols)
+        X = np.random.default_rng(3).standard_normal((3**3, 4))
+        ids = sparse_orbit_mean(3, 3).argmax(axis=0).A1
+        assert np.array_equal(sym_project(X, 3, 3), (sparse_orbit_mean(3, 3) @ X)[ids])
 
 
 class TestLiftMatrix:
