@@ -81,7 +81,8 @@ def _typed(what: str, value, kind: type, low: int | None = None):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Experiment description; see README for target params.  ``params`` are
-    kept as given for the output headers, ``resolved_params`` with defaults."""
+    stored resolved, with the target's defaults filled in, so the output
+    headers record what runs."""
 
     target: str
     params: dict
@@ -92,7 +93,6 @@ class ExperimentConfig:
     name: str = ""
     min_passes: int | None = None
     study: str | None = None
-    resolved_params: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.target, str) or self.target not in TARGETS:
@@ -109,10 +109,13 @@ class ExperimentConfig:
             raise ValueError(f"rho_grid entries must be finite and >= 0, got {self.rho_grid}")
         if self.study not in (None, "scaling"):
             raise ValueError(f"unknown study {self.study!r}")
+        if self.study == "scaling" and len(self.rho_grid) < 3:
+            raise ValueError(f"a scaling study needs at least 3 rho_grid points, "
+                             f"got {len(self.rho_grid)}")
         if not isinstance(self.name, str) or os.path.basename(self.name) != self.name:
             raise ValueError(f"name must be a plain file name, got {self.name!r}")
         typed["name"] = self.name or self.target
-        typed["resolved_params"] = TARGETS[self.target].resolve(self.params)
+        typed["params"] = TARGETS[self.target].resolve(self.params)
         for name, value in typed.items():
             object.__setattr__(self, name, value)
 
@@ -123,7 +126,7 @@ class ExperimentConfig:
         raw = dict(raw)
         if "rho" in raw and "rho_grid" not in raw:
             raw["rho_grid"] = [raw.pop("rho")]
-        known = {f.name for f in fields(cls) if f.init}
+        known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
@@ -133,7 +136,7 @@ class ExperimentConfig:
         return cls(**{**raw, "params": dict(raw.get("params", {}))})
 
     def resolved(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -484,7 +487,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     value quantiles; acceptance (when ``min_passes`` is set) requires the raw
     pass count at every grid point.
     """
-    measure = TARGETS[config.target].bind(config.resolved_params, config)
+    measure = TARGETS[config.target].bind(config.params, config)
     seeds = [_rng.derive_seed(config.master_seed, "trial", t)
              for t in range(config.trials)]
 
@@ -523,7 +526,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 def _scaling_flags(config: ExperimentConfig, per_rho: list[dict]) -> dict:
     medians = [agg["sigma"]["median"] for agg in per_rho]
     rhos = [agg["rho"] for agg in per_rho]
-    p = config.resolved_params
+    p = config.params
     d = p.get("d", p.get("r", 1))
     n = p.get("n", p.get("dim", 1))
     nondecreasing = all(b >= a - 1e-12 for a, b in zip(medians, medians[1:]))
@@ -546,8 +549,6 @@ def _scaling_flags(config: ExperimentConfig, per_rho: list[dict]) -> dict:
 
 def scaling_study(config: ExperimentConfig) -> ExperimentResult:
     """Run the grid and attach monotonicity / lower-envelope flags."""
-    if len(config.rho_grid) < 3:
-        raise ValueError("a scaling study needs at least 3 grid points")
     cfg = ExperimentConfig(**{**config.resolved(), "study": "scaling"})
     return run_experiment(cfg)
 

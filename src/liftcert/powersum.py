@@ -95,19 +95,7 @@ def build_sym4_IkronA(instance: PowerSumInstance,
     spanned by the antisymmetric pair witnesses, so the numerical rank of the
     result is m*N2 - C(m, 2) for perturbed instances.
     """
-    return _merge_slices(sym_merge(instance.n, 2, 2, variant), instance.A)
-
-
-def _merge_slices(merge, U: np.ndarray) -> np.ndarray:
-    """Slice i of the merge operator (the columns pairing monomial i with
-    every monomial) times U, slices side by side: the operator times
-    I kron U.  Monomial i times distinct monomials gives distinct monomials,
-    so each entry is a single product, placed by one scatter."""
-    n2 = U.shape[0]
-    out = np.zeros((merge.shape[0], n2, U.shape[1]))
-    out[merge.target.reshape(n2, n2), np.arange(n2)[:, None]] = \
-        merge.weight.reshape(n2, n2, 1) * U
-    return out.reshape(merge.shape[0], -1)
+    return sym_merge(instance.n, 2, 2, variant).identity_kron(instance.A)
 
 
 def antisym_witnesses(instance: PowerSumInstance) -> np.ndarray:
@@ -140,39 +128,7 @@ def build_solution_space_M(instance: PowerSumInstance,
     ii, jj = np.triu_indices(instance.m)
     X = np.hstack([A[:, ii]] + [np.broadcast_to(A[:, [t]], F.shape) for t in range(instance.m)])
     Y = np.hstack([A[:, jj]] + [F] * instance.m)
-    return _merge_symmetric(sym_merge(instance.n, 2, 2, variant), X, Y)
-
-
-def _merge_symmetric(merge, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """The merge operator times khatri_rao(X, Y), plus the same for (Y, X),
-    without forming either product.
-
-    Each row adds its columns' terms weight * (x_i * y_j) one at a time in
-    increasing column order, as a sparse product does, so the result is
-    bit-identical to one.  Unit weights leave the products unchanged, so
-    the unit merge skips that multiplication.
-    """
-    n2 = X.shape[0]
-    unit = merge.variant == "unit_merge"
-
-    def term(P, Q, i, j, weight):
-        t = np.take(P, i, axis=0)
-        t *= np.take(Q, j, axis=0)
-        if not unit:
-            t *= weight[:, None]
-        return t
-
-    out = np.empty((merge.shape[0], X.shape[1]))
-    for rows, columns in merge.row_groups:
-        i, j = np.divmod(columns, n2)
-        weight = merge.weight[columns]
-        xy, yx = term(X, Y, i[0], j[0], weight[0]), term(Y, X, i[0], j[0], weight[0])
-        for s in range(1, len(columns)):
-            xy += term(X, Y, i[s], j[s], weight[s])
-            yx += term(Y, X, i[s], j[s], weight[s])
-        xy += yx
-        out[rows] = xy
-    return out
+    return sym_merge(instance.n, 2, 2, variant).pair_sum(X, Y)
 
 
 def build_claim_Q(instance: PowerSumInstance, rho1: float, rho2: float) -> np.ndarray:
@@ -191,7 +147,7 @@ def build_claim_W(instance: PowerSumInstance, rho1: float, rho2: float,
     """
     Z1, Z2 = _noise_layers(instance, rho1, rho2)
     U = np.hstack([instance.base + Z1, Z2])
-    return _merge_slices(sym_merge(instance.n, 2, 2, variant), U)
+    return sym_merge(instance.n, 2, 2, variant).identity_kron(U)
 
 
 def build_projected_V(matrices: list[np.ndarray], ell: int,

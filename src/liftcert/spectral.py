@@ -332,9 +332,9 @@ def jacobian_khatri_rao(alpha: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.n
     if U.shape != V.shape or alpha.shape != (U.shape[1],):
         raise ValueError("alpha, U, V shapes are inconsistent")
     n, m = U.shape
-    J = np.zeros((n * n, 2 * n * m))
-    for i in range(m):
-        for j in range(n):
-            J[j * n:(j + 1) * n, i * n + j] = alpha[i] * V[:, i]
-            J[j::n, n * m + i * n + j] = alpha[i] * U[:, i]
-    return J
+    eye = np.eye(n)
+    # Entry ((j, k), (i, l)) of the u-block is [j = l] alpha_i V[k, i]; of
+    # the v-block, [k = l] alpha_i U[j, i].
+    du = eye[:, None, None, :] * (alpha * V)[None, :, :, None]
+    dv = (alpha * U)[:, None, :, None] * eye[None, :, None, :]
+    return np.hstack([du.reshape(n * n, n * m), dv.reshape(n * n, n * m)])

@@ -33,10 +33,10 @@ MAX_DENSE_ENTRIES = 2**27
 # Index structures up to this size stay in 32-slot LRU caches; larger ones
 # are rebuilt on each call rather than kept.
 _CACHED_ENTRIES = 2**15
-# Orbit sums gather at most this many entries at a time, so their
+# Grouped sums gather at most this many entries at a time, so their
 # temporaries stay within a core's cache.
 _TERM_ENTRIES = 2**16
-# sym_lift takes the column side (2m <= n) while sel_avg(m, d) has at most
+# sym_lift takes the column side (m <= n) while sel_avg(m, d) has at most
 # this many entries.  In a sweep over d = 2..4 on a 2-vCPU VM with OpenBLAS
 # its dense product beat the row side's orbit sums up to about 2k to 9k
 # entries, depending on d.
@@ -117,51 +117,57 @@ def _members_by_count(labels: np.ndarray, count: np.ndarray) -> tuple:
 
 
 class _Orbits(NamedTuple):
-    ids: np.ndarray  # plan row of every flat position of the n**d space
-    groups: tuple    # _members_by_count(ids, orbit): the positions of each orbit
+    ids: np.ndarray     # plan row of every flat position of the n**d space
+    weight: np.ndarray  # 1 / the orbit size of every flat position
+    groups: tuple       # _members_by_count(ids, orbit): the positions of each orbit
 
 
 def _build_orbits(n: int, d: int) -> _Orbits:
     digits = np.indices((n,) * d).reshape(d, -1).T
     ids = _rank(np.sort(digits, axis=1), n)
+    orbit = _plan(n, d).orbit
+    weight = 1.0 / orbit[ids]
     ids.flags.writeable = False
-    return _Orbits(ids, _members_by_count(ids, _plan(n, d).orbit))
+    weight.flags.writeable = False
+    return _Orbits(ids, weight, _members_by_count(ids, orbit))
 
 
 _cached_orbits = functools.lru_cache(maxsize=32)(_build_orbits)
 
 
 def _orbits(n: int, d: int) -> _Orbits:
-    """Orbit ids of the n**d space and the positions of each orbit (shared,
-    read-only)."""
+    """Orbit ids and weights of the n**d space and the positions of each
+    orbit (shared, read-only)."""
     _check_entries((n**d,), f"the orbit ids of the {n}**{d} coordinate space")
     return (_cached_orbits if n**d <= _CACHED_ENTRIES else _build_orbits)(n, d)
 
 
-def _orbit_mean(head: np.ndarray, n: int, d: int, last: np.ndarray | None = None) -> np.ndarray:
-    """Mean over each orbit, in plan order, of the n**d rows of head or, with
-    ``last``, of the Khatri-Rao product of head and last (row p is
-    head[p // n] * last[p % n]).
+def _grouped_sum(groups: tuple, count: int, A: np.ndarray, B: np.ndarray | None = None,
+                 weight: np.ndarray | None = None) -> np.ndarray:
+    """The ``count`` rows whose members ``groups`` lists (``_members_by_count``):
+    row r is the sum, over its members p, of weight[p] * A[p // len(B)] *
+    B[p % len(B)], or of weight[p] * A[p] without B (no weight: 1).
 
-    Only the rows of one chunk of orbits exist at a time.  Each is scaled by
-    1 / orbit size, and an orbit's rows are added one at a time in increasing
-    position order, so every mean rounds as in a sparse averaging product.
-    Numpy sums arrays along the first axis in that order, but a run of
-    single numbers pairwise, so a chunk of one entry is added in Python.
+    Only the terms of one chunk of rows exist at a time.  A row adds its
+    terms one at a time in increasing member order, so every sum rounds as
+    in a sparse product.  Numpy sums arrays along the first axis in that
+    order, but a run of single numbers pairwise, so a chunk of one entry is
+    added in Python.
     """
-    width = head.shape[1]
-    out = np.empty((math.comb(n + d - 1, d), width))
-    for rows, positions in _orbits(n, d).groups:
-        step = max(1, _TERM_ENTRIES // (len(positions) * width))
+    width = A.shape[1]
+    out = np.empty((count, width))
+    for rows, members in groups:
+        step = max(1, _TERM_ENTRIES // (len(members) * width))
         for start in range(0, len(rows), step):
-            part = positions[:, start:start + step]
-            if last is None:
-                terms = np.take(head, part, axis=0)
+            part = members[:, start:start + step]
+            if B is None:
+                terms = np.take(A, part, axis=0)
             else:
-                high, low = np.divmod(part, n)
-                terms = np.take(head, high, axis=0)
-                terms *= np.take(last, low, axis=0)
-            terms *= 1.0 / len(positions)
+                high, low = np.divmod(part, len(B))
+                terms = np.take(A, high, axis=0)
+                terms *= np.take(B, low, axis=0)
+            if weight is not None:
+                terms *= np.take(weight, part)[..., None]
             out[rows[start:start + step]] = (
                 terms.sum(axis=0) if terms[0].size > 1 else sum(terms[1:], terms[0]))
     return out
@@ -289,15 +295,15 @@ def sym_lift(U: np.ndarray, d: int) -> LiftMatrix:
     The lift's entry at row multiset r and column multiset c is the mean of
     prod_k U[p_k, c_k] over the orderings p of r (the row side), which
     equals the mean of prod_k U[r_k, a_k] over the orderings a of c (the
-    column side).  When 2m <= n and ``sel_avg(m, d)`` is small (m <= 4 at
+    column side).  When m <= n and ``sel_avg(m, d)`` is small (m <= 4 at
     d = 3) the column side is used: its m**d orderings are formed for all
     C(n+d-1, d) row multisets at once, the long axis innermost, and averaged
-    by one product with that dense selector.  Otherwise the row side forms
-    the n**d Kronecker rows one chunk of orbits at a time, from the product
-    of the first d - 1 factors and the last, and sums them in position
-    order, the arithmetic of a sparse averaging product, so those lifts keep
-    the bytes of earlier versions.  The two sides agree to rounding, not bit
-    for bit.
+    by one product with that dense selector.  With m <= n those orderings
+    have no more entries than the lift.  Otherwise the row side forms the
+    n**d Kronecker rows one chunk of orbits at a time, from the product of
+    the first d - 1 factors and the last, and sums them in position order,
+    the arithmetic of a sparse averaging product.  The two sides agree to
+    rounding, not bit for bit.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
@@ -306,13 +312,15 @@ def sym_lift(U: np.ndarray, d: int) -> LiftMatrix:
     column_order = enumerate_multi_indices(m, d)
     _check_entries((n**d, len(column_order)),
                    f"the symmetrized lift with n = {n}, m = {m}, d = {d}")
-    if 2 * m <= n and m**d * len(column_order) <= _COLUMN_SELECT_ENTRIES:
+    if m <= n and m**d * len(column_order) <= _COLUMN_SELECT_ENTRIES:
         orderings = reduce(khatri_rao, [np.take(U.T, row, axis=1) for row in _plan(n, d).rows.T])
         means = orderings.T @ sel_avg(m, d)
     else:
         factors = [np.take(U, col, axis=1) for col in _plan(m, d).rows.T]
         head = reduce(khatri_rao, factors[:-1], np.ones((1, len(column_order))))
-        means = _orbit_mean(head, n, d, last=factors[-1])
+        orbits = _orbits(n, d)
+        means = _grouped_sum(orbits.groups, math.comb(n + d - 1, d), head, factors[-1],
+                             orbits.weight)
     return LiftMatrix(means, n=n, m=m, d=d, column_order=column_order)
 
 
@@ -322,15 +330,17 @@ def sym_project(v: np.ndarray, n: int, d: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or v.shape[0] != n**d:
         raise ValueError(f"expected {n}**{d} = {n**d} rows, got shape {v.shape}")
-    means = _orbit_mean(v.reshape(n**d, -1), n, d)
-    return means[_orbits(n, d).ids].reshape(v.shape)
+    orbits = _orbits(n, d)
+    means = _grouped_sum(orbits.groups, math.comb(n + d - 1, d), v.reshape(n**d, -1),
+                         weight=orbits.weight)
+    return means[orbits.ids].reshape(v.shape)
 
 
 def sym_projector_matrix(n: int, d: int) -> np.ndarray:
     """Dense n**d x n**d matrix of the mode-permutation averaging projector."""
     _check_entries((n**d, n**d), f"the projector with n = {n}, d = {d}")
-    ids = _orbits(n, d).ids
-    return np.where(ids[:, None] == ids, 1.0 / _plan(n, d).orbit[ids], 0.0)
+    ids, weight = _orbits(n, d)[:2]
+    return np.where(ids[:, None] == ids, weight, 0.0)
 
 
 def sel_avg(m: int, d: int) -> np.ndarray:
@@ -344,9 +354,9 @@ def sel_avg(m: int, d: int) -> np.ndarray:
     if m < 1 or d < 1:
         raise ValueError("m and d must be at least 1")
     _check_entries((m**d, math.comb(m + d - 1, d)), f"the selector with m = {m}, d = {d}")
-    ids, orbit = _orbits(m, d).ids, _plan(m, d).orbit
-    select = np.zeros((ids.size, orbit.size))
-    select[np.arange(ids.size), ids] = 1.0 / orbit[ids]
+    ids, weight = _orbits(m, d)[:2]
+    select = np.zeros((ids.size, math.comb(m + d - 1, d)))
+    select[np.arange(ids.size), ids] = weight
     return select
 
 
@@ -379,6 +389,29 @@ class SymMergeOperator:
     def row_groups(self) -> tuple:
         """The columns of each row: ``_members_by_count`` of ``target``."""
         return _members_by_count(self.target, np.bincount(self.target, minlength=self.shape[0]))
+
+    def identity_kron(self, U: np.ndarray) -> np.ndarray:
+        """The operator times kron(I, U): slice i (the columns pairing left
+        monomial i with every right monomial) times U, slices side by side.
+        Monomial i times distinct monomials gives distinct monomials, so each
+        entry is a single product, placed by one scatter."""
+        left = math.comb(self.n + self.k1 - 1, self.k1)
+        out = np.zeros((self.shape[0], left, U.shape[1]))
+        out[self.target.reshape(left, -1), np.arange(left)[:, None]] = \
+            self.weight.reshape(left, -1, 1) * U
+        return out.reshape(self.shape[0], -1)
+
+    def pair_sum(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """The operator times khatri_rao(X, Y) + khatri_rao(Y, X), for k1 = k2,
+        without forming either product.  Each of the two products is a
+        grouped sum with the merge weights (the unit merge skips them), and
+        the two are added last, so the result is bit-identical to two sparse
+        products and their sum."""
+        if self.k1 != self.k2:
+            raise ValueError(f"a pair sum needs k1 = k2, got {self.k1} and {self.k2}")
+        both = _grouped_sum(self.row_groups, self.shape[0], np.hstack([X, Y]), np.hstack([Y, X]),
+                            None if self.variant == "unit_merge" else self.weight)
+        return both[:, :X.shape[1]] + both[:, X.shape[1]:]
 
 
 def _build_merge(n: int, k1: int, k2: int, variant: str) -> SymMergeOperator:

@@ -231,7 +231,9 @@ def certify(op: VarietyOperator, basis: np.ndarray,
 
     A positive value eta certifies that every unit vector of the variety is
     at distance at least eta / d (up to the lift's conditioning) from the
-    subspace; the report carries the raw eta and the threshold verdict.
+    subspace; the report carries the raw eta and the threshold verdict.  The
+    verdict is ``certified_far`` only when eta exceeds both the tolerance and
+    the rounding floor max(shape) * eps * sigma_max of the decomposed matrix.
     """
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
@@ -246,9 +248,11 @@ def certify(op: VarietyOperator, basis: np.ndarray,
     if lifted_cols > op.p:
         raise ValueError(
             f"lift has {lifted_cols} columns but the operator rank budget is {op.p}")
-    s = singular_values(sym_lift(basis, op.d).coords.T @ op.generators.T)
+    lifted = sym_lift(basis, op.d).coords.T @ op.generators.T
+    s = singular_values(lifted)
     eta = float(s[-1])
-    verdict = "certified_far" if eta > tolerance else "dont_know"
+    floor = max(lifted.shape) * np.finfo(float).eps * s[0]
+    verdict = "certified_far" if eta > max(tolerance, floor) else "dont_know"
     return CertificateReport(eta=eta, m=m, n=n, d=op.d, verdict=verdict,
                              basis_sha256=matrix_sha256(basis),
                              tolerance=tolerance)

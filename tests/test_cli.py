@@ -76,7 +76,7 @@ class TestLift:
                              "--descriptor", str(desc))
         assert code == 0
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == \
-            "00e9870343f27b32e340b96ce922385d0ca2d693b4dc95cdd5bbc7184048ce23"
+            "5ade7741ea47f35db073a6975b189fcac88c0b4403250360e570b513bf35321d"
         assert hashlib.sha256(desc.read_bytes()).hexdigest() == \
             "b703182e5b9278efb23d9e12e11f54dc9388e55cbe2f463e12cf95ceee6e76a4"
 
@@ -316,6 +316,8 @@ class TestExperiment:
         ({"rho_grid": "ab"}, "rho_grid must be a nonempty list of reals"),
         ({"rho_grid": 0.3}, "rho_grid must be a nonempty list of reals"),
         ({"name": "../../x"}, "name must be a plain file name"),
+        ({"study": "scaling", "rho_grid": [0.1, 0.2]},
+         "a scaling study needs at least 3 rho_grid points, got 2"),
     ])
     def test_bad_field_is_usage_error(self, tmp_path, capsys, overrides, named):
         cfg = self.config_file(tmp_path, **overrides)

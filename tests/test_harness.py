@@ -61,10 +61,9 @@ class TestConfig:
 
     def test_params_resolved_against_the_target_table(self):
         config = cfg(params={"n": 8, "m": 2})
-        assert config.params == {"n": 8, "m": 2}
-        assert config.resolved_params == {"n": 8, "m": 2, "d": 2, "delta": 0.5,
-                                          "base": "zero"}
-        assert cfg(params={"n": 8, "m": 2, "delta": 1}).resolved_params["delta"] == 1.0
+        assert config.params == {"n": 8, "m": 2, "d": 2, "delta": 0.5, "base": "zero"}
+        assert config.resolved()["params"] == config.params
+        assert cfg(params={"n": 8, "m": 2, "delta": 1}).params["delta"] == 1.0
         with pytest.raises(ValueError, match="unknown param 'dd'"):
             cfg(params={"n": 8, "m": 2, "dd": 3})
         with pytest.raises(ValueError, match="missing required param 'n'"):
@@ -342,7 +341,7 @@ class TestTargetTable:
         params = _draw_params(data, target)
         config = ExperimentConfig(target=target, params=params, rho_grid=[0.3],
                                   trials=1, master_seed=1, threshold=1e-9)
-        if FEASIBLE.get(target, lambda p: True)(config.resolved_params):
+        if FEASIBLE.get(target, lambda p: True)(config.params):
             result = run_experiment(config)
             assert all(math.isfinite(r.sigma) for r in result.reports)
         else:

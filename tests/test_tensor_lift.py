@@ -491,6 +491,23 @@ class TestSymMerge:
             seen += columns.ravel().tolist()
         assert sorted(seen) == list(range(op.shape[1]))
 
+    @pytest.mark.parametrize("variant", ["unit_merge", "weighted_merge"])
+    @pytest.mark.parametrize("k1,k2", [(1, 2), (2, 1), (2, 2)])
+    def test_applies_itself_as_sparse_products(self, variant, k1, k2):
+        op = sym_merge(3, k1, k2, variant)
+        left, right = math.comb(k1 + 2, k1), math.comb(k2 + 2, k2)
+        rng = np.random.default_rng(k1 + 2 * k2)
+        U = rng.standard_normal((right, 4))
+        assert np.array_equal(op.identity_kron(U),
+                              sparse_merge(op) @ np.kron(np.eye(left), U))
+        if k1 != k2:
+            with pytest.raises(ValueError, match="k1 = k2"):
+                op.pair_sum(U, U)
+            return
+        X, Y = rng.standard_normal((2, left, 5))
+        assert np.array_equal(op.pair_sum(X, Y), sparse_merge(op) @ khatri_rao(X, Y)
+                              + sparse_merge(op) @ khatri_rao(Y, X))
+
 
 def sparse_orbit_mean(n, d):
     """Orbit-averaging map of the n**d space as a sparse matrix."""
@@ -502,10 +519,11 @@ def sparse_orbit_mean(n, d):
 
 
 class TestOrbitSums:
-    # The row side of sym_lift (2m > n, or a large selector) and sym_project
+    # The row side of sym_lift (m > n, or a large selector) and sym_project
     # add each orbit's rows in position order, which must be the arithmetic
-    # of the sparse averaging product exactly.
-    @pytest.mark.parametrize("n,m,d", [(4, 3, 3), (3, 3, 2), (2, 4, 3), (3, 2, 4), (10, 5, 3)])
+    # of the sparse averaging product exactly.  (3, 3, 2) takes the column
+    # side, whose d = 2 means are exact as well.
+    @pytest.mark.parametrize("n,m,d", [(3, 4, 3), (3, 3, 2), (2, 4, 3), (2, 3, 4), (10, 5, 3)])
     def test_row_side_is_the_sparse_product(self, n, m, d):
         U = np.random.default_rng(n + m + d).standard_normal((n, m))
         cols = [np.array(t) - 1 for t in brute_force_tuples(m, d)]
@@ -523,10 +541,10 @@ class TestOrbitSums:
 
     def test_orbit_sums_bound_their_temporaries(self, monkeypatch):
         monkeypatch.setattr(tensor_lift, "_TERM_ENTRIES", 7)
-        U = np.random.default_rng(3).standard_normal((4, 3))
-        cols = [np.array(t) - 1 for t in brute_force_tuples(3, 3)]
+        U = np.random.default_rng(3).standard_normal((3, 4))
+        cols = [np.array(t) - 1 for t in brute_force_tuples(4, 3)]
         kron_cols = np.column_stack([_chain([U[:, [k]] for k in t]).ravel() for t in cols])
-        assert np.array_equal(sym_lift(U, 3).means, sparse_orbit_mean(4, 3) @ kron_cols)
+        assert np.array_equal(sym_lift(U, 3).means, sparse_orbit_mean(3, 3) @ kron_cols)
         X = np.random.default_rng(3).standard_normal((3**3, 4))
         ids = sparse_orbit_mean(3, 3).argmax(axis=0).A1
         assert np.array_equal(sym_project(X, 3, 3), (sparse_orbit_mean(3, 3) @ X)[ids])

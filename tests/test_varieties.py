@@ -259,6 +259,16 @@ class TestCertify:
             certify(op, Q, tolerance=tolerance)
         assert certify(op, Q).verdict == "dont_know"
 
+    def test_zero_tolerance_does_not_certify_rounding_noise(self):
+        op = determinantal_operator(3, 3, 1)
+        for seed in range(10):
+            B = np.random.default_rng(seed).standard_normal((9, 2))
+            B[:, 0] = np.eye(9)[0]  # a rank-1 matrix: eta is rounding noise
+            report = certify(op, orthonormalize_basis(B, keep_first=True), tolerance=0.0)
+            assert report.verdict == "dont_know", report.eta
+        Q = orthonormalize_basis(np.random.default_rng(0).standard_normal((9, 2)))
+        assert certify(op, Q, tolerance=0.0).verdict == "certified_far"
+
     @pytest.mark.parametrize("spec,m", [("determinantal:3,3,1", 2), ("determinantal:4,4,2", 3),
                                         ("separable:2,3", 2), ("separable:2,2,2", 3)])
     def test_eta_matches_full_coordinate_operator(self, spec, m):
