@@ -3,7 +3,8 @@ and the Monte Carlo experiment targets, all with deterministic seeded I/O.
 
 Exit codes: 0 on success (and on configured acceptance passing), 1 when a
 configured acceptance threshold fails, 2 on usage errors or malformed input
-files.  Every output records the fully resolved configuration in its header.
+files, 3 when a numerical routine fails inside the library.  Every output
+records the fully resolved configuration in its header.
 """
 
 from __future__ import annotations
@@ -256,6 +257,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 3
     except (UsageError, ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -34,11 +34,13 @@ REQUIRED = object()
 
 
 class Param(NamedTuple):
-    """A target param: int, float, str or bool, its default, and an int's least value."""
+    """A target param: int, float, str or bool, its default, an int's least
+    value, and the values a str may take (any, if empty)."""
 
     type: type
     default: object = REQUIRED
     low: int = 1
+    choices: tuple = ()
 
 
 class Target(NamedTuple):
@@ -57,11 +59,13 @@ class Target(NamedTuple):
         if unknown:
             raise ValueError(f"unknown param {unknown[0]!r}; known: {sorted(self.params)}")
         out = {}
-        for name, (kind, default, low) in self.params.items():
+        for name, (kind, default, low, choices) in self.params.items():
             value = given.get(name, default)
             if value is REQUIRED:
                 raise ValueError(f"missing required param {name!r}")
             out[name] = _typed(f"param {name!r}", value, kind, low)
+            if choices and value not in choices:
+                raise ValueError(f"param {name!r} must be one of {list(choices)}, got {value!r}")
         return out
 
 
@@ -163,14 +167,12 @@ def _unit_columns(shape, master_seed, *path) -> np.ndarray:
 
 
 def _make_base(kind: str, n: int, m: int, master_seed: int) -> np.ndarray:
+    """An n x m base of one of the ``_BASE`` kinds."""
     if kind == "zero":
         return np.zeros((n, m))
     if kind == "random":
         return _unit_columns((n, m), master_seed, "base")
-    if kind == "duplicated":
-        u = _unit_columns((n, 1), master_seed, "base")
-        return np.tile(u, (1, m))
-    raise ValueError(f"unknown base kind {kind!r}")
+    return np.tile(_unit_columns((n, 1), master_seed, "base"), (1, m))
 
 
 def _need(ok: bool, rule: str, p: dict) -> None:
@@ -219,7 +221,10 @@ def _bind_thm52(p, config):
 
 
 def _bind_certify(p, config):
-    op = variety_from_spec(p["variety"])
+    try:
+        op = variety_from_spec(p["variety"])
+    except ValueError as exc:
+        raise ValueError(f"param 'variety': {exc}") from exc
     m, planted = p["m"], p["planted"]
     _need(math.comb(m + op.d - 1, op.d) <= op.p, f"C(m+d-1,d) <= p = {op.p} generators", p)
     base = _unit_columns((op.n, m), config.master_seed, "base")
@@ -319,8 +324,6 @@ def _bind_conj81(p, config):
     n, m, s, d = p["n"], p["m"], p["s"], p["d"]
     _need(s * math.comb(m + d - 1, d) <= math.comb(n + d - 1, d),
           "s*C(m+d-1,d) <= C(n+d-1,d)", p)
-    if p["control"] not in ("none", "duplicate"):
-        raise ValueError(f"param 'control' must be 'none' or 'duplicate', got {p['control']!r}")
     duplicate = p["control"] == "duplicate"
     proto = ps.make_clustering_instance(n, m, s, d, rho=1.0, seed=config.master_seed,
                                         shared_base=p["shared_base"])
@@ -416,7 +419,8 @@ def _bind_const_control(p, config):
 
 
 _N_M = {"n": Param(int), "m": Param(int)}
-_LIFT = {**_N_M, "d": Param(int, 2), "delta": Param(float, 0.5), "base": Param(str, "zero")}
+_BASE = Param(str, "zero", choices=("zero", "random", "duplicated"))
+_LIFT = {**_N_M, "d": Param(int, 2), "delta": Param(float, 0.5), "base": _BASE}
 
 TARGETS: dict[str, Target] = {
     "thm51": Target(_LIFT, _bind_lift),
@@ -431,7 +435,8 @@ TARGETS: dict[str, Target] = {
     "claim77": Target(_N_M, _bind_claim77, 1e-8),
     "claim76": Target(_N_M, _bind_claim76, 1e-8),
     "conj81": Target({**_N_M, "s": Param(int, 2), "d": Param(int, 2),
-                      "control": Param(str, "none"), "shared_base": Param(bool, True)},
+                      "control": Param(str, "none", choices=("none", "duplicate")),
+                      "shared_base": Param(bool, True)},
                      _bind_conj81, 1e-6),
     "conj82": Target({"dim": Param(int), "r": Param(int), "N": Param(int)}, _bind_conj82, 1e-6),
     "caa_probe": Target({**_N_M, "k": Param(int), "rho": Param(float, 1.0),
@@ -439,7 +444,7 @@ TARGETS: dict[str, Target] = {
     "jacobian_probe": Target({**_N_M, "k": Param(int, low=0), "tau_factor": Param(float, 0.1)},
                              _bind_jacobian_probe),
     "sigma_basic": Target({"n": Param(int), "k": Param(int), "delta": Param(float, 1.0),
-                           "h": Param(float, 0.3), "base": Param(str, "zero")}, _bind_sigma_basic),
+                           "h": Param(float, 0.3), "base": _BASE}, _bind_sigma_basic),
     "const_control": Target({"n": Param(int, 10), "m": Param(int, 3)}, _bind_const_control),
 }
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as _rng
-from .tensor_lift import _check_entries, kron_power, sel_avg
+from .tensor_lift import sym_kron, sym_lift
 
 # Frozen empirical constants for the remainder-norm envelope
 #   ||E||_F <= ERROR_NORM_CONST[d] * (1 + ||U||^(d-2)) * rho^2 * (n m)^(d/2).
@@ -79,11 +79,11 @@ class DecoupledFactors:
     """The d noise layers, running partials, factor matrices, and remainder.
 
     partials[0] is the realized matrix and partials[d] recovers the base;
-    factor j is partials[j] + (d - j + 1) * layer_j.  For any Psi with
-    symmetric-tensor rows,
+    factor j is partials[j] + (d - j + 1) * layer_j.  error is n**d x
+    C(m+d-1, d), like the lifts, and for any Psi with symmetric-tensor rows,
 
-        Psi @ (full_power @ sel_avg) ==
-        Psi @ (factor_product @ sel_avg) + Psi @ error.
+        Psi @ sym_lift(realized, d).data ==
+        Psi @ sym_kron(factors) + Psi @ error.
     """
 
     rhos: np.ndarray
@@ -105,17 +105,15 @@ def decouple(smoothed: SmoothedMatrix, d: int, split="equal") -> DecoupledFactor
     noise, and the remainder collects the binomial terms with two or more
     copies of a layer,
 
-        E = sum_l (W_l tensor E'_{l+1}) @ sel_avg,
-        E'_{l+1} = sum_{j=2}^{d-l} C(d-l, j) Z_{l+1}^{(x)j} (x) V_{l+1}^{(x)(d-l-j)},
+        E = sum_l sum_{j=2}^{d-l} C(d-l, j)
+            sym_kron(F_1, ..., F_l, Z_{l+1} x j, V_{l+1} x (d-l-j)),
 
-    where W_l is the product of the first l factor matrices.
+    where F are the factor matrices, Z the layers and V the partials.
     """
     if d < 2:
         raise ValueError("decoupling needs d >= 2")
     base = smoothed.base
     n, m = base.shape
-    # The largest array below is the level-0 np.kron(W, Eprime).
-    _check_entries((n**d, m**d), f"the decoupling array with n = {n}, m = {m}, d = {d}")
     rho = smoothed.rho
     rhos = _split_rhos(rho, d, split, n, m)
 
@@ -132,20 +130,10 @@ def decouple(smoothed: SmoothedMatrix, d: int, split="equal") -> DecoupledFactor
     # 1-based: factor_j = V^(j) + (d - j + 1) Z_j with V^(j) = partials[j].
     factors = [partials[j + 1] + (d - j) * layers[j] for j in range(d)]
 
-    S = sel_avg(m, d)
-    error = np.zeros((n**d, S.shape[1]))
-    W = np.ones((1, 1))
-    for level in range(d):
-        remaining = d - level
-        Eprime = np.zeros((n**remaining, m**remaining))
-        for j in range(2, remaining + 1):
-            term = kron_power(layers[level], j)
-            if remaining - j > 0:
-                term = np.kron(term, kron_power(partials[level + 1], remaining - j))
-            Eprime += math.comb(remaining, j) * term
-        if Eprime.any():
-            error += np.kron(W, Eprime) @ S
-        W = np.kron(W, factors[level])
+    error = sum(math.comb(d - level, j)
+                * sym_kron(factors[:level] + [layers[level]] * j
+                           + [partials[level + 1]] * (d - level - j))
+                for level in range(d - 1) for j in range(2, d - level + 1))
     return DecoupledFactors(rhos=rhos, layers=layers, partials=partials,
                             factors=factors, error=error)
 
@@ -153,14 +141,8 @@ def decouple(smoothed: SmoothedMatrix, d: int, split="equal") -> DecoupledFactor
 def decoupling_residual(smoothed: SmoothedMatrix, dec: DecoupledFactors,
                         psi: np.ndarray) -> float:
     """Frobenius residual of the decoupling identity against one operator psi."""
-    d = dec.d
-    m = smoothed.base.shape[1]
-    S = sel_avg(m, d)
-    lhs = psi @ (kron_power(smoothed.realized, d) @ S)
-    prod = dec.factors[0]
-    for F in dec.factors[1:]:
-        prod = np.kron(prod, F)
-    rhs = psi @ (prod @ S) + psi @ dec.error
+    lhs = psi @ sym_lift(smoothed.realized, dec.d).data
+    rhs = psi @ sym_kron(dec.factors) + psi @ dec.error
     return float(np.linalg.norm(lhs - rhs))
 
 

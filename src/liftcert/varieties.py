@@ -123,8 +123,8 @@ class VarietyOperator:
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Generator evaluations at the d-th power of a point x in R^n."""
-        power = reduce(np.kron, [np.asarray(x, dtype=float)] * self.d)
-        return self.generators @ sym_coords(power, self.n, self.d)
+        lift = sym_lift(np.asarray(x, dtype=float)[:, None], self.d)
+        return self.generators @ lift.coords[:, 0]
 
 
 def build_phi(generators: np.ndarray, n: int, d: int,

@@ -124,6 +124,16 @@ class TestSpectrum:
         code, _, err = run_cli(capsys, "spectrum", "--matrix", str(bad))
         assert code == 2 and "line 2" in err
 
+    def test_numerical_failure_is_internal_error(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(A):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        monkeypatch.setattr("liftcert.cli.singular_values", no_convergence)
+        path = tmp_path / "m.csv"
+        save_matrix_csv(path, np.eye(2))
+        code, out, err = run_cli(capsys, "spectrum", "--matrix", str(path))
+        assert code == 3 and out == ""
+        assert err == "internal error: SVD did not converge\n"
+
 
 class TestLoadMatrixCsv:
     def test_skips_comments_and_blank_lines(self, tmp_path):
@@ -318,6 +328,10 @@ class TestExperiment:
         ({"name": "../../x"}, "name must be a plain file name"),
         ({"study": "scaling", "rho_grid": [0.1, 0.2]},
          "a scaling study needs at least 3 rho_grid points, got 2"),
+        ({"params": {"n": 8, "m": 2, "base": "zeros"}},
+         "param 'base' must be one of ['zero', 'random', 'duplicated'], got 'zeros'"),
+        ({"target": "certify", "params": {"variety": "determinantal:4,4"}},
+         "param 'variety': determinantal variety needs n1,n2,r"),
     ])
     def test_bad_field_is_usage_error(self, tmp_path, capsys, overrides, named):
         cfg = self.config_file(tmp_path, **overrides)

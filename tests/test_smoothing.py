@@ -66,7 +66,7 @@ class TestDecouple:
         assert decoupling_residual(sm, dec, psi) <= 1e-9
 
     def test_identity_against_random_symmetric_rows(self):
-        for n, m, d in [(2, 2, 2), (4, 2, 2), (3, 2, 3), (4, 2, 3), (2, 1, 3)]:
+        for n, m, d in [(2, 2, 2), (4, 2, 2), (3, 2, 3), (4, 2, 3), (2, 1, 3), (3, 2, 4)]:
             sm = perturb(np.random.default_rng(n * 10 + d).standard_normal((n, m)),
                          0.25, seed=n + d)
             dec = decouple(sm, d)
@@ -100,11 +100,11 @@ class TestDecouple:
             decouple(sm, 1)
 
     def test_size_checked_before_allocating(self, monkeypatch):
-        # The cap admits the selector and the square Kronecker powers but not
-        # the 4**3 x 3**3 decoupling array.
-        monkeypatch.setattr(tensor_lift, "MAX_DENSE_ENTRIES", 1000)
+        # The cap admits every d = 2 array but not the 4**3 x C(5, 3)
+        # remainder terms.
+        monkeypatch.setattr(tensor_lift, "MAX_DENSE_ENTRIES", 600)
         sm = perturb(np.random.default_rng(12).standard_normal((4, 3)), 0.3, seed=12)
-        with pytest.raises(LiftSizeError, match="decoupling array with n = 4, m = 3, d = 3"):
+        with pytest.raises(LiftSizeError, match="lift with n = 4, m = 3, d = 3"):
             decouple(sm, 3)
         assert decouple(sm, 2).error.shape == (16, 6)
 
