@@ -128,7 +128,10 @@ def _resolve_basis(spec: str, op, rho: float, seed: int) -> tuple[np.ndarray, bo
 
 
 def _cmd_certify(args) -> int:
-    op = variety_from_spec(args.variety)
+    try:
+        op = variety_from_spec(args.variety)
+    except ValueError as exc:
+        raise UsageError(f"--variety: {exc}") from exc
     basis, planted = _resolve_basis(args.basis, op, args.rho, args.seed)
     report = run_certify(op, basis, tolerance=args.tol)
     payload = {

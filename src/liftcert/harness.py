@@ -27,7 +27,7 @@ from . import rng as _rng
 from .matrixio import format_float
 from .spectral import count_large_singulars, jacobian_khatri_rao, singular_values
 from .stats import quantile_summary, wilson_interval
-from .tensor_lift import khatri_rao, sym_lift
+from .tensor_lift import _check_entries, khatri_rao, sym_lift
 from .varieties import certify, orthonormalize_basis, variety_from_spec
 
 REQUIRED = object()
@@ -156,6 +156,7 @@ class TrialReport:
 
 
 def _random_row_isometry(rows: int, dim: int, master_seed: int, *path) -> np.ndarray:
+    _check_entries((dim, rows), f"the random {rows} x {dim} row isometry")
     G = _rng.gaussians((dim, rows), master_seed, *path)
     Q, _ = np.linalg.qr(G)
     return Q.T

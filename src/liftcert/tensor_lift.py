@@ -9,7 +9,10 @@ Symmetric tensors are multiset index rows in lexicographic order plus their
 orbit sizes (a plan per (n, d)), and for full n**d coordinates the orbit of
 every flat position plus the positions of each orbit; every builder below is
 numpy array arithmetic on these.  A symmetric lift keeps one row per orbit
-and reads its isometric or full coordinates off that.
+and reads its isometric or full coordinates off that.  Lifts and
+symmetrized Kronecker products are means over the orderings of each column
+multiset, formed by one kernel; since the lift of U.T is the transpose of
+the lift of U, a lift averages over the orderings of its smaller side.
 
 All tensor reshaping is row-major with mode 1 slowest, so ``np.kron`` of
 column vectors and ``ndarray.reshape`` agree with the flattening used here.
@@ -36,10 +39,10 @@ _CACHED_ENTRIES = 2**15
 # Grouped sums gather at most this many entries at a time, so their
 # temporaries stay within a core's cache.
 _TERM_ENTRIES = 2**16
-# sym_lift takes the column side (m <= n) while sel_avg(m, d) has at most
-# this many entries.  In a sweep over d = 2..4 on a 2-vCPU VM with OpenBLAS
-# its dense product beat the row side's orbit sums up to about 2k to 9k
-# entries, depending on d.
+# Means over column orderings use one dense sel_avg(m, d) product while it
+# has at most this many entries (and the orderings fit the lift), orbit sums
+# otherwise.  In a sweep over d = 2..4 on a 2-vCPU VM with OpenBLAS the
+# dense product won up to about 2k to 9k entries, depending on d.
 _COLUMN_SELECT_ENTRIES = 2**12
 
 
@@ -258,17 +261,41 @@ def khatri_rao(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (A[:, None, :] * B[None, :, :]).reshape(na * nb, m)
 
 
+def _sym_columns(mats: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """Row i, column c: the mean of prod_k mats[k][rows[i, k], a_k] over the
+    orderings a of the multiset row c of the (m, d) plan (d n x m ``mats``).
+
+    Small selectors whose m**d orderings fit the n**d x C(m+d-1, d) lift
+    take one dense ``sel_avg(m, d)`` product; other shapes take orbit sums
+    in position order, the arithmetic of a sparse averaging product.
+    """
+    d, (n, m) = len(mats), mats[0].shape
+    width, count = math.comb(m + d - 1, d), len(rows)
+    dense = m**d * width <= _COLUMN_SELECT_ENTRIES and m**d * count <= n**d * width
+    what = f"for n = {n}, m = {m}, d = {d}"
+    _check_entries((d * m, count), f"the factor rows gathered {what}")
+    _check_entries((m ** (d if dense else d - 1), count), f"the column orderings {what}")
+    factors = [np.take(M.T, row, axis=1) for M, row in zip(mats, rows.T)]
+    if dense:
+        orderings = reduce(khatri_rao, factors)
+        # Held through the product, the factors raised the peak heap enough
+        # that glibc trimmed and regrew it on every call (2-3x slower).
+        del factors
+        return orderings.T @ sel_avg(m, d)
+    head = reduce(khatri_rao, factors[:-1], np.ones((1, count)))
+    orbits = _orbits(m, d)
+    return _grouped_sum(orbits.groups, width, head, factors[-1], orbits.weight).T
+
+
 def sym_kron(factors: list[np.ndarray]) -> np.ndarray:
     """Symmetrized Kronecker product of d equal-shape n x m factors.
 
     The column for a non-decreasing tuple (i_1, ..., i_d), in the order of
     ``enumerate_multi_indices(m, d)``, is the average over all permutations
     pi of factor_1[:, i_pi(1)] tensor ... tensor factor_d[:, i_pi(d)]: the
-    Kronecker product times ``sel_avg(m, d)``, formed for one ordering of
-    the multisets of one orbit size at a time so no temporary outgrows the
-    result.  With distinct factors the columns are not symmetric tensors, so
-    the result is a plain n**d x C(m+d-1, d) array rather than a
-    :class:`LiftMatrix`.
+    Kronecker product times ``sel_avg(m, d)``.  With distinct factors the
+    columns are not symmetric tensors, so the result is a plain
+    n**d x C(m+d-1, d) array rather than a :class:`LiftMatrix`.
     """
     mats = [np.asarray(F, dtype=float) for F in factors]
     d = len(mats)
@@ -278,32 +305,18 @@ def sym_kron(factors: list[np.ndarray]) -> np.ndarray:
     if any(M.shape != shape for M in mats):
         raise ValueError("all factors must share the same shape")
     n, m = shape
-    width = math.comb(m + d - 1, d)
-    _check_entries((n**d, width), f"the symmetrized lift with n = {n}, m = {m}, d = {d}")
-    digits = np.indices((m,) * d).reshape(d, -1)
-    data = np.empty((n**d, width))
-    for cols, positions in _orbits(m, d).groups:
-        total = sum(reduce(khatri_rao, [M[:, k] for M, k in zip(mats, digits[:, slot])])
-                    for slot in positions)
-        data[:, cols] = total / len(positions)
-    return data
+    _check_entries((n**d, math.comb(m + d - 1, d)),
+                   f"the symmetrized lift with n = {n}, m = {m}, d = {d}")
+    return _sym_columns(mats, np.indices((n,) * d).reshape(d, -1).T)
 
 
 def sym_lift(U: np.ndarray, d: int) -> LiftMatrix:
     """Symmetric d-th order lift of U (the d-fold symmetrized Kronecker power).
 
-    The lift's entry at row multiset r and column multiset c is the mean of
-    prod_k U[p_k, c_k] over the orderings p of r (the row side), which
-    equals the mean of prod_k U[r_k, a_k] over the orderings a of c (the
-    column side).  When m <= n and ``sel_avg(m, d)`` is small (m <= 4 at
-    d = 3) the column side is used: its m**d orderings are formed for all
-    C(n+d-1, d) row multisets at once, the long axis innermost, and averaged
-    by one product with that dense selector.  With m <= n those orderings
-    have no more entries than the lift.  Otherwise the row side forms the
-    n**d Kronecker rows one chunk of orbits at a time, from the product of
-    the first d - 1 factors and the last, and sums them in position order,
-    the arithmetic of a sparse averaging product.  The two sides agree to
-    rounding, not bit for bit.
+    Entry (r, c) is the mean of prod_k U[r_k, a_k] over the orderings a of
+    the column multiset c, and of prod_k U[p_k, c_k] over the orderings p of
+    the row multiset r, so the lift of U.T is the transpose.  The smaller
+    side is averaged: the columns of U for m <= n, those of U.T otherwise.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
@@ -312,15 +325,10 @@ def sym_lift(U: np.ndarray, d: int) -> LiftMatrix:
     column_order = enumerate_multi_indices(m, d)
     _check_entries((n**d, len(column_order)),
                    f"the symmetrized lift with n = {n}, m = {m}, d = {d}")
-    if m <= n and m**d * len(column_order) <= _COLUMN_SELECT_ENTRIES:
-        orderings = reduce(khatri_rao, [np.take(U.T, row, axis=1) for row in _plan(n, d).rows.T])
-        means = orderings.T @ sel_avg(m, d)
+    if m <= n:
+        means = _sym_columns([U] * d, _plan(n, d).rows)
     else:
-        factors = [np.take(U, col, axis=1) for col in _plan(m, d).rows.T]
-        head = reduce(khatri_rao, factors[:-1], np.ones((1, len(column_order))))
-        orbits = _orbits(n, d)
-        means = _grouped_sum(orbits.groups, math.comb(n + d - 1, d), head, factors[-1],
-                             orbits.weight)
+        means = _sym_columns([U.T] * d, _plan(m, d).rows).T
     return LiftMatrix(means, n=n, m=m, d=d, column_order=column_order)
 
 

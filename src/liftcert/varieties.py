@@ -27,8 +27,7 @@ import numpy as np
 from . import rng as _rng
 from .matrixio import matrix_sha256
 from .spectral import sign_normalize_rows, singular_values
-from .tensor_lift import (LiftSizeError, _check_entries, _rank, from_sym_coords,
-                          sym_coords, sym_lift)
+from .tensor_lift import _check_entries, _rank, from_sym_coords, sym_coords, sym_lift
 
 ORTHO_DROP_RTOL = 1e-8
 
@@ -73,8 +72,10 @@ def separable_generators(dims: tuple[int, ...]) -> np.ndarray:
     if len(dims) < 2 or any(x < 2 for x in dims):
         raise ValueError("need at least two axes, each of dimension >= 2")
     N = math.prod(dims)
-    if N > 64:
-        raise LiftSizeError(f"ambient dimension {N} too large for dense construction")
+    sym, what = math.comb(N + 1, 2), f"separable generators for dims {dims}"
+    _check_entries((sym, math.prod(math.comb(x + 1, 2) for x in dims)),
+                   f"the squares of the {what}")
+    _check_entries((sym, sym), f"the full SVD basis of the {what}")
 
     # Orthonormal bases of the symmetric nd x nd matrices, in multiset order.
     factor_bases = [from_sym_coords(np.eye(math.comb(nd + 1, 2)), nd, 2).reshape(-1, nd, nd)

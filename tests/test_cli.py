@@ -213,6 +213,14 @@ class TestCertify:
                                "--basis", "random:2")
         assert code == 2 and "variety" in err
 
+    @pytest.mark.parametrize("spec, named", [
+        ("determinantal:4,4", "determinantal variety needs n1,n2,r"),
+        ("bogus", "unknown variety kind 'bogus'"),
+    ])
+    def test_variety_spec_error_names_the_flag(self, capsys, spec, named):
+        code, _, err = run_cli(capsys, "certify", "--variety", spec, "--basis", "random:2")
+        assert code == 2 and err == f"error: --variety: {named}\n"
+
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_tol_must_be_finite_and_non_negative(self, tmp_path, capsys, tol):
         # A rank-1 column planted in the basis: eta is rounding noise, which a

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftcert import rng
+from liftcert import rng, tensor_lift
 from liftcert.harness import (REQUIRED, TARGETS, ExperimentConfig,
                               _random_row_isometry, caa_probe, jacobian_probe,
                               run_experiment, scaling_study, sigma_basic_check)
 from liftcert.spectral import singular_values
-from liftcert.tensor_lift import from_sym_coords, sym_lift
+from liftcert.tensor_lift import LiftSizeError, from_sym_coords, sym_lift
 
 
 def cfg(**kw):
@@ -98,6 +98,23 @@ class TestConfig:
         with pytest.raises(ValueError, match="dimension budget") as exc:
             run_experiment(config)
         assert named in str(exc.value)
+
+    @pytest.mark.parametrize("target, params, cap", [
+        ("thm51", {"n": 8, "m": 2, "d": 2}, 20),
+        ("cor53", {"n": 8, "m": 2, "d": 2, "blocks": 2}, 20),
+        ("thm52", {"n": 4, "m": 2, "d": 2}, 20),
+        # Within the budget (m**d = 32 <= 2184 rows), but 12**5 = 248832
+        # columns: 543M entries at the real cap.
+        ("thm52", {"n": 12, "m": 2, "d": 5}, None),
+    ])
+    def test_projector_size_refused_before_any_draw(self, monkeypatch, target, params, cap):
+        if cap is not None:
+            monkeypatch.setattr(tensor_lift, "MAX_DENSE_ENTRIES", cap)
+        draws = []
+        monkeypatch.setattr(rng, "gaussians", lambda *args: draws.append(args))
+        with pytest.raises(LiftSizeError, match="row isometry"):
+            run_experiment(cfg(target=target, params=params))
+        assert draws == []
 
     def test_readme_target_table_matches(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text()

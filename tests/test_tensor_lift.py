@@ -75,10 +75,11 @@ def ref_power_row(u, r):
 
 
 class TestAgainstReferenceLoops:
-    # sym_lift takes the row side for 2m > n and the column side otherwise,
-    # with the dense selector up to (6, 3, 2) and orbit sums at (10, 5, 3).
+    # sym_lift averages over the columns of U for m <= n and over those of
+    # U.T for m > n, with the dense selector up to (3, 8, 3) and orbit sums
+    # at (10, 5, 3) and (5, 6, 3); sym_kron takes orbit sums for m, d > 1.
     SHAPES = [(3, 2, 2), (2, 3, 3), (2, 2, 4), (3, 2, 4), (4, 3, 1), (3, 4, 3), (3, 8, 3),
-              (4, 2, 3), (6, 3, 2), (5, 2, 4), (10, 5, 3)]
+              (4, 2, 3), (6, 3, 2), (5, 2, 4), (10, 5, 3), (5, 6, 3)]
 
     @pytest.mark.parametrize("n,m,d", SHAPES)
     def test_sym_kron_distinct_factors(self, n, m, d):
@@ -307,6 +308,17 @@ class TestSymLift:
         resid = np.linalg.norm(kron_power(U, 2) @ sel_avg(2, 2) - sym_lift(U, 2).data)
         assert resid <= 1e-12
 
+    @pytest.mark.parametrize("n,m,d", [(2, 3, 3), (4, 2, 2), (5, 6, 3), (5, 4, 4), (3, 8, 3),
+                                       (3, 3, 3), (5, 5, 3), (1, 4, 2)])
+    def test_lift_of_the_transpose_is_the_transpose(self, n, m, d):
+        # Both lifts average over the orderings of the same side, so the
+        # identity is exact unless n = m, where they average over opposite sides.
+        U = np.random.default_rng(n * m + d).standard_normal((n, m))
+        lift, transposed = sym_lift(U, d).means, sym_lift(U.T, d).means
+        if n != m:
+            assert np.array_equal(transposed, lift.T)
+        assert np.abs(transposed - lift.T).max() <= 1e-14
+
     def test_columns_are_symmetrization_fixed_points(self):
         rng = np.random.default_rng(6)
         for n, m, d in [(2, 2, 2), (3, 2, 3), (2, 4, 2), (4, 3, 2)]:
@@ -518,17 +530,37 @@ def sparse_orbit_mean(n, d):
                          shape=(orbit.size, ids.size))
 
 
+def sparse_row_means(U, d):
+    """Lift orbit means as the sparse averaging product over the orderings
+    of each row multiset of U."""
+    cols = [np.array(t) - 1 for t in brute_force_tuples(U.shape[1], d)]
+    kron_cols = np.column_stack([_chain([U[:, [k]] for k in t]).ravel() for t in cols])
+    return sparse_orbit_mean(U.shape[0], d) @ kron_cols
+
+
+def sparse_lift_means(U, d):
+    """Lift orbit means averaged over the orderings of the smaller side:
+    the columns of U (the rows of U.T) for m <= n, the rows of U otherwise."""
+    n, m = U.shape
+    return sparse_row_means(U.T, d).T if m <= n else sparse_row_means(U, d)
+
+
 class TestOrbitSums:
-    # The row side of sym_lift (m > n, or a large selector) and sym_project
-    # add each orbit's rows in position order, which must be the arithmetic
-    # of the sparse averaging product exactly.  (3, 3, 2) takes the column
-    # side, whose d = 2 means are exact as well.
-    @pytest.mark.parametrize("n,m,d", [(3, 4, 3), (3, 3, 2), (2, 4, 3), (2, 3, 4), (10, 5, 3)])
+    # Orbit sums add each orbit's terms in position order, which must be the
+    # arithmetic of the sparse averaging product exactly.  sym_lift averages
+    # over the orderings of its smaller side, with orbit sums once
+    # sel_avg(min(n, m), d) has more than 4096 entries (min(n, m) >= 5 at
+    # d = 3, >= 4 at d = 4).  (3, 3, 2) takes the dense selector, whose
+    # d = 2 means are exact as well.
+    @pytest.mark.parametrize("n,m,d", [(5, 6, 3), (3, 3, 2), (4, 5, 4), (5, 4, 4), (10, 5, 3)])
     def test_row_side_is_the_sparse_product(self, n, m, d):
         U = np.random.default_rng(n + m + d).standard_normal((n, m))
-        cols = [np.array(t) - 1 for t in brute_force_tuples(m, d)]
-        kron_cols = np.column_stack([_chain([U[:, [k]] for k in t]).ravel() for t in cols])
-        assert np.array_equal(sym_lift(U, d).means, sparse_orbit_mean(n, d) @ kron_cols)
+        assert np.array_equal(sym_lift(U, d).means, sparse_lift_means(U, d))
+
+    def test_sym_kron_is_the_sparse_product(self):
+        # Every row of sym_kron takes orbit sums over its column orderings.
+        mats = list(np.random.default_rng(8).standard_normal((3, 3, 4)))
+        assert np.array_equal(sym_kron(mats), (sparse_orbit_mean(4, 3) @ _chain(mats).T).T)
 
     @pytest.mark.parametrize("n,d,shape", [(3, 3, (27, 5)), (2, 4, (16, 5)), (4, 2, (16, 5)),
                                            (3, 3, (27, 1)), (3, 3, (27,)), (4, 4, (256,))])
@@ -541,10 +573,9 @@ class TestOrbitSums:
 
     def test_orbit_sums_bound_their_temporaries(self, monkeypatch):
         monkeypatch.setattr(tensor_lift, "_TERM_ENTRIES", 7)
-        U = np.random.default_rng(3).standard_normal((3, 4))
-        cols = [np.array(t) - 1 for t in brute_force_tuples(4, 3)]
-        kron_cols = np.column_stack([_chain([U[:, [k]] for k in t]).ravel() for t in cols])
-        assert np.array_equal(sym_lift(U, 3).means, sparse_orbit_mean(3, 3) @ kron_cols)
+        U = np.random.default_rng(3).standard_normal((5, 6))
+        assert np.array_equal(sym_lift(U, 3).means, sparse_lift_means(U, 3))
+        assert np.array_equal(sym_lift(U.T, 3).means, sparse_lift_means(U.T, 3))
         X = np.random.default_rng(3).standard_normal((3**3, 4))
         ids = sparse_orbit_mean(3, 3).argmax(axis=0).A1
         assert np.array_equal(sym_project(X, 3, 3), (sparse_orbit_mean(3, 3) @ X)[ids])

@@ -124,9 +124,16 @@ class TestSeparableGenerators:
             for g in gens:
                 assert abs(g @ np.kron(v, v)) <= 1e-10
 
-    def test_refuses_large_ambient_dimension(self):
-        with pytest.raises(LiftSizeError, match="ambient dimension 65"):
-            separable_generators((5, 13))
+    def test_refuses_large_ambient_dimension(self, monkeypatch):
+        # dims (2, 3): 21 symmetric coordinates, 3 * 6 = 18 squares.
+        monkeypatch.setattr(tensor_lift, "MAX_DENSE_ENTRIES", 21 * 21 - 1)
+        with pytest.raises(LiftSizeError, match=r"full SVD basis .* \(21, 21\)"):
+            separable_generators((2, 3))
+        monkeypatch.setattr(tensor_lift, "MAX_DENSE_ENTRIES", 21 * 18 - 1)
+        with pytest.raises(LiftSizeError, match=r"squares of the separable .* \(21, 18\)"):
+            separable_generators((2, 3))
+        monkeypatch.setattr(tensor_lift, "MAX_DENSE_ENTRIES", 21 * 21)
+        assert separable_generators((2, 3)).shape == (3, 21)
 
     def test_rejects_small_dims(self):
         with pytest.raises(ValueError):
