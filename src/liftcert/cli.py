@@ -3,13 +3,14 @@ and the Monte Carlo experiment targets, all with deterministic seeded I/O.
 
 Exit codes: 0 on success (and on configured acceptance passing), 1 when a
 configured acceptance threshold fails, 2 on usage errors or malformed input
-files, 3 when a numerical routine fails inside the library.  Every output
-records the fully resolved configuration in its header.
+files, 3 when a numerical routine or arithmetic fails in the library.  Every
+output records the fully resolved configuration in its header.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -24,10 +25,6 @@ from .spectral import _rank_of_values, leave_one_out, singular_values
 from .tensor_lift import sym_lift
 from .varieties import certify as run_certify
 from .varieties import orthonormalize_basis, variety_from_spec
-
-
-class UsageError(ValueError):
-    pass
 
 
 def _at_least(kind: type, low):
@@ -59,15 +56,14 @@ def _load_base_matrix(spec: str, n: int, m: int, seed: int) -> np.ndarray:
         try:
             local_seed = int(tail) if tail else seed
         except ValueError:
-            raise UsageError(f"--matrix random:seed: seed must be an int, got {tail!r}") from None
-        B = _rng.gaussians((n, m), local_seed, "cli", "lift_base")
-        return B / np.linalg.norm(B, axis=0)
+            raise ValueError(f"--matrix random:seed: seed must be an int, got {tail!r}") from None
+        return _rng.unit_columns((n, m), local_seed, "cli", "lift_base")
     if spec.startswith("file:"):
         M = load_matrix_csv(spec[len("file:"):])
         if M.shape != (n, m):
-            raise UsageError(f"matrix file has shape {M.shape}, expected ({n}, {m})")
+            raise ValueError(f"matrix file has shape {M.shape}, expected ({n}, {m})")
         return M
-    raise UsageError(f"unknown matrix spec {spec!r} (use id, random[:seed], file:path)")
+    raise ValueError(f"unknown matrix spec {spec!r} (use id, random[:seed], file:path)")
 
 
 def _cmd_lift(args) -> int:
@@ -104,23 +100,22 @@ def _resolve_basis(spec: str, op, rho: float, seed: int) -> tuple[np.ndarray, bo
         try:
             m = _at_least(int, 1)(spec[len("random:"):])
         except argparse.ArgumentTypeError as exc:
-            raise UsageError(f"--basis random:m: m {exc}") from exc
-        base = _rng.gaussians((op.n, m), seed, "cli", "basis")
-        base /= np.linalg.norm(base, axis=0)
+            raise ValueError(f"--basis random:m: m {exc}") from exc
+        base = _rng.unit_columns((op.n, m), seed, "cli", "basis")
         pert = base + rho * _rng.gaussians((op.n, m), seed, "cli", "basis_noise") \
             if rho > 0 else base
         return orthonormalize_basis(pert), False
     if spec.startswith("planted:"):
         path, _, index = spec[len("planted:"):].partition("+")
         if not index:
-            raise UsageError("planted basis needs the form planted:path.csv+index")
+            raise ValueError("planted basis needs the form planted:path.csv+index")
         try:
             idx = _at_least(int, 0)(index)
         except argparse.ArgumentTypeError as exc:
-            raise UsageError(f"--basis planted:path.csv+index: index {exc}") from exc
+            raise ValueError(f"--basis planted:path.csv+index: index {exc}") from exc
         B = load_matrix_csv(path)
         if idx >= B.shape[1]:
-            raise UsageError(f"planted column index {idx} out of range")
+            raise ValueError(f"planted column index {idx} out of range")
         order = [idx] + [j for j in range(B.shape[1]) if j != idx]
         return orthonormalize_basis(B[:, order], keep_first=True), True
     path = spec[len("file:"):] if spec.startswith("file:") else spec
@@ -131,7 +126,7 @@ def _cmd_certify(args) -> int:
     try:
         op = variety_from_spec(args.variety)
     except ValueError as exc:
-        raise UsageError(f"--variety: {exc}") from exc
+        raise ValueError(f"--variety: {exc}") from exc
     basis, planted = _resolve_basis(args.basis, op, args.rho, args.seed)
     report = run_certify(op, basis, tolerance=args.tol)
     payload = {
@@ -149,7 +144,7 @@ def _cmd_experiment(args) -> int:
     try:
         raw = json.loads(Path(args.config).read_text())
     except json.JSONDecodeError as exc:
-        raise UsageError(f"config {args.config} is not valid JSON: {exc}") from exc
+        raise ValueError(f"config {args.config} is not valid JSON: {exc}") from exc
     config = hs.ExperimentConfig.from_dict(raw)
     result = hs.run_experiment(config)
     out_dir = Path(args.out_dir)
@@ -188,7 +183,9 @@ def _powersum_params() -> list[str]:
                               for name, param in target.params.items() if param.type is int))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process."""
     parser = argparse.ArgumentParser(
         prog="liftcert",
         description="Symmetrized tensor lifts of smoothed matrices: builders, "
@@ -256,14 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return 3
-    except (UsageError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

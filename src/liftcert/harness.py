@@ -18,6 +18,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field, fields
+from functools import reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -44,7 +45,7 @@ class Param(NamedTuple):
 
 
 class Target(NamedTuple):
-    """``bind(resolved params, config)`` returns ``measure(rho, trial, seed) ->
+    """``bind(resolved params, config)`` returns ``measure(rho, seed) ->
     (sigma, threshold or None, passed or None)``; None means the config's
     threshold and ``sigma >= threshold``.  The targets with a default
     ``threshold`` are the ``liftcert powersum`` checks."""
@@ -162,18 +163,13 @@ def _random_row_isometry(rows: int, dim: int, master_seed: int, *path) -> np.nda
     return Q.T
 
 
-def _unit_columns(shape, master_seed, *path) -> np.ndarray:
-    B = _rng.gaussians(shape, master_seed, *path)
-    return B / np.linalg.norm(B, axis=0)
-
-
 def _make_base(kind: str, n: int, m: int, master_seed: int) -> np.ndarray:
     """An n x m base of one of the ``_BASE`` kinds."""
     if kind == "zero":
         return np.zeros((n, m))
     if kind == "random":
-        return _unit_columns((n, m), master_seed, "base")
-    return np.tile(_unit_columns((n, 1), master_seed, "base"), (1, m))
+        return _rng.unit_columns((n, m), master_seed, "base")
+    return np.tile(_rng.unit_columns((n, 1), master_seed, "base"), (1, m))
 
 
 def _need(ok: bool, rule: str, p: dict) -> None:
@@ -195,7 +191,7 @@ def _bind_lift(p, config):
     bases = [_make_base(p["base"], n, m, _rng.derive_seed(config.master_seed, "b", j))
              for j in range(blocks)]
 
-    def measure(rho, trial, seed):
+    def measure(rho, seed):
         lifts = []
         for j in range(blocks):
             Z = _rng.gaussians((n, m), seed, "noise", j)
@@ -212,11 +208,9 @@ def _bind_thm52(p, config):
     bases = [_make_base(p["base"], n, m, _rng.derive_seed(config.master_seed, "b", j))
              for j in range(d)]
 
-    def measure(rho, trial, seed):
-        prod = None
-        for j in range(d):
-            M = bases[j] + rho * _rng.gaussians((n, m), seed, "noise", j)
-            prod = M if prod is None else np.kron(prod, M)
+    def measure(rho, seed):
+        prod = reduce(np.kron, [bases[j] + rho * _rng.gaussians((n, m), seed, "noise", j)
+                                for j in range(d)])
         return float(singular_values(psi @ prod)[m**d - 1]), None, None
     return measure
 
@@ -228,9 +222,9 @@ def _bind_certify(p, config):
         raise ValueError(f"param 'variety': {exc}") from exc
     m, planted = p["m"], p["planted"]
     _need(math.comb(m + op.d - 1, op.d) <= op.p, f"C(m+d-1,d) <= p = {op.p} generators", p)
-    base = _unit_columns((op.n, m), config.master_seed, "base")
+    base = _rng.unit_columns((op.n, m), config.master_seed, "base")
 
-    def measure(rho, trial, seed):
+    def measure(rho, seed):
         B = base + rho * _rng.gaussians((op.n, m), seed, "noise")
         if planted:
             B[:, 0] = 0.0
@@ -241,7 +235,7 @@ def _bind_certify(p, config):
 
 
 def _bind_prop71(p, config):
-    def measure(rho, trial, seed):
+    def measure(rho, seed):
         C = ps.make_symmetric_columns(p["n"], p["m"], rho, seed)
         return float(singular_values(ps.symmetric_cube_lift(C, p["n"]))[-1]), None, None
     return measure
@@ -257,7 +251,7 @@ def _bind_prop72(p, config):
         B = _rng.gaussians((n, n), config.master_seed, "base", t)
         bases.append(B / np.linalg.norm(B))
 
-    def measure(rho, trial, seed):
+    def measure(rho, seed):
         mats = [bases[t] + rho * _rng.gaussians((n, n), seed, "noise", t)
                 for t in range(m)]
         return float(singular_values(ps.build_projected_V(mats, ell))[-1]), None, None
@@ -276,7 +270,7 @@ def _bind_prop73(p, config):
     rows = math.comb(n + 3, 4)
     _need(want <= rows, f"m*N2 - C(m,2) = {want} <= C(n+3,4) = {rows}", p)
 
-    def measure(rho, trial, seed):
+    def measure(rho, seed):
         inst = ps.make_power_sum_instance(n, m, rho, seed)
         M = ps.build_sym4_IkronA(inst)
         s = singular_values(M)
@@ -291,7 +285,7 @@ def _bind_prop73(p, config):
 def _bind_lemma74(p, config):
     _power_sum_need(p)
 
-    def measure(rho, trial, seed):
+    def measure(rho, seed):
         inst = ps.make_power_sum_instance(p["n"], p["m"], rho, seed)
         return float(singular_values(ps.build_solution_space_M(inst))[-1]), None, None
     return measure
@@ -300,7 +294,7 @@ def _bind_lemma74(p, config):
 def _bind_claim77(p, config):
     _power_sum_need(p)
 
-    def measure(rho, trial, seed):
+    def measure(rho, seed):
         inst = ps.make_power_sum_instance(p["n"], p["m"], rho, seed)
         Q = ps.build_claim_Q(inst, rho / math.sqrt(2.0), rho / math.sqrt(2.0))
         return float(singular_values(Q)[-1]), None, None
@@ -314,7 +308,7 @@ def _bind_claim76(p, config):
     rows = math.comb(p["n"] + 3, 4)
     _need(rank <= rows, f"2*m*N2 - C(2m,2) = {rank} <= C(n+3,4) = {rows}", p)
 
-    def measure(rho, trial, seed):
+    def measure(rho, seed):
         inst = ps.make_power_sum_instance(p["n"], m, rho, seed)
         W = ps.build_claim_W(inst, rho / math.sqrt(2.0), rho / math.sqrt(2.0))
         return float(singular_values(W)[rank - 1]), None, None
@@ -329,7 +323,7 @@ def _bind_conj81(p, config):
     proto = ps.make_clustering_instance(n, m, s, d, rho=1.0, seed=config.master_seed,
                                         shared_base=p["shared_base"])
 
-    def measure(rho, trial, seed):
+    def measure(rho, seed):
         inst = ps.ClusteringInstance(bases=proto.bases, d=d,
                                      rho=0.0 if duplicate else rho, seed=seed)
         return float(singular_values(ps.build_block_lift(inst))[-1]), None, None
@@ -341,7 +335,7 @@ def _bind_conj82(p, config):
     base = _rng.gaussians((N, dim), config.master_seed, "points")
     base /= np.linalg.norm(base, axis=1, keepdims=True)
 
-    def measure(rho, trial, seed):
+    def measure(rho, seed):
         pts = base + rho * _rng.gaussians((N, dim), seed, "noise")
         return float(singular_values(ps.build_power_matrix(pts, p["r"]))[-1]), None, None
     return measure
@@ -353,8 +347,8 @@ def _bind_caa_probe(p, config):
     _need(k <= m, "k <= m", p)
     seed0 = config.master_seed
     delta = 1.0 / math.sqrt(k)
-    baseU = _unit_columns((n, m), seed0, "baseU")
-    baseV = _unit_columns((n, m), seed0, "baseV")
+    baseU = _rng.unit_columns((n, m), seed0, "baseU")
+    baseV = _rng.unit_columns((n, m), seed0, "baseV")
 
     def combo_norm(seed) -> float:
         support = _rng.rng(seed, "support").choice(m, size=k, replace=False)
@@ -371,7 +365,7 @@ def _bind_caa_probe(p, config):
         raise ValueError("degenerate pilot: median combination norm is zero")
     lambda_hat = delta / pilot_median
 
-    def measure(h, trial, seed):
+    def measure(h, seed):
         value = combo_norm(seed)
         thresh = delta * h / lambda_hat
         return value, thresh, bool(value >= thresh)
@@ -387,7 +381,7 @@ def _bind_jacobian_probe(p, config):
     baseV = _rng.gaussians((n, m), config.master_seed, "baseV")
     need = math.ceil(n * k / 2)
 
-    def measure(rho, trial, seed):
+    def measure(rho, seed):
         alpha = np.zeros(m)
         support = _rng.rng(seed, "support").choice(m, size=k, replace=False)
         alpha[support] = 1.0
@@ -404,11 +398,10 @@ def _bind_sigma_basic(p, config):
     order = math.ceil(k / 2)
     _need(order <= min(n, k), "ceil(k/2) <= min(n,k)", p)
     base = _make_base(p["base"], n, k, config.master_seed)
-    alpha = np.full(k, delta)
 
-    def measure(rho, trial, seed):
+    def measure(rho, seed):
         V = base + rho * _rng.gaussians((n, k), seed, "noise")
-        sigma = float(singular_values(V @ np.diag(alpha))[order - 1])
+        sigma = float(singular_values(delta * V)[order - 1])
         return sigma, p["h"] * rho * delta, None
     return measure
 
@@ -416,7 +409,7 @@ def _bind_sigma_basic(p, config):
 def _bind_const_control(p, config):
     value = float(singular_values(_rng.gaussians((p["n"], p["m"]), config.master_seed,
                                                  "const"))[-1])
-    return lambda rho, trial, seed: (value, None, None)
+    return lambda rho, seed: (value, None, None)
 
 
 _N_M = {"n": Param(int), "m": Param(int)}
@@ -502,7 +495,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for rho in config.rho_grid:
         rows = []
         for t, seed in enumerate(seeds):
-            sigma, thresh, passed = measure(rho, t, seed)
+            sigma, thresh, passed = measure(rho, seed)
             thresh = config.threshold if thresh is None else thresh
             passed = bool(sigma >= thresh) if passed is None else passed
             rows.append(TrialReport(rho=rho, trial=t, seed=seed, sigma=sigma,
@@ -518,10 +511,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "wilson_high": high,
             "sigma": quantile_summary([r.sigma for r in rows]),
         })
-    extras = {}
-    for attr in ("lambda_hat", "delta"):
-        if hasattr(measure, attr):
-            extras[attr] = float(getattr(measure, attr))
+    extras = {attr: float(getattr(measure, attr)) for attr in ("lambda_hat", "delta")
+              if hasattr(measure, attr)}
     result = ExperimentResult(config=config, reports=reports, per_rho=per_rho,
                               extras=extras)
     if config.study == "scaling":
@@ -606,7 +597,7 @@ def jacobian_probe(n: int, m: int, k: int, rho: float, tau_factor: float,
     agg = result.per_rho[0]
     return {"pass_count": agg["pass_count"], "pass_rate": agg["pass_rate"],
             "wilson_low": agg["wilson_low"], "wilson_high": agg["wilson_high"],
-            "counts": quantile_summary([r.sigma for r in result.reports]),
+            "counts": agg["sigma"],
             "required": math.ceil(n * k / 2), "config": config.resolved()}
 
 

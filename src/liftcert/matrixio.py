@@ -26,11 +26,6 @@ def matrix_to_csv(A: np.ndarray, header_comments: list[str] | None = None) -> st
     return "\n".join(lines) + "\n"
 
 
-def save_matrix_csv(path: str | Path, A: np.ndarray,
-                    header_comments: list[str] | None = None) -> None:
-    Path(path).write_text(matrix_to_csv(A, header_comments))
-
-
 def load_matrix_csv(path: str | Path) -> np.ndarray:
     lines = enumerate(map(str.strip, Path(path).read_text().splitlines()), start=1)
     data = [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
@@ -49,6 +44,10 @@ def load_matrix_csv(path: str | Path) -> np.ndarray:
     width = data[0][1].count(",") + 1
     if any(line.count(",") + 1 != width for _, line in data):
         raise ValueError(f"{path}: ragged rows (expected width {width})")
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise ValueError(f"{path}: line {data[i // width][0]} has a non-finite entry {values[i]}")
     return values.reshape(len(data), width)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .spectral import sign_normalize_rows
+from .spectral import check_orthonormal, sign_normalize_rows
 from .stats import wilson_interval
 from .tensor_lift import _plan, sym_lift, sym_merge, sym_project
 
@@ -60,8 +60,7 @@ def make_power_sum_instance(n: int, m: int, rho: float, seed: int) -> PowerSumIn
     n2 = math.comb(n + 1, 2)
     if not 1 <= m < n2:
         raise ValueError(f"need 1 <= m < N2 = {n2}")
-    base = _rng.gaussians((n2, m), seed, "powersum", "base")
-    base /= np.linalg.norm(base, axis=0)
+    base = _rng.unit_columns((n2, m), seed, "powersum", "base")
     A = base + rho * _rng.gaussians((n2, m), seed, "powersum", "noise")
     U, _, _ = np.linalg.svd(A, full_matrices=True)
     F = sign_normalize_rows(U[:, m:].T).T
@@ -79,6 +78,8 @@ def _noise_layers(instance: PowerSumInstance, rho1: float, rho2: float):
     if abs(rho1**2 + rho2**2 - rho**2) > 1e-12 * rho**2:
         raise ValueError("rho1^2 + rho2^2 must equal rho^2")
     Z = instance.A - instance.base
+    if rho == 0:
+        return Z, Z  # no noise: both layers are zero
     shape = Z.shape
     y1 = rho1 * _rng.gaussians(shape, instance.seed, "powersum", "layer", 0)
     y2 = rho2 * _rng.gaussians(shape, instance.seed, "powersum", "layer", 1)
@@ -106,14 +107,12 @@ def antisym_witnesses(instance: PowerSumInstance) -> np.ndarray:
     Returns one unit column per pair, C(m, 2) in total.
     """
     n2, m = instance.n2, instance.m
-    cols = []
-    for s in range(m):
-        for t in range(s + 1, m):
-            w = np.zeros(n2 * m)
-            w[s::m] = instance.A[:, t]
-            w[t::m] = -instance.A[:, s]
-            cols.append(w / np.linalg.norm(w))
-    return np.column_stack(cols) if cols else np.zeros((n2 * m, 0))
+    s, t = np.triu_indices(m, k=1)
+    W = np.zeros((n2, m, s.size))
+    W[:, s, np.arange(s.size)] = instance.A[:, t]
+    W[:, t, np.arange(s.size)] = -instance.A[:, s]
+    W = W.reshape(n2 * m, s.size)
+    return W / np.linalg.norm(W, axis=0)
 
 
 def build_solution_space_M(instance: PowerSumInstance,
@@ -160,7 +159,7 @@ def build_projected_V(matrices: list[np.ndarray], ell: int,
     """
     if not matrices:
         raise ValueError("need at least one matrix")
-    mats = [np.asarray(getattr(M, "realized", M), dtype=float) for M in matrices]
+    mats = [np.asarray(M, dtype=float) for M in matrices]
     n = mats[0].shape[0]
     if any(M.shape != (n, n) for M in mats):
         raise ValueError("all matrices must be square of the same size")
@@ -194,8 +193,7 @@ class ClusteringInstance:
         for P in self.bases:
             if P.shape != (n, m):
                 raise ValueError("all bases must share a shape")
-            if np.linalg.norm(P.T @ P - np.eye(m)) > 1e-8:
-                raise ValueError("bases must be orthonormal")
+            check_orthonormal(P)
 
     @property
     def shape(self) -> tuple[int, int]:

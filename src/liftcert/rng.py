@@ -56,6 +56,12 @@ def gaussians(shape, master_seed: int, *path) -> np.ndarray:
     return z.reshape(shape)
 
 
+def unit_columns(shape, master_seed: int, *path) -> np.ndarray:
+    """Gaussian array of the given shape with each column scaled to unit norm."""
+    B = gaussians(shape, master_seed, *path)
+    return B / np.linalg.norm(B, axis=0)
+
+
 def rng(master_seed: int, *path) -> np.random.Generator:
     """A numpy Generator on the keyed stream, for choices and shuffles."""
     return np.random.Generator(stream(master_seed, *path))

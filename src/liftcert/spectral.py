@@ -38,6 +38,13 @@ def singular_values(A: np.ndarray) -> np.ndarray:
     return np.linalg.svd(A, compute_uv=False)
 
 
+def check_orthonormal(basis: np.ndarray) -> None:
+    """Refuse a basis whose Gram residual ||B^T B - I||_F exceeds 1e-8."""
+    gram_resid = np.linalg.norm(basis.T @ basis - np.eye(basis.shape[1]))
+    if gram_resid > 1e-8:
+        raise ValueError(f"basis is not orthonormal (Gram residual {gram_resid:.3e})")
+
+
 def count_large_singulars(A: np.ndarray, tau: float) -> int:
     """Number of singular values of A that are >= tau."""
     if tau < 0:
@@ -56,15 +63,6 @@ def _rank_of_values(s: np.ndarray, tolerance: float | None = None) -> int:
 
 def numerical_rank(A: np.ndarray, tolerance: float | None = None) -> int:
     return _rank_of_values(singular_values(A), tolerance)
-
-
-def _orthonormal_range(A: np.ndarray, tolerance: float | None = None) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical column span of A."""
-    A = np.asarray(A, dtype=float)
-    if A.size == 0 or A.shape[1] == 0:
-        return np.zeros((A.shape[0], 0))
-    U, s, _ = np.linalg.svd(A, full_matrices=False)
-    return U[:, :_rank_of_values(s, tolerance)]
 
 
 def _inverse_r(U: np.ndarray) -> np.ndarray | None:
@@ -156,7 +154,10 @@ def block_leave_one_out(family: BlockFamily) -> float:
 def orth_complement_projector(columns: np.ndarray, tolerance: float | None = None) -> np.ndarray:
     """Projector onto the orthogonal complement of the column span."""
     columns = np.asarray(columns, dtype=float)
-    Q = _orthonormal_range(columns, tolerance)
+    if columns.size == 0:
+        return np.eye(columns.shape[0])
+    U, s, _ = np.linalg.svd(columns, full_matrices=False)
+    Q = U[:, :_rank_of_values(s, tolerance)]
     return np.eye(columns.shape[0]) - Q @ Q.T
 
 
@@ -223,15 +224,12 @@ def spread_vector(basis: np.ndarray) -> np.ndarray:
     other row with coefficients at most 1.
     """
     basis = np.asarray(basis, dtype=float)
-    n, k = basis.shape
-    gram_resid = np.linalg.norm(basis.T @ basis - np.eye(k))
-    if gram_resid > 1e-8:
-        raise ValueError(f"basis is not orthonormal (Gram residual {gram_resid:.3e})")
+    check_orthonormal(basis)
+    k = basis.shape[1]
     rows = _spanner_indices(basis.T, swap_ratio=2.0)
     rows = _spanner_indices(basis.T, swap_ratio=1.0, start=rows)
     alpha = np.linalg.solve(basis[rows, :], np.full(k, 1.0 / math.sqrt(k)))
-    v = basis @ (alpha / np.linalg.norm(alpha))
-    return v
+    return basis @ (alpha / np.linalg.norm(alpha))
 
 
 @dataclass(frozen=True)

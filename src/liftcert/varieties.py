@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 
 import numpy as np
 
 from . import rng as _rng
 from .matrixio import matrix_sha256
-from .spectral import sign_normalize_rows, singular_values
+from .spectral import check_orthonormal, sign_normalize_rows, singular_values
 from .tensor_lift import _check_entries, _rank, from_sym_coords, sym_coords, sym_lift
 
 ORTHO_DROP_RTOL = 1e-8
@@ -114,13 +114,9 @@ class VarietyOperator:
         return self.generators.shape[0]
 
     @property
-    def ambient_sym_dim(self) -> int:
-        return math.comb(self.n + self.d - 1, self.d)
-
-    @property
     def density(self) -> float:
         """Fraction of the symmetric space the generators span."""
-        return self.p / self.ambient_sym_dim
+        return self.p / math.comb(self.n + self.d - 1, self.d)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Generator evaluations at the d-th power of a point x in R^n."""
@@ -197,15 +193,7 @@ class CertificateReport:
     tolerance: float
 
     def to_json(self) -> dict:
-        return {
-            "eta": self.eta,
-            "m": self.m,
-            "n": self.n,
-            "d": self.d,
-            "verdict": self.verdict,
-            "basis_sha256": self.basis_sha256,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
 def orthonormalize_basis(B: np.ndarray, keep_first: bool = False) -> np.ndarray:
@@ -242,9 +230,7 @@ def certify(op: VarietyOperator, basis: np.ndarray,
     n, m = basis.shape
     if n != op.n:
         raise ValueError(f"basis lives in R^{n}, operator expects R^{op.n}")
-    gram_resid = np.linalg.norm(basis.T @ basis - np.eye(m))
-    if gram_resid > 1e-8:
-        raise ValueError(f"basis is not orthonormal (Gram residual {gram_resid:.3e})")
+    check_orthonormal(basis)
     lifted_cols = math.comb(m + op.d - 1, op.d)
     if lifted_cols > op.p:
         raise ValueError(

@@ -9,7 +9,11 @@ import numpy as np
 import pytest
 
 from liftcert.cli import main
-from liftcert.matrixio import dump_json, load_matrix_csv, save_matrix_csv
+from liftcert.matrixio import dump_json, load_matrix_csv, matrix_to_csv
+
+
+def save_matrix_csv(path, A):
+    Path(path).write_text(matrix_to_csv(A))
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +163,26 @@ class TestLoadMatrixCsv:
         path.write_text("# only a comment\n\n")
         with pytest.raises(ValueError, match="no data rows"):
             load_matrix_csv(path)
+
+    @pytest.mark.parametrize("entry, shown", [("inf", "inf"), ("-inf", "-inf"),
+                                              ("nan", "nan"), ("1e400", "inf")])
+    def test_non_finite_entry_names_its_line(self, tmp_path, entry, shown):
+        path = tmp_path / "a.csv"
+        path.write_text(f"# header\n1,2\n\n3,{entry}\n")
+        with pytest.raises(ValueError, match=rf"a\.csv: line 4 has a non-finite entry {shown}$"):
+            load_matrix_csv(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["lift", "--n", "4", "--m", "1", "--d", "2", "--matrix", "file:{}"],
+        ["spectrum", "--matrix", "{}"],
+        ["certify", "--variety", "determinantal:2,2,1", "--basis", "file:{}"],
+    ], ids=["lift", "spectrum", "certify"])
+    def test_commands_refuse_non_finite_files(self, tmp_path, capsys, argv):
+        path = tmp_path / "x.csv"
+        path.write_text("1\ninf\n0\n0\n")
+        code, out, err = run_cli(capsys, *[arg.format(path) for arg in argv])
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: line 2 has a non-finite entry inf\n"
 
 
 class TestCertify:
@@ -384,6 +408,22 @@ class TestPowersum:
         code, _, err = run_cli(capsys, "powersum", "--check", "conj82",
                                "--rho", "0.1", "--trials", "1", "--seed", "0")
         assert code == 2 and "missing required param 'dim'" in err
+
+    @pytest.mark.parametrize("check, n, m", [("claim76", "6", "2"), ("claim77", "4", "3")])
+    def test_zero_rho_gives_finite_sigmas(self, capsys, check, n, m):
+        code, out, err = run_cli(capsys, "powersum", "--check", check, "--n", n, "--m", m,
+                                 "--rho", "0", "--trials", "2", "--seed", "0")
+        assert code == 0 and err == ""
+        rows = out.splitlines()[2:]
+        assert len(rows) == 2
+        assert all(np.isfinite(float(row.split(",")[2])) for row in rows)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_arithmetic_failure_is_internal_error(self, capsys):
+        code, out, err = run_cli(capsys, "powersum", "--check", "claim77", "--n", "4",
+                                 "--m", "3", "--rho", "1e300", "--trials", "1", "--seed", "0")
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: ")
 
     def test_unknown_check_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

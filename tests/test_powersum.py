@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -105,6 +106,14 @@ class TestMergedIdentityKron:
         assert W.shape[1] == math.comb(3, 2)
         assert float(np.linalg.norm(M @ W, axis=0).max()) <= 1e-8
 
+    def test_witnesses_match_the_pair_loop(self, inst43):
+        n2, m, A = inst43.n2, inst43.m, inst43.A
+        W = antisym_witnesses(inst43)
+        for col, (s, t) in zip(W.T, itertools.combinations(range(m), 2), strict=True):
+            w = np.zeros(n2 * m)
+            w[s::m], w[t::m] = A[:, t], -A[:, s]
+            assert np.allclose(col, w / np.linalg.norm(w), rtol=1e-15, atol=0)
+
     def test_single_form_has_full_rank(self):
         inst = make_power_sum_instance(4, 1, 0.1, seed=7)
         M = build_sym4_IkronA(inst)
@@ -152,6 +161,12 @@ class TestClaimQ:
         split = inst43.rho / math.sqrt(2)
         assert np.array_equal(build_claim_Q(inst43, split, split),
                               build_claim_Q(inst43, split, split))
+
+    def test_zero_noise_gives_zero_layers(self):
+        inst = make_power_sum_instance(4, 3, 0.0, seed=5)
+        Z1, Z2 = _noise_layers(inst, 0.0, 0.0)
+        assert not Z1.any() and not Z2.any()
+        assert np.array_equal(build_claim_Q(inst, 0.0, 0.0), np.hstack([inst.base, inst.F]))
 
     def test_split_mismatch(self, inst43):
         with pytest.raises(ValueError):
