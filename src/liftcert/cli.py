@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 if target.threshold is not None])
     for name in _powersum_params():
         p_pow.add_argument(f"--{name}", type=int, default=None)
-    p_pow.add_argument("--rho", type=float, required=True)
+    p_pow.add_argument("--rho", type=_at_least(float, 0.0), required=True)
     p_pow.add_argument("--trials", type=int, required=True)
     p_pow.add_argument("--seed", type=int, required=True)
     p_pow.add_argument("--threshold", type=float, default=None)

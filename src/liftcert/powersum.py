@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .spectral import check_orthonormal, sign_normalize_rows
+from .smoothing import noise_layers
+from .spectral import NonFiniteMatrixError, check_orthonormal, sign_normalize_rows
 from .stats import wilson_interval
 from .tensor_lift import _plan, sym_lift, sym_merge, sym_project
 
@@ -62,29 +63,11 @@ def make_power_sum_instance(n: int, m: int, rho: float, seed: int) -> PowerSumIn
         raise ValueError(f"need 1 <= m < N2 = {n2}")
     base = _rng.unit_columns((n2, m), seed, "powersum", "base")
     A = base + rho * _rng.gaussians((n2, m), seed, "powersum", "noise")
+    if not np.isfinite(A).all():  # LAPACK's SVD with U can loop forever on inf
+        raise NonFiniteMatrixError(f"power-sum forms overflow at rho = {rho!r}")
     U, _, _ = np.linalg.svd(A, full_matrices=True)
     F = sign_normalize_rows(U[:, m:].T).T
     return PowerSumInstance(n=n, m=m, A=A, base=base, F=F, rho=rho, seed=seed)
-
-
-def _noise_layers(instance: PowerSumInstance, rho1: float, rho2: float):
-    """Split the realized noise of A into two layers of scales rho1, rho2.
-
-    Conditional decomposition: the layers have the right joint law given that
-    they must sum to the already-realized noise, so A == base + Z1 + Z2
-    holds exactly for this sample.
-    """
-    rho = instance.rho
-    if abs(rho1**2 + rho2**2 - rho**2) > 1e-12 * rho**2:
-        raise ValueError("rho1^2 + rho2^2 must equal rho^2")
-    Z = instance.A - instance.base
-    if rho == 0:
-        return Z, Z  # no noise: both layers are zero
-    shape = Z.shape
-    y1 = rho1 * _rng.gaussians(shape, instance.seed, "powersum", "layer", 0)
-    y2 = rho2 * _rng.gaussians(shape, instance.seed, "powersum", "layer", 1)
-    corr = (y1 + y2 - Z) / rho**2
-    return y1 - rho1**2 * corr, y2 - rho2**2 * corr
 
 
 def build_sym4_IkronA(instance: PowerSumInstance,
@@ -132,7 +115,8 @@ def build_solution_space_M(instance: PowerSumInstance,
 
 def build_claim_Q(instance: PowerSumInstance, rho1: float, rho2: float) -> np.ndarray:
     """The square matrix [base + Z1 + 2 Z2, F] under a two-layer noise split."""
-    Z1, Z2 = _noise_layers(instance, rho1, rho2)
+    Z1, Z2 = noise_layers(instance.A - instance.base, instance.rho, (rho1, rho2),
+                          instance.seed, "powersum", "layer")
     return np.hstack([instance.base + Z1 + 2.0 * Z2, instance.F])
 
 
@@ -144,7 +128,8 @@ def build_claim_W(instance: PowerSumInstance, rho1: float, rho2: float,
     monomial) is contracted by the N2 x 2m random matrix; the slices are
     concatenated into an R x (2 m N2) block matrix.
     """
-    Z1, Z2 = _noise_layers(instance, rho1, rho2)
+    Z1, Z2 = noise_layers(instance.A - instance.base, instance.rho, (rho1, rho2),
+                          instance.seed, "powersum", "layer")
     U = np.hstack([instance.base + Z1, Z2])
     return sym_merge(instance.n, 2, 2, variant).identity_kron(U)
 

@@ -69,9 +69,24 @@ def _split_rhos(rho: float, d: int, split, n: int, m: int) -> np.ndarray:
         rhos = np.asarray(split, dtype=float)
         if rhos.shape != (d,):
             raise ValueError(f"split must have {d} entries")
-    if abs(float(np.sum(rhos**2)) - rho**2) > 1e-12 * rho**2:
-        raise ValueError("split variances must sum to rho^2")
     return rhos
+
+
+def noise_layers(Z: np.ndarray, rho: float, rhos, seed: int, *path) -> list[np.ndarray]:
+    """Layers of scales rhos that sum to Z, the realized noise of scale rho.
+
+    Sampled conditionally on Z: layer j draws from the stream (seed, *path, j)
+    and gives up (rhos[j] / rho)**2 of the excess.  Scales enter only as ratios
+    to rho, so tiny rho cannot underflow; rho = 0 gives zero layers.
+    """
+    rhos = np.asarray(rhos, dtype=float)
+    if rho == 0 and not rhos.any():
+        return [np.zeros_like(Z) for _ in rhos]
+    if rho == 0 or abs(float(np.sum((rhos / rho) ** 2)) - 1.0) > 1e-12:
+        raise ValueError("split variances must sum to rho^2")
+    raw = [r * _rng.gaussians(Z.shape, seed, *path, j) for j, r in enumerate(rhos)]
+    excess = sum(raw) - Z
+    return [layer - (r / rho) ** 2 * excess for layer, r in zip(raw, rhos)]
 
 
 @dataclass(frozen=True)
@@ -112,17 +127,8 @@ def decouple(smoothed: SmoothedMatrix, d: int, split="equal") -> DecoupledFactor
     """
     if d < 2:
         raise ValueError("decoupling needs d >= 2")
-    base = smoothed.base
-    n, m = base.shape
-    rho = smoothed.rho
-    rhos = _split_rhos(rho, d, split, n, m)
-
-    Z = smoothed.noise
-    raw = [rhos[j] * _rng.gaussians(base.shape, smoothed.seed, "decouple", j)
-           for j in range(d)]
-    # Conditional weights as ratios so tiny rho cannot underflow to 0/0.
-    excess = sum(raw) - Z
-    layers = [raw[j] - (rhos[j] / rho) ** 2 * excess for j in range(d)]
+    rhos = _split_rhos(smoothed.rho, d, split, *smoothed.base.shape)
+    layers = noise_layers(smoothed.noise, smoothed.rho, rhos, smoothed.seed, "decouple")
 
     partials = [smoothed.realized]
     for j in range(d):

@@ -19,6 +19,10 @@ class RankError(ValueError):
     """The input does not have the rank the operation requires."""
 
 
+class NonFiniteMatrixError(ArithmeticError, ValueError):
+    """An inf or nan at a decomposition: inputs are checked finite, so an overflow."""
+
+
 def sign_normalize_rows(M: np.ndarray) -> np.ndarray:
     """Copy of M with signs flipped so each row's first entry above 1e-12 in
     magnitude is positive.  Pass ``M.T`` to normalize columns instead."""
@@ -32,7 +36,7 @@ def singular_values(A: np.ndarray) -> np.ndarray:
     """All singular values of A in non-increasing order."""
     A = np.asarray(A, dtype=float)
     if not np.isfinite(A).all():
-        raise ValueError("matrix has non-finite entries")
+        raise NonFiniteMatrixError("matrix has non-finite entries")
     if min(A.shape) == 0:
         return np.zeros(0)
     return np.linalg.svd(A, compute_uv=False)
@@ -73,7 +77,7 @@ def _inverse_r(U: np.ndarray) -> np.ndarray | None:
     entry's row, and so its leave-one-out distance, is then below 1e-308.
     """
     if not np.isfinite(U).all():
-        raise ValueError("matrix has non-finite entries")
+        raise NonFiniteMatrixError("matrix has non-finite entries")
     rows, cols = U.shape
     if cols > rows:
         return None

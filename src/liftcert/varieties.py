@@ -26,7 +26,7 @@ import numpy as np
 
 from . import rng as _rng
 from .matrixio import matrix_sha256
-from .spectral import check_orthonormal, sign_normalize_rows, singular_values
+from .spectral import NonFiniteMatrixError, check_orthonormal, sign_normalize_rows, singular_values
 from .tensor_lift import _check_entries, _rank, from_sym_coords, sym_coords, sym_lift
 
 ORTHO_DROP_RTOL = 1e-8
@@ -200,18 +200,27 @@ def orthonormalize_basis(B: np.ndarray, keep_first: bool = False) -> np.ndarray:
     """QR-orthonormalize columns (deterministic signs).
 
     With ``keep_first`` the first column is only rescaled, never rotated, so
-    planted test fixtures survive orthonormalization exactly.
+    planted test fixtures survive orthonormalization exactly.  Dependent columns
+    are refused: more columns than rows, or a QR pivot |R_jj| <= 1e-10 ||B_j||.
     """
     B = np.asarray(B, dtype=float)
+    if not np.isfinite(B).all():
+        raise NonFiniteMatrixError("basis has non-finite entries")
+    if B.shape[1] > B.shape[0]:
+        raise ValueError(f"basis has {B.shape[1]} columns in R^{B.shape[0]}, so they are dependent")
     if keep_first:
-        first = B[:, :1] / np.linalg.norm(B[:, 0])
-        rest = B[:, 1:] - first @ (first.T @ B[:, 1:])
-        if rest.shape[1]:
-            Q, _ = np.linalg.qr(rest)
-            return np.hstack([first, Q])
-        return first
-    Q, R = np.linalg.qr(B)
-    return Q * np.sign(np.where(np.diag(R) == 0, 1.0, np.diag(R)))
+        head = np.linalg.norm(B[:, 0])
+        first = B[:, :1] / (head or 1.0)  # a zero head is refused below
+        Q, R = np.linalg.qr(B[:, 1:] - first @ (first.T @ B[:, 1:]))
+        Q, pivots = np.hstack([first, Q]), np.append(head, np.diag(R))
+    else:
+        Q, R = np.linalg.qr(B)
+        pivots = np.diag(R)
+        Q = Q * np.sign(pivots)  # a zero pivot is refused below
+    weak = np.flatnonzero(np.abs(pivots) <= 1e-10 * np.linalg.norm(B, axis=0))
+    if weak.size:
+        raise ValueError(f"basis column {weak[0]} is zero or nearly in the span of earlier columns")
+    return Q
 
 
 def certify(op: VarietyOperator, basis: np.ndarray,

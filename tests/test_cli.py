@@ -261,6 +261,20 @@ class TestCertify:
                          "--basis", "random:2", "--rho", rho)
         assert "argument --rho" in err
 
+    def test_dependent_basis_is_refused(self, tmp_path, capsys):
+        v = np.arange(1.0, 10.0)
+        path = tmp_path / "dup.csv"
+        save_matrix_csv(path, np.column_stack([v, 2 * v]))
+        for spec in (f"file:{path}", f"planted:{path}+0"):
+            code, out, err = run_cli(capsys, "certify", "--variety", "determinantal:3,3,1",
+                                     "--basis", spec)
+            assert code == 2 and out == ""
+            assert err == "error: basis column 1 is zero or nearly in the span of earlier columns\n"
+        code, out, err = run_cli(capsys, "certify", "--variety", "determinantal:3,3,1",
+                                 "--basis", "random:12")
+        assert code == 2 and out == ""
+        assert err == "error: basis has 12 columns in R^9, so they are dependent\n"
+
     @pytest.mark.parametrize("m", ["-1", "0", "x", ""])
     def test_random_basis_needs_positive_m(self, capsys, m):
         code, _, err = run_cli(capsys, "certify", "--variety", "determinantal:3,3,1",
@@ -372,6 +386,21 @@ class TestExperiment:
         assert code == 2 and named in err
         assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("target, params, message", [
+        ("thm51", {"n": 6, "m": 2, "d": 2}, "matrix has non-finite entries"),
+        ("certify", {"m": 3}, "basis has non-finite entries"),
+        ("lemma74", {"n": 4, "m": 3}, "power-sum forms overflow at rho = 1e+308"),
+    ])
+    def test_overflow_in_a_trial_is_internal_error(self, tmp_path, capsys, target, params,
+                                                   message):
+        cfg = self.config_file(tmp_path, target=target, params=params, rho_grid=[1e308],
+                               master_seed=0)
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg),
+                                 "--out-dir", str(tmp_path / "out"))
+        assert code == 3 and out == ""
+        assert err == f"internal error: {message}\n"
+
     def test_help_enumerates_targets(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--help"])
@@ -418,10 +447,27 @@ class TestPowersum:
         assert len(rows) == 2
         assert all(np.isfinite(float(row.split(",")[2])) for row in rows)
 
+    @pytest.mark.parametrize("check, n, m", [("claim76", "6", "2"), ("claim77", "4", "3")])
+    def test_tiny_rho_gives_finite_sigmas(self, capsys, check, n, m):
+        # The layer split weighs by (rho_j / rho)**2, so rho**2 underflowing
+        # to 0 cannot turn the layers into inf or nan.
+        code, out, err = run_cli(capsys, "powersum", "--check", check, "--n", n, "--m", m,
+                                 "--rho", "1e-200", "--trials", "2", "--seed", "0")
+        assert code == 0 and err == ""
+        rows = out.splitlines()[2:]
+        assert len(rows) == 2
+        assert all(np.isfinite(float(row.split(",")[2])) for row in rows)
+
+    @pytest.mark.parametrize("rho", ["nan", "-1", "inf"])
+    def test_rho_must_be_finite_and_non_negative(self, capsys, rho):
+        err = flag_error(capsys, "powersum", "--check", "claim77", "--n", "4", "--m", "3",
+                         "--rho", rho, "--trials", "1", "--seed", "0")
+        assert "argument --rho" in err
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_arithmetic_failure_is_internal_error(self, capsys):
         code, out, err = run_cli(capsys, "powersum", "--check", "claim77", "--n", "4",
-                                 "--m", "3", "--rho", "1e300", "--trials", "1", "--seed", "0")
+                                 "--m", "3", "--rho", "1e308", "--trials", "1", "--seed", "0")
         assert code == 3 and out == ""
         assert err.startswith("internal error: ")
 

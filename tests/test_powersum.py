@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.stats import norm
 
-from liftcert.powersum import (ClusteringInstance, _noise_layers, antisym_witnesses,
+from liftcert.powersum import (ClusteringInstance, antisym_witnesses,
                                build_block_lift, build_claim_Q, build_claim_W,
                                build_power_matrix, build_projected_V,
                                build_solution_space_M, evaluate_power_row,
@@ -14,6 +14,7 @@ from liftcert.powersum import (ClusteringInstance, _noise_layers, antisym_witnes
                                make_power_sum_instance, make_symmetric_columns,
                                build_sym4_IkronA, power_row,
                                small_ball_estimate, symmetric_cube_lift)
+from liftcert.smoothing import noise_layers
 from liftcert.spectral import singular_values
 from liftcert.tensor_lift import sym_lift, sym_merge
 
@@ -67,7 +68,8 @@ def test_builders_match_loop_oracles(n, m, variant):
     assert np.array_equal(build_sym4_IkronA(inst, variant),
                           _sliced_merge_product(inst, inst.A, variant))
     rho1, rho2 = 0.2, math.sqrt(0.3**2 - 0.2**2)
-    Z1, Z2 = _noise_layers(inst, rho1, rho2)
+    Z1, Z2 = noise_layers(inst.A - inst.base, inst.rho, (rho1, rho2), inst.seed,
+                          "powersum", "layer")
     U = np.hstack([inst.base + Z1, Z2])
     assert np.array_equal(build_claim_W(inst, rho1, rho2, variant),
                           _sliced_merge_product(inst, U, variant))
@@ -89,6 +91,13 @@ class TestPowerSumInstance:
     def test_rejects_oversized_m(self):
         with pytest.raises(ValueError):
             make_power_sum_instance(2, 3, 0.1, seed=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_forms_are_refused_before_the_svd(self):
+        # The SVD with U does not return on an inf entry, so the overflow must
+        # be caught before it; the CLI reports an ArithmeticError as exit 3.
+        with pytest.raises(ArithmeticError, match="power-sum forms overflow at rho = 1e"):
+            make_power_sum_instance(4, 3, 1e308, seed=0)
 
 
 class TestMergedIdentityKron:
@@ -164,7 +173,8 @@ class TestClaimQ:
 
     def test_zero_noise_gives_zero_layers(self):
         inst = make_power_sum_instance(4, 3, 0.0, seed=5)
-        Z1, Z2 = _noise_layers(inst, 0.0, 0.0)
+        Z1, Z2 = noise_layers(inst.A - inst.base, 0.0, (0.0, 0.0), inst.seed,
+                              "powersum", "layer")
         assert not Z1.any() and not Z2.any()
         assert np.array_equal(build_claim_Q(inst, 0.0, 0.0), np.hstack([inst.base, inst.F]))
 

@@ -7,7 +7,8 @@ from liftcert import tensor_lift
 from liftcert.smoothing import (ERROR_NORM_CONST, DecoupledFactors,
                                 decouple, decoupling_residual,
                                 error_norm_bound,
-                                gaussian_ball_log_prob_bound, perturb)
+                                gaussian_ball_log_prob_bound, noise_layers, perturb)
+from liftcert.rng import gaussians
 from liftcert.tensor_lift import LiftSizeError, sym_project, sym_projector_matrix
 
 
@@ -50,6 +51,39 @@ class TestPerturb:
         sm = perturb(np.ones((2, 2)), 0.3, seed=5)
         desc = sm.descriptor("base.csv")
         assert desc == {"base": "base.csv", "rho": 0.3, "seed": 5}
+
+
+class TestNoiseLayers:
+    @pytest.mark.parametrize("rho", [1e-200, 1e-3, 1.0, 1e100])
+    @pytest.mark.parametrize("shares", [(0.5, 0.5), (0.1, 0.3, 0.6)])
+    def test_layers_are_finite_and_sum_to_the_noise(self, rho, shares):
+        Z = rho * np.random.default_rng(3).standard_normal((5, 3))
+        rhos = [rho * math.sqrt(w) for w in shares]
+        layers = noise_layers(Z, rho, rhos, 4, "test")
+        assert len(layers) == len(shares)
+        # Compared in units of rho: a norm of 1e-200-sized entries underflows.
+        assert all(np.isfinite(L).all() and 0 < np.linalg.norm(L / rho) < 20 for L in layers)
+        assert np.abs(sum(layers) - Z).max() <= 1e-15 * np.abs(Z).max()
+
+    def test_zero_noise_gives_zero_layers_without_drawing(self, monkeypatch):
+        monkeypatch.setattr("liftcert.rng.gaussians", None)
+        layers = noise_layers(np.zeros((4, 2)), 0.0, (0.0, 0.0, 0.0), 1, "test")
+        assert len(layers) == 3 and not any(L.any() for L in layers)
+
+    @pytest.mark.parametrize("rho, rhos", [(1e-200, (1e-200, 1e-200)), (1e-200, (1e-201,) * 2),
+                                           (1e200, (1e200, 1e200)), (0.0, (0.0, 1e-300))])
+    def test_refuses_variances_that_do_not_sum_at_any_scale(self, rho, rhos):
+        with pytest.raises(ValueError, match="split variances must sum to rho"):
+            noise_layers(np.zeros((2, 2)), rho, rhos, 1, "test")
+
+    def test_layers_draw_from_their_keyed_streams(self):
+        rho, rhos = 0.5, (0.3, 0.4)
+        Z = np.random.default_rng(5).standard_normal((3, 2))
+        layers = noise_layers(Z, rho, rhos, 9, "a", "b")
+        raw = [r * gaussians((3, 2), 9, "a", "b", j) for j, r in enumerate(rhos)]
+        excess = raw[0] + raw[1] - Z
+        for j in range(2):
+            assert np.array_equal(layers[j], raw[j] - (rhos[j] / rho) ** 2 * excess)
 
 
 class TestDecouple:

@@ -28,6 +28,16 @@ class TestSingularValues:
         with pytest.raises(ValueError):
             singular_values(np.array([[1.0, np.nan]]))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_is_an_arithmetic_error(self, entry):
+        # Inputs are checked finite where they enter, so a non-finite matrix
+        # here is an overflow: the CLI reports it as an internal error.
+        A = np.array([[1.0, entry], [0.0, 1.0]])
+        for query in (singular_values, leave_one_out):
+            with pytest.raises(ArithmeticError, match="non-finite") as exc:
+                query(A)
+            assert isinstance(exc.value, ValueError)
+
     def test_ordering_and_length(self):
         rng = np.random.default_rng(0)
         A = rng.standard_normal((5, 3))

@@ -300,6 +300,35 @@ class TestOrthonormalizeBasis:
         Q = orthonormalize_basis(rng.standard_normal((6, 3)))
         assert np.linalg.norm(Q.T @ Q - np.eye(3)) <= 1e-12
 
+    @pytest.mark.parametrize("keep_first", [False, True])
+    def test_refuses_dependent_columns(self, keep_first):
+        v = np.arange(1.0, 10.0)
+        rng = np.random.default_rng(11)
+        parallel = np.column_stack([v, 2 * v])
+        zero_first = np.column_stack([np.zeros(9), v])
+        nearly = np.column_stack([v, rng.standard_normal(9), v + 1e-12 * rng.standard_normal(9)])
+        for B, column in [(parallel, 1), (zero_first, 0), (nearly, 2)]:
+            with pytest.raises(ValueError, match=f"basis column {column} is zero or nearly in the span"):
+                orthonormalize_basis(B, keep_first=keep_first)
+        with pytest.raises(ValueError, match="basis has 12 columns in R\\^9"):
+            orthonormalize_basis(rng.standard_normal((9, 12)), keep_first=keep_first)
+
+    @pytest.mark.parametrize("keep_first", [False, True])
+    def test_non_finite_basis_is_an_arithmetic_error(self, keep_first):
+        # Inputs are checked finite where they enter, so an inf here is an
+        # overflow (say base + rho * noise at rho = 1e308), not a bad basis.
+        B = np.random.default_rng(13).standard_normal((9, 2))
+        B[3, 1] = np.inf
+        with pytest.raises(ArithmeticError, match="basis has non-finite entries"):
+            orthonormalize_basis(B, keep_first=keep_first)
+
+    @pytest.mark.parametrize("keep_first", [False, True])
+    def test_accepts_columns_above_the_pivot_cut(self, keep_first):
+        v = np.arange(1.0, 10.0)
+        w = v + 1e-8 * np.random.default_rng(12).standard_normal(9)
+        Q = orthonormalize_basis(np.column_stack([v, w]), keep_first=keep_first)
+        assert Q.shape == (9, 2) and np.linalg.norm(Q.T @ Q - np.eye(2)) <= 1e-6
+
     def test_keep_first_preserves_direction(self):
         rng = np.random.default_rng(9)
         B = rng.standard_normal((6, 3))
