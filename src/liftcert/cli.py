@@ -102,8 +102,7 @@ def _resolve_basis(spec: str, op, rho: float, seed: int) -> tuple[np.ndarray, bo
         except argparse.ArgumentTypeError as exc:
             raise ValueError(f"--basis random:m: m {exc}") from exc
         base = _rng.unit_columns((op.n, m), seed, "cli", "basis")
-        pert = base + rho * _rng.gaussians((op.n, m), seed, "cli", "basis_noise") \
-            if rho > 0 else base
+        pert = base + rho * _rng.gaussians((op.n, m), seed, "cli", "basis_noise")
         return orthonormalize_basis(pert), False
     if spec.startswith("planted:"):
         path, _, index = spec[len("planted:"):].partition("+")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import os
 from dataclasses import dataclass, field, fields
 from functools import reduce
@@ -26,22 +27,25 @@ import numpy as np
 from . import powersum as ps
 from . import rng as _rng
 from .matrixio import format_float
-from .spectral import count_large_singulars, jacobian_khatri_rao, singular_values
+from .spectral import _rank_of_values, count_large_singulars, jacobian_khatri_rao, singular_values
 from .stats import quantile_summary, wilson_interval
 from .tensor_lift import _check_entries, khatri_rao, sym_lift
 from .varieties import certify, orthonormalize_basis, variety_from_spec
 
 REQUIRED = object()
+_COMPARE = {"<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 class Param(NamedTuple):
     """A target param: int, float, str or bool, its default, an int's least
-    value, and the values a str may take (any, if empty)."""
+    value, the values a str may take (any, if empty), and the range a float
+    must lie in as (comparison, limit), such as (">", 0.0) (any, if empty)."""
 
     type: type
     default: object = REQUIRED
     low: int = 1
     choices: tuple = ()
+    bound: tuple = ()
 
 
 class Target(NamedTuple):
@@ -60,13 +64,15 @@ class Target(NamedTuple):
         if unknown:
             raise ValueError(f"unknown param {unknown[0]!r}; known: {sorted(self.params)}")
         out = {}
-        for name, (kind, default, low, choices) in self.params.items():
+        for name, (kind, default, low, choices, bound) in self.params.items():
             value = given.get(name, default)
             if value is REQUIRED:
                 raise ValueError(f"missing required param {name!r}")
             out[name] = _typed(f"param {name!r}", value, kind, low)
             if choices and value not in choices:
                 raise ValueError(f"param {name!r} must be one of {list(choices)}, got {value!r}")
+            if bound and not _COMPARE[bound[0]](out[name], bound[1]):
+                raise ValueError(f"param {name!r} must be {bound[0]} {bound[1]}, got {value!r}")
         return out
 
 
@@ -274,7 +280,7 @@ def _bind_prop73(p, config):
         inst = ps.make_power_sum_instance(n, m, rho, seed)
         M = ps.build_sym4_IkronA(inst)
         s = singular_values(M)
-        rank = int(np.count_nonzero(s >= config.threshold))
+        rank = _rank_of_values(s, config.threshold)
         witness_ok = bool(
             np.linalg.norm(M @ ps.antisym_witnesses(inst), axis=0).max()
             <= config.threshold) if m > 1 else True
@@ -414,7 +420,9 @@ def _bind_const_control(p, config):
 
 _N_M = {"n": Param(int), "m": Param(int)}
 _BASE = Param(str, "zero", choices=("zero", "random", "duplicated"))
-_LIFT = {**_N_M, "d": Param(int, 2), "delta": Param(float, 0.5), "base": _BASE}
+# The budgets of thm51, thm52 and cor53 refuse delta <= 0.
+_LIFT = {**_N_M, "d": Param(int, 2), "delta": Param(float, 0.5, bound=("<=", 1.0)),
+         "base": _BASE}
 
 TARGETS: dict[str, Target] = {
     "thm51": Target(_LIFT, _bind_lift),
@@ -435,10 +443,13 @@ TARGETS: dict[str, Target] = {
     "conj82": Target({"dim": Param(int), "r": Param(int), "N": Param(int)}, _bind_conj82, 1e-6),
     "caa_probe": Target({**_N_M, "k": Param(int), "rho": Param(float, 1.0),
                          "pilot_trials": Param(int, 64)}, _bind_caa_probe),
-    "jacobian_probe": Target({**_N_M, "k": Param(int, low=0), "tau_factor": Param(float, 0.1)},
+    "jacobian_probe": Target({**_N_M, "k": Param(int, low=0),
+                              "tau_factor": Param(float, 0.1, bound=(">=", 0.0))},
                              _bind_jacobian_probe),
-    "sigma_basic": Target({"n": Param(int), "k": Param(int), "delta": Param(float, 1.0),
-                           "h": Param(float, 0.3), "base": _BASE}, _bind_sigma_basic),
+    "sigma_basic": Target({"n": Param(int), "k": Param(int),
+                           "delta": Param(float, 1.0, bound=(">", 0.0)),
+                           "h": Param(float, 0.3, bound=(">", 0.0)), "base": _BASE},
+                          _bind_sigma_basic),
     "const_control": Target({"n": Param(int, 10), "m": Param(int, 3)}, _bind_const_control),
 }
 

@@ -50,9 +50,11 @@ class PowerSumInstance:
         n2 = self.n2
         if self.A.shape != (n2, self.m) or self.F.shape != (n2, n2 - self.m):
             raise ValueError("instance arrays have inconsistent shapes")
-        if np.linalg.norm(self.F.T @ self.F - np.eye(n2 - self.m)) > 1e-10:
+        if not np.linalg.norm(self.F.T @ self.F - np.eye(n2 - self.m)) <= 1e-10:
             raise ValueError("completion F is not orthonormal")
-        if np.linalg.norm(self.F.T @ self.A) > 1e-8 * np.linalg.norm(self.A):
+        # Scaled to entries of at most 1: norms of A itself overflow past about 1e154.
+        A = self.A / np.abs(self.A).max()
+        if not np.linalg.norm(self.F.T @ A) <= 1e-8 * np.linalg.norm(A):
             raise ValueError("completion F is not orthogonal to A")
 
 
@@ -134,8 +136,7 @@ def build_claim_W(instance: PowerSumInstance, rho1: float, rho2: float,
     return sym_merge(instance.n, 2, 2, variant).identity_kron(U)
 
 
-def build_projected_V(matrices: list[np.ndarray], ell: int,
-                      budget_fraction: float = 0.1) -> np.ndarray:
+def build_projected_V(matrices: list[np.ndarray], ell: int) -> np.ndarray:
     """Block matrix of lifted column selections next to the full matrices.
 
     For each of the m input n x n matrices, take its first ell columns S_t and
@@ -154,8 +155,8 @@ def build_projected_V(matrices: list[np.ndarray], ell: int,
     r = n**2 - n * ell - m * math.comb(ell + 1, 2) - m + 1
     if r <= 0:
         raise ValueError(f"dimension budget violated: r = {r} <= 0")
-    if r < budget_fraction * n**2:
-        warnings.warn(f"slack dimension r = {r} below {budget_fraction} * n^2",
+    if r < 0.1 * n**2:
+        warnings.warn(f"slack dimension r = {r} below 0.1 * n^2",
                       RuntimeWarning, stacklevel=2)
     cols = [sym_lift(M[:, :ell], 2).data for M in mats]
     cols += [M.reshape(n * n, 1) for M in mats]
@@ -244,15 +245,9 @@ def build_power_matrix(points: np.ndarray, r: int) -> np.ndarray:
     return power_row(np.atleast_2d(np.asarray(points, dtype=float)), r)
 
 
-def evaluate_power_row(row: np.ndarray, x: np.ndarray, r: int) -> float:
-    """Pair a coefficient row with the monomial vector of x (oracle helper)."""
-    return float(row @ _monomials(np.asarray(x, dtype=float), r))
-
-
 def small_ball_estimate(base_point: np.ndarray, r: int, sigma: float,
-                        a: np.ndarray, eps: float, trials: int, seed: int,
-                        y: float = 0.0) -> dict:
-    """Monte Carlo frequency of |<row(u + noise), a> - y| < eps.
+                        a: np.ndarray, eps: float, trials: int, seed: int) -> dict:
+    """Monte Carlo frequency of |<row(u + noise), a>| < eps.
 
     Fresh sigma-perturbations of the base point per trial; the result carries
     the count, frequency, and a Wilson 95% interval.
@@ -269,7 +264,7 @@ def small_ball_estimate(base_point: np.ndarray, r: int, sigma: float,
     hits = 0
     for t in range(trials):
         u = base_point + sigma * _rng.gaussians(base_point.shape, seed, "smallball", t)
-        if abs(float(power_row(u, r) @ a) - y) < eps:
+        if abs(float(power_row(u, r) @ a)) < eps:
             hits += 1
     low, high = wilson_interval(hits, trials)
     return {"hits": hits, "trials": trials, "frequency": hits / trials,

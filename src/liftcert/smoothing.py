@@ -152,15 +152,14 @@ def decoupling_residual(smoothed: SmoothedMatrix, dec: DecoupledFactors,
     return float(np.linalg.norm(lhs - rhs))
 
 
-def error_norm_bound(dec: DecoupledFactors, base: np.ndarray, rho: float,
-                     margin: float = 2.0) -> float:
-    """Frozen-constant envelope for the remainder norm (with safety margin)."""
+def error_norm_bound(dec: DecoupledFactors, base: np.ndarray, rho: float) -> float:
+    """Frozen-constant envelope for the remainder norm (with its 2x safety margin)."""
     d = dec.d
     if d not in ERROR_NORM_CONST:
         raise ValueError(f"no frozen constant for d = {d}")
     n, m = base.shape
     opnorm = float(np.linalg.norm(base, 2))
-    return margin * ERROR_NORM_CONST[d] * (1 + opnorm ** (d - 2)) * rho**2 * (n * m) ** (d / 2)
+    return 2.0 * ERROR_NORM_CONST[d] * (1 + opnorm ** (d - 2)) * rho**2 * (n * m) ** (d / 2)
 
 
 def gaussian_ball_log_prob_bound(n: int, delta: float, rho: float) -> float:

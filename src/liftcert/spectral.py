@@ -1,8 +1,8 @@
 """Singular-value queries, leave-one-out distances, and column selection.
 
 Everything here is an exact dense decomposition (LAPACK via numpy); there is
-no sketching or iteration.  Rank decisions use a numerical-zero threshold of
-1e-10 times the largest singular value unless the caller overrides it.
+no sketching or iteration.  Every rank decision is ``_rank_of_values``: a
+numerical-zero cut of 1e-10 times the largest singular value, or the caller's.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ def singular_values(A: np.ndarray) -> np.ndarray:
 
 
 def check_orthonormal(basis: np.ndarray) -> None:
-    """Refuse a basis whose Gram residual ||B^T B - I||_F exceeds 1e-8."""
+    """Refuse a basis whose Gram residual ||B^T B - I||_F exceeds 1e-8 or is nan."""
     gram_resid = np.linalg.norm(basis.T @ basis - np.eye(basis.shape[1]))
-    if gram_resid > 1e-8:
+    if not gram_resid <= 1e-8:
         raise ValueError(f"basis is not orthonormal (Gram residual {gram_resid:.3e})")
 
 
@@ -155,13 +155,11 @@ def block_leave_one_out(family: BlockFamily) -> float:
     return float(1.0 / max(np.linalg.norm(part, 2) for part in rows_of_blocks))
 
 
-def orth_complement_projector(columns: np.ndarray, tolerance: float | None = None) -> np.ndarray:
+def orth_complement_projector(columns: np.ndarray) -> np.ndarray:
     """Projector onto the orthogonal complement of the column span."""
     columns = np.asarray(columns, dtype=float)
-    if columns.size == 0:
-        return np.eye(columns.shape[0])
     U, s, _ = np.linalg.svd(columns, full_matrices=False)
-    Q = U[:, :_rank_of_values(s, tolerance)]
+    Q = U[:, :_rank_of_values(s)]
     return np.eye(columns.shape[0]) - Q @ Q.T
 
 
@@ -181,8 +179,7 @@ def _spanner_indices(B: np.ndarray, swap_ratio: float, start: list[int] | None =
         for _ in range(k):
             j = int(np.argmax(np.linalg.norm(R, axis=0)))
             S.append(j)
-            col = B[:, S].copy()
-            Q, _ = np.linalg.qr(col)
+            Q, _ = np.linalg.qr(B[:, S])
             R = B - Q @ (Q.T @ B)
     else:
         S = list(start)
@@ -200,7 +197,7 @@ def _spanner_indices(B: np.ndarray, swap_ratio: float, start: list[int] | None =
         S[pos] = int(j)
 
 
-def wellcond_column_subset(A: np.ndarray, k: int, tolerance: float | None = None) -> list[int]:
+def wellcond_column_subset(A: np.ndarray, k: int) -> list[int]:
     """A k-subset S of column indices with sigma_k(A[:, S]) >= sigma_k(A) / (2 sqrt(nk)).
 
     n is the number of columns of A.  Uses a greedy 2-approximate volume
@@ -212,9 +209,8 @@ def wellcond_column_subset(A: np.ndarray, k: int, tolerance: float | None = None
     if not 1 <= k <= min(A.shape):
         raise ValueError(f"k = {k} out of range for shape {A.shape}")
     U, s, _ = np.linalg.svd(A, full_matrices=False)
-    tol = DEFAULT_RTOL * (s[0] if s.size else 0.0) if tolerance is None else tolerance
-    if s[k - 1] <= tol:
-        raise RankError(f"sigma_{k}(A) = {s[k-1]:.3e} is below the tolerance {tol:.3e}")
+    if _rank_of_values(s) < k:
+        raise RankError(f"sigma_{k}(A) = {s[k-1]:.3e} is below {DEFAULT_RTOL:g} times sigma_1(A)")
     B = U[:, :k].T @ A
     return sorted(_spanner_indices(B, swap_ratio=2.0))
 
@@ -245,29 +241,31 @@ class GoodBlocksResult:
     selected: list
     relative_sigmas: dict
     params: dict
-    seed: int | None = None
 
     def to_json(self) -> dict:
         return {
             "selected": list(self.selected),
             "relative_sigmas": {str(k): float(v) for k, v in self.relative_sigmas.items()},
             "params": self.params,
-            "seed": self.seed,
         }
 
 
+def _off_other_blocks(family: BlockFamily, keep: list[int], j: int,
+                      cols: np.ndarray) -> np.ndarray:
+    """cols with the span of the blocks in keep, other than block j, projected out."""
+    others = [family.blocks[r] for r in keep if r != j]
+    return orth_complement_projector(np.hstack(others)) @ cols if others else cols
+
+
 def good_blocks(family: BlockFamily, delta: float, rng: np.random.Generator,
-                c1: float = 1.0 / 6.0, c2: float = 1.0 / 6.0,
-                survival_fraction: float = 1.0 / 6.0,
-                component_threshold: float | None = None,
-                seed: int | None = None) -> GoodBlocksResult:
+                c1: float = 1.0 / 6.0) -> GoodBlocksResult:
     """Randomly select blocks that keep large rank relative to each other.
 
     Three steps: (1) pick a well-conditioned subset M of ceil(delta * n1 * n2)
     columns of the concatenation, (2) include block j with probability
     c1 * |M in block j| / n2, (3) discard included blocks with fewer than
-    survival_fraction * delta * n2 columns of M retaining a component of at
-    least ``component_threshold`` orthogonal to the span of the other included
+    delta * n2 / 6 columns of M retaining a component of at least
+    1 / (R n1 n2 sqrt(delta)) orthogonal to the span of the other included
     blocks.  An empty survivor set is a reported outcome, not an error: the
     guarantee behind the procedure is probabilistic.
     """
@@ -289,26 +287,22 @@ def good_blocks(family: BlockFamily, delta: float, rng: np.random.Generator,
     draws = rng.random(n1)
     T = [j for j in range(n1) if draws[j] < c1 * alphas[j]]
 
-    if component_threshold is None:
-        component_threshold = 1.0 / (R * n1 * n2 * math.sqrt(delta))
+    c2 = survival_fraction = 1.0 / 6.0
+    component_threshold = 1.0 / (R * n1 * n2 * math.sqrt(delta))
     need = delta * n2 * survival_fraction
     survivors = []
     for j in T:
-        others = [family.blocks[r] for r in T if r != j]
-        P = orth_complement_projector(np.hstack(others)) if others else np.eye(R)
         cols = family.blocks[j][:, in_block[j]]
         if cols.shape[1] == 0:
             continue
-        comp = np.linalg.norm(P @ cols, axis=0)
+        comp = np.linalg.norm(_off_other_blocks(family, T, j, cols), axis=0)
         if np.count_nonzero(comp >= component_threshold) >= need:
             survivors.append(j)
 
     sigma_index = max(1, math.ceil(c2 * delta * n2))
     rel = {}
     for j in survivors:
-        others = [family.blocks[r] for r in survivors if r != j]
-        P = orth_complement_projector(np.hstack(others)) if others else np.eye(R)
-        s = singular_values(P @ family.blocks[j])
+        s = singular_values(_off_other_blocks(family, survivors, j, family.blocks[j]))
         rel[family.labels[j]] = float(s[sigma_index - 1]) if sigma_index <= s.size else 0.0
 
     return GoodBlocksResult(
@@ -317,7 +311,6 @@ def good_blocks(family: BlockFamily, delta: float, rng: np.random.Generator,
         params={"delta": delta, "c1": c1, "c2": c2,
                 "survival_fraction": survival_fraction,
                 "component_threshold": component_threshold},
-        seed=seed,
     )
 
 

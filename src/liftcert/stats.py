@@ -9,21 +9,19 @@ import numpy as np
 Z95 = 1.959963984540054
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson 95% score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     p = successes / trials
-    denom = 1.0 + z**2 / trials
-    center = (p + z**2 / (2 * trials)) / denom
-    half = z * math.sqrt(p * (1 - p) / trials + z**2 / (4 * trials**2)) / denom
+    denom = 1.0 + Z95**2 / trials
+    center = (p + Z95**2 / (2 * trials)) / denom
+    half = Z95 * math.sqrt(p * (1 - p) / trials + Z95**2 / (4 * trials**2)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 
 def quantile_summary(values) -> dict:
     v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        return {"min": None, "q25": None, "median": None, "q75": None, "max": None}
     return {
         "min": float(np.min(v)),
         "q25": float(np.quantile(v, 0.25)),

@@ -344,13 +344,6 @@ def sym_project(v: np.ndarray, n: int, d: int) -> np.ndarray:
     return means[orbits.ids].reshape(v.shape)
 
 
-def sym_projector_matrix(n: int, d: int) -> np.ndarray:
-    """Dense n**d x n**d matrix of the mode-permutation averaging projector."""
-    _check_entries((n**d, n**d), f"the projector with n = {n}, d = {d}")
-    ids, weight = _orbits(n, d)[:2]
-    return np.where(ids[:, None] == ids, weight, 0.0)
-
-
 def sel_avg(m: int, d: int) -> np.ndarray:
     """Selector converting a full Kronecker power into the symmetrized lift.
 

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import rng as _rng
 from .matrixio import matrix_sha256
-from .spectral import NonFiniteMatrixError, check_orthonormal, sign_normalize_rows, singular_values
+from .spectral import (NonFiniteMatrixError, _rank_of_values, check_orthonormal,
+                       sign_normalize_rows, singular_values)
 from .tensor_lift import _check_entries, _rank, from_sym_coords, sym_coords, sym_lift
 
 ORTHO_DROP_RTOL = 1e-8
@@ -84,8 +85,7 @@ def separable_generators(dims: tuple[int, ...]) -> np.ndarray:
                          for combo in itertools.product(*factor_bases)])
 
     _, s, Vt = np.linalg.svd(B.T, full_matrices=True)
-    rank = int(np.count_nonzero(s > ORTHO_DROP_RTOL * s[0]))
-    return sign_normalize_rows(Vt[rank:])
+    return sign_normalize_rows(Vt[_rank_of_values(s, ORTHO_DROP_RTOL * s[0]):])
 
 
 @dataclass(frozen=True)
@@ -140,10 +140,10 @@ def build_phi(generators: np.ndarray, n: int, d: int,
         raise ValueError(f"generators must be rows of C({n}+{d}-1, {d}) = {width} "
                          f"symmetric coordinates; got shape {G.shape}")
     _, s, Vt = np.linalg.svd(G, full_matrices=False)
-    keep = s > ORTHO_DROP_RTOL * s[0]
-    if not keep.any():
+    rank = _rank_of_values(s, ORTHO_DROP_RTOL * s[0])
+    if rank == 0:
         raise ValueError("no generators survive orthonormalization")
-    return VarietyOperator(n=n, d=d, generators=sign_normalize_rows(Vt[: int(keep.sum())]),
+    return VarietyOperator(n=n, d=d, generators=sign_normalize_rows(Vt[:rank]),
                            provenance=provenance)
 
 
@@ -197,29 +197,25 @@ class CertificateReport:
 
 
 def orthonormalize_basis(B: np.ndarray, keep_first: bool = False) -> np.ndarray:
-    """QR-orthonormalize columns (deterministic signs).
+    """Householder-QR-orthonormalize columns (deterministic signs).
 
-    With ``keep_first`` the first column is only rescaled, never rotated, so
-    planted test fixtures survive orthonormalization exactly.  Dependent columns
-    are refused: more columns than rows, or a QR pivot |R_jj| <= 1e-10 ||B_j||.
+    Dependent columns are refused: more columns than rows, or a QR pivot
+    |R_jj| <= 1e-10 ||B_j||.  ``keep_first`` sets the first column to exactly
+    B_0 / ||B_0||, so planted test fixtures keep their exact point.
     """
     B = np.asarray(B, dtype=float)
     if not np.isfinite(B).all():
         raise NonFiniteMatrixError("basis has non-finite entries")
     if B.shape[1] > B.shape[0]:
         raise ValueError(f"basis has {B.shape[1]} columns in R^{B.shape[0]}, so they are dependent")
-    if keep_first:
-        head = np.linalg.norm(B[:, 0])
-        first = B[:, :1] / (head or 1.0)  # a zero head is refused below
-        Q, R = np.linalg.qr(B[:, 1:] - first @ (first.T @ B[:, 1:]))
-        Q, pivots = np.hstack([first, Q]), np.append(head, np.diag(R))
-    else:
-        Q, R = np.linalg.qr(B)
-        pivots = np.diag(R)
-        Q = Q * np.sign(pivots)  # a zero pivot is refused below
+    Q, R = np.linalg.qr(B)
+    pivots = np.diag(R)
     weak = np.flatnonzero(np.abs(pivots) <= 1e-10 * np.linalg.norm(B, axis=0))
     if weak.size:
         raise ValueError(f"basis column {weak[0]} is zero or nearly in the span of earlier columns")
+    Q = Q * np.sign(pivots)
+    if keep_first:
+        Q[:, 0] = B[:, 0] / np.linalg.norm(B[:, 0])
     return Q
 
 

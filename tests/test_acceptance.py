@@ -19,10 +19,10 @@ from liftcert.smoothing import (decouple, decoupling_residual,
 from liftcert.spectral import (BlockFamily, block_leave_one_out,
                                jacobian_khatri_rao, leave_one_out,
                                singular_values, wellcond_column_subset)
-from liftcert.tensor_lift import (kron_power, sel_avg, sym_lift,
-                                  sym_projector_matrix)
+from liftcert.tensor_lift import kron_power, sel_avg, sym_lift
 from liftcert.varieties import (determinantal_generators,
                                 separable_generators)
+from oracles import sym_projector_matrix
 
 
 def report(num: int, ok: bool, detail: str) -> None:

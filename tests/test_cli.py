@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +276,20 @@ class TestCertify:
         assert code == 2 and out == ""
         assert err == "error: basis has 12 columns in R^9, so they are dependent\n"
 
+    def test_planted_near_parallel_basis_is_orthonormalized(self, tmp_path, capsys):
+        # A second column just above the pivot cut: one Gram-Schmidt pass
+        # against the kept first column left a Gram residual of 1.9e-7, and
+        # certify refused the basis as not orthonormal.
+        v = np.arange(1.0, 10.0)
+        w = v + 1e-8 * np.random.default_rng(12).standard_normal(9)
+        path = tmp_path / "nearly.csv"
+        save_matrix_csv(path, np.column_stack([v, w]))
+        code, out, err = run_cli(capsys, "certify", "--variety", "determinantal:3,3,1",
+                                 "--basis", f"planted:{path}+0", "--tol", "0")
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["config"]["planted"] and payload["m"] == 2
+
     @pytest.mark.parametrize("m", ["-1", "0", "x", ""])
     def test_random_basis_needs_positive_m(self, capsys, m):
         code, _, err = run_cli(capsys, "certify", "--variety", "determinantal:3,3,1",
@@ -401,6 +416,16 @@ class TestExperiment:
         assert code == 3 and out == ""
         assert err == f"internal error: {message}\n"
 
+    def test_float_param_out_of_range_is_usage_error(self, tmp_path, capsys):
+        # tau_factor = -1 failed inside the first trial with "tau must be
+        # non-negative", naming no param.
+        cfg = self.config_file(tmp_path, target="jacobian_probe",
+                               params={"n": 4, "m": 2, "k": 1, "tau_factor": -1.0})
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg),
+                                 "--out-dir", str(tmp_path / "out"))
+        assert code == 2 and out == ""
+        assert err == "error: param 'tau_factor' must be >= 0.0, got -1.0\n"
+
     def test_help_enumerates_targets(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--help"])
@@ -470,6 +495,17 @@ class TestPowersum:
                                  "--m", "3", "--rho", "1e308", "--trials", "1", "--seed", "0")
         assert code == 3 and out == ""
         assert err.startswith("internal error: ")
+
+    def test_huge_rho_checks_the_completion_without_overflow(self, capsys):
+        # The completion check took norms of the 1e160-scale forms, which
+        # overflowed (a RuntimeWarning) and so could never fire.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "powersum", "--check", "claim77", "--n", "4",
+                                     "--m", "3", "--rho", "1e160", "--trials", "1",
+                                     "--seed", "0")
+        assert code == 0 and err == ""
+        assert [str(w.message) for w in caught] == []
 
     def test_unknown_check_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

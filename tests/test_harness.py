@@ -81,6 +81,29 @@ class TestConfig:
             run_experiment(cfg(target="conj81", params={"n": 8, "m": 2,
                                                         "control": "duplicat"}))
 
+    @pytest.mark.parametrize("target, params, message", [
+        ("thm51", {"n": 4, "m": 2, "delta": 3.0}, "param 'delta' must be <= 1.0, got 3.0"),
+        ("thm52", {"n": 4, "m": 2, "delta": 1.5}, "param 'delta' must be <= 1.0, got 1.5"),
+        ("cor53", {"n": 4, "m": 2, "delta": 2.0}, "param 'delta' must be <= 1.0, got 2.0"),
+        ("sigma_basic", {"n": 10, "k": 4, "delta": -1.0}, "param 'delta' must be > 0.0, got -1.0"),
+        ("sigma_basic", {"n": 10, "k": 4, "delta": 0.0}, "param 'delta' must be > 0.0, got 0.0"),
+        ("sigma_basic", {"n": 10, "k": 4, "h": 0}, "param 'h' must be > 0.0, got 0"),
+        ("jacobian_probe", {"n": 4, "m": 2, "k": 1, "tau_factor": -1.0},
+         "param 'tau_factor' must be >= 0.0, got -1.0"),
+    ])
+    def test_float_param_out_of_range_is_refused_by_name(self, target, params, message):
+        # thm51 at delta = 3 asked for 30 rows of a 10-dimensional space and
+        # silently got 10; sigma_basic at delta = -1 passed every trial.
+        with pytest.raises(ValueError) as exc:
+            cfg(target=target, params=params)
+        assert str(exc.value) == message
+
+    def test_float_param_range_ends_are_accepted(self):
+        assert cfg(target="jacobian_probe",
+                   params={"n": 4, "m": 2, "k": 1, "tau_factor": 0}).params["tau_factor"] == 0.0
+        small = cfg(target="sigma_basic", params={"n": 10, "k": 4, "delta": 1e-300, "h": 1e-300})
+        assert small.params["delta"] == small.params["h"] == 1e-300
+
     @pytest.mark.parametrize("target, params, named", [
         ("thm51", {"n": 2, "m": 3}, "n=2, m=3, d=2, delta=0.5"),
         ("cor53", {"n": 4, "m": 2, "blocks": 4}, "blocks=4"),

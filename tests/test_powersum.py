@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -9,14 +10,14 @@ from scipy.stats import norm
 from liftcert.powersum import (ClusteringInstance, antisym_witnesses,
                                build_block_lift, build_claim_Q, build_claim_W,
                                build_power_matrix, build_projected_V,
-                               build_solution_space_M, evaluate_power_row,
-                               make_clustering_instance,
+                               build_solution_space_M, make_clustering_instance,
                                make_power_sum_instance, make_symmetric_columns,
                                build_sym4_IkronA, power_row,
                                small_ball_estimate, symmetric_cube_lift)
 from liftcert.smoothing import noise_layers
 from liftcert.spectral import singular_values
 from liftcert.tensor_lift import sym_lift, sym_merge
+from oracles import evaluate_power_row
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +83,20 @@ class TestPowerSumInstance:
         assert np.linalg.norm(inst43.F.T @ inst43.F - np.eye(n2 - 3)) <= 1e-10
         assert np.linalg.norm(inst43.F.T @ inst43.A) <= \
             1e-8 * np.linalg.norm(inst43.A)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-300])
+    def test_completion_checks_are_scale_free(self, inst43, scale):
+        # Norms of A overflow past about 1e154 (and underflow at 1e-300), so
+        # comparing them unscaled accepted any completion at these scales.
+        A = scale * inst43.A
+        assert dataclasses.replace(inst43, A=A).A is A
+        skew = np.eye(inst43.n2)[:, :inst43.n2 - inst43.m]
+        with pytest.raises(ValueError, match="completion F is not orthogonal to A"):
+            dataclasses.replace(inst43, A=A, F=skew)
+        with pytest.raises(ValueError, match="completion F is not orthogonal to A"):
+            dataclasses.replace(inst43, A=np.where(A == A[0, 0], np.nan, A))
+        with pytest.raises(ValueError, match="completion F is not orthonormal"):
+            dataclasses.replace(inst43, F=np.where(skew == 1.0, np.nan, skew))
 
     def test_deterministic(self):
         a = make_power_sum_instance(4, 3, 0.1, seed=5)

@@ -9,7 +9,8 @@ from liftcert.smoothing import (ERROR_NORM_CONST, DecoupledFactors,
                                 error_norm_bound,
                                 gaussian_ball_log_prob_bound, noise_layers, perturb)
 from liftcert.rng import gaussians
-from liftcert.tensor_lift import LiftSizeError, sym_project, sym_projector_matrix
+from liftcert.tensor_lift import LiftSizeError, sym_project
+from oracles import sym_projector_matrix
 
 
 def symmetric_row_operator(n, d, rows, seed):

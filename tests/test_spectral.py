@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from liftcert.spectral import (BlockFamily, RankError, block_leave_one_out,
-                               count_large_singulars, good_blocks,
+                               check_orthonormal, count_large_singulars, good_blocks,
                                jacobian_khatri_rao, leave_one_out, numerical_rank,
                                orth_complement_projector, singular_values,
                                spread_vector, wellcond_column_subset)
@@ -265,6 +265,15 @@ class TestSpreadVector:
             spread_vector(np.ones((4, 2)))
 
 
+class TestCheckOrthonormal:
+    def test_refuses_a_nan_residual(self):
+        # A nan residual compared false against the cut, so it passed.
+        B = np.eye(4)[:, :2]
+        B[1, 1] = np.nan
+        with pytest.raises(ValueError, match=r"basis is not orthonormal \(Gram residual nan\)"):
+            check_orthonormal(B)
+
+
 class TestGoodBlocks:
     def test_orthogonal_blocks_selected_with_full_relative_sigma(self):
         fam = BlockFamily([np.eye(8)[:, :4], np.eye(8)[:, 4:]])
@@ -305,7 +314,7 @@ class TestGoodBlocks:
         res = good_blocks(fam, 1.0, np.random.default_rng(1))  # likely empty draw
         assert isinstance(res.selected, list)
         payload = res.to_json()
-        assert set(payload) == {"selected", "relative_sigmas", "params", "seed"}
+        assert set(payload) == {"selected", "relative_sigmas", "params"}
 
 
 class TestJacobianKhatriRao:

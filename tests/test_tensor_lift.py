@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liftcert import tensor_lift
-from liftcert.powersum import build_power_matrix, evaluate_power_row, power_row
+from liftcert.powersum import build_power_matrix, power_row
 from liftcert.tensor_lift import (LiftSizeError, enumerate_multi_indices,
                                   from_sym_coords, khatri_rao, kron_power,
                                   sel_avg, sym_coords, sym_kron, sym_lift,
-                                  sym_merge, sym_project, sym_projector_matrix)
+                                  sym_merge, sym_project)
+from oracles import evaluate_power_row, sym_projector_matrix
 
 
 def brute_force_tuples(n, d):

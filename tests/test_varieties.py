@@ -286,6 +286,13 @@ class TestCertify:
             want = singular_values(op.phi @ sym_lift(Q, op.d).data)[-1]
             assert abs(certify(op, Q).eta - want) <= 1e-12 * want
 
+    def test_nan_basis_is_refused(self):
+        op = determinantal_operator(2, 2, 1)
+        basis = (np.eye(2) / math.sqrt(2.0)).reshape(4, 1)
+        basis[2, 0] = np.nan
+        with pytest.raises(ValueError, match="basis is not orthonormal"):
+            certify(op, basis)
+
     def test_report_serialization(self):
         op = determinantal_operator(2, 2, 1)
         basis = (np.eye(2) / math.sqrt(2.0)).reshape(4, 1)
@@ -327,7 +334,15 @@ class TestOrthonormalizeBasis:
         v = np.arange(1.0, 10.0)
         w = v + 1e-8 * np.random.default_rng(12).standard_normal(9)
         Q = orthonormalize_basis(np.column_stack([v, w]), keep_first=keep_first)
-        assert Q.shape == (9, 2) and np.linalg.norm(Q.T @ Q - np.eye(2)) <= 1e-6
+        assert Q.shape == (9, 2) and np.linalg.norm(Q.T @ Q - np.eye(2)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_keep_first_sets_the_first_column_exactly(self, seed):
+        B = np.random.default_rng(seed).standard_normal((7, 3))
+        Q = orthonormalize_basis(B, keep_first=True)
+        assert np.array_equal(Q[:, 0], B[:, 0] / np.linalg.norm(B[:, 0]))
+        assert np.linalg.norm(Q.T @ Q - np.eye(3)) <= 1e-12
+        assert np.array_equal(Q[:, 1:], orthonormalize_basis(B)[:, 1:])
 
     def test_keep_first_preserves_direction(self):
         rng = np.random.default_rng(9)
