@@ -10,6 +10,7 @@ output records the fully resolved configuration in its header.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import math
@@ -183,6 +184,21 @@ def _powersum_params() -> list[str]:
 
 
 @functools.cache
+def _openblas_threads() -> list:
+    """(get, set) thread counts of each OpenBLAS in /proc/self/maps: numpy has no thread API,
+    and OpenBLAS reads OPENBLAS_NUM_THREADS only as it loads.  Empty on macOS, MKL, Accelerate."""
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = [ctypes.CDLL(path) for path in {line.split(maxsplit=5)[-1].strip()
+                                                   for line in maps if "openblas" in line}]
+    except OSError:
+        return []
+    pairs = [tuple(getattr(lib, f"{name}_{verb}_num_threads{tail}", None) for verb in ("get", "set"))
+             for lib in libs for name in ("scipy_openblas", "openblas") for tail in ("64_", "")]
+    return [pair for pair in pairs if all(pair)]
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process."""
     parser = argparse.ArgumentParser(
@@ -252,8 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command with OpenBLAS on one thread, so bytes do not depend on the core count."""
     args = build_parser().parse_args(argv)
+    restore = [(set_threads, get()) for get, set_threads in _openblas_threads()]
     try:
+        for set_threads, _ in restore:
+            set_threads(1)
         return args.func(args)
     except (np.linalg.LinAlgError, ArithmeticError) as exc:
         sys.stderr.write(f"internal error: {exc}\n")
@@ -261,6 +281,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    finally:
+        for set_threads, count in restore:
+            set_threads(count)
 
 
 if __name__ == "__main__":

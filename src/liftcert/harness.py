@@ -206,6 +206,10 @@ def _bind_lift(p, config):
     return measure
 
 
+def _kron(P: np.ndarray, F: np.ndarray) -> np.ndarray:  # np.kron's one product per entry
+    return (P[:, None, :, None] * F[None, :, None, :]).reshape(len(P) * len(F), -1)
+
+
 def _bind_thm52(p, config):
     n, m, d = p["n"], p["m"], p["d"]
     rank = math.ceil(p["delta"] * math.comb(n + d - 1, d))
@@ -215,8 +219,8 @@ def _bind_thm52(p, config):
              for j in range(d)]
 
     def measure(rho, seed):
-        prod = reduce(np.kron, [bases[j] + rho * _rng.gaussians((n, m), seed, "noise", j)
-                                for j in range(d)])
+        prod = reduce(_kron, [bases[j] + rho * _rng.gaussians((n, m), seed, "noise", j)
+                              for j in range(d)])
         return float(singular_values(psi @ prod)[m**d - 1]), None, None
     return measure
 

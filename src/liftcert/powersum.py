@@ -50,6 +50,8 @@ class PowerSumInstance:
         n2 = self.n2
         if self.A.shape != (n2, self.m) or self.F.shape != (n2, n2 - self.m):
             raise ValueError("instance arrays have inconsistent shapes")
+        if not self.A.any():
+            raise ValueError("forms A are all zero")
         if not np.linalg.norm(self.F.T @ self.F - np.eye(n2 - self.m)) <= 1e-10:
             raise ValueError("completion F is not orthonormal")
         # Scaled to entries of at most 1: norms of A itself overflow past about 1e154.

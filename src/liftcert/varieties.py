@@ -210,12 +210,15 @@ def orthonormalize_basis(B: np.ndarray, keep_first: bool = False) -> np.ndarray:
         raise ValueError(f"basis has {B.shape[1]} columns in R^{B.shape[0]}, so they are dependent")
     Q, R = np.linalg.qr(B)
     pivots = np.diag(R)
-    weak = np.flatnonzero(np.abs(pivots) <= 1e-10 * np.linalg.norm(B, axis=0))
+    # Columns scaled by powers of two to entries below 1: exact, and their norms cannot overflow.
+    exp = np.frexp(np.abs(B).max(axis=0))[1]
+    scaled = np.ldexp(B, -exp)
+    weak = np.flatnonzero(np.abs(np.ldexp(pivots, -exp)) <= 1e-10 * np.linalg.norm(scaled, axis=0))
     if weak.size:
         raise ValueError(f"basis column {weak[0]} is zero or nearly in the span of earlier columns")
     Q = Q * np.sign(pivots)
     if keep_first:
-        Q[:, 0] = B[:, 0] / np.linalg.norm(B[:, 0])
+        Q[:, 0] = scaled[:, 0] / np.linalg.norm(scaled[:, 0])
     return Q
 
 

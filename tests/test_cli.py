@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from liftcert import cli
 from liftcert.cli import main
 from liftcert.matrixio import dump_json, load_matrix_csv, matrix_to_csv
+from oracles import matrix_to_csv_per_entry
 
 
 def save_matrix_csv(path, A):
@@ -21,6 +23,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def src_env(**extra):
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
 
 
 def flag_error(capsys, *argv):
@@ -306,14 +315,81 @@ class TestCertify:
 
 
 def test_import_leaves_scipy_unloaded():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     code = ("import sys, liftcert, liftcert.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+class TestBlasThreads:
+    @pytest.fixture
+    def thread_counts(self):
+        """Each loaded OpenBLAS set to 2 threads; yields a reader of the counts."""
+        controls = cli._openblas_threads()
+        if not controls:
+            pytest.skip("no OpenBLAS thread control in this process")
+        before = [get() for get, _ in controls]
+        for _, set_threads in controls:
+            set_threads(2)
+        yield lambda: [get() for get, _ in controls]
+        for (_, set_threads), count in zip(controls, before):
+            set_threads(count)
+
+    @pytest.mark.parametrize("fault, code", [(None, 0), (np.linalg.LinAlgError, 3),
+                                             (ValueError, 2), (RuntimeError, None)])
+    def test_main_runs_on_one_thread_and_restores_the_count(
+            self, tmp_path, capsys, monkeypatch, thread_counts, fault, code):
+        real, seen = cli.singular_values, []
+
+        def spy(A):
+            seen.append(thread_counts())
+            if fault:
+                raise fault("injected")
+            return real(A)
+        monkeypatch.setattr(cli, "singular_values", spy)
+        path = tmp_path / "m.csv"
+        save_matrix_csv(path, np.arange(6.0).reshape(3, 2))
+        if code is None:
+            with pytest.raises(fault):
+                main(["spectrum", "--matrix", str(path)])
+        else:
+            assert run_cli(capsys, "spectrum", "--matrix", str(path))[0] == code
+        ones, twos = ([k] * len(thread_counts()) for k in (1, 2))
+        assert seen == [ones] and thread_counts() == twos
+
+    def test_experiment_bytes_do_not_depend_on_the_thread_count(self, tmp_path):
+        # Without the pin, a second OpenBLAS thread changes the last bits of
+        # both CSVs at this master_seed.
+        outputs = {}
+        for threads in ("1", "2"):
+            for target, m in (("prop73", 8), ("claim76", 4)):
+                config = tmp_path / f"{target}.json"
+                config.write_text(json.dumps({
+                    "target": target, "params": {"n": 10, "m": m}, "rho_grid": [0.3],
+                    "trials": 1, "master_seed": 1, "threshold": 1e-8, "name": target}))
+                subprocess.run([sys.executable, "-m", "liftcert.cli", "experiment",
+                                "--config", str(config), "--out-dir", str(tmp_path / threads)],
+                               env=src_env(OPENBLAS_NUM_THREADS=threads),
+                               capture_output=True, check=True, timeout=300)
+                outputs.setdefault(target, []).append((tmp_path / threads / f"{target}.csv").read_bytes())
+        assert all(one == two for one, two in outputs.values())
+
+
+class TestMatrixToCsv:
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.2250738585072014e-308,
+               1e308, -1e308, 1e16, 1 / 3, -0.1, 2.0**70]
+
+    @pytest.mark.parametrize("shape", [(3, 4), (12, 1), (1, 12), (12,), (0, 3), (3, 0), ()])
+    def test_matches_the_per_entry_writer(self, shape):
+        values = np.resize(np.array(self.SPECIAL), int(np.prod(shape))).reshape(shape)
+        for header in (None, ["config: {\"tol\": \"5%\"}", "second"]):
+            assert matrix_to_csv(values, header) == matrix_to_csv_per_entry(values, header)
+
+    def test_matches_the_per_entry_writer_on_random_scales(self):
+        rng = np.random.default_rng(16)
+        A = rng.standard_normal((500, 4)) * 10.0 ** rng.integers(-320, 308, (500, 4))
+        assert matrix_to_csv(A) == matrix_to_csv_per_entry(A)
 
 
 class TestJson:

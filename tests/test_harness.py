@@ -1,14 +1,16 @@
 import math
 import re
+from functools import reduce
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liftcert import rng, tensor_lift
 from liftcert.harness import (REQUIRED, TARGETS, ExperimentConfig,
-                              _random_row_isometry, caa_probe, jacobian_probe,
+                              _kron, _random_row_isometry, caa_probe, jacobian_probe,
                               run_experiment, scaling_study, sigma_basic_check)
 from liftcert.spectral import singular_values
 from liftcert.tensor_lift import LiftSizeError, from_sym_coords, sym_lift
@@ -399,3 +401,12 @@ class TestTargetTable:
         with pytest.raises(ValueError, match=f"unknown param '{name}'"):
             ExperimentConfig(target=target, params={**params, name: 1},
                              rho_grid=[0.3], trials=1, master_seed=1, threshold=1e-9)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kron_fold_matches_np_kron_bit_for_bit(d):
+    # thm52's trial folds its factors by broadcasting; each entry is the same
+    # one product that np.kron forms, so the bits must agree.
+    factors = [np.random.default_rng([d, j]).standard_normal((6, 3)) for j in range(d)]
+    factors.append(np.random.default_rng(d).standard_normal((2, 5)))
+    assert np.array_equal(reduce(_kron, factors), reduce(np.kron, factors))

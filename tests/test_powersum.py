@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,14 @@ class TestPowerSumInstance:
             dataclasses.replace(inst43, A=np.where(A == A[0, 0], np.nan, A))
         with pytest.raises(ValueError, match="completion F is not orthonormal"):
             dataclasses.replace(inst43, F=np.where(skew == 1.0, np.nan, skew))
+
+    def test_all_zero_forms_are_refused(self):
+        # Scaling A by its largest entry would divide 0 by 0 and then blame F.
+        inst = make_power_sum_instance(4, 3, 0.1, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="forms A are all zero"):
+                dataclasses.replace(inst, A=0 * inst.A)
 
     def test_deterministic(self):
         a = make_power_sum_instance(4, 3, 0.1, seed=5)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -335,6 +336,23 @@ class TestOrthonormalizeBasis:
         w = v + 1e-8 * np.random.default_rng(12).standard_normal(9)
         Q = orthonormalize_basis(np.column_stack([v, w]), keep_first=keep_first)
         assert Q.shape == (9, 2) and np.linalg.norm(Q.T @ Q - np.eye(2)) <= 1e-12
+
+    @pytest.mark.parametrize("keep_first", [False, True])
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, pytest.param(2.0**520, id="2**520")])
+    def test_huge_and_tiny_bases_match_the_unscaled_one(self, keep_first, scale):
+        # Column norms of B overflow past about 1e154 and lose bits to underflow
+        # near 1e-160, so the pivot test and the kept column use scaled columns.
+        B = np.random.default_rng(14).standard_normal((9, 2))
+        Q = orthonormalize_basis(B, keep_first=keep_first)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Q_scaled = orthonormalize_basis(scale * B, keep_first=keep_first)
+            with pytest.raises(ValueError, match="basis column 1 is zero or nearly"):
+                orthonormalize_basis(scale * np.column_stack([B[:, 0], 3 * B[:, 0]]),
+                                     keep_first=keep_first)
+        assert np.allclose(Q_scaled, Q, rtol=0, atol=1e-15)
+        if scale == 2.0**520:  # an exact scaling leaves every bit in place
+            assert np.array_equal(Q_scaled, Q)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_keep_first_sets_the_first_column_exactly(self, seed):
