@@ -134,9 +134,6 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict) or not isinstance(raw.get("params", {}), dict):
             raise ValueError("the config and its params must be JSON objects")
-        raw = dict(raw)
-        if "rho" in raw and "rho_grid" not in raw:
-            raw["rho_grid"] = [raw.pop("rho")]
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:

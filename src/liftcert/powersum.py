@@ -74,8 +74,7 @@ def make_power_sum_instance(n: int, m: int, rho: float, seed: int) -> PowerSumIn
     return PowerSumInstance(n=n, m=m, A=A, base=base, F=F, rho=rho, seed=seed)
 
 
-def build_sym4_IkronA(instance: PowerSumInstance,
-                         variant: str = "unit_merge") -> np.ndarray:
+def build_sym4_IkronA(instance: PowerSumInstance) -> np.ndarray:
     """The degree-4 merge operator applied to I tensor A.
 
     Columns are indexed by (monomial i, form t) with i slow; column (i, t)
@@ -83,7 +82,7 @@ def build_sym4_IkronA(instance: PowerSumInstance,
     spanned by the antisymmetric pair witnesses, so the numerical rank of the
     result is m*N2 - C(m, 2) for perturbed instances.
     """
-    return sym_merge(instance.n, 2, 2, variant).identity_kron(instance.A)
+    return sym_merge(instance.n, 2, 2).identity_kron(instance.A)
 
 
 def antisym_witnesses(instance: PowerSumInstance) -> np.ndarray:
@@ -102,8 +101,7 @@ def antisym_witnesses(instance: PowerSumInstance) -> np.ndarray:
     return W / np.linalg.norm(W, axis=0)
 
 
-def build_solution_space_M(instance: PowerSumInstance,
-                           variant: str = "unit_merge") -> np.ndarray:
+def build_solution_space_M(instance: PowerSumInstance) -> np.ndarray:
     """Explicit basis matrix of the merged pair space.
 
     Columns: merged (a_i a_j + a_j a_i) over pairs i <= j in lexicographic
@@ -114,7 +112,7 @@ def build_solution_space_M(instance: PowerSumInstance,
     ii, jj = np.triu_indices(instance.m)
     X = np.hstack([A[:, ii]] + [np.broadcast_to(A[:, [t]], F.shape) for t in range(instance.m)])
     Y = np.hstack([A[:, jj]] + [F] * instance.m)
-    return sym_merge(instance.n, 2, 2, variant).pair_sum(X, Y)
+    return sym_merge(instance.n, 2, 2).pair_sum(X, Y)
 
 
 def build_claim_Q(instance: PowerSumInstance, rho1: float, rho2: float) -> np.ndarray:
@@ -124,8 +122,7 @@ def build_claim_Q(instance: PowerSumInstance, rho1: float, rho2: float) -> np.nd
     return np.hstack([instance.base + Z1 + 2.0 * Z2, instance.F])
 
 
-def build_claim_W(instance: PowerSumInstance, rho1: float, rho2: float,
-                  variant: str = "unit_merge") -> np.ndarray:
+def build_claim_W(instance: PowerSumInstance, rho1: float, rho2: float) -> np.ndarray:
     """Modal contraction of the degree-4 merge operator by [base + Z1, Z2].
 
     Slice i of the merge operator (the columns pairing monomial i with every
@@ -135,7 +132,7 @@ def build_claim_W(instance: PowerSumInstance, rho1: float, rho2: float,
     Z1, Z2 = noise_layers(instance.A - instance.base, instance.rho, (rho1, rho2),
                           instance.seed, "powersum", "layer")
     U = np.hstack([instance.base + Z1, Z2])
-    return sym_merge(instance.n, 2, 2, variant).identity_kron(U)
+    return sym_merge(instance.n, 2, 2).identity_kron(U)
 
 
 def build_projected_V(matrices: list[np.ndarray], ell: int) -> np.ndarray:

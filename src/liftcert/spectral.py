@@ -8,7 +8,7 @@ numerical-zero cut of 1e-10 times the largest singular value, or the caller's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,10 +110,9 @@ def leave_one_out(U: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class BlockFamily:
-    """A list of equal-row-count matrices with identifying labels."""
+    """A list of equal-row-count matrices, each named by its position."""
 
     blocks: list[np.ndarray]
-    labels: list = field(default_factory=list)
 
     def __post_init__(self):
         if not self.blocks:
@@ -121,10 +120,6 @@ class BlockFamily:
         rows = self.blocks[0].shape[0]
         if any(B.shape[0] != rows for B in self.blocks):
             raise ValueError("all blocks must share a row count")
-        if not self.labels:
-            object.__setattr__(self, "labels", list(range(len(self.blocks))))
-        elif len(self.labels) != len(self.blocks):
-            raise ValueError("labels must match blocks")
 
     @property
     def rows(self) -> int:
@@ -303,10 +298,10 @@ def good_blocks(family: BlockFamily, delta: float, rng: np.random.Generator,
     rel = {}
     for j in survivors:
         s = singular_values(_off_other_blocks(family, survivors, j, family.blocks[j]))
-        rel[family.labels[j]] = float(s[sigma_index - 1]) if sigma_index <= s.size else 0.0
+        rel[j] = float(s[sigma_index - 1]) if sigma_index <= s.size else 0.0
 
     return GoodBlocksResult(
-        selected=[family.labels[j] for j in survivors],
+        selected=survivors,
         relative_sigmas=rel,
         params={"delta": delta, "c1": c1, "c2": c2,
                 "survival_fraction": survival_fraction,

@@ -99,6 +99,14 @@ def _flat(rows: np.ndarray, n: int) -> np.ndarray:
     return rows @ (n ** np.arange(d - 1, -1, -1, dtype=np.int64))
 
 
+def _index_rows(n: int, d: int) -> np.ndarray:
+    """Every 0-based index row of the n**d space, in row-major position order."""
+    _check_entries((n**d, d), f"the index rows of the {n}**{d} coordinate space")
+    rows = np.arange(n**d)[:, None] // n ** np.arange(d - 1, -1, -1)
+    rows %= n
+    return rows
+
+
 def _rank(sorted_rows: np.ndarray, n: int) -> np.ndarray:
     """Plan position of each non-decreasing 0-based index row (last axis)."""
     plan = _plan(n, sorted_rows.shape[-1])
@@ -126,8 +134,7 @@ class _Orbits(NamedTuple):
 
 
 def _build_orbits(n: int, d: int) -> _Orbits:
-    digits = np.indices((n,) * d).reshape(d, -1).T
-    ids = _rank(np.sort(digits, axis=1), n)
+    ids = _rank(np.sort(_index_rows(n, d), axis=1), n)
     orbit = _plan(n, d).orbit
     weight = 1.0 / orbit[ids]
     ids.flags.writeable = False
@@ -307,7 +314,7 @@ def sym_kron(factors: list[np.ndarray]) -> np.ndarray:
     n, m = shape
     _check_entries((n**d, math.comb(m + d - 1, d)),
                    f"the symmetrized lift with n = {n}, m = {m}, d = {d}")
-    return _sym_columns(mats, np.indices((n,) * d).reshape(d, -1).T)
+    return _sym_columns(mats, _index_rows(n, d))
 
 
 def sym_lift(U: np.ndarray, d: int) -> LiftMatrix:
@@ -367,20 +374,15 @@ class SymMergeOperator:
 
     Maps the basis pair (I, J) of degree-k1 and degree-k2 multisets to the
     basis vector of the multiset union I + J in degree k1+k2: column (I, J),
-    I slow, has its single entry ``weight`` in row ``target``, the plan row
-    of I + J.  The ``unit_merge`` variant has weight 1 (polynomial
-    multiplication of monomial coefficient vectors); ``weighted_merge``
-    rescales rows and columns so the operator agrees with the orthogonal
-    symmetrization expressed in isometric coordinates.  Both variants share
-    the sparsity pattern and hence the rank.  Both arrays are read-only.
+    I slow, has its single entry 1 in row ``target``, the plan row of I + J.
+    This is polynomial multiplication of monomial coefficient vectors.
+    ``target`` is read-only.
     """
 
     n: int
     k1: int
     k2: int
-    variant: str
     target: np.ndarray
-    weight: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -398,47 +400,37 @@ class SymMergeOperator:
         entry is a single product, placed by one scatter."""
         left = math.comb(self.n + self.k1 - 1, self.k1)
         out = np.zeros((self.shape[0], left, U.shape[1]))
-        out[self.target.reshape(left, -1), np.arange(left)[:, None]] = \
-            self.weight.reshape(left, -1, 1) * U
+        out[self.target.reshape(left, -1), np.arange(left)[:, None]] = U
         return out.reshape(self.shape[0], -1)
 
     def pair_sum(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """The operator times khatri_rao(X, Y) + khatri_rao(Y, X), for k1 = k2,
         without forming either product.  Each of the two products is a
-        grouped sum with the merge weights (the unit merge skips them), and
-        the two are added last, so the result is bit-identical to two sparse
-        products and their sum."""
+        grouped sum, and the two are added last, so the result is
+        bit-identical to two sparse products and their sum."""
         if self.k1 != self.k2:
             raise ValueError(f"a pair sum needs k1 = k2, got {self.k1} and {self.k2}")
-        both = _grouped_sum(self.row_groups, self.shape[0], np.hstack([X, Y]), np.hstack([Y, X]),
-                            None if self.variant == "unit_merge" else self.weight)
+        both = _grouped_sum(self.row_groups, self.shape[0], np.hstack([X, Y]), np.hstack([Y, X]))
         return both[:, :X.shape[1]] + both[:, X.shape[1]:]
 
 
-def _build_merge(n: int, k1: int, k2: int, variant: str) -> SymMergeOperator:
-    left, right, out = _plan(n, k1), _plan(n, k2), _plan(n, k1 + k2)
+def _build_merge(n: int, k1: int, k2: int) -> SymMergeOperator:
+    left, right = _plan(n, k1), _plan(n, k2)
     # Column (I, J), I slow, is the multiset union of left row I and right row J.
     pairs = np.hstack([np.repeat(left.rows, len(right.rows), axis=0),
                        np.tile(right.rows, (len(left.rows), 1))])
     target = _rank(np.sort(pairs, axis=1), n)
-    # prod(multiplicity!) of the union K is (k1+k2)! / orbit(K).
-    d_tot = math.factorial(k1 + k2)
-    weight = np.ones(target.size) if variant == "unit_merge" else np.sqrt(
-        np.outer(left.orbit, right.orbit).ravel() * (d_tot // out.orbit[target]) / d_tot)
     target.flags.writeable = False
-    weight.flags.writeable = False
-    return SymMergeOperator(n=n, k1=k1, k2=k2, variant=variant, target=target, weight=weight)
+    return SymMergeOperator(n=n, k1=k1, k2=k2, target=target)
 
 
 _cached_merge = functools.lru_cache(maxsize=32)(_build_merge)
 
 
-def sym_merge(n: int, k1: int, k2: int, variant: str = "unit_merge") -> SymMergeOperator:
+def sym_merge(n: int, k1: int, k2: int) -> SymMergeOperator:
     """The degree-(k1+k2) merge operator over n variables (shared, read-only)."""
-    if variant not in ("unit_merge", "weighted_merge"):
-        raise ValueError(f"unknown variant {variant!r}")
     if n < 1 or k1 < 1 or k2 < 1:
         raise ValueError("n, k1, k2 must be at least 1")
     columns = math.comb(n + k1 - 1, k1) * math.comb(n + k2 - 1, k2)
     _check_entries((columns, k1 + k2), f"the merge pairs for n = {n}, k1 = {k1}, k2 = {k2}")
-    return (_cached_merge if columns <= _CACHED_ENTRIES else _build_merge)(n, k1, k2, variant)
+    return (_cached_merge if columns <= _CACHED_ENTRIES else _build_merge)(n, k1, k2)

@@ -101,7 +101,6 @@ class VarietyOperator:
     n: int
     d: int
     generators: np.ndarray
-    provenance: str = "custom"
 
     @property
     def phi(self) -> np.ndarray:
@@ -113,19 +112,13 @@ class VarietyOperator:
     def p(self) -> int:
         return self.generators.shape[0]
 
-    @property
-    def density(self) -> float:
-        """Fraction of the symmetric space the generators span."""
-        return self.p / math.comb(self.n + self.d - 1, self.d)
-
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Generator evaluations at the d-th power of a point x in R^n."""
         lift = sym_lift(np.asarray(x, dtype=float)[:, None], self.d)
         return self.generators @ lift.coords[:, 0]
 
 
-def build_phi(generators: np.ndarray, n: int, d: int,
-              provenance: str = "custom") -> VarietyOperator:
+def build_phi(generators: np.ndarray, n: int, d: int) -> VarietyOperator:
     """Orthonormalize dual generators given as rows in isometric symmetric
     coordinates (``tensor_lift.sym_coords``) over R^n, degree d.
 
@@ -143,23 +136,18 @@ def build_phi(generators: np.ndarray, n: int, d: int,
     rank = _rank_of_values(s, ORTHO_DROP_RTOL * s[0])
     if rank == 0:
         raise ValueError("no generators survive orthonormalization")
-    return VarietyOperator(n=n, d=d, generators=sign_normalize_rows(Vt[:rank]),
-                           provenance=provenance)
+    return VarietyOperator(n=n, d=d, generators=sign_normalize_rows(Vt[:rank]))
 
 
 def determinantal_operator(n1: int, n2: int, r: int) -> VarietyOperator:
     """The minors' generators as they are: each row has d! entries +-1/sqrt(d!)
     and distinct minors have disjoint monomial supports, so the rows are
     already orthonormal and ``build_phi``'s SVD would only rotate them."""
-    return VarietyOperator(n1 * n2, r + 1, determinantal_generators(n1, n2, r),
-                           f"determinantal({n1},{n2},{r})")
+    return VarietyOperator(n1 * n2, r + 1, determinantal_generators(n1, n2, r))
 
 
 def separable_operator(dims: tuple[int, ...]) -> VarietyOperator:
-    gens = separable_generators(dims)
-    dims_str = ",".join(str(x) for x in dims)
-    return build_phi(gens, n=math.prod(dims), d=2,
-                     provenance=f"separable({dims_str})")
+    return build_phi(separable_generators(dims), n=math.prod(dims), d=2)
 
 
 def variety_from_spec(spec: str) -> VarietyOperator:

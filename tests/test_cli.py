@@ -71,6 +71,11 @@ class TestLift:
         assert payload["kind"] == "symmetrized"
         assert payload["column_order"] == [[1, 1], [1, 2], [2, 2]]
 
+    def test_degree_above_numpys_dimension_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "lift", "--n", "1", "--m", "1", "--d", "70")
+        assert code == 0
+        assert [line for line in out.splitlines() if not line.startswith("#")] == ["1"]
+
     def test_bad_matrix_spec_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "lift", "--n", "2", "--m", "2",
                                "--d", "2", "--matrix", "nonsense")
@@ -449,6 +454,10 @@ class TestExperiment:
                                     "threshold": 1e-6, "bogus_field": 1}))
         code, _, err = run_cli(capsys, "experiment", "--config", str(path))
         assert code == 2 and "bogus_field" in err
+        path.write_text(json.dumps({"target": "thm51", "params": {"n": 8, "m": 2}, "rho": 0.1,
+                                    "trials": 1, "master_seed": 0, "threshold": 1e-6}))
+        code, _, err = run_cli(capsys, "experiment", "--config", str(path))
+        assert code == 2 and "unknown config fields: ['rho']" in err
 
     @pytest.mark.parametrize("overrides, named", [
         ({"params": {"m": 2}}, "missing required param 'n'"),

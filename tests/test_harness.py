@@ -36,13 +36,16 @@ class TestConfig:
             cfg(study="spiral")
 
     def test_from_dict_round_trip(self):
-        raw = {"target": "thm51", "params": {"n": 8, "m": 2}, "rho": 0.1,
+        raw = {"target": "thm51", "params": {"n": 8, "m": 2}, "rho_grid": [0.1],
                "trials": 3, "master_seed": 4, "threshold": 1e-6}
         config = ExperimentConfig.from_dict(raw)
         assert config.rho_grid == [0.1]
         assert config.name == "thm51"
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({**raw, "bogus": 1})
+        no_grid = {key: value for key, value in raw.items() if key != "rho_grid"}
+        with pytest.raises(ValueError, match=r"unknown config fields: \['rho'\]"):
+            ExperimentConfig.from_dict({**no_grid, "rho": 0.1})
 
     def test_threshold_must_be_finite(self):
         with pytest.raises(ValueError, match="threshold"):

@@ -26,14 +26,13 @@ def inst43():
     return make_power_sum_instance(4, 3, 0.1, seed=123)
 
 
-VARIANTS = ["unit_merge", "weighted_merge"]
 # (n, m) with m = 1 and m = N2 - 1 among them.
 SIZES = [(10, 8), (10, 4), (5, 2), (3, 1), (3, 5)]
 
 
 def _sparse(merge):
     """The merge operator as a sparse matrix: one entry per column."""
-    return sp.csr_matrix((merge.weight, (merge.target, np.arange(merge.target.size))),
+    return sp.csr_matrix((np.ones(merge.target.size), (merge.target, np.arange(merge.target.size))),
                          shape=merge.shape)
 
 
@@ -42,10 +41,10 @@ def _merge_pair(merge, x, y):
     return _sparse(merge) @ np.kron(x, y)
 
 
-def _loop_solution_space_M(instance, variant):
+def _loop_solution_space_M(instance):
     """One merged pair product per column."""
     n2, m = instance.n2, instance.m
-    merge = sym_merge(instance.n, 2, 2, variant)
+    merge = sym_merge(instance.n, 2, 2)
     A, F = instance.A, instance.F
     cols = [_merge_pair(merge, A[:, i], A[:, j]) + _merge_pair(merge, A[:, j], A[:, i])
             for i in range(m) for j in range(i, m)]
@@ -54,27 +53,25 @@ def _loop_solution_space_M(instance, variant):
     return np.column_stack(cols)
 
 
-def _sliced_merge_product(instance, U, variant):
+def _sliced_merge_product(instance, U):
     """Slice i of the merge operator times U, slices side by side."""
     n2 = instance.n2
-    merge = _sparse(sym_merge(instance.n, 2, 2, variant))
+    merge = _sparse(sym_merge(instance.n, 2, 2))
     return np.hstack([merge[:, i * n2:(i + 1) * n2] @ U for i in range(n2)])
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("n, m", SIZES)
-def test_builders_match_loop_oracles(n, m, variant):
+# The "unit_merge" ids keep these cases' names from when a weighted merge
+# variant existed.
+@pytest.mark.parametrize("n, m", SIZES, ids=[f"{n}-{m}-unit_merge" for n, m in SIZES])
+def test_builders_match_loop_oracles(n, m):
     inst = make_power_sum_instance(n, m, 0.3, seed=n + m)
-    assert np.array_equal(build_solution_space_M(inst, variant),
-                          _loop_solution_space_M(inst, variant))
-    assert np.array_equal(build_sym4_IkronA(inst, variant),
-                          _sliced_merge_product(inst, inst.A, variant))
+    assert np.array_equal(build_solution_space_M(inst), _loop_solution_space_M(inst))
+    assert np.array_equal(build_sym4_IkronA(inst), _sliced_merge_product(inst, inst.A))
     rho1, rho2 = 0.2, math.sqrt(0.3**2 - 0.2**2)
     Z1, Z2 = noise_layers(inst.A - inst.base, inst.rho, (rho1, rho2), inst.seed,
                           "powersum", "layer")
     U = np.hstack([inst.base + Z1, Z2])
-    assert np.array_equal(build_claim_W(inst, rho1, rho2, variant),
-                          _sliced_merge_product(inst, U, variant))
+    assert np.array_equal(build_claim_W(inst, rho1, rho2), _sliced_merge_product(inst, U))
 
 
 class TestPowerSumInstance:
@@ -153,12 +150,6 @@ class TestMergedIdentityKron:
         s = singular_values(M)
         assert int(np.count_nonzero(s >= 1e-8)) == M.shape[1] == 10
         assert antisym_witnesses(inst).shape == (10, 0)
-
-    def test_variant_rank_agreement(self, inst43):
-        s_unit = singular_values(build_sym4_IkronA(inst43, "unit_merge"))
-        s_weighted = singular_values(build_sym4_IkronA(inst43, "weighted_merge"))
-        count = lambda s: int(np.count_nonzero(s >= 1e-8))  # noqa: E731
-        assert count(s_unit) == count(s_weighted)
 
 
 class TestSolutionSpace:

@@ -165,6 +165,20 @@ class TestDenseSizeGuard:
             enumerate_multi_indices(20, 2)
         assert kron_power(U, 2).shape == (9, 4)
 
+    def test_index_rows_are_checked_before_they_are_built(self, monkeypatch):
+        # (2, 10) is used by no other test, so no cached orbit table answers.
+        monkeypatch.setattr(tensor_lift, "MAX_DENSE_ENTRIES", 2**12)
+        with pytest.raises(LiftSizeError, match=r"index rows .* shape \(1024, 10\)"):
+            tensor_lift._index_rows(2, 10)
+        with pytest.raises(LiftSizeError, match=r"index rows .* shape \(1024, 10\)"):
+            sym_kron([np.ones((2, 1))] * 10)
+
+    def test_index_rows_match_np_indices(self):
+        for n, d in itertools.product(range(1, 6), range(1, 7)):
+            if n**d <= 20000:
+                rows = tensor_lift._index_rows(n, d)
+                assert np.array_equal(rows, np.indices((n,) * d).reshape(d, -1).T)
+
     def test_cap_counts_the_lift_not_the_kronecker_power(self, monkeypatch):
         n, m, d = 3, 4, 3
         monkeypatch.setattr(tensor_lift, "MAX_DENSE_ENTRIES", n**d * math.comb(m + d - 1, d))
@@ -419,7 +433,8 @@ def _chain(mats):
 
 def sparse_merge(op):
     """A merge operator as a sparse matrix: one entry per column."""
-    return sp.csr_matrix((op.weight, (op.target, np.arange(op.target.size))), shape=op.shape)
+    return sp.csr_matrix((np.ones(op.target.size), (op.target, np.arange(op.target.size))),
+                         shape=op.shape)
 
 
 class TestSymMerge:
@@ -443,56 +458,15 @@ class TestSymMerge:
         dense = sparse_merge(op).toarray()
         assert np.linalg.matrix_rank(dense) == math.comb(3 + 2, 3)
 
-    def test_variants_share_rank_and_sparsity(self):
-        unit = sparse_merge(sym_merge(3, 2, 2, "unit_merge"))
-        weighted = sparse_merge(sym_merge(3, 2, 2, "weighted_merge"))
-        assert (unit != 0).toarray().tolist() == (weighted != 0).toarray().tolist()
-        assert np.linalg.matrix_rank(unit.toarray()) == \
-            np.linalg.matrix_rank(weighted.toarray())
-
-    def test_weighted_matches_orthogonal_symmetrization(self):
-        # Independent oracle: embed both coordinate vectors isometrically as
-        # tensors, symmetrize the tensor product, and read isometric
-        # degree-4 coordinates back off.
-        n = 2
-        op = sym_merge(n, 2, 2, "weighted_merge")
-        pairs = enumerate_multi_indices(n, 2)
-        quads = enumerate_multi_indices(n, 4)
-
-        def embed_pair(c):
-            v = np.zeros(n * n)
-            for coeff, (i, j) in zip(c, pairs):
-                vec = np.zeros(n * n)
-                if i == j:
-                    vec[(i - 1) * n + (j - 1)] = 1.0
-                else:
-                    vec[(i - 1) * n + (j - 1)] = 1.0 / math.sqrt(2)
-                    vec[(j - 1) * n + (i - 1)] = 1.0 / math.sqrt(2)
-                v += coeff * vec
-            return v
-
-        rng = np.random.default_rng(11)
-        x, y = rng.standard_normal(len(pairs)), rng.standard_normal(len(pairs))
-        got = sparse_merge(op) @ np.kron(x, y)
-        T = sym_project(np.kron(embed_pair(x), embed_pair(y)), n, 4)
-        T = T.reshape((n,) * 4)
-        oracle = np.zeros(len(quads))
-        for c, ix in enumerate(quads.tolist()):
-            orbit = len(set(itertools.permutations(ix)))
-            oracle[c] = T[tuple(e - 1 for e in ix)] * math.sqrt(orbit)
-        assert np.linalg.norm(got - oracle) <= 1e-10
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            sym_merge(2, 1, 1, "other")
-
-    @pytest.mark.parametrize("variant", ["unit_merge", "weighted_merge"])
-    def test_shared_and_read_only(self, variant):
-        op = sym_merge(4, 2, 2, variant)
-        assert sym_merge(4, 2, 2, variant) is op
-        for arr in (op.target, op.weight, *itertools.chain.from_iterable(op.row_groups)):
+    # The "unit_merge" ids keep these cases' names from when a weighted
+    # merge variant existed.
+    @pytest.mark.parametrize("n", [4], ids=["unit_merge"])
+    def test_shared_and_read_only(self, n):
+        op = sym_merge(n, 2, 2)
+        assert sym_merge(n, 2, 2) is op
+        for arr in (op.target, *itertools.chain.from_iterable(op.row_groups)):
             assert not arr.flags.writeable
-        assert op.target.shape == op.weight.shape == (op.shape[1],)
+        assert op.target.shape == (op.shape[1],)
 
     def test_row_groups_list_each_column_once_in_order(self):
         op = sym_merge(3, 2, 2)
@@ -504,10 +478,10 @@ class TestSymMerge:
             seen += columns.ravel().tolist()
         assert sorted(seen) == list(range(op.shape[1]))
 
-    @pytest.mark.parametrize("variant", ["unit_merge", "weighted_merge"])
-    @pytest.mark.parametrize("k1,k2", [(1, 2), (2, 1), (2, 2)])
-    def test_applies_itself_as_sparse_products(self, variant, k1, k2):
-        op = sym_merge(3, k1, k2, variant)
+    @pytest.mark.parametrize("k1,k2", [(1, 2), (2, 1), (2, 2)],
+                             ids=["1-2-unit_merge", "2-1-unit_merge", "2-2-unit_merge"])
+    def test_applies_itself_as_sparse_products(self, k1, k2):
+        op = sym_merge(3, k1, k2)
         left, right = math.comb(k1 + 2, k1), math.comb(k2 + 2, k2)
         rng = np.random.default_rng(k1 + 2 * k2)
         U = rng.standard_normal((right, 4))

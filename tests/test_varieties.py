@@ -92,7 +92,7 @@ class TestDeterminantalGenerators:
         assert np.abs(G @ G.T - np.eye(len(G))).max() <= 1e-15
         op = determinantal_operator(n1, n2, r)
         assert np.array_equal(op.generators, G)
-        assert (op.n, op.d, op.provenance) == (n1 * n2, r + 1, f"determinantal({n1},{n2},{r})")
+        assert (op.n, op.d) == (n1 * n2, r + 1)
 
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError):
