@@ -134,12 +134,20 @@ class _Orbits(NamedTuple):
 
 
 def _build_orbits(n: int, d: int) -> _Orbits:
-    ids = _rank(np.sort(_index_rows(n, d), axis=1), n)
-    orbit = _plan(n, d).orbit
-    weight = 1.0 / orbit[ids]
+    # Capped at n**d x d entries (2**24 positions would need over 500 MB).
+    # Position a * n**(k-1) + q holds {a} plus the multiset at q of the
+    # n**(k-1) space, so the ids grow one digit at a time.
+    _check_entries((n**d, d), f"the index rows of the {n}**{d} coordinate space")
+    plan, ids = _build_plan(n, 0), np.zeros(1, dtype=np.int64)
+    for k in range(1, d + 1):
+        prev, plan = plan, _build_plan(n, k)
+        rows = np.column_stack([np.repeat(np.arange(n), len(prev.rows)), np.tile(prev.rows, (n, 1))])
+        table = np.searchsorted(_flat(plan.rows, n), _flat(np.sort(rows, axis=1), n))
+        ids = table.reshape(n, -1)[:, ids].ravel()
+    weight = 1.0 / plan.orbit[ids]
     ids.flags.writeable = False
     weight.flags.writeable = False
-    return _Orbits(ids, weight, _members_by_count(ids, orbit))
+    return _Orbits(ids, weight, _members_by_count(ids, plan.orbit))
 
 
 _cached_orbits = functools.lru_cache(maxsize=32)(_build_orbits)

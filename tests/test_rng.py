@@ -1,0 +1,108 @@
+import hashlib
+import json
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+from liftcert import rng
+
+# sha256 of the array bytes.  Every experiment CSV is reproducible only while
+# these draws keep their exact bits, however they are computed.
+GAUSSIANS = {
+    ((), (0, "noise")):
+        "6dc69ea12a20bc95c7a376435c93cc218da7579de984abd566be28fae0f244c3",
+    ((0,), (0, "noise")):
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ((1,), (3, "trial", 0)):
+        "c8d4ce8b48479c7f968a34e8f33990542b75caa01e7576478cef1fd276047270",
+    ((5,), (3, "trial", 1)):
+        "66273ef18b1c57caef9abd19550f12d388ec27916dffedfb7213c8400d28b948",
+    ((6, 3), (0, "noise", 3)):
+        "2c59e6a665b538282e3c789d3ff4f0ec65c1097699ded7bbd582da7983b5409f",
+    ((7, 3), (7, "cluster", "base", "tag")):
+        "cbac31282b85b57c7c60aba9f6e2e989225104b27b1ab7b48431ea7744fe5bb4",
+    ((10, 4), (11, "b", 2)):
+        "66412dcadb638eba6b42da341fa9721e8b8ffe1a4d9ce6e62585a2d80b0bd722",
+    ((220, 110), (123456789, "points", 4)):
+        "9179716931dc6f195997af2315583c1b31faf1f3edeba38893031b00e5695b54",
+}
+
+UNIFORMS = {
+    (0, (0, "u")):
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (1, (0, "u")):
+        "adbeb0cba09a96d272d29d1916490245090344d34c1b9bd1d4cecdc8c376a860",
+    (9, (5, "u", 2)):
+        "8c47b0f30a50dda1435b4747a0dd31da580e56cc4562718b2be1d8983d00bfab",
+    (4096, (2**40, "u", "x y")):
+        "9e56469f2568352f99aa859c980c4d211c4e3005418fd040843f443dba2dd8d2",
+}
+
+DERIVED_SEEDS = {
+    (0, "trial", 0): 4093552087895935737,
+    (0, "trial", 1): 5927842341487833041,
+    (7, "b", 3): 6363288376556570284,
+    (2**40, "pilot", "x"): 14720563120270146030,
+    (-1, "ü"): 924120679306159487,
+}
+
+
+def sha(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("shape, path", list(GAUSSIANS))
+def test_gaussians_match_their_recorded_bytes(shape, path):
+    z = rng.gaussians(shape, *path)
+    assert z.shape == shape and z.dtype == np.float64
+    assert sha(z) == GAUSSIANS[shape, path]
+
+
+@pytest.mark.parametrize("size, path", list(UNIFORMS))
+def test_uniforms_match_their_recorded_bytes(size, path):
+    u = rng.uniforms(*path, size=size)
+    assert u.shape == (size,) and sha(u) == UNIFORMS[size, path]
+    assert np.all((0 < u) & (u < 1))
+
+
+def test_derived_seeds_match_their_recorded_values():
+    assert {path: rng.derive_seed(*path) for path in DERIVED_SEEDS} == DERIVED_SEEDS
+
+
+def test_draws_from_four_threads_equal_serial_draws():
+    keys = [((t % 7 + 1, 3), (t, "noise", t % 5)) for t in range(400)]
+
+    def draw(key):
+        shape, path = key
+        return rng.gaussians(shape, *path), rng.uniforms(*path, size=5)
+
+    serial = [draw(key) for key in keys]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = list(pool.map(draw, keys))
+    for (z0, u0), (z1, u1) in zip(serial, threaded):
+        assert np.array_equal(z0, z1) and np.array_equal(u0, u1)
+
+
+def test_a_generator_is_not_moved_by_draws_between_its_own():
+    def sequence(interleave):
+        gen = rng.rng(5, "shuffle", 1)
+        out = []
+        for t in range(4):
+            out.append(gen.standard_normal(3))
+            if interleave:
+                rng.gaussians((4, 2), 5, "shuffle", 1)
+                rng.uniforms(5, "other", t, size=3)
+            out.append(gen.permutation(6).astype(np.float64))
+        return np.concatenate(out)
+
+    assert np.array_equal(sequence(False), sequence(True))
+    assert np.array_equal(rng.stream(5, "s").random_raw(6),
+                          rng.stream(5, "s").random_raw(6))
+
+
+def test_digest_is_the_compact_json_of_the_path():
+    path = ("ü", 'say "hi"', "back\\slash", "tab\there", None, 1.5, float("nan"),
+            "\U0001f600", -3, 2**70)
+    payload = json.dumps([7, *[str(p) for p in path]], separators=(",", ":")).encode()
+    assert rng._digest(7, path) == hashlib.sha256(payload).digest()

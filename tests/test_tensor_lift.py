@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,20 @@ class TestDenseSizeGuard:
         v = np.random.default_rng(2).standard_normal(4**3)
         assert np.abs(sym_project(v, 4, 3) - ref_sym_project(v, 4, 3)).max() <= 1e-12
         assert lookups() == before
+
+    def test_orbit_ids_are_built_without_the_index_rows(self):
+        for n, d in [(1, 5), (2, 10), (3, 4), (6, 4), (5, 1)]:
+            sorted_rows = np.sort(tensor_lift._index_rows(n, d), axis=1)
+            expected = tensor_lift._rank(sorted_rows, n)
+            assert np.array_equal(tensor_lift._build_orbits(n, d).ids, expected)
+        # An 8 MB table of ids; the 2**20 x 20 index rows alone would be 160 MB.
+        tracemalloc.start()
+        try:
+            tensor_lift._build_orbits(2, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestMultiIndex:
