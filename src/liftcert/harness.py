@@ -127,6 +127,9 @@ class ExperimentConfig:
             raise ValueError(f"name must be a plain file name, got {self.name!r}")
         typed["name"] = self.name or self.target
         typed["params"] = TARGETS[self.target].resolve(self.params)
+        if typed.get("min_passes", 0) > typed["trials"]:
+            raise ValueError(f"min_passes = {typed['min_passes']} exceeds trials = "
+                             f"{typed['trials']}: no rho can pass more trials than it runs")
         for name, value in typed.items():
             object.__setattr__(self, name, value)
 

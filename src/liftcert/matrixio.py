@@ -27,10 +27,24 @@ def matrix_to_csv(A: np.ndarray, header_comments: list[str] | None = None) -> st
 
 
 def load_matrix_csv(path: str | Path) -> np.ndarray:
+    """The matrix in a CSV file; blank lines and lines starting with '#' are skipped.
+
+    numpy's C reader parses the data lines first.  It accepts a subset of
+    what ``float`` accepts (not ``1_000``), with the same values, so a file it
+    refuses, or one with a non-finite entry, goes through the slower parse
+    that names the bad line.  It gets the data lines, not the file: on the
+    file it would also take ``1,2 # note`` and ``1\\f,2``, which are refused.
+    """
     lines = enumerate(map(str.strip, Path(path).read_text().splitlines()), start=1)
     data = [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
     if not data:
         raise ValueError(f"{path}: no data rows")
+    try:
+        values = np.loadtxt([line for _, line in data], delimiter=",", comments=None, ndmin=2)
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
     try:
         values = np.array(",".join(line for _, line in data).split(","), dtype=float)
     except ValueError as exc:

@@ -2,7 +2,7 @@
 
 They build what the library never needs to form: the full n**d x n**d
 averaging projector, a polynomial's value from its coefficient row, and
-matrix CSV text written one entry at a time.
+matrix CSV text written, or parsed, one entry at a time.
 """
 
 import numpy as np
@@ -30,3 +30,11 @@ def matrix_to_csv_per_entry(A: np.ndarray, header_comments: list[str] | None = N
     lines = [f"# {c}" for c in (header_comments or [])]
     lines += [",".join(format_float(x) for x in row) for row in A]
     return "\n".join(lines) + "\n"
+
+
+def matrix_from_csv_per_entry(text: str) -> np.ndarray:
+    """load_matrix_csv's array for well-formed text, each entry parsed as a
+    Python str cast to float (``1_000`` included)."""
+    rows = [line.strip() for line in text.splitlines()]
+    rows = [row.split(",") for row in rows if row and not row.startswith("#")]
+    return np.array(rows, dtype=float)

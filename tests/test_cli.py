@@ -12,7 +12,7 @@ import pytest
 from liftcert import cli
 from liftcert.cli import main
 from liftcert.matrixio import dump_json, load_matrix_csv, matrix_to_csv
-from oracles import matrix_to_csv_per_entry
+from oracles import matrix_from_csv_per_entry, matrix_to_csv_per_entry
 
 
 def save_matrix_csv(path, A):
@@ -198,6 +198,39 @@ class TestLoadMatrixCsv:
         code, out, err = run_cli(capsys, *[arg.format(path) for arg in argv])
         assert code == 2 and out == ""
         assert err == f"error: {path}: line 2 has a non-finite entry inf\n"
+
+    @pytest.mark.parametrize("text", [
+        "4.9e-324,-2.5e-310\n2.2250738585072014e-308,1e-320\n",
+        "-0.0,0.0\n0,-0\n",
+        "1.7976931348623157e+308,-1.7976931348623157e+308\n",
+        "# header\n  1.5 ,\t-2 \n\n 3,  4\n",
+        "+.5,5.\n-.25,+7.\n",
+        "1\n-0.0\n5.\n",
+        "1_000,2\n",
+    ], ids=["subnormal", "signed-zero", "max-float", "padded", "bare-point", "one-column",
+            "underscore"])
+    def test_same_array_as_per_entry_parse(self, tmp_path, text):
+        path = tmp_path / "a.csv"
+        path.write_text(text)
+        got, want = load_matrix_csv(path), matrix_from_csv_per_entry(text)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # sign bits of zeros included
+
+    @pytest.mark.parametrize("line, bad", [("1,2 # note", 2), ("1\f,2", 3)])
+    def test_lines_the_c_reader_would_take_from_the_file_are_refused(self, tmp_path, line, bad):
+        # \f ends a line for str.splitlines, so ",2" is line 3.
+        path = tmp_path / "a.csv"
+        path.write_text(f"# header\n{line}\n")
+        with pytest.raises(ValueError, match=rf"a\.csv: line {bad} is not numeric CSV"):
+            load_matrix_csv(path)
+
+    def test_comment_only_file_warns_nothing(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("# only a comment\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no data rows"):
+                load_matrix_csv(path)
 
 
 class TestCertify:
@@ -501,6 +534,15 @@ class TestExperiment:
         assert code == 3 and out == ""
         assert err == f"internal error: {message}\n"
 
+    def test_min_passes_above_trials_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.hs, "run_experiment", lambda config: pytest.fail("a trial ran"))
+        cfg = self.config_file(tmp_path, trials=5)
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg),
+                                 "--out-dir", str(tmp_path / "out"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: min_passes = 6 exceeds trials = 5")
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
+
     def test_float_param_out_of_range_is_usage_error(self, tmp_path, capsys):
         # tau_factor = -1 failed inside the first trial with "tau must be
         # non-negative", naming no param.
@@ -542,6 +584,17 @@ class TestPowersum:
                                "--rho", "0.2", "--trials", "2", "--seed", "3",
                                "--threshold", "1e9", "--min-passes", "1")
         assert code == 1
+
+    def test_min_passes_above_trials_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # It used to run every trial and then exit 1, since no rho can pass
+        # more trials than it runs.
+        monkeypatch.setattr(cli.hs, "run_experiment", lambda config: pytest.fail("a trial ran"))
+        out_path = tmp_path / "p.csv"
+        code, out, err = run_cli(capsys, "powersum", "--check", "claim77",
+                                 "--n", "4", "--m", "3", "--rho", "0.1", "--trials", "1",
+                                 "--seed", "0", "--min-passes", "5", "--out", str(out_path))
+        assert code == 2 and out == "" and not out_path.exists()
+        assert err.startswith("error: min_passes = 5 exceeds trials = 1")
 
     def test_missing_param_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "powersum", "--check", "conj82",

@@ -64,6 +64,14 @@ class TestConfig:
             cfg(min_passes=-1)
         assert cfg(min_passes=0).min_passes == 0
 
+    def test_min_passes_above_trials_refused(self):
+        with pytest.raises(ValueError, match=r"min_passes = 6 exceeds trials = 5"):
+            cfg(min_passes=6)
+        assert cfg(min_passes=5).min_passes == 5
+        # The typed checks come first.
+        with pytest.raises(ValueError, match="trials must be int, got 2.7"):
+            cfg(trials=2.7, min_passes=6)
+
     def test_params_resolved_against_the_target_table(self):
         config = cfg(params={"n": 8, "m": 2})
         assert config.params == {"n": 8, "m": 2, "d": 2, "delta": 0.5, "base": "zero"}

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from liftcert.spectral import (BlockFamily, RankError, block_leave_one_out,
+from liftcert import powersum as ps
+from liftcert.spectral import (_QR_FIRST_MIN_COLS, BlockFamily, RankError, block_leave_one_out,
                                check_orthonormal, count_large_singulars, good_blocks,
                                jacobian_khatri_rao, leave_one_out, numerical_rank,
                                orth_complement_projector, singular_values,
@@ -45,6 +46,66 @@ class TestSingularValues:
         assert s.shape == (3,)
         assert np.all(np.diff(s) <= 0)
         assert abs(s[0] - np.linalg.norm(A, 2)) <= 1e-12
+
+
+def _prop73_M(seed):
+    return ps.build_sym4_IkronA(ps.make_power_sum_instance(10, 8, 0.3, seed))
+
+
+def _claim76_W(seed):
+    inst = ps.make_power_sum_instance(10, 4, 0.3, seed)
+    return ps.build_claim_W(inst, 0.3 / math.sqrt(2.0), 0.3 / math.sqrt(2.0))
+
+
+class TestSingularValuesThroughR:
+    """Mid-tall shapes go through the SVD of their QR factor R; others don't."""
+
+    def gated(self):
+        A = np.random.default_rng(0).standard_normal((715, 440))
+        yield "random", A
+        yield "random.T", A.T
+        for seed in range(3):
+            yield f"prop73-{seed}", _prop73_M(seed)
+            yield f"claim76-{seed}", _claim76_W(seed)
+
+    def test_gated_shapes_agree_with_the_direct_svd(self):
+        for name, A in self.gated():
+            assert A.shape in ((715, 440), (440, 715)), name
+            direct = np.linalg.svd(A, compute_uv=False)
+            assert np.abs(singular_values(A) - direct).max() <= 1e-14 * direct[0], name
+
+    @pytest.mark.parametrize("shape", [(715, 315), (200, 60), (10, 16), (6, 9), (28, 27),
+                                       (624, _QR_FIRST_MIN_COLS - 1), (440, 440),
+                                       (810, 440)])
+    def test_other_shapes_are_the_direct_svd_bit_for_bit(self, shape):
+        A = np.random.default_rng(1).standard_normal(shape)
+        assert np.array_equal(singular_values(A), np.linalg.svd(A, compute_uv=False))
+
+    @pytest.mark.parametrize("shape, through_r", [
+        ((715, 440), True), ((440, 715), True),
+        ((576, _QR_FIRST_MIN_COLS), True), ((575, _QR_FIRST_MIN_COLS), False),
+        ((715, _QR_FIRST_MIN_COLS - 1), False),
+        ((806, 440), True), ((807, 440), False), ((659, 440), False), ((660, 440), True),
+    ])
+    def test_gate_reads_the_shape(self, monkeypatch, shape, through_r):
+        # 1.5 * cols <= rows < 11 * cols / 6: 660 and 806.67 at 440 columns.
+        calls = []
+        qr = np.linalg.qr
+
+        def counting_qr(*args, **kwargs):
+            calls.append(args[0].shape)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        singular_values(np.ones(shape))
+        assert bool(calls) == through_r
+
+    def test_prop73_rank_count_unchanged(self):
+        want = 8 * math.comb(11, 2) - math.comb(8, 2)
+        for seed in range(3):
+            M = _prop73_M(seed)
+            direct = np.linalg.svd(M, compute_uv=False)
+            assert count_large_singulars(M, 1e-8) == np.count_nonzero(direct >= 1e-8) == want
 
 
 class TestCountLargeSingulars:
