@@ -1,7 +1,7 @@
 """Symmetrized tensor lifts of smoothed matrices, spectral certificates,
 and a reproducible Monte Carlo experiment harness."""
 
-from .harness import ExperimentConfig, run_experiment, scaling_study
+from .harness import ExperimentConfig, run_experiment
 from .smoothing import SmoothedMatrix, decouple, perturb
 from .spectral import leave_one_out, singular_values
 from .tensor_lift import enumerate_multi_indices, khatri_rao, sel_avg, sym_lift, sym_merge
@@ -10,7 +10,7 @@ from .varieties import certify, determinantal_operator, separable_operator
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExperimentConfig", "run_experiment", "scaling_study",
+    "ExperimentConfig", "run_experiment",
     "SmoothedMatrix", "decouple", "perturb",
     "leave_one_out", "singular_values",
     "enumerate_multi_indices", "khatri_rao", "sel_avg", "sym_lift", "sym_merge",

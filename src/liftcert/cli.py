@@ -52,10 +52,10 @@ def _emit(text: str, out: str | None) -> None:
 def _load_base_matrix(spec: str, n: int, m: int, seed: int) -> np.ndarray:
     if spec == "id":
         return np.eye(n, m)
-    if spec.startswith("random"):
-        _, _, tail = spec.partition(":")
+    if spec == "random" or spec.startswith("random:"):
+        tail = spec[len("random:"):]
         try:
-            local_seed = int(tail) if tail else seed
+            local_seed = int(tail) if spec != "random" else seed
         except ValueError:
             raise ValueError(f"--matrix random:seed: seed must be an int, got {tail!r}") from None
         return _rng.unit_columns((n, m), local_seed, "cli", "lift_base")

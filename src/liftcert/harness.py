@@ -545,7 +545,7 @@ def _scaling_flags(config: ExperimentConfig, per_rho: list[dict]) -> dict:
     envelope = all(med >= rho**d / n**6 for med, rho in zip(medians, rhos))
     responsive = medians[0] > 0 and medians[-1] > 1.05 * medians[0]
     slope = None
-    if all(m > 0 for m in medians) and len(medians) >= 2:
+    if all(v > 0 for v in rhos + medians):
         x = np.log(np.asarray(rhos))
         y = np.log(np.asarray(medians))
         slope = float(np.polyfit(x, y, 1)[0])
@@ -557,83 +557,3 @@ def _scaling_flags(config: ExperimentConfig, per_rho: list[dict]) -> dict:
         "loglog_slope": slope,
         "medians": medians,
     }
-
-
-def scaling_study(config: ExperimentConfig) -> ExperimentResult:
-    """Run the grid and attach monotonicity / lower-envelope flags."""
-    cfg = ExperimentConfig(**{**config.resolved(), "study": "scaling"})
-    return run_experiment(cfg)
-
-
-def caa_probe(n: int, m: int, k: int, h_grid: list[float], trials: int,
-              master_seed: int, rho: float = 1.0, pilot_trials: int = 64) -> dict:
-    """Empirical small-ball table for well-spread combinations of a
-    columnwise tensor product.
-
-    The test vector has exactly k coordinates of magnitude 1/sqrt(k) on a
-    seeded random support.  The scale is calibrated so the h = 1 threshold
-    sits at the pilot median; the table reports the frequency of falling
-    below each h level with Wilson intervals, plus the regression slope of
-    log-frequency against log(1/h) over levels with nonzero counts.
-    """
-    config = ExperimentConfig(
-        target="caa_probe",
-        params={"n": n, "m": m, "k": k, "rho": rho, "pilot_trials": pilot_trials},
-        rho_grid=list(h_grid), trials=trials, master_seed=master_seed,
-        threshold=0.0, name="caa_probe")
-    result = run_experiment(config)
-    rows = []
-    for agg in result.per_rho:
-        below = config.trials - agg["pass_count"]
-        low, high = wilson_interval(below, config.trials)
-        rows.append({"h": agg["rho"], "below_count": below,
-                     "frequency": below / config.trials,
-                     "wilson_low": low, "wilson_high": high})
-    slope = None
-    pts = [(math.log(1.0 / r["h"]) * k, math.log(r["frequency"]))
-           for r in rows if 0 < r["frequency"] and r["h"] < 1]
-    if len(pts) >= 2:
-        xs, ys = zip(*pts)
-        slope = float(np.polyfit(xs, ys, 1)[0])
-    return {"lambda_hat": result.extras["lambda_hat"], "delta": result.extras["delta"],
-            "rows": rows, "k_log_slope": slope, "config": config.resolved()}
-
-
-def jacobian_probe(n: int, m: int, k: int, rho: float, tau_factor: float,
-                   trials: int, master_seed: int) -> dict:
-    """Pass rate for the Jacobian of a spread combination having at least
-    n k / 2 singular values above tau_factor * rho."""
-    config = ExperimentConfig(
-        target="jacobian_probe",
-        params={"n": n, "m": m, "k": k, "tau_factor": tau_factor},
-        rho_grid=[rho], trials=trials, master_seed=master_seed,
-        threshold=0.0, name="jacobian_probe")
-    result = run_experiment(config)
-    agg = result.per_rho[0]
-    return {"pass_count": agg["pass_count"], "pass_rate": agg["pass_rate"],
-            "wilson_low": agg["wilson_low"], "wilson_high": agg["wilson_high"],
-            "counts": agg["sigma"],
-            "required": math.ceil(n * k / 2), "config": config.resolved()}
-
-
-def sigma_basic_check(n: int, k: int, delta: float, h: float, rho: float,
-                      trials: int, master_seed: int, base: str = "zero") -> dict:
-    """Frequency of the k/2-th singular value of a perturbed scaled matrix
-    falling below h * rho * delta, compared against the analytic tail bound
-    exp(-(1/8) k n log(1/h)) with a 10x desk-scale margin."""
-    if h >= 1.0:
-        return {"applicable": False, "reason": "h >= 1 degenerates the bound"}
-    config = ExperimentConfig(
-        target="sigma_basic",
-        params={"n": n, "k": k, "delta": delta, "h": h, "base": base},
-        rho_grid=[rho], trials=trials, master_seed=master_seed,
-        threshold=0.0, name="sigma_basic")
-    result = run_experiment(config)
-    agg = result.per_rho[0]
-    bad = config.trials - agg["pass_count"]
-    bound = math.exp(-(1.0 / 8.0) * k * n * math.log(1.0 / h))
-    low, high = wilson_interval(bad, config.trials)
-    return {"applicable": True, "bad_count": bad, "frequency": bad / trials,
-            "wilson_low": low, "wilson_high": high, "bound": bound,
-            "within_margin": bad / trials <= 10.0 * bound,
-            "config": config.resolved()}

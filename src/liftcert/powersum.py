@@ -21,8 +21,7 @@ import numpy as np
 from . import rng as _rng
 from .smoothing import noise_layers
 from .spectral import NonFiniteMatrixError, check_orthonormal, sign_normalize_rows
-from .stats import wilson_interval
-from .tensor_lift import _plan, sym_lift, sym_merge, sym_project
+from .tensor_lift import _check_entries, _plan, sym_lift, sym_merge, sym_project
 
 
 @dataclass(frozen=True)
@@ -223,10 +222,16 @@ def build_block_lift(instance: ClusteringInstance) -> np.ndarray:
 
 
 def _monomials(X: np.ndarray, r: int) -> np.ndarray:
-    """Degree-r monomials of the last axis of X, in multiset order."""
+    """Degree-r monomials of the last axis of X, in multiset order.
+
+    The gather holds r factors of each monomial, so its shape is checked
+    against the cap before the plan or the gather is built."""
     if r < 1:
         raise ValueError("r must be at least 1")
-    return X[..., _plan(X.shape[-1], r).rows].prod(axis=-1)
+    dim = X.shape[-1]
+    _check_entries(X.shape[:-1] + (math.comb(dim + r - 1, r), r),
+                   f"the degree-{r} monomial factors in dimension {dim}")
+    return X[..., _plan(dim, r).rows].prod(axis=-1)
 
 
 def power_row(u: np.ndarray, r: int) -> np.ndarray:
@@ -236,38 +241,13 @@ def power_row(u: np.ndarray, r: int) -> np.ndarray:
     the orbit size of its multiset.
     """
     u = np.asarray(u, dtype=float)
-    return _plan(u.shape[-1], r).orbit * _monomials(u, r)
+    monomials = _monomials(u, r)  # checks the size before the plan is built
+    return _plan(u.shape[-1], r).orbit * monomials
 
 
 def build_power_matrix(points: np.ndarray, r: int) -> np.ndarray:
     """N x C(dim+r-1, r) matrix whose i-th row represents <u_i, x>^r."""
     return power_row(np.atleast_2d(np.asarray(points, dtype=float)), r)
-
-
-def small_ball_estimate(base_point: np.ndarray, r: int, sigma: float,
-                        a: np.ndarray, eps: float, trials: int, seed: int) -> dict:
-    """Monte Carlo frequency of |<row(u + noise), a>| < eps.
-
-    Fresh sigma-perturbations of the base point per trial; the result carries
-    the count, frequency, and a Wilson 95% interval.
-    """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    a = np.asarray(a, dtype=float)
-    if abs(np.linalg.norm(a) - 1.0) > 1e-8:
-        raise ValueError("test vector a must be a unit vector")
-    base_point = np.asarray(base_point, dtype=float)
-    dim = math.comb(base_point.shape[0] + r - 1, r)
-    if a.shape != (dim,):
-        raise ValueError(f"a must have length {dim}")
-    hits = 0
-    for t in range(trials):
-        u = base_point + sigma * _rng.gaussians(base_point.shape, seed, "smallball", t)
-        if abs(float(power_row(u, r) @ a)) < eps:
-            hits += 1
-    low, high = wilson_interval(hits, trials)
-    return {"hits": hits, "trials": trials, "frequency": hits / trials,
-            "wilson_low": low, "wilson_high": high, "eps": eps}
 
 
 def symmetric_cube_lift(C: np.ndarray, n: int) -> np.ndarray:

@@ -45,9 +45,6 @@ class SmoothedMatrix:
     def noise(self) -> np.ndarray:
         return self.realized - self.base
 
-    def descriptor(self, base_ref: str) -> dict:
-        return {"base": base_ref, "rho": self.rho, "seed": self.seed}
-
 
 def perturb(base: np.ndarray, rho: float, seed: int) -> SmoothedMatrix:
     """rho-smoothing of base: i.i.d. mean-zero Gaussian noise, std dev rho."""
@@ -160,14 +157,3 @@ def error_norm_bound(dec: DecoupledFactors, base: np.ndarray, rho: float) -> flo
     n, m = base.shape
     opnorm = float(np.linalg.norm(base, 2))
     return 2.0 * ERROR_NORM_CONST[d] * (1 + opnorm ** (d - 2)) * rho**2 * (n * m) ** (d / 2)
-
-
-def gaussian_ball_log_prob_bound(n: int, delta: float, rho: float) -> float:
-    """Log of the small-ball bound Pr[||u + noise|| < delta] <= (delta / (rho sqrt(2)))^n / Gamma(n/2 + 1).
-
-    This is the exact pre-Stirling form; it decreases without bound as delta
-    shrinks and is a valid upper bound for every center u.
-    """
-    if delta <= 0 or rho <= 0:
-        raise ValueError("delta and rho must be positive")
-    return n * math.log(delta / (rho * math.sqrt(2.0))) - math.lgamma(n / 2.0 + 1.0)

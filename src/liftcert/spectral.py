@@ -7,7 +7,6 @@ numerical-zero cut of 1e-10 times the largest singular value, or the caller's.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,10 +82,6 @@ def _rank_of_values(s: np.ndarray, tolerance: float | None = None) -> int:
     return int(np.count_nonzero(s >= tol))
 
 
-def numerical_rank(A: np.ndarray, tolerance: float | None = None) -> int:
-    return _rank_of_values(singular_values(A), tolerance)
-
-
 def _inverse_r(U: np.ndarray) -> np.ndarray | None:
     """Inverse of the triangular factor R of U = QR, or None when the columns
     of U are dependent: more columns than rows, or a zero pivot of R.
@@ -139,10 +134,6 @@ class BlockFamily:
         if any(B.shape[0] != rows for B in self.blocks):
             raise ValueError("all blocks must share a row count")
 
-    @property
-    def rows(self) -> int:
-        return self.blocks[0].shape[0]
-
     def concat(self) -> np.ndarray:
         return np.hstack(self.blocks)
 
@@ -168,34 +159,22 @@ def block_leave_one_out(family: BlockFamily) -> float:
     return float(1.0 / max(np.linalg.norm(part, 2) for part in rows_of_blocks))
 
 
-def orth_complement_projector(columns: np.ndarray) -> np.ndarray:
-    """Projector onto the orthogonal complement of the column span."""
-    columns = np.asarray(columns, dtype=float)
-    U, s, _ = np.linalg.svd(columns, full_matrices=False)
-    Q = U[:, :_rank_of_values(s)]
-    return np.eye(columns.shape[0]) - Q @ Q.T
-
-
-def _spanner_indices(B: np.ndarray, swap_ratio: float, start: list[int] | None = None) -> list[int]:
+def _spanner_indices(B: np.ndarray, swap_ratio: float) -> list[int]:
     """Indices of a volume-maximal k-subset of the columns of the k x n matrix B.
 
-    Local search: replace a selected column whenever the swap multiplies the
-    absolute determinant by more than ``swap_ratio``.  At termination every
-    column of B is a combination of the selected ones with coefficients
-    bounded by ``swap_ratio``.
+    A greedy start, then local search: replace a selected column whenever the
+    swap multiplies the absolute determinant by more than ``swap_ratio``.  At
+    termination every column of B is a combination of the selected ones with
+    coefficients bounded by ``swap_ratio``.
     """
-    k, n = B.shape
-    if start is None:
-        # Greedy volume build-up: pick the column with the largest residual.
-        S: list[int] = []
-        R = B.copy()
-        for _ in range(k):
-            j = int(np.argmax(np.linalg.norm(R, axis=0)))
-            S.append(j)
-            Q, _ = np.linalg.qr(B[:, S])
-            R = B - Q @ (Q.T @ B)
-    else:
-        S = list(start)
+    # Greedy volume build-up: pick the column with the largest residual.
+    S: list[int] = []
+    R = B.copy()
+    for _ in range(B.shape[0]):
+        j = int(np.argmax(np.linalg.norm(R, axis=0)))
+        S.append(j)
+        Q, _ = np.linalg.qr(B[:, S])
+        R = B - Q @ (Q.T @ B)
     while True:
         BS = B[:, S]
         try:
@@ -226,105 +205,6 @@ def wellcond_column_subset(A: np.ndarray, k: int) -> list[int]:
         raise RankError(f"sigma_{k}(A) = {s[k-1]:.3e} is below {DEFAULT_RTOL:g} times sigma_1(A)")
     B = U[:, :k].T @ A
     return sorted(_spanner_indices(B, swap_ratio=2.0))
-
-
-def spread_vector(basis: np.ndarray) -> np.ndarray:
-    """A unit vector in the span of an orthonormal n x k basis with at least
-    k coordinates of magnitude >= 1/(k sqrt(n)).
-
-    Found through a volume-maximal subset of the rows: local search runs to a
-    true local optimum (swap ratio 1), where the k selected rows express every
-    other row with coefficients at most 1.
-    """
-    basis = np.asarray(basis, dtype=float)
-    check_orthonormal(basis)
-    k = basis.shape[1]
-    rows = _spanner_indices(basis.T, swap_ratio=2.0)
-    rows = _spanner_indices(basis.T, swap_ratio=1.0, start=rows)
-    alpha = np.linalg.solve(basis[rows, :], np.full(k, 1.0 / math.sqrt(k)))
-    return basis @ (alpha / np.linalg.norm(alpha))
-
-
-@dataclass(frozen=True)
-class GoodBlocksResult:
-    """Surviving blocks of the random-restriction selection with their
-    relative singular values (block spectrum after projecting out the other
-    survivors)."""
-
-    selected: list
-    relative_sigmas: dict
-    params: dict
-
-    def to_json(self) -> dict:
-        return {
-            "selected": list(self.selected),
-            "relative_sigmas": {str(k): float(v) for k, v in self.relative_sigmas.items()},
-            "params": self.params,
-        }
-
-
-def _off_other_blocks(family: BlockFamily, keep: list[int], j: int,
-                      cols: np.ndarray) -> np.ndarray:
-    """cols with the span of the blocks in keep, other than block j, projected out."""
-    others = [family.blocks[r] for r in keep if r != j]
-    return orth_complement_projector(np.hstack(others)) @ cols if others else cols
-
-
-def good_blocks(family: BlockFamily, delta: float, rng: np.random.Generator,
-                c1: float = 1.0 / 6.0) -> GoodBlocksResult:
-    """Randomly select blocks that keep large rank relative to each other.
-
-    Three steps: (1) pick a well-conditioned subset M of ceil(delta * n1 * n2)
-    columns of the concatenation, (2) include block j with probability
-    c1 * |M in block j| / n2, (3) discard included blocks with fewer than
-    delta * n2 / 6 columns of M retaining a component of at least
-    1 / (R n1 n2 sqrt(delta)) orthogonal to the span of the other included
-    blocks.  An empty survivor set is a reported outcome, not an error: the
-    guarantee behind the procedure is probabilistic.
-    """
-    if not 0 < delta <= 1:
-        raise ValueError("delta must be in (0, 1]")
-    n1 = len(family.blocks)
-    n2 = family.blocks[0].shape[1]
-    if any(B.shape[1] != n2 for B in family.blocks):
-        raise ValueError("good_blocks expects equal-width blocks")
-    R = family.rows
-    k = math.ceil(delta * n1 * n2)
-    concat = family.concat()
-    chosen = wellcond_column_subset(concat, k)
-    in_block: dict[int, list[int]] = {j: [] for j in range(n1)}
-    for idx in chosen:
-        in_block[idx // n2].append(idx % n2)
-    alphas = {j: len(in_block[j]) / n2 for j in range(n1)}
-
-    draws = rng.random(n1)
-    T = [j for j in range(n1) if draws[j] < c1 * alphas[j]]
-
-    c2 = survival_fraction = 1.0 / 6.0
-    component_threshold = 1.0 / (R * n1 * n2 * math.sqrt(delta))
-    need = delta * n2 * survival_fraction
-    survivors = []
-    for j in T:
-        cols = family.blocks[j][:, in_block[j]]
-        if cols.shape[1] == 0:
-            continue
-        comp = np.linalg.norm(_off_other_blocks(family, T, j, cols), axis=0)
-        if np.count_nonzero(comp >= component_threshold) >= need:
-            survivors.append(j)
-
-    sigma_index = max(1, math.ceil(c2 * delta * n2))
-    rel = {}
-    for j in survivors:
-        s = singular_values(_off_other_blocks(family, survivors, j, family.blocks[j]))
-        rel[j] = float(s[sigma_index - 1]) if sigma_index <= s.size else 0.0
-
-    return GoodBlocksResult(
-        selected=survivors,
-        relative_sigmas=rel,
-        params={"delta": delta, "c1": c1, "c2": c2,
-                "survival_fraction": survival_fraction,
-                "component_threshold": component_threshold},
-    )
 
 
 def jacobian_khatri_rao(alpha: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:

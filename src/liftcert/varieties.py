@@ -112,11 +112,6 @@ class VarietyOperator:
     def p(self) -> int:
         return self.generators.shape[0]
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Generator evaluations at the d-th power of a point x in R^n."""
-        lift = sym_lift(np.asarray(x, dtype=float)[:, None], self.d)
-        return self.generators @ lift.coords[:, 0]
-
 
 def build_phi(generators: np.ndarray, n: int, d: int) -> VarietyOperator:
     """Orthonormalize dual generators given as rows in isometric symmetric

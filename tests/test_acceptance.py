@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from liftcert import rng as _rng
-from liftcert.harness import ExperimentConfig, jacobian_probe, run_experiment
+from liftcert.harness import ExperimentConfig, run_experiment
 from liftcert.powersum import (antisym_witnesses, make_power_sum_instance,
                                build_sym4_IkronA)
 from liftcert.smoothing import (decouple, decoupling_residual,
@@ -235,8 +235,10 @@ def test_criterion_12_power_coefficient_matrix():
 
 
 def test_criterion_13_jacobian_probe():
-    out = jacobian_probe(n=10, m=20, k=5, rho=0.1, tau_factor=0.1,
-                         trials=100, master_seed=33)
+    config = ExperimentConfig(target="jacobian_probe",
+                              params={"n": 10, "m": 20, "k": 5, "tau_factor": 0.1},
+                              rho_grid=[0.1], trials=100, master_seed=33, threshold=0.0)
+    passes = run_experiment(config).per_rho[0]["pass_count"]
     rng = np.random.default_rng(13)
     n, m = 3, 2
     U, V = rng.standard_normal((n, m)), rng.standard_normal((n, m))
@@ -256,8 +258,8 @@ def test_criterion_13_jacobian_probe():
             dV[(c - n * m) % n, (c - n * m) // n] = h
         fd[:, c] = (P(U + dU, V + dV) - P(U - dU, V - dV)) / (2 * h)
     fd_rel = np.linalg.norm(J - fd) / np.linalg.norm(J)
-    ok = out["pass_count"] >= 95 and fd_rel <= 1e-6
-    report(13, ok, f"jacobian probe {out['pass_count']}/100 with >= 25 values "
+    ok = passes >= 95 and fd_rel <= 1e-6
+    report(13, ok, f"jacobian probe {passes}/100 with >= 25 values "
                    f">= 0.01; finite-difference relative error {fd_rel:.2e}")
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liftcert import cli
+from liftcert import cli, tensor_lift
 from liftcert.cli import main
 from liftcert.matrixio import dump_json, load_matrix_csv, matrix_to_csv
 from oracles import matrix_from_csv_per_entry, matrix_to_csv_per_entry
@@ -86,6 +86,18 @@ class TestLift:
         code, _, err = run_cli(capsys, "lift", "--n", "2", "--m", "2",
                                "--d", "2", "--matrix", "random:x")
         assert code == 2 and "--matrix random:seed" in err and "'x'" in err
+
+    def test_random_spec_is_random_or_random_colon_int(self, capsys):
+        # "randomly" was taken as "random", with the default seed.
+        lift = ("lift", "--n", "2", "--m", "2", "--d", "2", "--matrix")
+        for spec in ("randomly", "random5", "random_3"):
+            code, out, err = run_cli(capsys, *lift, spec)
+            assert code == 2 and out == "" and f"unknown matrix spec '{spec}'" in err
+        code, _, err = run_cli(capsys, *lift, "random:")
+        assert code == 2 and "--matrix random:seed" in err
+        _, bare, _ = run_cli(capsys, *lift, "random", "--seed", "4")
+        _, keyed, _ = run_cli(capsys, *lift, "random:4")
+        assert bare.splitlines()[2:] == keyed.splitlines()[2:] != []
 
     def test_golden_bytes(self, tmp_path, capsys):
         # Pinned output bytes: any change to them is a change in output.
@@ -533,6 +545,20 @@ class TestExperiment:
                                  "--out-dir", str(tmp_path / "out"))
         assert code == 3 and out == ""
         assert err == f"internal error: {message}\n"
+
+    def test_power_matrix_gather_is_checked_before_it_is_built(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # The 126 x 4 plan passes a cap of 1000 entries; the 100 x 126 x 4
+        # gather does not.  At dim 40, r 6, N 100 the real cap let 39 GB through.
+        monkeypatch.setattr(tensor_lift, "MAX_DENSE_ENTRIES", 1000)
+        monkeypatch.setattr(cli.hs.ps, "_plan", lambda *args: pytest.fail("the plan was built"))
+        cfg = self.config_file(tmp_path, target="conj82", params={"dim": 6, "r": 4, "N": 100},
+                               min_passes=None)
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg),
+                                 "--out-dir", str(tmp_path / "out"))
+        assert code == 2 and out == ""
+        assert "shape (100, 126, 4)" in err
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
 
     def test_min_passes_above_trials_is_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli.hs, "run_experiment", lambda config: pytest.fail("a trial ran"))

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from liftcert import rng, tensor_lift
 from liftcert.harness import (REQUIRED, TARGETS, ExperimentConfig,
-                              _kron, _random_row_isometry, caa_probe, jacobian_probe,
-                              run_experiment, scaling_study, sigma_basic_check)
+                              _kron, _random_row_isometry, run_experiment)
 from liftcert.spectral import singular_values
+from liftcert.stats import wilson_interval
 from liftcert.tensor_lift import LiftSizeError, from_sym_coords, sym_lift
+from paper_tools import sigma_basic_check
 
 
 def cfg(**kw):
@@ -209,11 +210,11 @@ class TestRunExperiment:
 class TestScalingStudy:
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
-            scaling_study(cfg())
+            cfg(study="scaling")
 
     def test_zero_base_scaling_is_exact(self):
-        config = cfg(rho_grid=[0.02, 0.05, 0.1, 0.2, 0.5], trials=12)
-        result = scaling_study(config)
+        config = cfg(rho_grid=[0.02, 0.05, 0.1, 0.2, 0.5], trials=12, study="scaling")
+        result = run_experiment(config)
         flags = result.extras["scaling"]
         assert flags["median_nondecreasing"]
         assert flags["envelope_ok"]
@@ -225,71 +226,84 @@ class TestScalingStudy:
             target="thm51",
             params={"n": 12, "m": 3, "d": 1, "delta": 1.0, "base": "zero"},
             rho_grid=[0.02, 0.05, 0.1, 0.2, 0.5], trials=12,
-            master_seed=3, threshold=1e-9)
-        flags = scaling_study(config).extras["scaling"]
+            master_seed=3, threshold=1e-9, study="scaling")
+        flags = run_experiment(config).extras["scaling"]
         assert 0.8 <= flags["loglog_slope"] <= 1.2
 
     def test_envelope_uses_the_default_degree(self):
         config = ExperimentConfig(
             target="thm51", params={"n": 6, "m": 2}, rho_grid=[0.1, 0.2, 0.4],
-            trials=3, master_seed=0, threshold=1e-9)
-        flags = scaling_study(config).extras["scaling"]
+            trials=3, master_seed=0, threshold=1e-9, study="scaling")
+        flags = run_experiment(config).extras["scaling"]
         assert flags["envelope_rule"] == "rho^2 / 6^6"
         assert abs(flags["loglog_slope"] - 2.0) <= 1e-6
 
     def test_constant_target_flagged_unresponsive(self):
         config = ExperimentConfig(
             target="const_control", params={}, rho_grid=[0.02, 0.1, 0.5],
-            trials=4, master_seed=5, threshold=1e-9)
-        flags = scaling_study(config).extras["scaling"]
+            trials=4, master_seed=5, threshold=1e-9, study="scaling")
+        flags = run_experiment(config).extras["scaling"]
         assert flags["median_nondecreasing"]
         assert not flags["rho_responsive"]
+
+    def test_zero_rho_grid_point_has_no_slope(self):
+        # log(0) entered the fit, and its least squares failed to converge.
+        config = cfg(params={"n": 8, "m": 2, "base": "random"}, rho_grid=[0.0, 0.1, 0.2],
+                     study="scaling")
+        flags = run_experiment(config).extras["scaling"]
+        assert flags["loglog_slope"] is None
+        assert all(median > 0 for median in flags["medians"])
+
+
+def caa_run(k, h_grid):
+    """The caa_probe target's per-h aggregates, 200 trials at n = 10, m = 20."""
+    config = cfg(target="caa_probe", params={"n": 10, "m": 20, "k": k}, rho_grid=h_grid,
+                 trials=200, master_seed=8)
+    return run_experiment(config).per_rho
 
 
 @pytest.fixture(scope="module")
 def caa_table():
-    return caa_probe(n=10, m=20, k=4, h_grid=[1.0, 0.5, 0.3, 0.1],
-                     trials=200, master_seed=8)
+    return caa_run(4, [1.0, 0.5, 0.3, 0.1])
 
 
 class TestCaaProbe:
 
     def test_calibration_self_consistency(self, caa_table):
-        row = next(r for r in caa_table["rows"] if r["h"] == 1.0)
-        assert row["wilson_low"] <= 0.5 <= row["wilson_high"]
+        low, high = wilson_interval(200 - caa_table[0]["pass_count"], 200)  # h = 1
+        assert low <= 0.5 <= high
 
     def test_small_h_tail_bound(self, caa_table):
-        row = next(r for r in caa_table["rows"] if r["h"] == 0.1)
-        assert row["frequency"] <= math.exp(-2 * 4)
+        assert (200 - caa_table[3]["pass_count"]) / 200 <= math.exp(-2 * 4)  # h = 0.1
 
     def test_spread_support_dominates_single_column(self):
-        narrow = caa_probe(n=10, m=20, k=1, h_grid=[0.5, 0.3, 0.1],
-                           trials=200, master_seed=8)
-        wide = caa_probe(n=10, m=20, k=20, h_grid=[0.5, 0.3, 0.1],
-                         trials=200, master_seed=8)
-        for rn, rw in zip(narrow["rows"], wide["rows"]):
-            assert rw["frequency"] <= rn["frequency"] + 1e-12
+        narrow = caa_run(1, [0.5, 0.3, 0.1])
+        wide = caa_run(20, [0.5, 0.3, 0.1])
+        for rn, rw in zip(narrow, wide):
+            assert rw["pass_count"] >= rn["pass_count"]
+
+
+def jacobian_run(n, m, k, rho, trials, master_seed):
+    return run_experiment(cfg(target="jacobian_probe",
+                              params={"n": n, "m": m, "k": k, "tau_factor": 0.1},
+                              rho_grid=[rho], trials=trials, master_seed=master_seed))
 
 
 class TestJacobianProbe:
     def test_acceptance_scale(self):
-        out = jacobian_probe(n=10, m=20, k=5, rho=0.1, tau_factor=0.1,
-                             trials=100, master_seed=5)
-        assert out["pass_count"] >= 95
-        assert out["required"] == 25
+        result = jacobian_run(n=10, m=20, k=5, rho=0.1, trials=100, master_seed=5)
+        assert result.per_rho[0]["pass_count"] >= 95
+        assert {r.threshold for r in result.reports} == {25.0}
 
     def test_zero_support_counts_nothing(self):
-        out = jacobian_probe(n=6, m=8, k=0, rho=0.1, tau_factor=0.1,
-                             trials=3, master_seed=5)
-        assert out["counts"]["max"] == 0.0
+        result = jacobian_run(n=6, m=8, k=0, rho=0.1, trials=3, master_seed=5)
+        assert result.per_rho[0]["sigma"]["max"] == 0.0
 
     def test_larger_rho_never_decreases_counts_on_paired_seeds(self):
-        small = jacobian_probe(n=8, m=12, k=3, rho=0.1, tau_factor=0.1,
-                               trials=20, master_seed=6)
-        large = jacobian_probe(n=8, m=12, k=3, rho=10.0, tau_factor=0.1,
-                               trials=20, master_seed=6)
-        assert large["counts"]["min"] >= small["counts"]["min"]
-        assert large["counts"]["median"] >= small["counts"]["median"]
+        small = jacobian_run(n=8, m=12, k=3, rho=0.1, trials=20, master_seed=6).per_rho[0]["sigma"]
+        large = jacobian_run(n=8, m=12, k=3, rho=10.0, trials=20, master_seed=6).per_rho[0]["sigma"]
+        assert large["min"] >= small["min"]
+        assert large["median"] >= small["median"]
 
 
 class TestSigmaBasic:

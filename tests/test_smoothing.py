@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,11 +7,11 @@ import pytest
 from liftcert import tensor_lift
 from liftcert.smoothing import (ERROR_NORM_CONST, DecoupledFactors,
                                 decouple, decoupling_residual,
-                                error_norm_bound,
-                                gaussian_ball_log_prob_bound, noise_layers, perturb)
+                                error_norm_bound, noise_layers, perturb)
 from liftcert.rng import gaussians
 from liftcert.tensor_lift import LiftSizeError, sym_project
 from oracles import sym_projector_matrix
+from paper_tools import gaussian_ball_log_prob_bound
 
 
 def symmetric_row_operator(n, d, rows, seed):
@@ -49,9 +50,10 @@ class TestPerturb:
         assert np.array_equal(sm.realized, base)
 
     def test_descriptor_never_stores_realized(self):
+        # (base, rho, seed) describe a smoothed matrix: the sample is not a field one sets.
         sm = perturb(np.ones((2, 2)), 0.3, seed=5)
-        desc = sm.descriptor("base.csv")
-        assert desc == {"base": "base.csv", "rho": 0.3, "seed": 5}
+        assert [f.name for f in dataclasses.fields(sm) if f.init] == ["base", "rho", "seed"]
+        assert np.array_equal(perturb(sm.base, sm.rho, sm.seed).realized, sm.realized)
 
 
 class TestNoiseLayers:

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from liftcert import powersum as ps
-from liftcert.spectral import (_QR_FIRST_MIN_COLS, BlockFamily, RankError, block_leave_one_out,
-                               check_orthonormal, count_large_singulars, good_blocks,
-                               jacobian_khatri_rao, leave_one_out, numerical_rank,
-                               orth_complement_projector, singular_values,
-                               spread_vector, wellcond_column_subset)
+from liftcert.spectral import (_QR_FIRST_MIN_COLS, BlockFamily, RankError, _rank_of_values,
+                               block_leave_one_out, check_orthonormal, count_large_singulars,
+                               jacobian_khatri_rao, leave_one_out, singular_values,
+                               wellcond_column_subset)
+from paper_tools import good_blocks, orth_complement_projector, spread_vector
 
 
 class TestSingularValues:
@@ -122,10 +122,10 @@ class TestCountLargeSingulars:
 
 class TestNumericalRank:
     def test_rank_uses_tolerance(self):
-        A = np.diag([1.0, 1e-6, 1e-14])
-        assert numerical_rank(A) == 2
-        assert numerical_rank(A, tolerance=1e-8) == 2
-        assert numerical_rank(A, tolerance=1e-3) == 1
+        s = singular_values(np.diag([1.0, 1e-6, 1e-14]))
+        assert _rank_of_values(s) == 2
+        assert _rank_of_values(s, tolerance=1e-8) == 2
+        assert _rank_of_values(s, tolerance=1e-3) == 1
 
 
 def _loop_leave_one_out(U):
@@ -142,7 +142,7 @@ def _loop_block_leave_one_out(family):
     best = math.inf
     for j, B in enumerate(family.blocks):
         others = [C for k, C in enumerate(family.blocks) if k != j]
-        P = orth_complement_projector(np.hstack(others)) if others else np.eye(family.rows)
+        P = orth_complement_projector(np.hstack(others)) if others else np.eye(B.shape[0])
         s = singular_values(P @ B)
         best = min(best, float(s[-1]) if s.size else 0.0)
     return best
