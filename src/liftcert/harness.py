@@ -120,9 +120,10 @@ class ExperimentConfig:
             raise ValueError(f"rho_grid entries must be finite and >= 0, got {self.rho_grid}")
         if self.study not in (None, "scaling"):
             raise ValueError(f"unknown study {self.study!r}")
-        if self.study == "scaling" and len(self.rho_grid) < 3:
+        distinct = len(set(typed["rho_grid"]))
+        if self.study == "scaling" and distinct < 3:
             raise ValueError(f"a scaling study needs at least 3 rho_grid points, "
-                             f"got {len(self.rho_grid)}")
+                             f"got {distinct} distinct in {self.rho_grid}")
         if not isinstance(self.name, str) or os.path.basename(self.name) != self.name:
             raise ValueError(f"name must be a plain file name, got {self.name!r}")
         typed["name"] = self.name or self.target

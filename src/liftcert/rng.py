@@ -7,8 +7,10 @@ backed by Philox (a counter-based generator) keyed by a hash of the path, and
 Gaussian variates are produced by an explicit Box-Muller transform on the raw
 64-bit output.  Each draw sets the whole state of its thread's one Philox
 (the key, counter 0) first, so no generator state outlives a call or passes
-between threads.  Replaying the same key yields the same bytes on every run;
-bit-exactness across platforms is that of IEEE-754 double arithmetic.
+between threads.  Replaying the same key yields the same bytes on every run
+of one numpy build on one CPU feature set.  Box-Muller's ``np.log`` follows
+numpy's CPU dispatch: its AVX512 path and the baseline one differ in the
+last bit on a few inputs in a thousand, so another CPU can change draws.
 """
 
 from __future__ import annotations

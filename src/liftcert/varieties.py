@@ -1,9 +1,9 @@
 """Cutting polynomials for matrix varieties and the distance certificate.
 
 A conic variety is handed around as an orthonormalized family of dual
-tensors: degree-d symmetric forms that vanish on the variety, stored in
-isometric symmetric coordinates (``tensor_lift.sym_coords``), one row per
-form.  The induced operator maps a symmetric d-tensor to the vector of form
+tensors: degree-d symmetric forms that vanish on the variety, each stored
+as its terms (a plan position of the lift's multisets and a weight).  The
+induced operator maps a symmetric d-tensor to the vector of form
 evaluations; applying it to the symmetric lift of an orthonormal subspace
 basis and reading off the least singular value yields a scale-free
 certificate that every unit vector of the variety is far from the subspace.
@@ -28,36 +28,32 @@ from . import rng as _rng
 from .matrixio import matrix_sha256
 from .spectral import (NonFiniteMatrixError, _rank_of_values, check_orthonormal,
                        sign_normalize_rows, singular_values)
-from .tensor_lift import _check_entries, _rank, from_sym_coords, sym_coords, sym_lift
+from .tensor_lift import (_TERM_ENTRIES, _check_entries, _plan, _rank, from_sym_coords,
+                          sym_coords, sym_lift)
 
 ORTHO_DROP_RTOL = 1e-8
 
 
-def determinantal_generators(n1: int, n2: int, r: int) -> np.ndarray:
-    """Dual tensors of all (r+1) x (r+1) minors of an n1 x n2 matrix of variables.
-
-    One row per (row-set, column-set) pair, in isometric symmetric coordinates
-    over the N = n1*n2 entry variables.  Row set I and permutation pi of the
-    column set J give the monomial prod_t x[I_t, J_pi(t)]; its variables are
-    distinct and already increasing, so its coordinate is sign(pi) / sqrt(d!)
-    for d = r + 1.  Every row evaluates to zero on matrices of rank at most r.
-    """
+def determinantal_generators(n1: int, n2: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Terms (``VarietyOperator.rows``, ``weights``) of all (r+1)-minors of an
+    n1 x n2 matrix of variables, one row per (row-set, column-set) pair.  Row
+    set I and permutation pi of the column set J give the monomial prod_t
+    x[I_t, J_pi(t)] in distinct, increasing variables, with coefficient
+    sign(pi) / sqrt(d!), d = r + 1, and weight sign(pi).  Every row vanishes
+    on matrices of rank at most r."""
     if not 1 <= r < min(n1, n2):
         raise ValueError(f"r = {r} must satisfy 1 <= r < min({n1}, {n2})")
-    N = n1 * n2
-    d = r + 1
-    shape = (math.comb(n1, d) * math.comb(n2, d), math.comb(N + d - 1, d))
-    _check_entries(shape, f"the determinantal generators with n1 = {n1}, n2 = {n2}, r = {r}")
+    N, d = n1 * n2, r + 1
+    p = math.comb(n1, d) * math.comb(n2, d)
+    _check_entries((p, math.factorial(d), d),
+                   f"the terms of the determinantal generators with n1 = {n1}, n2 = {n2}, r = {r}")
     rows = np.array(list(itertools.combinations(range(n1), d)))
     cols = np.array(list(itertools.combinations(range(n2), d)))
     perms = np.array(list(itertools.permutations(range(d))))
     sign = np.linalg.det(np.eye(d)[perms])  # of each permutation matrix: +-1
     # variables[I, J, pi, t] = I_t * n2 + J_pi(t), increasing in t.
     variables = rows[:, None, None, :] * n2 + cols[:, perms][None]
-    G = np.zeros(shape)
-    G[np.arange(shape[0])[:, None], _rank(variables, N).reshape(shape[0], -1)] = \
-        sign / math.sqrt(math.factorial(d))
-    return G
+    return _rank(variables, N).reshape(p, -1), np.broadcast_to(sign, (p, len(perms)))
 
 
 def separable_generators(dims: tuple[int, ...]) -> np.ndarray:
@@ -90,27 +86,32 @@ def separable_generators(dims: tuple[int, ...]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VarietyOperator:
-    """Orthonormalized dual generators and the induced evaluation map.
-
-    ``generators`` is p x C(n+d-1, d) with orthonormal rows in isometric
-    symmetric coordinates, so generators @ sym_coords(v) equals the generator
-    evaluations at a symmetric tensor v.  ``phi`` is the same map in full
-    n**d coordinates, built on each access.
-    """
+    """Orthonormal dual generators as terms: on a lift's ``means``, form f is
+    sum_t weights[f, t] * means[rows[f, t]], with ``rows`` distinct (n, d)
+    plan positions and ``weights`` isometric coefficients times sqrt(orbit).
+    ``generators`` (p x C(n+d-1, d), so generators @ sym_coords(v) evaluates
+    the forms at a symmetric v) and ``phi`` (p x n**d) are built on access."""
 
     n: int
     d: int
-    generators: np.ndarray
+    rows: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def generators(self) -> np.ndarray:
+        width = math.comb(self.n + self.d - 1, self.d)
+        _check_entries((self.p, width), f"the dense generators with n = {self.n}, d = {self.d}")
+        G, orbit = np.zeros((self.p, width)), _plan(self.n, self.d).orbit
+        np.put_along_axis(G, self.rows, self.weights / np.sqrt(orbit[self.rows]), axis=1)
+        return G
 
     @property
     def phi(self) -> np.ndarray:
-        """p x n**d with orthonormal rows, each row a symmetric tensor, so
-        phi @ v equals the generator evaluations at the symmetrization of v."""
         return from_sym_coords(self.generators, self.n, self.d)
 
     @property
     def p(self) -> int:
-        return self.generators.shape[0]
+        return self.rows.shape[0]
 
 
 def build_phi(generators: np.ndarray, n: int, d: int) -> VarietyOperator:
@@ -131,14 +132,13 @@ def build_phi(generators: np.ndarray, n: int, d: int) -> VarietyOperator:
     rank = _rank_of_values(s, ORTHO_DROP_RTOL * s[0])
     if rank == 0:
         raise ValueError("no generators survive orthonormalization")
-    return VarietyOperator(n=n, d=d, generators=sign_normalize_rows(Vt[:rank]))
+    return VarietyOperator(n, d, np.broadcast_to(np.arange(width), (rank, width)),
+                           sign_normalize_rows(Vt[:rank]) * np.sqrt(_plan(n, d).orbit))
 
 
 def determinantal_operator(n1: int, n2: int, r: int) -> VarietyOperator:
-    """The minors' generators as they are: each row has d! entries +-1/sqrt(d!)
-    and distinct minors have disjoint monomial supports, so the rows are
-    already orthonormal and ``build_phi``'s SVD would only rotate them."""
-    return VarietyOperator(n1 * n2, r + 1, determinantal_generators(n1, n2, r))
+    """The minors' terms as they are: disjoint supports make the rows orthonormal."""
+    return VarietyOperator(n1 * n2, r + 1, *determinantal_generators(n1, n2, r))
 
 
 def separable_operator(dims: tuple[int, ...]) -> VarietyOperator:
@@ -205,8 +205,7 @@ def orthonormalize_basis(B: np.ndarray, keep_first: bool = False) -> np.ndarray:
     return Q
 
 
-def certify(op: VarietyOperator, basis: np.ndarray,
-            tolerance: float = 1e-9) -> CertificateReport:
+def certify(op: VarietyOperator, basis: np.ndarray, tolerance: float = 1e-9) -> CertificateReport:
     """Least singular value of the operator applied to the basis lift.
 
     A positive value eta certifies that every unit vector of the variety is
@@ -224,16 +223,17 @@ def certify(op: VarietyOperator, basis: np.ndarray,
     check_orthonormal(basis)
     lifted_cols = math.comb(m + op.d - 1, op.d)
     if lifted_cols > op.p:
-        raise ValueError(
-            f"lift has {lifted_cols} columns but the operator rank budget is {op.p}")
-    lifted = sym_lift(basis, op.d).coords.T @ op.generators.T
+        raise ValueError(f"lift has {lifted_cols} columns but the operator rank budget is {op.p}")
+    means = sym_lift(basis, op.d).means
+    step = max(1, _TERM_ENTRIES // (op.rows.shape[1] * means.shape[1]))  # forms per gather
+    lifted = np.vstack([np.einsum("ft,ftc->fc", op.weights[f:f + step], means[op.rows[f:f + step]])
+                       for f in range(0, op.p, step)])
     s = singular_values(lifted)
     eta = float(s[-1])
     floor = max(lifted.shape) * np.finfo(float).eps * s[0]
     verdict = "certified_far" if eta > max(tolerance, floor) else "dont_know"
     return CertificateReport(eta=eta, m=m, n=n, d=op.d, verdict=verdict,
-                             basis_sha256=matrix_sha256(basis),
-                             tolerance=tolerance)
+                             basis_sha256=matrix_sha256(basis), tolerance=tolerance)
 
 
 def random_rank_le_point(n1: int, n2: int, r: int, seed: int, tag=0) -> np.ndarray:

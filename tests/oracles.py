@@ -1,15 +1,20 @@
 """Reference oracles that only the tests use.
 
 They build what the library never needs to form: the full n**d x n**d
-averaging projector, a polynomial's value from its coefficient row, and
-matrix CSV text written, or parsed, one entry at a time.
+averaging projector, a polynomial's value from its coefficient row, matrix
+CSV text written, or parsed, one entry at a time, and a variety operator's
+dense generator matrix with the certificate read off its dense product.
 """
+
+import itertools
+import math
 
 import numpy as np
 
 from liftcert.matrixio import format_float
 from liftcert.powersum import _monomials
-from liftcert.tensor_lift import _check_entries, _orbits
+from liftcert.spectral import singular_values
+from liftcert.tensor_lift import _check_entries, _orbits, _rank, sym_lift
 
 
 def sym_projector_matrix(n: int, d: int) -> np.ndarray:
@@ -38,3 +43,30 @@ def matrix_from_csv_per_entry(text: str) -> np.ndarray:
     rows = [line.strip() for line in text.splitlines()]
     rows = [row.split(",") for row in rows if row and not row.startswith("#")]
     return np.array(rows, dtype=float)
+
+
+def dense_determinantal_generators(n1: int, n2: int, r: int) -> np.ndarray:
+    """The (r+1)-minors as a dense p x C(N+d-1, d) matrix in isometric
+    symmetric coordinates: row (I, J) holds sign(pi) / sqrt(d!) at the
+    monomial prod_t x[I_t, J_pi(t)] for every permutation pi."""
+    N, d = n1 * n2, r + 1
+    shape = (math.comb(n1, d) * math.comb(n2, d), math.comb(N + d - 1, d))
+    _check_entries(shape, f"the dense determinantal generators with n1 = {n1}, n2 = {n2}, r = {r}")
+    rows = np.array(list(itertools.combinations(range(n1), d)))
+    cols = np.array(list(itertools.combinations(range(n2), d)))
+    perms = np.array(list(itertools.permutations(range(d))))
+    sign = np.linalg.det(np.eye(d)[perms])
+    variables = rows[:, None, None, :] * n2 + cols[:, perms][None]
+    G = np.zeros(shape)
+    G[np.arange(shape[0])[:, None], _rank(variables, N).reshape(shape[0], -1)] = \
+        sign / math.sqrt(math.factorial(d))
+    return G
+
+
+def dense_certificate(op, basis: np.ndarray, tolerance: float = 1e-9) -> tuple[float, str]:
+    """certify's eta and verdict from the dense product of the lift's
+    isometric coordinates with the operator's generator rows."""
+    lifted = sym_lift(basis, op.d).coords.T @ op.generators.T
+    s = singular_values(lifted)
+    floor = max(lifted.shape) * np.finfo(float).eps * s[0]
+    return float(s[-1]), "certified_far" if s[-1] > max(tolerance, floor) else "dont_know"

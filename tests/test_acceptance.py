@@ -20,8 +20,7 @@ from liftcert.spectral import (BlockFamily, block_leave_one_out,
                                jacobian_khatri_rao, leave_one_out,
                                singular_values, wellcond_column_subset)
 from liftcert.tensor_lift import kron_power, sel_avg, sym_lift
-from liftcert.varieties import (determinantal_generators,
-                                separable_generators)
+from liftcert.varieties import determinantal_operator, separable_generators
 from oracles import sym_projector_matrix
 
 
@@ -160,7 +159,7 @@ def test_criterion_08_certification():
         for r in range(1, min(n1, n2)):
             if r > 2:
                 continue
-            got = len(determinantal_generators(n1, n2, r))
+            got = determinantal_operator(n1, n2, r).p
             counts_ok &= got == math.comb(n1, r + 1) * math.comb(n2, r + 1)
     for dims in [(2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 2, 2), (3, 3, 2)]:
         N = math.prod(dims)

@@ -292,6 +292,16 @@ class TestCertify:
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_seven_by_seven_rank_three_variety(self, capsys):
+        # 1225 minors of 24 terms each; dense, the generators would be
+        # 1225 x C(52, 4) = 1225 x 270725, above the cap.
+        code, out, _ = run_cli(capsys, "certify", "--variety", "determinantal:7,7,3",
+                               "--basis", "random:2", "--rho", "0.1")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["config"]["generator_count"] == 1225
+        assert (payload["d"], payload["verdict"]) == (4, "certified_far")
+
     def test_bad_variety_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "certify", "--variety", "conic:9",
                                "--basis", "random:2")
@@ -523,6 +533,8 @@ class TestExperiment:
          "param 'base' must be one of ['zero', 'random', 'duplicated'], got 'zeros'"),
         ({"target": "certify", "params": {"variety": "determinantal:4,4"}},
          "param 'variety': determinantal variety needs n1,n2,r"),
+        ({"study": "scaling", "rho_grid": [0.1, 0.1, 0.1]},
+         "a scaling study needs at least 3 rho_grid points, got 1 distinct in [0.1, 0.1, 0.1]"),
     ])
     def test_bad_field_is_usage_error(self, tmp_path, capsys, overrides, named):
         cfg = self.config_file(tmp_path, **overrides)

@@ -212,6 +212,13 @@ class TestScalingStudy:
         with pytest.raises(ValueError):
             cfg(study="scaling")
 
+    def test_needs_three_distinct_rho_values(self):
+        # A log-log slope through one repeated rho is undefined.
+        for grid in ([0.1, 0.1, 0.1], [0.1, 0.2, 0.1, 0.2]):
+            with pytest.raises(ValueError, match=r"3 rho_grid points, got [12] distinct"):
+                cfg(rho_grid=grid, study="scaling")
+        assert cfg(rho_grid=[0.1, 0.2, 0.1, 0.4], study="scaling").rho_grid == [0.1, 0.2, 0.1, 0.4]
+
     def test_zero_base_scaling_is_exact(self):
         config = cfg(rho_grid=[0.02, 0.05, 0.1, 0.2, 0.5], trials=12, study="scaling")
         result = run_experiment(config)

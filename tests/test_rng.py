@@ -8,7 +8,10 @@ import pytest
 from liftcert import rng
 
 # sha256 of the array bytes.  Every experiment CSV is reproducible only while
-# these draws keep their exact bits, however they are computed.
+# these draws keep their exact bits, however they are computed.  The values
+# hold for one numpy build on one CPU feature set: the draws' np.log follows
+# numpy's CPU dispatch, and its AVX512 path differs in the last bit from the
+# baseline path on a few inputs in a thousand.
 GAUSSIANS = {
     ((), (0, "noise")):
         "6dc69ea12a20bc95c7a376435c93cc218da7579de984abd566be28fae0f244c3",

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from oracles import dense_certificate, dense_determinantal_generators
 
 from liftcert import tensor_lift
 from liftcert.spectral import singular_values
@@ -40,17 +41,17 @@ class TestDeterminantalGenerators:
             for r in range(1, min(n1, n2)):
                 if r > 2:
                     continue
-                gens = determinantal_generators(n1, n2, r)
+                gens = determinantal_operator(n1, n2, r).generators
                 assert len(gens) == math.comb(n1, r + 1) * math.comb(n2, r + 1)
 
     def test_two_by_two_determinant_form(self):
-        (F,) = from_sym_coords(determinantal_generators(2, 2, 1), 4, 2)
+        (F,) = from_sym_coords(determinantal_operator(2, 2, 1).generators, 4, 2)
         X = np.array([[1.0, 2.0], [3.0, 4.0]])
         x = X.reshape(4)
         assert abs(F @ np.kron(x, x) - np.linalg.det(X)) <= 1e-12
 
     def test_vanishes_on_low_rank(self):
-        gens = from_sym_coords(determinantal_generators(3, 4, 1), 12, 2)
+        gens = from_sym_coords(determinantal_operator(3, 4, 1).generators, 12, 2)
         e1 = np.zeros((3, 1))
         e1[0] = 1.0
         f1 = np.zeros((1, 4))
@@ -61,7 +62,7 @@ class TestDeterminantalGenerators:
 
     def test_matches_direct_minors(self):
         rng = np.random.default_rng(0)
-        gens = from_sym_coords(determinantal_generators(3, 3, 1), 9, 2)
+        gens = from_sym_coords(determinantal_operator(3, 3, 1).generators, 9, 2)
         pairs = [(I, J) for I in itertools.combinations(range(3), 2)
                  for J in itertools.combinations(range(3), 2)]
         for _ in range(50):
@@ -73,26 +74,39 @@ class TestDeterminantalGenerators:
     @pytest.mark.parametrize("n1,n2,r", [(2, 2, 1), (3, 4, 1), (4, 4, 2)])
     def test_matches_reference_expansion(self, n1, n2, r):
         ref = ref_determinantal_generators(n1, n2, r)
-        gens = determinantal_generators(n1, n2, r)
+        gens = determinantal_operator(n1, n2, r).generators
         assert np.abs(sym_coords(ref, n1 * n2, r + 1) - gens).max() <= 1e-15
         assert np.abs(from_sym_coords(gens, n1 * n2, r + 1) - ref).max() <= 1e-15
 
     def test_size_checked_before_allocating(self, monkeypatch):
-        # 16 generators x C(18, 3) = 816 coordinates.
-        monkeypatch.setattr(tensor_lift, "MAX_DENSE_ENTRIES", 16 * 816 - 1)
+        # 16 generators x 3! terms x 3 variables; densely, x C(18, 3) = 816 coordinates.
+        monkeypatch.setattr(tensor_lift, "MAX_DENSE_ENTRIES", 16 * 6 * 3 - 1)
         with pytest.raises(LiftSizeError,
                            match="determinantal generators with n1 = 4, n2 = 4, r = 2"):
             determinantal_generators(4, 4, 2)
-        assert determinantal_generators(4, 4, 1).shape == (36, 136)
+        monkeypatch.setattr(tensor_lift, "MAX_DENSE_ENTRIES", 16 * 816 - 1)
+        op = determinantal_operator(4, 4, 2)
+        with pytest.raises(LiftSizeError, match=r"dense generators .* \(16, 816\)"):
+            op.generators
+        assert determinantal_operator(4, 4, 1).generators.shape == (36, 136)
 
     @pytest.mark.parametrize("n1,n2,r", [(2, 2, 1), (3, 3, 1), (3, 4, 2), (4, 4, 2),
                                          (5, 5, 2), (6, 6, 2)])
     def test_rows_are_orthonormal_and_used_as_is(self, n1, n2, r):
-        G = determinantal_generators(n1, n2, r)
-        assert np.abs(G @ G.T - np.eye(len(G))).max() <= 1e-15
         op = determinantal_operator(n1, n2, r)
-        assert np.array_equal(op.generators, G)
+        G = op.generators
+        assert np.abs(G @ G.T - np.eye(len(G))).max() <= 1e-15
+        assert np.array_equal(G, dense_determinantal_generators(n1, n2, r))
         assert (op.n, op.d) == (n1 * n2, r + 1)
+        assert op.rows.shape == op.weights.shape == (op.p, math.factorial(r + 1))
+        assert set(np.unique(op.weights)) == {-1.0, 1.0}
+
+    def test_seven_by_seven_rank_three_is_kept_as_terms(self):
+        # Dense, its generators would be 1225 x C(52, 4) = 1225 x 270725.
+        op = determinantal_operator(7, 7, 3)
+        assert op.rows.shape == (1225, 24)
+        with pytest.raises(LiftSizeError, match=r"dense generators .* \(1225, 270725\)"):
+            op.generators
 
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError):
@@ -287,6 +301,28 @@ class TestCertify:
             Q = orthonormalize_basis(rng.standard_normal((op.n, m)))
             want = singular_values(op.phi @ sym_lift(Q, op.d).data)[-1]
             assert abs(certify(op, Q).eta - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("spec,m", [
+        ("determinantal:2,2,1", 1), ("determinantal:3,3,1", 2), ("determinantal:4,4,2", 2),
+        ("determinantal:5,5,2", 3), ("separable:2,2", 1), ("separable:2,3", 2),
+        ("separable:2,2,2", 3)])
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_terms_match_the_dense_product(self, spec, m, planted):
+        op = variety_from_spec(spec)
+        kind, _, args = spec.partition(":")
+        nums = [int(tok) for tok in args.split(",")]
+        rng = np.random.default_rng(11)
+        for tag in range(4):
+            B = rng.standard_normal((op.n, m))
+            if planted:
+                B[:, 0] = (random_rank_le_point(*nums, seed=12, tag=tag) if kind == "determinantal"
+                           else random_separable_point(tuple(nums), seed=12, tag=tag))
+            Q = orthonormalize_basis(B, keep_first=planted)
+            report = certify(op, Q)
+            eta, verdict = dense_certificate(op, Q)
+            # Planted etas are rounding noise, so they are compared on the scale of 1.
+            assert abs(report.eta - eta) <= 1e-12 * max(eta, 1.0 if planted else 0.0)
+            assert report.verdict == verdict == ("dont_know" if planted else "certified_far")
 
     def test_nan_basis_is_refused(self):
         op = determinantal_operator(2, 2, 1)
