@@ -195,14 +195,12 @@ def _bind_lift(p, config):
     _need(k <= rank, f"blocks*C(m+d-1,d) = {k} <= ceil(delta*C(n+d-1,d)) = {rank}", p)
     # Orthonormal rows spanning symmetric tensors, in isometric coordinates.
     phi = _random_row_isometry(rank, math.comb(n + d - 1, d), config.master_seed, "projector")
-    bases = [_make_base(p["base"], n, m, _rng.derive_seed(config.master_seed, "b", j))
-             for j in range(blocks)]
+    bases = np.array([_make_base(p["base"], n, m, _rng.derive_seed(config.master_seed, "b", j))
+                      for j in range(blocks)])
 
     def measure(rho, seed):
-        lifts = []
-        for j in range(blocks):
-            Z = _rng.gaussians((n, m), seed, "noise", j)
-            lifts.append(sym_lift(bases[j] + rho * Z, d).coords.T)
+        perturbed = bases + rho * _rng.gaussians((n, m), seed, "noise", stack=blocks)
+        lifts = [sym_lift(B, d).coords.T for B in perturbed]
         return float(singular_values(np.vstack(lifts) @ phi.T)[k - 1]), None, None
     return measure
 
@@ -211,18 +209,30 @@ def _kron(P: np.ndarray, F: np.ndarray) -> np.ndarray:  # np.kron's one product 
     return (P[:, None, :, None] * F[None, :, None, :]).reshape(len(P) * len(F), -1)
 
 
+def _kron_product(psi: np.ndarray, factors) -> np.ndarray:
+    """``psi @ reduce(_kron, factors)`` for n x m factors, without the n**d x
+    m**d product: psi as (rows * n) x n**(d-1) times the product of all but
+    the first factor, then the first factor applied to the leading mode
+    (mode-n products; Kolda and Bader, SIAM Review 51(3), 2009)."""
+    first, rest = factors[0], factors[1:]
+    if not len(rest):
+        return psi @ first
+    rows, n = len(psi), len(first)
+    T = (psi.reshape(rows * n, -1) @ reduce(_kron, rest)).reshape(rows, n, -1)
+    return (T.swapaxes(1, 2) @ first).swapaxes(1, 2).reshape(rows, -1)
+
+
 def _bind_thm52(p, config):
     n, m, d = p["n"], p["m"], p["d"]
     rank = math.ceil(p["delta"] * math.comb(n + d - 1, d))
     _need(m**d <= rank, f"m**d = {m**d} <= ceil(delta*C(n+d-1,d)) = {rank}", p)
     psi = _random_row_isometry(rank, n**d, config.master_seed, "operator")
-    bases = [_make_base(p["base"], n, m, _rng.derive_seed(config.master_seed, "b", j))
-             for j in range(d)]
+    bases = np.array([_make_base(p["base"], n, m, _rng.derive_seed(config.master_seed, "b", j))
+                      for j in range(d)])
 
     def measure(rho, seed):
-        prod = reduce(_kron, [bases[j] + rho * _rng.gaussians((n, m), seed, "noise", j)
-                              for j in range(d)])
-        return float(singular_values(psi @ prod)[m**d - 1]), None, None
+        factors = bases + rho * _rng.gaussians((n, m), seed, "noise", stack=d)
+        return float(singular_values(_kron_product(psi, factors))[m**d - 1]), None, None
     return measure
 
 
@@ -257,14 +267,11 @@ def _bind_prop72(p, config):
     slack = n * n - n * ell - m * math.comb(ell + 1, 2) - m + 1
     _need(ell <= n and slack > 0,
           f"ell <= n and n^2 - n*ell - m*C(ell+1,2) - m + 1 = {slack} > 0", p)
-    bases = []
-    for t in range(m):
-        B = _rng.gaussians((n, n), config.master_seed, "base", t)
-        bases.append(B / np.linalg.norm(B))
+    bases = np.array([B / np.linalg.norm(B)
+                      for B in _rng.gaussians((n, n), config.master_seed, "base", stack=m)])
 
     def measure(rho, seed):
-        mats = [bases[t] + rho * _rng.gaussians((n, n), seed, "noise", t)
-                for t in range(m)]
+        mats = list(bases + rho * _rng.gaussians((n, n), seed, "noise", stack=m))
         return float(singular_values(ps.build_projected_V(mats, ell))[-1]), None, None
     return measure
 
@@ -358,15 +365,14 @@ def _bind_caa_probe(p, config):
     _need(k <= m, "k <= m", p)
     seed0 = config.master_seed
     delta = 1.0 / math.sqrt(k)
-    baseU = _rng.unit_columns((n, m), seed0, "baseU")
-    baseV = _rng.unit_columns((n, m), seed0, "baseV")
+    base = np.array([_rng.unit_columns((n, m), seed0, "baseU"),
+                     _rng.unit_columns((n, m), seed0, "baseV")])
 
     def combo_norm(seed) -> float:
         support = _rng.rng(seed, "support").choice(m, size=k, replace=False)
         alpha = np.zeros(m)
         alpha[support] = delta
-        U = baseU + rho * _rng.gaussians((n, m), seed, "noise", 0)
-        V = baseV + rho * _rng.gaussians((n, m), seed, "noise", 1)
+        U, V = base + rho * _rng.gaussians((n, m), seed, "noise", stack=2)
         return float(np.linalg.norm(khatri_rao(U, V) @ alpha))
 
     pilot = sorted(combo_norm(_rng.derive_seed(seed0, "pilot", t))
@@ -388,16 +394,15 @@ def _bind_caa_probe(p, config):
 def _bind_jacobian_probe(p, config):
     n, m, k = p["n"], p["m"], p["k"]
     _need(k <= m, "k <= m", p)
-    baseU = _rng.gaussians((n, m), config.master_seed, "baseU")
-    baseV = _rng.gaussians((n, m), config.master_seed, "baseV")
+    base = np.array([_rng.gaussians((n, m), config.master_seed, "baseU"),
+                     _rng.gaussians((n, m), config.master_seed, "baseV")])
     need = math.ceil(n * k / 2)
 
     def measure(rho, seed):
         alpha = np.zeros(m)
         support = _rng.rng(seed, "support").choice(m, size=k, replace=False)
         alpha[support] = 1.0
-        U = baseU + rho * _rng.gaussians((n, m), seed, "noise", 0)
-        V = baseV + rho * _rng.gaussians((n, m), seed, "noise", 1)
+        U, V = base + rho * _rng.gaussians((n, m), seed, "noise", stack=2)
         J = jacobian_khatri_rao(alpha, U, V)
         count = count_large_singulars(J, p["tau_factor"] * rho)
         return float(count), float(need), bool(count >= need)

@@ -188,11 +188,9 @@ def make_clustering_instance(n: int, m: int, s: int, d: int, rho: float,
                              seed: int, shared_base: bool = True) -> ClusteringInstance:
     """s orthonormal bases; by default all equal to one seeded random base,
     the hardest layout that the perturbation must still separate."""
-    def draw(tag):
-        G = _rng.gaussians((n, m), seed, "cluster", "base", tag)
-        Q, _ = np.linalg.qr(G)
-        return Q
-    bases = [draw(0)] * s if shared_base else [draw(i) for i in range(s)]
+    drawn = 1 if shared_base else s
+    Q, _ = np.linalg.qr(_rng.gaussians((n, m), seed, "cluster", "base", stack=drawn))
+    bases = [Q[0]] * s if shared_base else list(Q)
     return ClusteringInstance(bases=bases, d=d, rho=rho, seed=seed)
 
 
@@ -209,16 +207,12 @@ def build_block_lift(instance: ClusteringInstance) -> np.ndarray:
     d, s = instance.d, len(instance.bases)
     if s * math.comb(m + d - 1, d) > math.comb(n + d - 1, d):
         raise ValueError("dimension budget violated: too many blocks for the lift space")
-    blocks = []
-    for i, P in enumerate(instance.bases):
-        if instance.rho > 0:
-            noise = (instance.rho / math.sqrt(n)) * _rng.gaussians(
-                (n, m), instance.seed, "cluster", "noise", i)
-            Q, _ = np.linalg.qr(P + noise)
-        else:
-            Q = P
-        blocks.append(sym_lift(Q, d).coords)
-    return np.hstack(blocks)
+    bases = instance.bases
+    if instance.rho > 0:
+        noise = (instance.rho / math.sqrt(n)) * _rng.gaussians(
+            (n, m), instance.seed, "cluster", "noise", stack=s)
+        bases, _ = np.linalg.qr(np.asarray(bases) + noise)
+    return np.hstack([sym_lift(Q, d).coords for Q in bases])
 
 
 def _monomials(X: np.ndarray, r: int) -> np.ndarray:
@@ -267,10 +261,10 @@ def make_symmetric_columns(n: int, m: int, rho: float, seed: int) -> np.ndarray:
     """m vectorized symmetric n x n matrices, upper triangle perturbed i.i.d."""
     iu = np.triu_indices(n)
     cols = np.empty((n * n, m))
+    base = _rng.gaussians((len(iu[0]),), seed, "symcols", "base", stack=m)
+    noise = _rng.gaussians((len(iu[0]),), seed, "symcols", "noise", stack=m)
     for t in range(m):
-        vals = _rng.gaussians((len(iu[0]),), seed, "symcols", "base", t)
-        vals = vals / np.linalg.norm(vals)
-        vals = vals + rho * _rng.gaussians((len(iu[0]),), seed, "symcols", "noise", t)
+        vals = base[t] / np.linalg.norm(base[t]) + rho * noise[t]
         X = np.zeros((n, n))
         X[iu] = vals
         X = X + X.T - np.diag(np.diag(X))

@@ -16,37 +16,44 @@ last bit on a few inputs in a thousand, so another CPU can change draws.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
+import struct
 import threading
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 from numpy.random import Philox
 
 _TWO64 = float(2**64)
-_encode = json.JSONEncoder(separators=(",", ":")).encode
 _local = threading.local()
 
 
 def _digest(master_seed: int, path: tuple) -> bytes:
-    payload = _encode([int(master_seed), *[str(p) for p in path]]).encode()
-    return hashlib.sha256(payload).digest()
+    """sha256 of the compact JSON ``[master_seed, *map(str, path)]``."""
+    payload = f"[{int(master_seed)}{''.join([',' + _quote(str(p)) for p in path])}]"
+    return hashlib.sha256(payload.encode()).digest()
 
 
-def _key(master_seed: int, path: tuple) -> int:
-    return int.from_bytes(_digest(master_seed, path)[:16], "little")
+def _key_words(master_seed: int, path: tuple) -> tuple[int, int]:
+    """The stream's 128-bit Philox key as its (low, high) 64-bit words."""
+    return struct.unpack_from("<QQ", _digest(master_seed, path))
 
 
-def _raw(master_seed: int, path: tuple, size: int) -> np.ndarray:
-    """The first ``size`` raw words of the keyed stream, from this thread's Philox."""
-    gen = getattr(_local, "philox", None)
-    if gen is None:
-        gen = _local.philox = Philox()
-    key = _key(master_seed, path)
-    gen.state = {"bit_generator": "Philox", "buffer": (0,) * 4, "buffer_pos": 4,
-                 "has_uint32": 0, "uinteger": 0,
-                 "state": {"counter": (0,) * 4, "key": (key % 2**64, key >> 64)}}
-    return gen.random_raw(size)
+def _raw(master_seed: int, paths: list, size: int) -> np.ndarray:
+    """A len(paths) x size array: row j holds the first ``size`` raw words of the
+    stream keyed by paths[j], read from this thread's Philox."""
+    try:
+        gen, state = _local.philox
+    except AttributeError:
+        gen, state = _local.philox = Philox(), {
+            "bit_generator": "Philox", "buffer": (0,) * 4, "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0, "state": {"counter": (0,) * 4, "key": None}}
+    out = np.empty((len(paths), size), dtype=np.uint64)
+    for j, path in enumerate(paths):
+        state["state"]["key"] = _key_words(master_seed, path)
+        gen.state = state  # the whole state: the key, counter 0, no buffered words
+        out[j] = gen.random_raw(size)
+    return out
 
 
 def derive_seed(master_seed: int, *path) -> int:
@@ -56,28 +63,39 @@ def derive_seed(master_seed: int, *path) -> int:
 
 def stream(master_seed: int, *path) -> Philox:
     """Philox bit generator keyed by (master_seed, *path)."""
-    return Philox(key=_key(master_seed, path))
+    return Philox(key=int.from_bytes(_digest(master_seed, path)[:16], "little"))
+
+
+def _open_unit(raw: np.ndarray) -> np.ndarray:
+    u = np.add(raw, 0.5)  # converts each word to float64, then adds
+    return np.divide(u, _TWO64, out=u)
 
 
 def uniforms(master_seed: int, *path, size: int) -> np.ndarray:
     """``size`` doubles in the open interval (0, 1) from the keyed stream."""
-    u = _raw(master_seed, path, size).astype(np.float64)
-    u += 0.5
-    return np.divide(u, _TWO64, out=u)
+    return _open_unit(_raw(master_seed, [path], size))[0]
 
 
-def gaussians(shape, master_seed: int, *path) -> np.ndarray:
-    """Standard normal array of the given shape via Box-Muller."""
+def gaussians(shape, master_seed: int, *path, stack: int | None = None) -> np.ndarray:
+    """Standard normal array of the given shape via Box-Muller.
+
+    With ``stack=k`` the result is (k, *shape), and slice j is bit for bit
+    ``gaussians(shape, master_seed, *path, j)``: each stream is keyed and read
+    on its own, then one transform runs over all k rows, each half of a row
+    contiguous as in a single draw.
+    """
     n = math.prod(shape)
     pairs = (n + 1) // 2
-    u = uniforms(master_seed, *path, size=2 * pairs)
-    radius, angle = u[:pairs], u[pairs:]
+    paths = [path] if stack is None else [(*path, j) for j in range(stack)]
+    u = _open_unit(_raw(master_seed, paths, 2 * pairs))
+    radius, angle = u[:, :pairs], u[:, pairs:]
     np.sqrt(np.multiply(np.log(radius, out=radius), -2.0, out=radius), out=radius)
     angle *= 2.0 * np.pi
-    z = np.empty(2 * pairs)
-    np.multiply(np.cos(angle, out=z[:pairs]), radius, out=z[:pairs])
-    np.multiply(np.sin(angle, out=z[pairs:]), radius, out=z[pairs:])
-    return z[:n].reshape(shape)
+    z = np.empty(u.shape)
+    cos, sin = z[:, :pairs], z[:, pairs:]
+    np.multiply(np.cos(angle, out=cos), radius, out=cos)
+    np.multiply(np.sin(angle, out=sin), radius, out=sin)
+    return z[:, :n].reshape(shape if stack is None else (stack, *shape))
 
 
 def unit_columns(shape, master_seed: int, *path) -> np.ndarray:

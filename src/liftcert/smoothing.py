@@ -81,7 +81,7 @@ def noise_layers(Z: np.ndarray, rho: float, rhos, seed: int, *path) -> list[np.n
         return [np.zeros_like(Z) for _ in rhos]
     if rho == 0 or abs(float(np.sum((rhos / rho) ** 2)) - 1.0) > 1e-12:
         raise ValueError("split variances must sum to rho^2")
-    raw = [r * _rng.gaussians(Z.shape, seed, *path, j) for j, r in enumerate(rhos)]
+    raw = [r * g for r, g in zip(rhos, _rng.gaussians(Z.shape, seed, *path, stack=len(rhos)))]
     excess = sum(raw) - Z
     return [layer - (r / rho) ** 2 * excess for layer, r in zip(raw, rhos)]
 

@@ -229,7 +229,7 @@ class LiftMatrix:
     every ordering of the multiset row I of the (n, d) plan, and column c is
     labelled by ``column_order[c]``, a non-decreasing 1-based m-tuple.
     ``coords`` (isometric coordinates, as ``sym_coords``) and ``data`` (full
-    n**d rows) are built on each access.
+    n**d rows, checked against the cap first) are built on each access.
     """
 
     means: np.ndarray
@@ -244,6 +244,8 @@ class LiftMatrix:
 
     @property
     def data(self) -> np.ndarray:
+        _check_entries((self.n**self.d, self.means.shape[1]),
+                       f"the full lift with n = {self.n}, m = {self.m}, d = {self.d}")
         return self.means[_orbits(self.n, self.d).ids]
 
     def descriptor(self) -> dict:
@@ -338,7 +340,7 @@ def sym_lift(U: np.ndarray, d: int) -> LiftMatrix:
     U = np.asarray(U, dtype=float)
     n, m = U.shape
     column_order = enumerate_multi_indices(m, d)
-    _check_entries((n**d, len(column_order)),
+    _check_entries((math.comb(n + d - 1, d), len(column_order)),
                    f"the symmetrized lift with n = {n}, m = {m}, d = {d}")
     if m <= n:
         means = _sym_columns([U] * d, _plan(n, d).rows)

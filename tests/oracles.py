@@ -2,15 +2,18 @@
 
 They build what the library never needs to form: the full n**d x n**d
 averaging projector, a polynomial's value from its coefficient row, matrix
-CSV text written, or parsed, one entry at a time, and a variety operator's
-dense generator matrix with the certificate read off its dense product.
+CSV text written, or parsed, one entry at a time, a variety operator's
+dense generator matrix with the certificate read off its dense product, and
+the Kronecker product that thm52's operator is applied to.
 """
 
 import itertools
 import math
+from functools import reduce
 
 import numpy as np
 
+from liftcert.harness import _kron
 from liftcert.matrixio import format_float
 from liftcert.powersum import _monomials
 from liftcert.spectral import singular_values
@@ -70,3 +73,9 @@ def dense_certificate(op, basis: np.ndarray, tolerance: float = 1e-9) -> tuple[f
     s = singular_values(lifted)
     floor = max(lifted.shape) * np.finfo(float).eps * s[0]
     return float(s[-1]), "certified_far" if s[-1] > max(tolerance, floor) else "dont_know"
+
+
+def kron_operator(psi: np.ndarray, factors) -> np.ndarray:
+    """thm52's matrix, psi times the formed n**d x m**d Kronecker product of
+    its factors."""
+    return psi @ reduce(_kron, factors)

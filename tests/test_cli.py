@@ -302,6 +302,16 @@ class TestCertify:
         assert payload["config"]["generator_count"] == 1225
         assert (payload["d"], payload["verdict"]) == (4, "certified_far")
 
+    def test_lift_is_capped_on_what_it_stores(self, capsys):
+        # The order-4 lift of a 49 x 4 basis stores C(52, 4) x C(7, 4) =
+        # 270725 x 35 means; its 49**4 = 5764801 full rows would be above the cap.
+        code, out, _ = run_cli(capsys, "certify", "--variety", "determinantal:7,7,3",
+                               "--basis", "random:4", "--rho", "0.1")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["m"], payload["verdict"]) == (4, "certified_far")
+        assert payload["eta"] > 0
+
     def test_bad_variety_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "certify", "--variety", "conic:9",
                                "--basis", "random:2")

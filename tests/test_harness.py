@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liftcert import rng, tensor_lift
-from liftcert.harness import (REQUIRED, TARGETS, ExperimentConfig,
-                              _kron, _random_row_isometry, run_experiment)
+from liftcert.harness import (REQUIRED, TARGETS, ExperimentConfig, _kron,
+                              _kron_product, _random_row_isometry, run_experiment)
 from liftcert.spectral import singular_values
-from liftcert.stats import wilson_interval
+from liftcert.stats import quantile_summary, wilson_interval
 from liftcert.tensor_lift import LiftSizeError, from_sym_coords, sym_lift
+from oracles import kron_operator
 from paper_tools import sigma_basic_check
 
 
@@ -442,3 +443,29 @@ def test_kron_fold_matches_np_kron_bit_for_bit(d):
     factors = [np.random.default_rng([d, j]).standard_normal((6, 3)) for j in range(d)]
     factors.append(np.random.default_rng(d).standard_normal((2, 5)))
     assert np.array_equal(reduce(_kron, factors), reduce(np.kron, factors))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("n, m", [(6, 3), (4, 2), (3, 3)])
+def test_mode_products_match_the_formed_kronecker_product(n, m, d):
+    rows = math.ceil(0.5 * math.comb(n + d - 1, d))
+    psi = _random_row_isometry(rows, n**d, 3, "operator")
+    factors = np.random.default_rng([n, m, d]).standard_normal((d, n, m))
+    want = kron_operator(psi, factors)
+    got = _kron_product(psi, factors)
+    assert got.shape == want.shape == (rows, m**d)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_quantile_summary_equals_numpy_bit_for_bit():
+    gen = np.random.default_rng(20)
+    for _ in range(2000):
+        size = int(gen.integers(1, 101))
+        # Few distinct values give ties; zeros and spread scales ride along.
+        pool = np.append(gen.standard_normal(int(gen.integers(1, size + 1))), 0.0)
+        v = gen.choice(pool * 10.0 ** gen.integers(-8, 8), size=size)
+        got = quantile_summary(v.tolist())
+        want = {"min": np.min(v), "q25": np.quantile(v, 0.25), "median": np.median(v),
+                "q75": np.quantile(v, 0.75), "max": np.max(v)}
+        assert got == {key: float(value) for key, value in want.items()}
+        assert all(type(value) is float for value in got.values())

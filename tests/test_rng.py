@@ -109,3 +109,40 @@ def test_digest_is_the_compact_json_of_the_path():
             "\U0001f600", -3, 2**70)
     payload = json.dumps([7, *[str(p) for p in path]], separators=(",", ":")).encode()
     assert rng._digest(7, path) == hashlib.sha256(payload).digest()
+
+
+STACKED_SHAPES = [(), (0,), (1,), (5,), (6, 3), (7, 3), (220, 110)]
+
+
+@pytest.mark.parametrize("stack", range(1, 6))
+@pytest.mark.parametrize("shape", STACKED_SHAPES)
+def test_stacked_draws_equal_their_single_draws(shape, stack):
+    z = rng.gaussians(shape, 9, "noise", "x", stack=stack)
+    assert z.shape == (stack, *shape) and z.dtype == np.float64
+    for j in range(stack):
+        assert sha(np.ascontiguousarray(z[j])) == sha(rng.gaussians(shape, 9, "noise", "x", j))
+
+
+def test_stacked_draws_from_four_threads_equal_serial_draws():
+    keys = [(STACKED_SHAPES[t % 7], t % 5 + 1, (t, "noise")) for t in range(200)]
+
+    def draw(key):
+        shape, stack, path = key
+        return rng.gaussians(shape, *path, stack=stack)
+
+    serial = [draw(key) for key in keys]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = list(pool.map(draw, keys))
+    assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**70])
+def test_key_words_are_the_json_digest_words(seed):
+    for path in [(), ("noise", 3), ("ü", 'say "hi"', "back\\slash", "\U0001f600"),
+                 ("tab\there", None, 1.5, -3, 2**70)]:
+        payload = json.dumps([seed, *[str(p) for p in path]], separators=(",", ":"))
+        digest = hashlib.sha256(payload.encode()).digest()
+        key = int.from_bytes(digest[:16], "little")
+        assert rng._digest(seed, path) == digest
+        assert rng._key_words(seed, path) == (key % 2**64, key >> 64)
+        assert rng.derive_seed(seed, *path) == int.from_bytes(digest[:8], "little")

@@ -152,8 +152,11 @@ class TestDenseSizeGuard:
         U = np.ones((3, 2))
         with pytest.raises(LiftSizeError, match="Kronecker power with n = 3, m = 2, d = 3"):
             kron_power(U, 3)
-        with pytest.raises(LiftSizeError, match="lift with n = 3, m = 2, d = 3"):
-            sym_lift(U, 3)
+        # The lift stores its 10 x 4 means; its full 27 x 4 rows are checked on access.
+        lift = sym_lift(U, 3)
+        assert lift.means.shape == (10, 4)
+        with pytest.raises(LiftSizeError, match=r"full lift with n = 3, m = 2, d = 3 .* \(27, 4\)"):
+            lift.data
         with pytest.raises(LiftSizeError, match="lift with n = 3, m = 2, d = 3"):
             sym_kron([U] * 3)
         with pytest.raises(LiftSizeError, match=r"orbit ids of the 5\*\*3 coordinate space"):
@@ -165,6 +168,9 @@ class TestDenseSizeGuard:
         with pytest.raises(LiftSizeError, match="index rows for n = 20, d = 2"):
             enumerate_multi_indices(20, 2)
         assert kron_power(U, 2).shape == (9, 4)
+        monkeypatch.setattr(tensor_lift, "MAX_DENSE_ENTRIES", 39)
+        with pytest.raises(LiftSizeError, match=r"lift with n = 3, m = 2, d = 3 .* \(10, 4\)"):
+            sym_lift(U, 3)
 
     def test_index_rows_are_checked_before_they_are_built(self, monkeypatch):
         # (2, 10) is used by no other test, so no cached orbit table answers.
