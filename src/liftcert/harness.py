@@ -4,8 +4,12 @@ An experiment is (target, params, rho_grid, trials, master_seed, threshold).
 ``TARGETS`` declares each target's params, which a config checks by name when
 it is built, and a bind function that checks the dimension budget before any
 trial.  Each trial derives its own random stream from (master_seed, trial
-index); trials run in index order in one thread, and the aggregation is a fold
-over that order.  Noise layers are keyed by trial index only, never by rho, so
+index).  The bound measure is called once per rho with all of that rho's
+trial seeds and returns one result per seed: thm51, cor53 and thm52 draw,
+build and decompose a rho's trials as stacks, with the bytes of one trial at
+a time; every other target measures its trials one by one, in index order.
+Everything runs in one thread, and the aggregation is a fold over trial
+index.  Noise layers are keyed by trial index only, never by rho, so
 comparisons across a rho grid are paired by construction.
 
 Output contract: one CSV row per trial plus a JSON summary, both
@@ -14,6 +18,7 @@ byte-reproducible for a fixed config (timings never enter the files).
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -27,12 +32,17 @@ import numpy as np
 from . import powersum as ps
 from . import rng as _rng
 from .matrixio import format_float
-from .spectral import _rank_of_values, count_large_singulars, jacobian_khatri_rao, singular_values
+from .spectral import (NonFiniteMatrixError, _rank_of_values, count_large_singulars,
+                       jacobian_khatri_rao, singular_values, stacked_singular_values)
 from .stats import quantile_summary, wilson_interval
-from .tensor_lift import _check_entries, khatri_rao, sym_lift
+from .tensor_lift import _check_entries, _lift_entries, khatri_rao, sym_lift
 from .varieties import certify, orthonormalize_basis, variety_from_spec
 
 REQUIRED = object()
+# A rho's trials are measured in stacks of at most this many entries per
+# array (8 MB), far under MAX_DENSE_ENTRIES, so a large trial count does not
+# hold a rho's trials at once.
+_STACK_ENTRIES = 2**20
 _COMPARE = {"<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
@@ -49,10 +59,12 @@ class Param(NamedTuple):
 
 
 class Target(NamedTuple):
-    """``bind(resolved params, config)`` returns ``measure(rho, seed) ->
-    (sigma, threshold or None, passed or None)``; None means the config's
-    threshold and ``sigma >= threshold``.  The targets with a default
-    ``threshold`` are the ``liftcert powersum`` checks."""
+    """``bind(resolved params, config)`` returns ``measure(rho, seeds)``,
+    called once per rho with all of its trials' seeds, which returns one
+    ``(sigma, threshold or None, passed or None)`` per seed in seed order;
+    None means the config's threshold and ``sigma >= threshold``.  The
+    targets with a default ``threshold`` are the ``liftcert powersum``
+    checks."""
 
     params: dict
     bind: Callable
@@ -179,11 +191,37 @@ def _make_base(kind: str, n: int, m: int, master_seed: int) -> np.ndarray:
     return np.tile(_rng.unit_columns((n, 1), master_seed, "base"), (1, m))
 
 
+def _per_trial(bind):
+    """A bind whose measure takes one seed, made a bind whose measure takes
+    a rho's seeds and measures them in order; the measure's attributes (the
+    probe's ``lambda_hat``) carry over."""
+    def bind_seeds(p, config):
+        measure = bind(p, config)
+        return functools.wraps(measure)(lambda rho, seeds: [measure(rho, s) for s in seeds])
+    return bind_seeds
+
+
 def _need(ok: bool, rule: str, p: dict) -> None:
     """Refuse params that break a target's dimension budget, naming them."""
     if not ok:
         given = ", ".join(f"{name}={value}" for name, value in p.items())
         raise ValueError(f"params {given} break the dimension budget {rule}")
+
+
+def _stacked(measure, per_trial: int):
+    """``measure(rho, seeds)`` over runs of seeds whose stacks hold at most
+    ``_STACK_ENTRIES`` entries, ``per_trial`` to a trial, or one trial when
+    one needs more.  Each stack is checked against the cap before it is
+    built."""
+    def run(rho, seeds):
+        step = max(1, _STACK_ENTRIES // per_trial)
+        out = []
+        for start in range(0, len(seeds), step):
+            chunk = seeds[start:start + step]
+            _check_entries((len(chunk), per_trial), f"the stacked arrays of {len(chunk)} trials")
+            out += measure(rho, chunk)
+        return out
+    return run
 
 
 def _bind_lift(p, config):
@@ -198,28 +236,35 @@ def _bind_lift(p, config):
     bases = np.array([_make_base(p["base"], n, m, _rng.derive_seed(config.master_seed, "b", j))
                       for j in range(blocks)])
 
-    def measure(rho, seed):
-        perturbed = bases + rho * _rng.gaussians((n, m), seed, "noise", stack=blocks)
-        lifts = [sym_lift(B, d).coords.T for B in perturbed]
-        return float(singular_values(np.vstack(lifts) @ phi.T)[k - 1]), None, None
-    return measure
+    def measure(rho, seeds):
+        keys = [(seed, ("noise", j)) for seed in seeds for j in range(blocks)]
+        noise = _rng.gaussians((n, m), keys).reshape(len(seeds), blocks, n, m)
+        coords = sym_lift(bases + rho * noise, d).coords
+        # Each trial's k x C(n+d-1, d) stack of transposed lifts, column-major
+        # as np.vstack leaves them: BLAS rounds the two orders differently.
+        lifts = coords.transpose(0, 2, 1, 3).reshape(len(seeds), -1, k).swapaxes(-1, -2)
+        return [(float(s[k - 1]), None, None) for s in stacked_singular_values(lifts @ phi.T)]
+    return _stacked(measure, blocks * _lift_entries(n, m, d))
 
 
 def _kron(P: np.ndarray, F: np.ndarray) -> np.ndarray:  # np.kron's one product per entry
-    return (P[:, None, :, None] * F[None, :, None, :]).reshape(len(P) * len(F), -1)
+    return (P[..., :, None, :, None] * F[..., None, :, None, :]).reshape(
+        *P.shape[:-2], P.shape[-2] * F.shape[-2], -1)
 
 
 def _kron_product(psi: np.ndarray, factors) -> np.ndarray:
     """``psi @ reduce(_kron, factors)`` for n x m factors, without the n**d x
     m**d product: psi as (rows * n) x n**(d-1) times the product of all but
     the first factor, then the first factor applied to the leading mode
-    (mode-n products; Kolda and Bader, SIAM Review 51(3), 2009)."""
+    (mode-n products; Kolda and Bader, SIAM Review 51(3), 2009).  Factors
+    of shape (..., n, m) give one product per leading index, each by the
+    matmuls of a single product."""
     first, rest = factors[0], factors[1:]
     if not len(rest):
         return psi @ first
-    rows, n = len(psi), len(first)
-    T = (psi.reshape(rows * n, -1) @ reduce(_kron, rest)).reshape(rows, n, -1)
-    return (T.swapaxes(1, 2) @ first).swapaxes(1, 2).reshape(rows, -1)
+    rows, (n, _), lead = len(psi), first.shape[-2:], first.shape[:-2]
+    T = (psi.reshape(rows * n, -1) @ reduce(_kron, rest)).reshape(*lead, rows, n, -1)
+    return (T.swapaxes(-1, -2) @ first[..., None, :, :]).swapaxes(-1, -2).reshape(*lead, rows, -1)
 
 
 def _bind_thm52(p, config):
@@ -230,12 +275,16 @@ def _bind_thm52(p, config):
     bases = np.array([_make_base(p["base"], n, m, _rng.derive_seed(config.master_seed, "b", j))
                       for j in range(d)])
 
-    def measure(rho, seed):
-        factors = bases + rho * _rng.gaussians((n, m), seed, "noise", stack=d)
-        return float(singular_values(_kron_product(psi, factors))[m**d - 1]), None, None
-    return measure
+    def measure(rho, seeds):
+        keys = [(seed, ("noise", j)) for seed in seeds for j in range(d)]
+        factors = bases + rho * _rng.gaussians((n, m), keys).reshape(len(seeds), d, n, m)
+        s = stacked_singular_values(_kron_product(psi, factors.swapaxes(0, 1)))
+        return [(float(v), None, None) for v in s[:, m**d - 1]]
+    # The mode products' largest arrays: T, the result and the folded rest.
+    return _stacked(measure, max(rank * n * m ** (d - 1), rank * m**d, (n * m) ** (d - 1)))
 
 
+@_per_trial
 def _bind_certify(p, config):
     try:
         op = variety_from_spec(p["variety"])
@@ -255,6 +304,7 @@ def _bind_certify(p, config):
     return measure
 
 
+@_per_trial
 def _bind_prop71(p, config):
     def measure(rho, seed):
         C = ps.make_symmetric_columns(p["n"], p["m"], rho, seed)
@@ -262,6 +312,7 @@ def _bind_prop71(p, config):
     return measure
 
 
+@_per_trial
 def _bind_prop72(p, config):
     n, m, ell = p["n"], p["m"], p["ell"]
     slack = n * n - n * ell - m * math.comb(ell + 1, 2) - m + 1
@@ -281,6 +332,7 @@ def _power_sum_need(p) -> None:
     _need(p["m"] < n2, f"m < N2 = C(n+1,2) = {n2}", p)
 
 
+@_per_trial
 def _bind_prop73(p, config):
     n, m = p["n"], p["m"]
     want = m * math.comb(n + 1, 2) - math.comb(m, 2)
@@ -300,6 +352,7 @@ def _bind_prop73(p, config):
     return measure
 
 
+@_per_trial
 def _bind_lemma74(p, config):
     _power_sum_need(p)
 
@@ -309,6 +362,7 @@ def _bind_lemma74(p, config):
     return measure
 
 
+@_per_trial
 def _bind_claim77(p, config):
     _power_sum_need(p)
 
@@ -319,6 +373,7 @@ def _bind_claim77(p, config):
     return measure
 
 
+@_per_trial
 def _bind_claim76(p, config):
     m = p["m"]
     rank = 2 * m * math.comb(p["n"] + 1, 2) - math.comb(2 * m, 2)
@@ -333,6 +388,7 @@ def _bind_claim76(p, config):
     return measure
 
 
+@_per_trial
 def _bind_conj81(p, config):
     n, m, s, d = p["n"], p["m"], p["s"], p["d"]
     _need(s * math.comb(m + d - 1, d) <= math.comb(n + d - 1, d),
@@ -348,6 +404,7 @@ def _bind_conj81(p, config):
     return measure
 
 
+@_per_trial
 def _bind_conj82(p, config):
     dim, N = p["dim"], p["N"]
     base = _rng.gaussians((N, dim), config.master_seed, "points")
@@ -359,6 +416,7 @@ def _bind_conj82(p, config):
     return measure
 
 
+@_per_trial
 def _bind_caa_probe(p, config):
     """Khatri-Rao small-ball probe; the grid values of the config are h levels."""
     n, m, k, rho = p["n"], p["m"], p["k"], p["rho"]
@@ -378,6 +436,8 @@ def _bind_caa_probe(p, config):
     pilot = sorted(combo_norm(_rng.derive_seed(seed0, "pilot", t))
                    for t in range(p["pilot_trials"]))
     pilot_median = pilot[p["pilot_trials"] // 2]
+    if not math.isfinite(pilot_median):
+        raise NonFiniteMatrixError(f"pilot median combination norm is {pilot_median}")
     if pilot_median <= 0:
         raise ValueError("degenerate pilot: median combination norm is zero")
     lambda_hat = delta / pilot_median
@@ -391,6 +451,7 @@ def _bind_caa_probe(p, config):
     return measure
 
 
+@_per_trial
 def _bind_jacobian_probe(p, config):
     n, m, k = p["n"], p["m"], p["k"]
     _need(k <= m, "k <= m", p)
@@ -409,6 +470,7 @@ def _bind_jacobian_probe(p, config):
     return measure
 
 
+@_per_trial
 def _bind_sigma_basic(p, config):
     n, k, delta = p["n"], p["k"], p["delta"]
     order = math.ceil(k / 2)
@@ -422,6 +484,7 @@ def _bind_sigma_basic(p, config):
     return measure
 
 
+@_per_trial
 def _bind_const_control(p, config):
     value = float(singular_values(_rng.gaussians((p["n"], p["m"]), config.master_seed,
                                                  "const"))[-1])
@@ -502,8 +565,9 @@ class ExperimentResult:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run all trials of the configured target over its rho grid.
 
-    Per trial: derive the trial stream, measure, compare with the threshold.
-    The aggregate carries pass counts, Wilson 95% intervals, and singular
+    Per rho: measure every trial's seed in one call, check each value finite
+    (``NonFiniteMatrixError`` otherwise), compare with the threshold.  The
+    aggregate carries pass counts, Wilson 95% intervals, and singular
     value quantiles; acceptance (when ``min_passes`` is set) requires the raw
     pass count at every grid point.
     """
@@ -515,9 +579,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     per_rho = []
     for rho in config.rho_grid:
         rows = []
-        for t, seed in enumerate(seeds):
-            sigma, thresh, passed = measure(rho, seed)
+        for t, (seed, (sigma, thresh, passed)) in enumerate(
+                zip(seeds, measure(rho, seeds), strict=True)):
             thresh = config.threshold if thresh is None else thresh
+            if not (math.isfinite(sigma) and math.isfinite(thresh)):
+                raise NonFiniteMatrixError(f"trial {t} at rho {rho} measured {sigma} "
+                                           f"against threshold {thresh}")
             passed = bool(sigma >= thresh) if passed is None else passed
             rows.append(TrialReport(rho=rho, trial=t, seed=seed, sigma=sigma,
                                     threshold=thresh, passed=passed))

@@ -212,7 +212,8 @@ def build_block_lift(instance: ClusteringInstance) -> np.ndarray:
         noise = (instance.rho / math.sqrt(n)) * _rng.gaussians(
             (n, m), instance.seed, "cluster", "noise", stack=s)
         bases, _ = np.linalg.qr(np.asarray(bases) + noise)
-    return np.hstack([sym_lift(Q, d).coords for Q in bases])
+    coords = sym_lift(np.asarray(bases), d).coords
+    return coords.transpose(1, 0, 2).reshape(coords.shape[1], -1)
 
 
 def _monomials(X: np.ndarray, r: int) -> np.ndarray:

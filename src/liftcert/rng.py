@@ -39,17 +39,18 @@ def _key_words(master_seed: int, path: tuple) -> tuple[int, int]:
     return struct.unpack_from("<QQ", _digest(master_seed, path))
 
 
-def _raw(master_seed: int, paths: list, size: int) -> np.ndarray:
-    """A len(paths) x size array: row j holds the first ``size`` raw words of the
-    stream keyed by paths[j], read from this thread's Philox."""
+def _raw(keys: list, size: int) -> np.ndarray:
+    """A len(keys) x size array: row j holds the first ``size`` raw words of the
+    stream keyed by keys[j], a ``(master_seed, path)`` pair, read from this
+    thread's Philox."""
     try:
         gen, state = _local.philox
     except AttributeError:
         gen, state = _local.philox = Philox(), {
             "bit_generator": "Philox", "buffer": (0,) * 4, "buffer_pos": 4,
             "has_uint32": 0, "uinteger": 0, "state": {"counter": (0,) * 4, "key": None}}
-    out = np.empty((len(paths), size), dtype=np.uint64)
-    for j, path in enumerate(paths):
+    out = np.empty((len(keys), size), dtype=np.uint64)
+    for j, (master_seed, path) in enumerate(keys):
         state["state"]["key"] = _key_words(master_seed, path)
         gen.state = state  # the whole state: the key, counter 0, no buffered words
         out[j] = gen.random_raw(size)
@@ -73,21 +74,28 @@ def _open_unit(raw: np.ndarray) -> np.ndarray:
 
 def uniforms(master_seed: int, *path, size: int) -> np.ndarray:
     """``size`` doubles in the open interval (0, 1) from the keyed stream."""
-    return _open_unit(_raw(master_seed, [path], size))[0]
+    return _open_unit(_raw([(master_seed, path)], size))[0]
 
 
-def gaussians(shape, master_seed: int, *path, stack: int | None = None) -> np.ndarray:
+def gaussians(shape, master_seed: int | list, *path, stack: int | None = None) -> np.ndarray:
     """Standard normal array of the given shape via Box-Muller.
 
-    With ``stack=k`` the result is (k, *shape), and slice j is bit for bit
-    ``gaussians(shape, master_seed, *path, j)``: each stream is keyed and read
-    on its own, then one transform runs over all k rows, each half of a row
-    contiguous as in a single draw.
+    ``master_seed`` may instead be a list of ``(master_seed, path)`` keys;
+    the result is then (len(keys), *shape), and slice j is bit for bit the
+    single draw ``gaussians(shape, seed, *path)`` for ``keys[j] = (seed,
+    path)``: each stream is keyed and read on its own, then one transform
+    runs over all rows, each half of a row contiguous as in a single draw.
+    ``stack=k`` is the key list ``[(master_seed, (*path, j)) for j < k]``.
     """
+    if isinstance(master_seed, list):
+        keys, lead = master_seed, (len(master_seed),)
+    elif stack is None:
+        keys, lead = [(master_seed, path)], ()
+    else:
+        keys, lead = [(master_seed, (*path, j)) for j in range(stack)], (stack,)
     n = math.prod(shape)
     pairs = (n + 1) // 2
-    paths = [path] if stack is None else [(*path, j) for j in range(stack)]
-    u = _open_unit(_raw(master_seed, paths, 2 * pairs))
+    u = _open_unit(_raw(keys, 2 * pairs))
     radius, angle = u[:, :pairs], u[:, pairs:]
     np.sqrt(np.multiply(np.log(radius, out=radius), -2.0, out=radius), out=radius)
     angle *= 2.0 * np.pi
@@ -95,7 +103,7 @@ def gaussians(shape, master_seed: int, *path, stack: int | None = None) -> np.nd
     cos, sin = z[:, :pairs], z[:, pairs:]
     np.multiply(np.cos(angle, out=cos), radius, out=cos)
     np.multiply(np.sin(angle, out=sin), radius, out=sin)
-    return z[:, :n].reshape(shape if stack is None else (stack, *shape))
+    return z[:, :n].reshape((*lead, *shape))
 
 
 def unit_columns(shape, master_seed: int, *path) -> np.ndarray:

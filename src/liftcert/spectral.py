@@ -36,27 +36,40 @@ def sign_normalize_rows(M: np.ndarray) -> np.ndarray:
 _QR_FIRST_MIN_COLS = 384
 
 
-def singular_values(A: np.ndarray) -> np.ndarray:
-    """All singular values of A in non-increasing order.
+def stacked_singular_values(A: np.ndarray) -> np.ndarray:
+    """All singular values of each matrix of a (..., rows, cols) stack, each
+    in non-increasing order.
 
-    A mid-tall A, with its larger dimension from 1.5 to 11/6 times its
-    smaller one and at least ``_QR_FIRST_MIN_COLS`` in the smaller, goes
-    through the SVD of its triangular QR factor R, as in Chan, "An improved
-    algorithm for computing the singular value decomposition", ACM TOMS 8(1),
-    1982.  LAPACK's ``gesdd`` takes that QR itself only from 11/6 rows per
-    column (its MNTHR); below that it bidiagonalizes all of A.  Every other
-    shape is one direct ``np.linalg.svd``.
+    LAPACK runs on each matrix on its own, so every slice is bit for bit the
+    singular values of that matrix alone.  A mid-tall shape, with its larger
+    dimension from 1.5 to 11/6 times its smaller one and at least
+    ``_QR_FIRST_MIN_COLS`` in the smaller, goes through the SVD of its
+    triangular QR factor R, as in Chan, "An improved algorithm for computing
+    the singular value decomposition", ACM TOMS 8(1), 1982.  LAPACK's
+    ``gesdd`` takes that QR itself only from 11/6 rows per column (its
+    MNTHR); below that it bidiagonalizes all of A.  Every other shape is one
+    direct ``np.linalg.svd``.
     """
     A = np.asarray(A, dtype=float)
     if not np.isfinite(A).all():
         raise NonFiniteMatrixError("matrix has non-finite entries")
-    if min(A.shape) == 0:
-        return np.zeros(0)
-    rows, cols = max(A.shape), min(A.shape)
+    shape = A.shape[-2:]
+    if min(shape) == 0:
+        return np.zeros((*A.shape[:-2], 0))
+    rows, cols = max(shape), min(shape)
     if cols >= _QR_FIRST_MIN_COLS and 1.5 * cols <= rows < 11 * cols / 6:
-        R = np.linalg.qr(A if A.shape[0] == rows else A.T, mode="r")
+        R = np.linalg.qr(A if shape[0] == rows else A.swapaxes(-1, -2), mode="r")
         return np.linalg.svd(R, compute_uv=False)
     return np.linalg.svd(A, compute_uv=False)
+
+
+def singular_values(A: np.ndarray) -> np.ndarray:
+    """All singular values of the matrix A in non-increasing order: the
+    stack of :func:`stacked_singular_values` with no leading axes."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {A.shape}")
+    return stacked_singular_values(A)
 
 
 def check_orthonormal(basis: np.ndarray) -> None:

@@ -225,9 +225,10 @@ def from_sym_coords(Y: np.ndarray, n: int, d: int) -> np.ndarray:
 class LiftMatrix:
     """The symmetric lift of an n x m matrix, stored once per orbit.
 
-    ``means`` is C(n+d-1, d) x C(m+d-1, d): row I holds the lift's entries at
-    every ordering of the multiset row I of the (n, d) plan, and column c is
-    labelled by ``column_order[c]``, a non-decreasing 1-based m-tuple.
+    ``means`` is C(n+d-1, d) x C(m+d-1, d), after any leading stack axes:
+    row I holds the lift's entries at every ordering of the multiset row I
+    of the (n, d) plan, and column c is labelled by ``column_order[c]``, a
+    non-decreasing 1-based m-tuple.
     ``coords`` (isometric coordinates, as ``sym_coords``) and ``data`` (full
     n**d rows, checked against the cap first) are built on each access.
     """
@@ -244,9 +245,9 @@ class LiftMatrix:
 
     @property
     def data(self) -> np.ndarray:
-        _check_entries((self.n**self.d, self.means.shape[1]),
+        _check_entries((*self.means.shape[:-2], self.n**self.d, self.means.shape[-1]),
                        f"the full lift with n = {self.n}, m = {self.m}, d = {self.d}")
-        return self.means[_orbits(self.n, self.d).ids]
+        return self.means[..., _orbits(self.n, self.d).ids, :]
 
     def descriptor(self) -> dict:
         return {
@@ -278,30 +279,56 @@ def khatri_rao(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (A[:, None, :] * B[None, :, :]).reshape(na * nb, m)
 
 
+def _dense_select(n: int, m: int, d: int, count: int) -> bool:
+    """Whether ``_sym_columns`` averages ``count`` rows of n x m matrices by
+    one dense ``sel_avg(m, d)`` product: while the selector is small and the
+    m**d orderings fit the n**d x C(m+d-1, d) lift."""
+    width = math.comb(m + d - 1, d)
+    return m**d * width <= _COLUMN_SELECT_ENTRIES and m**d * count <= n**d * width
+
+
+def _lift_entries(n: int, m: int, d: int) -> int:
+    """The most entries of any array ``sym_lift`` builds for one n x m
+    matrix; a stack of k matrices builds k times as many."""
+    small, large = sorted((n, m))
+    count = math.comb(large + d - 1, d)
+    orderings = small ** (d if _dense_select(large, small, d, count) else d - 1)
+    return count * max(math.comb(small + d - 1, d), d * small, orderings)
+
+
 def _sym_columns(mats: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
     """Row i, column c: the mean of prod_k mats[k][rows[i, k], a_k] over the
-    orderings a of the multiset row c of the (m, d) plan (d n x m ``mats``).
+    orderings a of the multiset row c of the (m, d) plan, for d ``mats`` of
+    shape (..., n, m) with the same leading axes (one result per matrix).
 
     Small selectors whose m**d orderings fit the n**d x C(m+d-1, d) lift
     take one dense ``sel_avg(m, d)`` product; other shapes take orbit sums
-    in position order, the arithmetic of a sparse averaging product.
+    in position order, the arithmetic of a sparse averaging product.  A
+    stack rides along the columns of every gathered array, so each entry
+    takes the same operations as for one matrix, and the dense product is
+    one matmul per matrix.
     """
-    d, (n, m) = len(mats), mats[0].shape
+    d, (n, m), lead = len(mats), mats[0].shape[-2:], mats[0].shape[:-2]
     width, count = math.comb(m + d - 1, d), len(rows)
-    dense = m**d * width <= _COLUMN_SELECT_ENTRIES and m**d * count <= n**d * width
+    dense = _dense_select(n, m, d, count)
     what = f"for n = {n}, m = {m}, d = {d}"
-    _check_entries((d * m, count), f"the factor rows gathered {what}")
-    _check_entries((m ** (d if dense else d - 1), count), f"the column orderings {what}")
-    factors = [np.take(M.T, row, axis=1) for M, row in zip(mats, rows.T)]
+    _check_entries((*lead, d * m, count), f"the factor rows gathered {what}")
+    _check_entries((*lead, m ** (d if dense else d - 1), count), f"the column orderings {what}")
+    # Factor k, row a, column (matrix, i): mats[k][matrix, rows[i, k], a].
+    # Axes move by transpose: np.moveaxis took a tenth of a small lift.
+    to_front, to_back = (-1, *range(len(lead)), -2), (*range(1, len(lead) + 2), 0)
+    factors = [np.take(M.transpose(to_front), row, axis=-1).reshape(m, -1)
+               for M, row in zip(mats, rows.T)]
     if dense:
         orderings = reduce(khatri_rao, factors)
         # Held through the product, the factors raised the peak heap enough
         # that glibc trimmed and regrew it on every call (2-3x slower).
         del factors
-        return orderings.T @ sel_avg(m, d)
-    head = reduce(khatri_rao, factors[:-1], np.ones((1, count)))
+        return orderings.reshape(-1, *lead, count).transpose(to_back) @ sel_avg(m, d)
+    head = reduce(khatri_rao, factors[:-1], np.ones((1, factors[-1].shape[1])))
     orbits = _orbits(m, d)
-    return _grouped_sum(orbits.groups, width, head, factors[-1], orbits.weight).T
+    sums = _grouped_sum(orbits.groups, width, head, factors[-1], orbits.weight)
+    return sums.reshape(width, *lead, count).transpose(to_back)
 
 
 def sym_kron(factors: list[np.ndarray]) -> np.ndarray:
@@ -334,18 +361,20 @@ def sym_lift(U: np.ndarray, d: int) -> LiftMatrix:
     the column multiset c, and of prod_k U[p_k, c_k] over the orderings p of
     the row multiset r, so the lift of U.T is the transpose.  The smaller
     side is averaged: the columns of U for m <= n, those of U.T otherwise.
+    A stack U of shape (..., n, m) gives means of shape (..., C(n+d-1, d),
+    C(m+d-1, d)), each bit for bit the lift of its matrix alone.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
     U = np.asarray(U, dtype=float)
-    n, m = U.shape
+    *lead, n, m = U.shape
     column_order = enumerate_multi_indices(m, d)
-    _check_entries((math.comb(n + d - 1, d), len(column_order)),
+    _check_entries((*lead, math.comb(n + d - 1, d), len(column_order)),
                    f"the symmetrized lift with n = {n}, m = {m}, d = {d}")
     if m <= n:
         means = _sym_columns([U] * d, _plan(n, d).rows)
     else:
-        means = _sym_columns([U.T] * d, _plan(m, d).rows).T
+        means = _sym_columns([U.swapaxes(-1, -2)] * d, _plan(m, d).rows).swapaxes(-1, -2)
     return LiftMatrix(means, n=n, m=m, d=d, column_order=column_order)
 
 

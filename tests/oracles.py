@@ -3,8 +3,9 @@
 They build what the library never needs to form: the full n**d x n**d
 averaging projector, a polynomial's value from its coefficient row, matrix
 CSV text written, or parsed, one entry at a time, a variety operator's
-dense generator matrix with the certificate read off its dense product, and
-the Kronecker product that thm52's operator is applied to.
+dense generator matrix with the certificate read off its dense product, the
+Kronecker product that thm52's operator is applied to, and the thm51, cor53
+and thm52 measures taken one trial at a time.
 """
 
 import itertools
@@ -13,7 +14,8 @@ from functools import reduce
 
 import numpy as np
 
-from liftcert.harness import _kron
+from liftcert import rng
+from liftcert.harness import _kron, _kron_product, _make_base, _need, _random_row_isometry
 from liftcert.matrixio import format_float
 from liftcert.powersum import _monomials
 from liftcert.spectral import singular_values
@@ -79,3 +81,36 @@ def kron_operator(psi: np.ndarray, factors) -> np.ndarray:
     """thm52's matrix, psi times the formed n**d x m**d Kronecker product of
     its factors."""
     return psi @ reduce(_kron, factors)
+
+
+def per_trial_lift(p, config):
+    """thm51 and cor53 measured one trial at a time: each block's lift on its
+    own, the transposed lifts stacked by np.vstack."""
+    n, m, d, blocks = p["n"], p["m"], p["d"], p.get("blocks", 1)
+    rank = math.ceil(p["delta"] * math.comb(n + d - 1, d))
+    k = blocks * math.comb(m + d - 1, d)
+    _need(k <= rank, "blocks*C(m+d-1,d) <= ceil(delta*C(n+d-1,d))", p)
+    phi = _random_row_isometry(rank, math.comb(n + d - 1, d), config.master_seed, "projector")
+    bases = np.array([_make_base(p["base"], n, m, rng.derive_seed(config.master_seed, "b", j))
+                      for j in range(blocks)])
+
+    def measure(rho, seed):
+        perturbed = bases + rho * rng.gaussians((n, m), seed, "noise", stack=blocks)
+        lifts = [sym_lift(B, d).coords.T for B in perturbed]
+        return float(singular_values(np.vstack(lifts) @ phi.T)[k - 1]), None, None
+    return measure
+
+
+def per_trial_thm52(p, config):
+    """thm52 measured one trial at a time."""
+    n, m, d = p["n"], p["m"], p["d"]
+    rank = math.ceil(p["delta"] * math.comb(n + d - 1, d))
+    _need(m**d <= rank, "m**d <= ceil(delta*C(n+d-1,d))", p)
+    psi = _random_row_isometry(rank, n**d, config.master_seed, "operator")
+    bases = np.array([_make_base(p["base"], n, m, rng.derive_seed(config.master_seed, "b", j))
+                      for j in range(d)])
+
+    def measure(rho, seed):
+        factors = bases + rho * rng.gaussians((n, m), seed, "noise", stack=d)
+        return float(singular_values(_kron_product(psi, factors))[m**d - 1]), None, None
+    return measure

@@ -568,6 +568,35 @@ class TestExperiment:
         assert code == 3 and out == ""
         assert err == f"internal error: {message}\n"
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_probe_overflow_is_internal_error_before_any_file(self, tmp_path, capsys):
+        # At rho = 1e300 every pilot combination overflows to nan.
+        cfg = self.config_file(tmp_path, target="caa_probe", min_passes=None,
+                               params={"n": 5, "m": 4, "k": 2, "rho": 1e300, "pilot_trials": 8})
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg),
+                                 "--out-dir", str(tmp_path / "out"))
+        assert code == 3 and out == ""
+        assert err == "internal error: pilot median combination norm is nan\n"
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_measured_value_is_internal_error(self, tmp_path, capsys, monkeypatch):
+        # The pilot passes; the first trial's combination norm overflows.
+        real = cli.hs.khatri_rao
+        calls = []
+
+        def late_overflow(U, V):
+            calls.append(1)
+            return real(U, V) * (1e308 if len(calls) > 8 else 1.0) * 10.0
+        monkeypatch.setattr(cli.hs, "khatri_rao", late_overflow)
+        cfg = self.config_file(tmp_path, target="caa_probe", min_passes=None,
+                               params={"n": 5, "m": 4, "k": 2, "pilot_trials": 8})
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg),
+                                 "--out-dir", str(tmp_path / "out"))
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: trial 0 at rho 0.1 measured nan against threshold")
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
+
     def test_power_matrix_gather_is_checked_before_it_is_built(self, tmp_path, capsys,
                                                                monkeypatch):
         # The 126 x 4 plan passes a cap of 1000 entries; the 100 x 126 x 4

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftcert import rng, tensor_lift
-from liftcert.harness import (REQUIRED, TARGETS, ExperimentConfig, _kron,
-                              _kron_product, _random_row_isometry, run_experiment)
+from liftcert import harness, rng, tensor_lift
+from liftcert.harness import (REQUIRED, TARGETS, ExperimentConfig, Target, _kron,
+                              _kron_product, _per_trial, _random_row_isometry, run_experiment)
+from liftcert.matrixio import dump_json
 from liftcert.spectral import singular_values
 from liftcert.stats import quantile_summary, wilson_interval
 from liftcert.tensor_lift import LiftSizeError, from_sym_coords, sym_lift
-from oracles import kron_operator
+from oracles import kron_operator, per_trial_lift, per_trial_thm52
 from paper_tools import sigma_basic_check
 
 
@@ -206,6 +207,53 @@ class TestRunExperiment:
     def test_wilson_interval_reported(self):
         agg = run_experiment(cfg()).per_rho[0]
         assert 0.0 <= agg["wilson_low"] <= agg["pass_rate"] <= agg["wilson_high"] <= 1.0
+
+
+class TestStackedTrials:
+    """thm51, cor53 and thm52 measure a rho's trials as stacks; their CSV and
+    summary bytes equal those of the same measures taken one trial at a time."""
+
+    ORACLES = {"thm51": per_trial_lift, "cor53": per_trial_lift, "thm52": per_trial_thm52}
+
+    @pytest.mark.parametrize("target, params, stack_entries, stacks", [
+        ("thm51", {"n": 6, "m": 2, "d": 2}, None, [9]),
+        ("thm51", {"n": 8, "m": 3, "d": 3, "base": "random"}, None, [9]),
+        # min(n, m) = 5 at d = 3 takes the orbit sums.
+        ("thm51", {"n": 7, "m": 5, "d": 3, "delta": 1.0}, None, [9]),
+        ("cor53", {"n": 8, "m": 2, "d": 2, "blocks": 3, "base": "duplicated"}, None, [9]),
+        ("thm52", {"n": 6, "m": 3, "d": 3}, None, [9]),
+        ("thm52", {"n": 5, "m": 3, "d": 1}, None, [9]),
+        ("thm52", {"n": 4, "m": 2, "d": 4}, None, [9]),
+        # A stack cap below one trial, and one of three trials: thm52's
+        # largest array per trial is its 5 x 4 x 2 mode product.
+        ("cor53", {"n": 8, "m": 2, "d": 2, "blocks": 2}, 1, [1] * 9),
+        ("thm52", {"n": 4, "m": 2, "d": 2}, 3 * 40, [3, 3, 3]),
+    ])
+    def test_stacks_equal_one_trial_at_a_time(self, monkeypatch, target, params,
+                                              stack_entries, stacks):
+        config = cfg(target=target, params=params, rho_grid=[0.0, 0.05, 0.3, 1.0], trials=9,
+                     threshold=1e-9, study="scaling")
+        if stack_entries is not None:
+            monkeypatch.setattr(harness, "_STACK_ENTRIES", stack_entries)
+        sizes = []
+        real = harness.stacked_singular_values
+        monkeypatch.setattr(harness, "stacked_singular_values",
+                            lambda A: sizes.append(len(A)) or real(A))
+        stacked = run_experiment(config)
+        monkeypatch.setitem(TARGETS, target, Target(TARGETS[target].params,
+                                                    _per_trial(self.ORACLES[target])))
+        single = run_experiment(config)
+        assert sizes == stacks * 4
+        assert stacked.to_csv() == single.to_csv()
+        assert dump_json(stacked.summary()) == dump_json(single.summary())
+
+    def test_stack_cap_splits_the_trials(self, monkeypatch):
+        sizes = []
+        real = sym_lift
+        monkeypatch.setattr(harness, "sym_lift", lambda U, d: sizes.append(len(U)) or real(U, d))
+        monkeypatch.setattr(harness, "_STACK_ENTRIES", 4 * harness._lift_entries(6, 2, 2))
+        run_experiment(cfg(params={"n": 6, "m": 2, "d": 2}, trials=9))
+        assert sizes == [4, 4, 1]
 
 
 class TestScalingStudy:

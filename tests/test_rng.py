@@ -146,3 +146,21 @@ def test_key_words_are_the_json_digest_words(seed):
         assert rng._digest(seed, path) == digest
         assert rng._key_words(seed, path) == (key % 2**64, key >> 64)
         assert rng.derive_seed(seed, *path) == int.from_bytes(digest[:8], "little")
+
+
+def test_key_list_slices_equal_their_single_draws():
+    keys = [(9, ("noise", "x", 0)), (-1, ()), (2**70, ("ü", 3)), (9, ("noise", "x", 0)),
+            (4093552087895935737, ("noise", 1)), (0, ("cluster", "base", "tag"))]
+    for shape in STACKED_SHAPES:
+        z = rng.gaussians(shape, keys)
+        assert z.shape == (len(keys), *shape) and z.dtype == np.float64
+        for j, (seed, path) in enumerate(keys):
+            assert sha(np.ascontiguousarray(z[j])) == sha(rng.gaussians(shape, seed, *path))
+
+
+@pytest.mark.parametrize("stack", range(1, 6))
+def test_stack_is_the_consecutive_key_list(stack):
+    keys = [(9, ("noise", "x", j)) for j in range(stack)]
+    for shape in STACKED_SHAPES:
+        assert sha(rng.gaussians(shape, 9, "noise", "x", stack=stack)) == \
+            sha(rng.gaussians(shape, keys))

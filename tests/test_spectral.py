@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from liftcert import powersum as ps
-from liftcert.spectral import (_QR_FIRST_MIN_COLS, BlockFamily, RankError, _rank_of_values,
-                               block_leave_one_out, check_orthonormal, count_large_singulars,
-                               jacobian_khatri_rao, leave_one_out, singular_values,
+from liftcert.spectral import (_QR_FIRST_MIN_COLS, BlockFamily, NonFiniteMatrixError,
+                               RankError, _rank_of_values, block_leave_one_out,
+                               check_orthonormal, count_large_singulars, jacobian_khatri_rao,
+                               leave_one_out, singular_values, stacked_singular_values,
                                wellcond_column_subset)
 from paper_tools import good_blocks, orth_complement_projector, spread_vector
 
@@ -106,6 +107,38 @@ class TestSingularValuesThroughR:
             M = _prop73_M(seed)
             direct = np.linalg.svd(M, compute_uv=False)
             assert count_large_singulars(M, 1e-8) == np.count_nonzero(direct >= 1e-8) == want
+
+
+class TestStackedSingularValues:
+    # (576, 384) and its transpose take the QR-first gate.
+    @pytest.mark.parametrize("shape", [(28, 27), (20, 110), (110, 20), (9, 18), (1, 1),
+                                       (576, _QR_FIRST_MIN_COLS), (_QR_FIRST_MIN_COLS, 576)])
+    def test_each_slice_is_its_own_singular_values(self, monkeypatch, shape):
+        gated = min(shape) >= _QR_FIRST_MIN_COLS
+        lead = (2,) if gated else (3, 2)
+        A = np.random.default_rng(list(shape)).standard_normal((*lead, *shape))
+        calls, qr = [], np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *args, **kw: calls.append(1) or qr(*args, **kw))
+        s = stacked_singular_values(A)
+        assert calls == [1] * gated
+        assert s.shape == (*lead, min(shape))
+        for index in np.ndindex(*lead):
+            assert s[index].tobytes() == singular_values(A[index]).tobytes()
+
+    def test_empty_matrices_have_no_values(self):
+        assert stacked_singular_values(np.ones((4, 0, 3))).shape == (4, 0)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_one_non_finite_slice_refuses_the_stack(self, entry):
+        A = np.ones((5, 4, 3))
+        A[3, 2, 1] = entry
+        with pytest.raises(NonFiniteMatrixError, match="non-finite"):
+            stacked_singular_values(A)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 4)])
+    def test_singular_values_takes_a_matrix_only(self, shape):
+        with pytest.raises(ValueError, match="expected a matrix"):
+            singular_values(np.ones(shape))
 
 
 class TestCountLargeSingulars:

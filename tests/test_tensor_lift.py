@@ -365,6 +365,51 @@ class TestSymLift:
                 assert resid <= 1e-10
 
 
+class TestStackedLift:
+    # (n, m, d, dense): m <= n and m > n, in the dense selector mode and in
+    # orbit sums (min(n, m) >= 5 at d = 3, >= 4 at d = 4).
+    SHAPES = [(8, 2, 2, True), (10, 4, 3, True), (3, 8, 2, True), (2, 5, 3, True),
+              (7, 5, 3, False), (5, 6, 3, False), (4, 5, 4, False), (1, 4, 2, True)]
+
+    @pytest.mark.parametrize("n, m, d, dense", SHAPES)
+    @pytest.mark.parametrize("lead", [(1,), (4,), (3, 2)])
+    def test_each_slice_is_its_own_lift(self, n, m, d, dense, lead):
+        small, large = sorted((n, m))
+        assert tensor_lift._dense_select(large, small, d, math.comb(large + d - 1, d)) == dense
+        U = np.random.default_rng([n, m, d, *lead]).standard_normal((*lead, n, m))
+        stack = sym_lift(U, d)
+        assert stack.means.shape == (*lead, math.comb(n + d - 1, d), math.comb(m + d - 1, d))
+        for index in np.ndindex(*lead):
+            one = sym_lift(U[index], d)
+            assert stack.means[index].tobytes() == np.ascontiguousarray(one.means).tobytes()
+            assert np.array_equal(stack.coords[index], one.coords)
+        assert np.array_equal(stack.data[(0,) * len(lead)], sym_lift(U[(0,) * len(lead)], d).data)
+
+    def test_stack_is_checked_with_its_leading_axes(self, monkeypatch):
+        # One lift of a 3 x 2 matrix at d = 3 builds at most 8 x 10 column
+        # orderings, so it passes a cap of 80 entries; a stack of two does not.
+        U = np.ones((2, 3, 2))
+        monkeypatch.setattr(tensor_lift, "MAX_DENSE_ENTRIES", 80)
+        assert sym_lift(U[0], 3).means.shape == (10, 4)
+        with pytest.raises(LiftSizeError, match=r"factor rows .* shape \(2, 6, 10\)"):
+            sym_lift(U, 3)
+        monkeypatch.setattr(tensor_lift, "MAX_DENSE_ENTRIES", 79)
+        with pytest.raises(LiftSizeError, match=r"column orderings .* shape \(8, 10\)"):
+            sym_lift(U[0], 3)
+
+    @pytest.mark.parametrize("n, m, d", [(8, 2, 2), (10, 4, 3), (7, 5, 3), (2, 5, 3)])
+    def test_lift_entries_bound_every_check(self, monkeypatch, n, m, d):
+        # At a cap of exactly _lift_entries per matrix a stack of three passes
+        # every check, and one entry less refuses it.
+        U = np.ones((3, n, m))
+        cap = 3 * tensor_lift._lift_entries(n, m, d)
+        monkeypatch.setattr(tensor_lift, "MAX_DENSE_ENTRIES", cap)
+        sym_lift(U, d)
+        monkeypatch.setattr(tensor_lift, "MAX_DENSE_ENTRIES", cap - 1)
+        with pytest.raises(LiftSizeError):
+            sym_lift(U, d)
+
+
 class TestSymProject:
     def test_two_element_orbit(self):
         v = np.kron(np.eye(2)[:, 0], np.eye(2)[:, 1])
