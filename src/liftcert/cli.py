@@ -21,7 +21,7 @@ import numpy as np
 
 from . import harness as hs
 from . import rng as _rng
-from .matrixio import dump_json, format_float, load_matrix_csv, matrix_to_csv
+from .matrixio import dump_json, format_float, load_matrix_csv, matrix_to_csv, write_text
 from .spectral import _rank_of_values, leave_one_out, singular_values
 from .tensor_lift import sym_lift
 from .varieties import certify as run_certify
@@ -44,7 +44,7 @@ def _at_least(kind: type, low):
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        write_text(out, text)
     else:
         sys.stdout.write(text)
 
@@ -76,7 +76,7 @@ def _cmd_lift(args) -> int:
               f"descriptor: {json.dumps(L.descriptor(), sort_keys=True)}"]
     _emit(matrix_to_csv(L.data, header), args.out)
     if args.descriptor:
-        Path(args.descriptor).write_text(dump_json(L.descriptor()))
+        write_text(args.descriptor, dump_json(L.descriptor()))
     return 0
 
 
@@ -147,12 +147,14 @@ def _cmd_experiment(args) -> int:
         raise ValueError(f"config {args.config} is not valid JSON: {exc}") from exc
     config = hs.ExperimentConfig.from_dict(raw)
     result = hs.run_experiment(config)
+    # Both texts are built first, so a serialization error writes no file.
+    csv_text, json_text = result.to_csv(), dump_json(result.summary())
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{config.name}.csv"
     json_path = out_dir / f"{config.name}_summary.json"
-    csv_path.write_text(result.to_csv())
-    json_path.write_text(dump_json(result.summary()))
+    write_text(csv_path, csv_text)
+    write_text(json_path, json_text)
     sys.stdout.write(f"wrote {csv_path} and {json_path}\n")
     return 0 if result.accepted() else 1
 

@@ -136,7 +136,8 @@ class ExperimentConfig:
         if self.study == "scaling" and distinct < 3:
             raise ValueError(f"a scaling study needs at least 3 rho_grid points, "
                              f"got {distinct} distinct in {self.rho_grid}")
-        if not isinstance(self.name, str) or os.path.basename(self.name) != self.name:
+        if not isinstance(self.name, str) or os.path.basename(self.name) != self.name \
+                or self.name in (".", ".."):
             raise ValueError(f"name must be a plain file name, got {self.name!r}")
         typed["name"] = self.name or self.target
         typed["params"] = TARGETS[self.target].resolve(self.params)

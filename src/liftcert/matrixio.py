@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +69,25 @@ def load_matrix_csv(path: str | Path) -> np.ndarray:
 
 def matrix_sha256(A: np.ndarray) -> str:
     return hashlib.sha256(matrix_to_csv(A).encode()).hexdigest()
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` over the old bytes of ``path``, then cut a regular file to length.
+
+    Truncating first, as ``open(path, "w")`` does, frees the old blocks, several
+    times the cost of the write on ext4; a device or FIFO is not truncated.
+    Like ``open(path, "w")``, the write is not atomic.
+    """
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def dump_json(payload: dict) -> str:

@@ -11,7 +11,7 @@ import pytest
 
 from liftcert import cli, tensor_lift
 from liftcert.cli import main
-from liftcert.matrixio import dump_json, load_matrix_csv, matrix_to_csv
+from liftcert.matrixio import dump_json, load_matrix_csv, matrix_to_csv, write_text
 from oracles import matrix_from_csv_per_entry, matrix_to_csv_per_entry
 
 
@@ -469,6 +469,71 @@ class TestJson:
                 dump_json({"rho": value})
 
 
+class TestWriteText:
+    def test_shorter_text_leaves_no_stale_tail(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_text(path, "1,2,3\n" * 1000)
+        write_text(path, "4,5\n")
+        assert path.read_bytes() == b"4,5\n"
+        write_text(path, "")
+        assert path.read_bytes() == b""
+
+    def test_links_keep_their_inode_and_are_written_through(self, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_text("x" * 500)
+        inode = target.stat().st_ino
+        (tmp_path / "soft.json").symlink_to(target)
+        os.link(target, tmp_path / "hard.json")
+        write_text(tmp_path / "soft.json", "soft\n")
+        assert (tmp_path / "soft.json").is_symlink()
+        assert target.read_text() == "soft\n" and target.stat().st_ino == inode
+        write_text(tmp_path / "hard.json", "hard\n")
+        assert target.read_text() == "hard\n" and target.stat().st_ino == inode
+        assert (tmp_path / "hard.json").stat().st_ino == inode
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            write_text(tmp_path / "new.csv", "1\n")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "new.csv").stat().st_mode & 0o777 == 0o666 & ~0o027
+        (tmp_path / "new.csv").chmod(0o600)
+        write_text(tmp_path / "new.csv", "2\n")
+        assert (tmp_path / "new.csv").stat().st_mode & 0o777 == 0o600
+
+    @pytest.mark.parametrize("where", ["directory", "missing/parent.csv"])
+    def test_unwritable_target_is_usage_error_naming_it(self, tmp_path, capsys, where):
+        (tmp_path / "directory").mkdir()
+        out = tmp_path / where
+        code, stdout, err = run_cli(capsys, "lift", "--n", "2", "--m", "1", "--d", "2",
+                                    "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: ") and str(out) in err
+
+    @pytest.mark.parametrize("argv", [
+        ["lift", "--n", "3", "--m", "2", "--d", "2", "--matrix", "random:1"],
+        ["spectrum", "--matrix", "{m}", "--leave-one-out"],
+        ["certify", "--variety", "determinantal:3,3,1", "--basis", "random:2", "--rho", "0.1"],
+        ["powersum", "--check", "claim77", "--n", "4", "--m", "3", "--rho", "0.1",
+         "--trials", "1", "--seed", "0"],
+    ], ids=["lift", "spectrum", "certify", "powersum"])
+    def test_dev_null_is_a_valid_out(self, tmp_path, capsys, argv):
+        # A character device cannot be cut to length; only regular files are.
+        save_matrix_csv(tmp_path / "m.csv", np.arange(12.0).reshape(4, 3) + np.eye(4, 3))
+        argv = [arg.format(m=tmp_path / "m.csv") for arg in argv]
+        code, out, err = run_cli(capsys, *argv, "--out", os.devnull)
+        assert (code, out, err) == (0, "", "")
+
+    def test_dev_stdout_into_a_pipe_matches_stdout(self):
+        argv = [sys.executable, "-m", "liftcert.cli", "lift", "--n", "3", "--m", "2", "--d", "2",
+                "--matrix", "random:1"]
+        plain = subprocess.run(argv, env=src_env(), capture_output=True, check=True)
+        piped = subprocess.run(argv + ["--out", "/dev/stdout"], env=src_env(),
+                               capture_output=True, check=True)
+        assert piped.stdout == plain.stdout and piped.stderr == b""
+
+
 class TestExperiment:
     def config_file(self, tmp_path, **overrides):
         raw = {"target": "thm51",
@@ -545,6 +610,8 @@ class TestExperiment:
          "param 'variety': determinantal variety needs n1,n2,r"),
         ({"study": "scaling", "rho_grid": [0.1, 0.1, 0.1]},
          "a scaling study needs at least 3 rho_grid points, got 1 distinct in [0.1, 0.1, 0.1]"),
+        ({"name": "."}, "name must be a plain file name, got '.'"),
+        ({"name": ".."}, "name must be a plain file name, got '..'"),
     ])
     def test_bad_field_is_usage_error(self, tmp_path, capsys, overrides, named):
         cfg = self.config_file(tmp_path, **overrides)
@@ -552,6 +619,36 @@ class TestExperiment:
                                "--out-dir", str(tmp_path / "a" / "b"))
         assert code == 2 and named in err
         assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
+
+    def test_rerun_over_longer_outputs_matches_a_fresh_run(self, tmp_path, capsys):
+        # The second config's files are shorter; no tail of the first may remain.
+        (tmp_path / "long").mkdir()
+        long_cfg = self.config_file(tmp_path / "long", rho_grid=[0.1, 0.2])
+        short_cfg = self.config_file(tmp_path, trials=2, min_passes=2)
+        for cfg, out_dir in ((long_cfg, "reused"), (short_cfg, "reused"), (short_cfg, "fresh")):
+            code, _, _ = run_cli(capsys, "experiment", "--config", str(cfg),
+                                 "--out-dir", str(tmp_path / out_dir))
+            assert code == 0
+        for name in ("demo.csv", "demo_summary.json"):
+            assert (tmp_path / "reused" / name).read_bytes() == \
+                (tmp_path / "fresh" / name).read_bytes()
+
+    def test_serialization_error_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        # The CSV is built before the summary, so it must not be written first.
+        monkeypatch.setattr(cli.hs.ExperimentResult, "summary", lambda self: {"x": float("nan")})
+        cfg = self.config_file(tmp_path)
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg),
+                                 "--out-dir", str(tmp_path / "fresh"))
+        assert code == 2 and out == "" and "not JSON compliant" in err
+        assert not (tmp_path / "fresh").exists()
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "demo.csv").write_bytes(b"earlier csv\n")
+        (old / "demo_summary.json").write_bytes(b"{}\n")
+        code, _, _ = run_cli(capsys, "experiment", "--config", str(cfg), "--out-dir", str(old))
+        assert code == 2
+        assert (old / "demo.csv").read_bytes() == b"earlier csv\n"
+        assert (old / "demo_summary.json").read_bytes() == b"{}\n"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("target, params, message", [
