@@ -5,9 +5,10 @@ An experiment is (target, params, rho_grid, trials, master_seed, threshold).
 it is built, and a bind function that checks the dimension budget before any
 trial.  Each trial derives its own random stream from (master_seed, trial
 index).  The bound measure is called once per rho with all of that rho's
-trial seeds and returns one result per seed: thm51, cor53 and thm52 draw,
-build and decompose a rho's trials as stacks, with the bytes of one trial at
-a time; every other target measures its trials one by one, in index order.
+trial seeds and returns one result per seed: thm51, cor53, thm52 and prop72
+draw, build and decompose a rho's trials as stacks, with the bytes of one
+trial at a time; every other target measures its trials one by one, in
+index order.
 Everything runs in one thread, and the aggregation is a fold over trial
 index.  Noise layers are keyed by trial index only, never by rho, so
 comparisons across a rho grid are paired by construction.
@@ -313,7 +314,6 @@ def _bind_prop71(p, config):
     return measure
 
 
-@_per_trial
 def _bind_prop72(p, config):
     n, m, ell = p["n"], p["m"], p["ell"]
     slack = n * n - n * ell - m * math.comb(ell + 1, 2) - m + 1
@@ -322,10 +322,14 @@ def _bind_prop72(p, config):
     bases = np.array([B / np.linalg.norm(B)
                       for B in _rng.gaussians((n, n), config.master_seed, "base", stack=m)])
 
-    def measure(rho, seed):
-        mats = list(bases + rho * _rng.gaussians((n, n), seed, "noise", stack=m))
-        return float(singular_values(ps.build_projected_V(mats, ell))[-1]), None, None
-    return measure
+    def measure(rho, seeds):
+        keys = [(seed, ("noise", j)) for seed in seeds for j in range(m)]
+        mats = bases + rho * _rng.gaussians((n, n), keys).reshape(len(seeds), m, n, n)
+        return [(float(s[-1]), None, None)
+                for s in stacked_singular_values(ps.build_projected_V(mats, ell))]
+    # The lifts' largest arrays and the block matrix.
+    cols = m * math.comb(ell + 1, 2) + m
+    return _stacked(measure, max(m * _lift_entries(n, ell, 2), n * n * cols))
 
 
 def _power_sum_need(p) -> None:

@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import stat
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +69,11 @@ def load_matrix_csv(path: str | Path) -> np.ndarray:
 
 
 def matrix_sha256(A: np.ndarray) -> str:
-    return hashlib.sha256(matrix_to_csv(A).encode()).hexdigest()
+    """sha256 of A's shape as little-endian int64 words, then of its entries
+    as little-endian float64 in row-major order; A's memory layout and byte
+    order do not change it."""
+    shape = struct.pack(f"<{np.ndim(A)}q", *np.shape(A))
+    return hashlib.sha256(shape + np.ascontiguousarray(A, dtype="<f8").tobytes()).hexdigest()
 
 
 def write_text(path: str | Path, text: str) -> None:

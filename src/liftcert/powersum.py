@@ -134,31 +134,37 @@ def build_claim_W(instance: PowerSumInstance, rho1: float, rho2: float) -> np.nd
     return sym_merge(instance.n, 2, 2).identity_kron(U)
 
 
-def build_projected_V(matrices: list[np.ndarray], ell: int) -> np.ndarray:
+def build_projected_V(matrices: np.ndarray | list[np.ndarray], ell: int) -> np.ndarray:
     """Block matrix of lifted column selections next to the full matrices.
 
     For each of the m input n x n matrices, take its first ell columns S_t and
     emit the symmetric lift S_t (*) S_t, then append the vectorized full
-    matrices; the result has m C(ell+1, 2) + m columns in R^(n^2).
+    matrices; the result has m C(ell+1, 2) + m columns in R^(n^2), in
+    ``np.hstack``'s order.  A stack of shape (..., m, n, n) gives one block
+    matrix per leading index, each equal to that of its m matrices alone.
     """
-    if not matrices:
+    try:
+        mats = np.asarray(matrices, dtype=float)
+    except ValueError as exc:  # a ragged list
+        raise ValueError("all matrices must be square of the same size") from exc
+    if not mats.size:
         raise ValueError("need at least one matrix")
-    mats = [np.asarray(M, dtype=float) for M in matrices]
-    n = mats[0].shape[0]
-    if any(M.shape != (n, n) for M in mats):
+    if mats.ndim < 3 or mats.shape[-1] != mats.shape[-2]:
         raise ValueError("all matrices must be square of the same size")
+    *lead, m, n, _ = mats.shape
     if not 1 <= ell <= n:
         raise ValueError(f"ell = {ell} out of range 1..{n}")
-    m = len(mats)
     r = n**2 - n * ell - m * math.comb(ell + 1, 2) - m + 1
     if r <= 0:
         raise ValueError(f"dimension budget violated: r = {r} <= 0")
     if r < 0.1 * n**2:
         warnings.warn(f"slack dimension r = {r} below 0.1 * n^2",
                       RuntimeWarning, stacklevel=2)
-    cols = [sym_lift(M[:, :ell], 2).data for M in mats]
-    cols += [M.reshape(n * n, 1) for M in mats]
-    return np.hstack(cols)
+    c = math.comb(ell + 1, 2)
+    _check_entries((*lead, n * n, m * c + m),
+                   f"the projected V with n = {n}, m = {m}, ell = {ell}")
+    lifts = sym_lift(mats[..., :ell], 2).data.swapaxes(-3, -2).reshape(*lead, n * n, m * c)
+    return np.concatenate([lifts, mats.reshape(*lead, m, n * n).swapaxes(-1, -2)], axis=-1)
 
 
 @dataclass(frozen=True)

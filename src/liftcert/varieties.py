@@ -217,6 +217,8 @@ def certify(op: VarietyOperator, basis: np.ndarray, tolerance: float = 1e-9) -> 
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     basis = np.asarray(basis, dtype=float)
+    if basis.ndim != 2 or basis.shape[1] < 1:
+        raise ValueError(f"basis must be an n x m matrix with m >= 1, got shape {basis.shape}")
     n, m = basis.shape
     if n != op.n:
         raise ValueError(f"basis lives in R^{n}, operator expects R^{op.n}")

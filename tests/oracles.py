@@ -4,8 +4,8 @@ They build what the library never needs to form: the full n**d x n**d
 averaging projector, a polynomial's value from its coefficient row, matrix
 CSV text written, or parsed, one entry at a time, a variety operator's
 dense generator matrix with the certificate read off its dense product, the
-Kronecker product that thm52's operator is applied to, and the thm51, cor53
-and thm52 measures taken one trial at a time.
+Kronecker product that thm52's operator is applied to, and the thm51, cor53,
+thm52 and prop72 measures taken one trial at a time.
 """
 
 import itertools
@@ -14,7 +14,7 @@ from functools import reduce
 
 import numpy as np
 
-from liftcert import rng
+from liftcert import powersum, rng
 from liftcert.harness import _kron, _kron_product, _make_base, _need, _random_row_isometry
 from liftcert.matrixio import format_float
 from liftcert.powersum import _monomials
@@ -113,4 +113,16 @@ def per_trial_thm52(p, config):
     def measure(rho, seed):
         factors = bases + rho * rng.gaussians((n, m), seed, "noise", stack=d)
         return float(singular_values(_kron_product(psi, factors))[m**d - 1]), None, None
+    return measure
+
+
+def per_trial_prop72(p, config):
+    """prop72 measured one trial at a time, its matrices passed as a list."""
+    n, m, ell = p["n"], p["m"], p["ell"]
+    bases = np.array([B / np.linalg.norm(B)
+                      for B in rng.gaussians((n, n), config.master_seed, "base", stack=m)])
+
+    def measure(rho, seed):
+        mats = list(bases + rho * rng.gaussians((n, n), seed, "noise", stack=m))
+        return float(singular_values(powersum.build_projected_V(mats, ell))[-1]), None, None
     return measure

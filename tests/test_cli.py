@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -11,7 +12,8 @@ import pytest
 
 from liftcert import cli, tensor_lift
 from liftcert.cli import main
-from liftcert.matrixio import dump_json, load_matrix_csv, matrix_to_csv, write_text
+from liftcert.matrixio import (dump_json, load_matrix_csv, matrix_sha256, matrix_to_csv,
+                               write_text)
 from oracles import matrix_from_csv_per_entry, matrix_to_csv_per_entry
 
 
@@ -460,6 +462,33 @@ class TestMatrixToCsv:
         rng = np.random.default_rng(16)
         A = rng.standard_normal((500, 4)) * 10.0 ** rng.integers(-320, 308, (500, 4))
         assert matrix_to_csv(A) == matrix_to_csv_per_entry(A)
+
+
+class TestMatrixSha256:
+    """The hash reads the shape and the row-major float64 values, not their
+    layout in memory."""
+
+    def test_equals_an_independent_recomputation(self):
+        A = np.arange(-7.0, 8.0).reshape(5, 3) / 7.0
+        words = struct.pack("<qq", 5, 3) + b"".join(struct.pack("<d", x) for x in A.flat)
+        assert matrix_sha256(A) == hashlib.sha256(words).hexdigest()
+
+    def test_layout_and_byte_order_do_not_change_it(self):
+        A = np.random.default_rng(17).standard_normal((6, 4))
+        want = matrix_sha256(A)
+        wide = np.zeros((6, 8))
+        wide[:, ::2] = A
+        for copy in (np.asfortranarray(A), wide[:, ::2], A.astype(">f8")):
+            assert not (copy.flags.c_contiguous and copy.dtype == A.dtype)
+            assert matrix_sha256(copy) == want
+
+    def test_shape_is_hashed(self):
+        A = np.arange(6.0).reshape(2, 3)
+        assert A.tobytes() == A.reshape(3, 2).tobytes()
+        assert matrix_sha256(A) != matrix_sha256(A.reshape(3, 2))
+
+    def test_negative_zero_differs_from_zero(self):
+        assert matrix_sha256(np.array([[-0.0]])) != matrix_sha256(np.array([[0.0]]))
 
 
 class TestJson:

@@ -15,7 +15,7 @@ from liftcert.matrixio import dump_json
 from liftcert.spectral import singular_values
 from liftcert.stats import quantile_summary, wilson_interval
 from liftcert.tensor_lift import LiftSizeError, from_sym_coords, sym_lift
-from oracles import kron_operator, per_trial_lift, per_trial_thm52
+from oracles import kron_operator, per_trial_lift, per_trial_prop72, per_trial_thm52
 from paper_tools import sigma_basic_check
 
 
@@ -210,10 +210,12 @@ class TestRunExperiment:
 
 
 class TestStackedTrials:
-    """thm51, cor53 and thm52 measure a rho's trials as stacks; their CSV and
-    summary bytes equal those of the same measures taken one trial at a time."""
+    """thm51, cor53, thm52 and prop72 measure a rho's trials as stacks; their
+    CSV and summary bytes equal those of the same measures taken one trial at
+    a time."""
 
-    ORACLES = {"thm51": per_trial_lift, "cor53": per_trial_lift, "thm52": per_trial_thm52}
+    ORACLES = {"thm51": per_trial_lift, "cor53": per_trial_lift, "thm52": per_trial_thm52,
+               "prop72": per_trial_prop72}
 
     @pytest.mark.parametrize("target, params, stack_entries, stacks", [
         ("thm51", {"n": 6, "m": 2, "d": 2}, None, [9]),
@@ -228,6 +230,10 @@ class TestStackedTrials:
         # largest array per trial is its 5 x 4 x 2 mode product.
         ("cor53", {"n": 8, "m": 2, "d": 2, "blocks": 2}, 1, [1] * 9),
         ("thm52", {"n": 4, "m": 2, "d": 2}, 3 * 40, [3, 3, 3]),
+        ("prop72", {"n": 8, "m": 3, "ell": 3}, None, [9]),
+        ("prop72", {"n": 10, "m": 4, "ell": 2}, None, [9]),
+        # prop72's largest array per trial is its 36 x 8 block matrix.
+        ("prop72", {"n": 6, "m": 2, "ell": 2}, 4 * 288, [4, 4, 1]),
     ])
     def test_stacks_equal_one_trial_at_a_time(self, monkeypatch, target, params,
                                               stack_entries, stacks):

@@ -232,6 +232,17 @@ class TestProjectedV:
         V = build_projected_V(mats, 2)
         assert V.shape == (25, 2 * 3 + 2)
 
+    @pytest.mark.parametrize("lead, m, n, ell", [((), 2, 5, 2), ((4,), 3, 8, 3), ((2, 3), 1, 6, 3)])
+    def test_stack_equals_the_hstack_of_each_list(self, lead, m, n, ell):
+        mats = np.random.default_rng(5).standard_normal((*lead, m, n, n))
+        V = build_projected_V(mats, ell)
+        assert V.shape == (*lead, n * n, m * math.comb(ell + 1, 2) + m)
+        for index in np.ndindex(*lead):
+            blocks = [sym_lift(M[:, :ell], 2).data for M in mats[index]]
+            want = np.hstack(blocks + [M.reshape(n * n, 1) for M in mats[index]])
+            assert np.array_equal(V[index], want)
+            assert np.array_equal(build_projected_V(list(mats[index]), ell), want)
+
     def test_budget_violation(self):
         rng = np.random.default_rng(2)
         mats = [rng.standard_normal((3, 3)) for _ in range(3)]

@@ -1,13 +1,14 @@
 import dataclasses
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 from oracles import dense_certificate, dense_determinantal_generators
 
-from liftcert import tensor_lift
+from liftcert import matrixio, tensor_lift
 from liftcert.spectral import singular_values
 from liftcert.tensor_lift import LiftSizeError, from_sym_coords, sym_coords, sym_lift
 from liftcert.varieties import (CertificateReport, build_phi, certify,
@@ -330,6 +331,16 @@ class TestCertify:
         basis[2, 0] = np.nan
         with pytest.raises(ValueError, match="basis is not orthonormal"):
             certify(op, basis)
+
+    @pytest.mark.parametrize("shape", [(4, 1, 1), (4,), (4, 0)])
+    def test_basis_shape_is_checked_first(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"m >= 1, got shape {shape}")):
+            certify(determinantal_operator(2, 2, 1), np.zeros(shape))
+
+    def test_hash_is_of_the_given_basis(self):
+        op = determinantal_operator(3, 3, 1)
+        Q = orthonormalize_basis(np.random.default_rng(13).standard_normal((9, 2)))
+        assert certify(op, Q).basis_sha256 == matrixio.matrix_sha256(Q)
 
     def test_report_serialization(self):
         op = determinantal_operator(2, 2, 1)
