@@ -36,7 +36,7 @@ from .matrixio import format_float
 from .spectral import (NonFiniteMatrixError, _rank_of_values, count_large_singulars,
                        jacobian_khatri_rao, singular_values, stacked_singular_values)
 from .stats import quantile_summary, wilson_interval
-from .tensor_lift import _check_entries, _lift_entries, khatri_rao, sym_lift
+from .tensor_lift import _check_entries, _lift_entries, _shown, khatri_rao, sym_lift
 from .varieties import certify, orthonormalize_basis, variety_from_spec
 
 REQUIRED = object()
@@ -178,7 +178,7 @@ class TrialReport:
 
 
 def _random_row_isometry(rows: int, dim: int, master_seed: int, *path) -> np.ndarray:
-    _check_entries((dim, rows), f"the random {rows} x {dim} row isometry")
+    _check_entries((dim, rows), "the random row isometry")
     G = _rng.gaussians((dim, rows), master_seed, *path)
     Q, _ = np.linalg.qr(G)
     return Q.T
@@ -186,6 +186,7 @@ def _random_row_isometry(rows: int, dim: int, master_seed: int, *path) -> np.nda
 
 def _make_base(kind: str, n: int, m: int, master_seed: int) -> np.ndarray:
     """An n x m base of one of the ``_BASE`` kinds."""
+    _check_entries((n, m), f"the {kind} base")
     if kind == "zero":
         return np.zeros((n, m))
     if kind == "random":
@@ -226,13 +227,24 @@ def _stacked(measure, per_trial: int):
     return run
 
 
+def _lift_rank(p) -> int:
+    """ceil(delta * C(n+d-1, d)), the rows of the thm51, cor53 and thm52
+    operators.  Each row has at least C(n+d-1, d) entries (thm52's have
+    n**d), so that count is checked against the cap before the product,
+    which overflows a float past 1e308."""
+    n, d = p["n"], p["d"]
+    dim = math.comb(n + d - 1, d)
+    _check_entries((dim,), f"a row of the random row isometry for n = {n}, d = {d}")
+    return math.ceil(p["delta"] * dim)
+
+
 def _bind_lift(p, config):
     """thm51 and cor53: a random symmetric-space projector applied to
     ``blocks`` concatenated order-d lifts (thm51 has one)."""
     n, m, d, blocks = p["n"], p["m"], p["d"], p.get("blocks", 1)
-    rank = math.ceil(p["delta"] * math.comb(n + d - 1, d))
+    rank = _lift_rank(p)
     k = blocks * math.comb(m + d - 1, d)
-    _need(k <= rank, f"blocks*C(m+d-1,d) = {k} <= ceil(delta*C(n+d-1,d)) = {rank}", p)
+    _need(k <= rank, f"blocks*C(m+d-1,d) = {_shown(k)} <= ceil(delta*C(n+d-1,d)) = {rank}", p)
     # Orthonormal rows spanning symmetric tensors, in isometric coordinates.
     phi = _random_row_isometry(rank, math.comb(n + d - 1, d), config.master_seed, "projector")
     bases = np.array([_make_base(p["base"], n, m, _rng.derive_seed(config.master_seed, "b", j))
@@ -271,8 +283,10 @@ def _kron_product(psi: np.ndarray, factors) -> np.ndarray:
 
 def _bind_thm52(p, config):
     n, m, d = p["n"], p["m"], p["d"]
-    rank = math.ceil(p["delta"] * math.comb(n + d - 1, d))
-    _need(m**d <= rank, f"m**d = {m**d} <= ceil(delta*C(n+d-1,d)) = {rank}", p)
+    rank = _lift_rank(p)
+    # Past m = 1, m**d > rank once d reaches rank's bit length: that huge power is never formed.
+    _need(m == 1 or (d < rank.bit_length() and m**d <= rank),
+          f"m**d <= ceil(delta*C(n+d-1,d)) = {rank}", p)
     psi = _random_row_isometry(rank, n**d, config.master_seed, "operator")
     bases = np.array([_make_base(p["base"], n, m, _rng.derive_seed(config.master_seed, "b", j))
                       for j in range(d)])

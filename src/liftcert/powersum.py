@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .smoothing import noise_layers
 from .spectral import NonFiniteMatrixError, check_orthonormal, sign_normalize_rows
 from .tensor_lift import _check_entries, _plan, sym_lift, sym_merge, sym_project
 
@@ -64,6 +63,7 @@ def make_power_sum_instance(n: int, m: int, rho: float, seed: int) -> PowerSumIn
     n2 = math.comb(n + 1, 2)
     if not 1 <= m < n2:
         raise ValueError(f"need 1 <= m < N2 = {n2}")
+    _check_entries((n2, n2), f"the N2 x N2 completion for n = {n}")
     base = _rng.unit_columns((n2, m), seed, "powersum", "base")
     A = base + rho * _rng.gaussians((n2, m), seed, "powersum", "noise")
     if not np.isfinite(A).all():  # LAPACK's SVD with U can loop forever on inf
@@ -112,6 +112,23 @@ def build_solution_space_M(instance: PowerSumInstance) -> np.ndarray:
     X = np.hstack([A[:, ii]] + [np.broadcast_to(A[:, [t]], F.shape) for t in range(instance.m)])
     Y = np.hstack([A[:, jj]] + [F] * instance.m)
     return sym_merge(instance.n, 2, 2).pair_sum(X, Y)
+
+
+def noise_layers(Z: np.ndarray, rho: float, rhos, seed: int, *path) -> list[np.ndarray]:
+    """Layers of scales rhos that sum to Z, the realized noise of scale rho.
+
+    Sampled conditionally on Z: layer j draws from the stream (seed, *path, j)
+    and gives up (rhos[j] / rho)**2 of the excess.  Scales enter only as ratios
+    to rho, so tiny rho cannot underflow; rho = 0 gives zero layers.
+    """
+    rhos = np.asarray(rhos, dtype=float)
+    if rho == 0 and not rhos.any():
+        return [np.zeros_like(Z) for _ in rhos]
+    if rho == 0 or abs(float(np.sum((rhos / rho) ** 2)) - 1.0) > 1e-12:
+        raise ValueError("split variances must sum to rho^2")
+    raw = [r * g for r, g in zip(rhos, _rng.gaussians(Z.shape, seed, *path, stack=len(rhos)))]
+    excess = sum(raw) - Z
+    return [layer - (r / rho) ** 2 * excess for layer, r in zip(raw, rhos)]
 
 
 def build_claim_Q(instance: PowerSumInstance, rho1: float, rho2: float) -> np.ndarray:

@@ -24,6 +24,8 @@ from json.encoder import encode_basestring_ascii as _quote
 import numpy as np
 from numpy.random import Philox
 
+from .tensor_lift import _check_entries
+
 _TWO64 = float(2**64)
 _local = threading.local()
 
@@ -67,16 +69,6 @@ def stream(master_seed: int, *path) -> Philox:
     return Philox(key=int.from_bytes(_digest(master_seed, path)[:16], "little"))
 
 
-def _open_unit(raw: np.ndarray) -> np.ndarray:
-    u = np.add(raw, 0.5)  # converts each word to float64, then adds
-    return np.divide(u, _TWO64, out=u)
-
-
-def uniforms(master_seed: int, *path, size: int) -> np.ndarray:
-    """``size`` doubles in the open interval (0, 1) from the keyed stream."""
-    return _open_unit(_raw([(master_seed, path)], size))[0]
-
-
 def gaussians(shape, master_seed: int | list, *path, stack: int | None = None) -> np.ndarray:
     """Standard normal array of the given shape via Box-Muller.
 
@@ -86,6 +78,7 @@ def gaussians(shape, master_seed: int | list, *path, stack: int | None = None) -
     path)``: each stream is keyed and read on its own, then one transform
     runs over all rows, each half of a row contiguous as in a single draw.
     ``stack=k`` is the key list ``[(master_seed, (*path, j)) for j < k]``.
+    The result's shape is checked against the cap before any word is read.
     """
     if isinstance(master_seed, list):
         keys, lead = master_seed, (len(master_seed),)
@@ -93,9 +86,11 @@ def gaussians(shape, master_seed: int | list, *path, stack: int | None = None) -
         keys, lead = [(master_seed, path)], ()
     else:
         keys, lead = [(master_seed, (*path, j)) for j in range(stack)], (stack,)
+    _check_entries((*lead, *shape), "a Gaussian draw")
     n = math.prod(shape)
     pairs = (n + 1) // 2
-    u = _open_unit(_raw(keys, 2 * pairs))
+    u = np.add(_raw(keys, 2 * pairs), 0.5)  # each word as float64, then into (0, 1)
+    u /= _TWO64
     radius, angle = u[:, :pairs], u[:, pairs:]
     np.sqrt(np.multiply(np.log(radius, out=radius), -2.0, out=radius), out=radius)
     angle *= 2.0 * np.pi

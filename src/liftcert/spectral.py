@@ -1,4 +1,4 @@
-"""Singular-value queries, leave-one-out distances, and column selection.
+"""Singular-value queries, leave-one-out distances, and the Khatri-Rao Jacobian.
 
 Everything here is an exact dense decomposition (LAPACK via numpy); there is
 no sketching or iteration.  Every rank decision is ``_rank_of_values``: a
@@ -7,15 +7,9 @@ numerical-zero cut of 1e-10 times the largest singular value, or the caller's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 DEFAULT_RTOL = 1e-10
-
-
-class RankError(ValueError):
-    """The input does not have the rank the operation requires."""
 
 
 class NonFiniteMatrixError(ArithmeticError, ValueError):
@@ -132,92 +126,6 @@ def leave_one_out(U: np.ndarray) -> float:
     if Ri is None:
         return 0.0
     return float(1.0 / np.linalg.norm(Ri, axis=1).max())
-
-
-@dataclass(frozen=True)
-class BlockFamily:
-    """A list of equal-row-count matrices, each named by its position."""
-
-    blocks: list[np.ndarray]
-
-    def __post_init__(self):
-        if not self.blocks:
-            raise ValueError("block family must be nonempty")
-        rows = self.blocks[0].shape[0]
-        if any(B.shape[0] != rows for B in self.blocks):
-            raise ValueError("all blocks must share a row count")
-
-    def concat(self) -> np.ndarray:
-        return np.hstack(self.blocks)
-
-
-def block_leave_one_out(family: BlockFamily) -> float:
-    """Blockwise leave-one-out distance: min over j of sigma_min of block j
-    after projecting out the span of all other blocks.
-
-    For t blocks, the value sandwiches sigma_min of the concatenation within a
-    sqrt(t) factor.  With the concatenation factored as QR, the Schur
-    complement identity gives block j's value as 1 / sigma_max(R^-1[J_j, :])
-    for its column range J_j.  The value is exactly 0.0 when a block has no
-    columns, when the concatenation has more columns than rows, or when R
-    has a zero pivot or R^-1 overflows.
-    """
-    widths = [B.shape[1] for B in family.blocks]
-    if min(widths) == 0:
-        return 0.0
-    Ri = _inverse_r(np.asarray(family.concat(), dtype=float))
-    if Ri is None:
-        return 0.0
-    rows_of_blocks = np.split(Ri, np.cumsum(widths)[:-1])
-    return float(1.0 / max(np.linalg.norm(part, 2) for part in rows_of_blocks))
-
-
-def _spanner_indices(B: np.ndarray, swap_ratio: float) -> list[int]:
-    """Indices of a volume-maximal k-subset of the columns of the k x n matrix B.
-
-    A greedy start, then local search: replace a selected column whenever the
-    swap multiplies the absolute determinant by more than ``swap_ratio``.  At
-    termination every column of B is a combination of the selected ones with
-    coefficients bounded by ``swap_ratio``.
-    """
-    # Greedy volume build-up: pick the column with the largest residual.
-    S: list[int] = []
-    R = B.copy()
-    for _ in range(B.shape[0]):
-        j = int(np.argmax(np.linalg.norm(R, axis=0)))
-        S.append(j)
-        Q, _ = np.linalg.qr(B[:, S])
-        R = B - Q @ (Q.T @ B)
-    while True:
-        BS = B[:, S]
-        try:
-            coeff = np.linalg.solve(BS, B)
-        except np.linalg.LinAlgError:
-            coeff, *_ = np.linalg.lstsq(BS, B, rcond=None)
-        coeff = np.abs(coeff)
-        coeff[:, S] = 0.0
-        pos, j = np.unravel_index(int(np.argmax(coeff)), coeff.shape)
-        if coeff[pos, j] <= swap_ratio:
-            return S
-        S[pos] = int(j)
-
-
-def wellcond_column_subset(A: np.ndarray, k: int) -> list[int]:
-    """A k-subset S of column indices with sigma_k(A[:, S]) >= sigma_k(A) / (2 sqrt(nk)).
-
-    n is the number of columns of A.  Uses a greedy 2-approximate volume
-    spanner on the columns projected to the top-k singular space; the factor 2
-    in the guarantee is the price of that approximation.
-    """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[1]
-    if not 1 <= k <= min(A.shape):
-        raise ValueError(f"k = {k} out of range for shape {A.shape}")
-    U, s, _ = np.linalg.svd(A, full_matrices=False)
-    if _rank_of_values(s) < k:
-        raise RankError(f"sigma_{k}(A) = {s[k-1]:.3e} is below {DEFAULT_RTOL:g} times sigma_1(A)")
-    B = U[:, :k].T @ A
-    return sorted(_spanner_indices(B, swap_ratio=2.0))
 
 
 def jacobian_khatri_rao(alpha: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:

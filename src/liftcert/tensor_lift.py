@@ -50,12 +50,19 @@ class LiftSizeError(ValueError):
     """Requested index set or lift is too large to materialize."""
 
 
+def _shown(count: int) -> str:
+    """count in decimal, or as its power of ten past 10**18: ``str`` refuses
+    an int of more than 4300 digits."""
+    return str(count) if count <= 10**18 else f"~10^{round(math.log10(count))}"
+
+
 def _check_entries(shape: tuple[int, ...], what: str) -> None:
     """Refuse to build an array of this shape above MAX_DENSE_ENTRIES."""
     entries = math.prod(shape)
     if entries > MAX_DENSE_ENTRIES:
+        dims = ", ".join(map(_shown, shape)) + ("," if len(shape) == 1 else "")
         raise LiftSizeError(
-            f"{what} would have shape {shape}, {entries} entries, "
+            f"{what} would have shape ({dims}), {_shown(entries)} entries, "
             f"above the materialization cap {MAX_DENSE_ENTRIES}")
 
 

@@ -1,21 +1,114 @@
 """The paper's proof devices, checked empirically by the tests.
 
-No command, target or benchmark op reaches these: the good-blocks random
-restriction, spread vectors, the power-row and Gaussian small-ball bounds,
-and the tail check of the sigma_basic target.
+No command, target or benchmark op reaches these: the well-conditioned
+column subset and the blockwise leave-one-out distance, the good-blocks
+random restriction, spread vectors, the power-row and Gaussian small-ball
+bounds, the tail check of the sigma_basic target, and the noise-decoupling
+split with its remainder envelope.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from liftcert import rng as _rng
 from liftcert.harness import ExperimentConfig, run_experiment
-from liftcert.powersum import power_row
-from liftcert.spectral import (BlockFamily, _rank_of_values, _spanner_indices, check_orthonormal,
-                               singular_values, wellcond_column_subset)
+from liftcert.powersum import noise_layers, power_row
+from liftcert.spectral import (DEFAULT_RTOL, _inverse_r, _rank_of_values, check_orthonormal,
+                               singular_values)
 from liftcert.stats import wilson_interval
+from liftcert.tensor_lift import sym_kron, sym_lift
+
+
+class RankError(ValueError):
+    """The input does not have the rank the operation requires."""
+
+
+@dataclass(frozen=True)
+class BlockFamily:
+    """A list of equal-row-count matrices, each named by its position."""
+
+    blocks: list[np.ndarray]
+
+    def __post_init__(self):
+        if not self.blocks:
+            raise ValueError("block family must be nonempty")
+        rows = self.blocks[0].shape[0]
+        if any(B.shape[0] != rows for B in self.blocks):
+            raise ValueError("all blocks must share a row count")
+
+    def concat(self) -> np.ndarray:
+        return np.hstack(self.blocks)
+
+
+def block_leave_one_out(family: BlockFamily) -> float:
+    """Blockwise leave-one-out distance: min over j of sigma_min of block j
+    after projecting out the span of all other blocks.
+
+    For t blocks, the value sandwiches sigma_min of the concatenation within a
+    sqrt(t) factor.  With the concatenation factored as QR, the Schur
+    complement identity gives block j's value as 1 / sigma_max(R^-1[J_j, :])
+    for its column range J_j.  The value is exactly 0.0 when a block has no
+    columns, when the concatenation has more columns than rows, or when R
+    has a zero pivot or R^-1 overflows.
+    """
+    widths = [B.shape[1] for B in family.blocks]
+    if min(widths) == 0:
+        return 0.0
+    Ri = _inverse_r(np.asarray(family.concat(), dtype=float))
+    if Ri is None:
+        return 0.0
+    rows_of_blocks = np.split(Ri, np.cumsum(widths)[:-1])
+    return float(1.0 / max(np.linalg.norm(part, 2) for part in rows_of_blocks))
+
+
+def _spanner_indices(B: np.ndarray, swap_ratio: float) -> list[int]:
+    """Indices of a volume-maximal k-subset of the columns of the k x n matrix B.
+
+    A greedy start, then local search: replace a selected column whenever the
+    swap multiplies the absolute determinant by more than ``swap_ratio``.  At
+    termination every column of B is a combination of the selected ones with
+    coefficients bounded by ``swap_ratio``.
+    """
+    # Greedy volume build-up: pick the column with the largest residual.
+    S: list[int] = []
+    R = B.copy()
+    for _ in range(B.shape[0]):
+        j = int(np.argmax(np.linalg.norm(R, axis=0)))
+        S.append(j)
+        Q, _ = np.linalg.qr(B[:, S])
+        R = B - Q @ (Q.T @ B)
+    while True:
+        BS = B[:, S]
+        try:
+            coeff = np.linalg.solve(BS, B)
+        except np.linalg.LinAlgError:
+            coeff, *_ = np.linalg.lstsq(BS, B, rcond=None)
+        coeff = np.abs(coeff)
+        coeff[:, S] = 0.0
+        pos, j = np.unravel_index(int(np.argmax(coeff)), coeff.shape)
+        if coeff[pos, j] <= swap_ratio:
+            return S
+        S[pos] = int(j)
+
+
+def wellcond_column_subset(A: np.ndarray, k: int) -> list[int]:
+    """A k-subset S of column indices with sigma_k(A[:, S]) >= sigma_k(A) / (2 sqrt(nk)).
+
+    n is the number of columns of A.  Uses a greedy 2-approximate volume
+    spanner on the columns projected to the top-k singular space; the factor 2
+    in the guarantee is the price of that approximation.
+    """
+    A = np.asarray(A, dtype=float)
+    n = A.shape[1]
+    if not 1 <= k <= min(A.shape):
+        raise ValueError(f"k = {k} out of range for shape {A.shape}")
+    U, s, _ = np.linalg.svd(A, full_matrices=False)
+    if _rank_of_values(s) < k:
+        raise RankError(f"sigma_{k}(A) = {s[k-1]:.3e} is below {DEFAULT_RTOL:g} times sigma_1(A)")
+    B = U[:, :k].T @ A
+    return sorted(_spanner_indices(B, swap_ratio=2.0))
 
 
 def orth_complement_projector(columns: np.ndarray) -> np.ndarray:
@@ -173,3 +266,134 @@ def sigma_basic_check(n: int, k: int, delta: float, h: float, rho: float,
     bad = trials - run_experiment(config).per_rho[0]["pass_count"]
     bound = math.exp(-(1.0 / 8.0) * k * n * math.log(1.0 / h))
     return {"applicable": True, "bad_count": bad, "within_margin": bad / trials <= 10.0 * bound}
+
+
+# The noise-decoupling split.  A smoothed matrix is (base, rho, seed): the
+# realized sample is regenerated from those three fields.  The split rewrites
+# the lift of one rho-perturbation as a product of d factor matrices carrying
+# independent noise layers plus an explicit remainder, an identity that holds
+# against any operator whose rows are symmetric tensors.
+
+# Frozen empirical constants for the remainder-norm envelope
+#   ||E||_F <= ERROR_NORM_CONST[d] * (1 + ||U||^(d-2)) * rho^2 * (n m)^(d/2).
+# Calibrated once over the desk-scale grid (n <= 4, m <= 2, rho <= 0.5,
+# observed maxima 1.27 and 2.36) and asserted with a 2x margin; see tests.
+ERROR_NORM_CONST = {2: 2.0, 3: 4.0}
+
+
+@dataclass(frozen=True)
+class SmoothedMatrix:
+    """Base matrix plus Gaussian noise of scale rho, regenerable from the seed."""
+
+    base: np.ndarray
+    rho: float
+    seed: int
+    realized: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.rho <= 0:
+            raise ValueError("rho must be positive")
+        base = np.asarray(self.base, dtype=float)
+        object.__setattr__(self, "base", base)
+        noise = self.rho * _rng.gaussians(base.shape, self.seed, "perturb")
+        object.__setattr__(self, "realized", base + noise)
+
+    @property
+    def noise(self) -> np.ndarray:
+        return self.realized - self.base
+
+
+def perturb(base: np.ndarray, rho: float, seed: int) -> SmoothedMatrix:
+    """rho-smoothing of base: i.i.d. mean-zero Gaussian noise, std dev rho."""
+    return SmoothedMatrix(base=np.asarray(base, dtype=float), rho=rho, seed=seed)
+
+
+def _split_rhos(rho: float, d: int, split, n: int, m: int) -> np.ndarray:
+    if isinstance(split, str):
+        if split == "equal":
+            rhos = np.full(d, rho / math.sqrt(d))
+        elif split == "geometric":
+            # First layer much smaller than the rest: ratio (n+m)^3 per level.
+            ratio = float(n + m) ** 3
+            weights = np.array([ratio ** (2 * j) for j in range(d)], dtype=float)
+            rhos = rho * np.sqrt(weights / weights.sum())
+        else:
+            raise ValueError(f"unknown split {split!r}")
+    else:
+        rhos = np.asarray(split, dtype=float)
+        if rhos.shape != (d,):
+            raise ValueError(f"split must have {d} entries")
+    return rhos
+
+
+@dataclass(frozen=True)
+class DecoupledFactors:
+    """The d noise layers, running partials, factor matrices, and remainder.
+
+    partials[0] is the realized matrix and partials[d] recovers the base;
+    factor j is partials[j] + (d - j + 1) * layer_j.  error is n**d x
+    C(m+d-1, d), like the lifts, and for any Psi with symmetric-tensor rows,
+
+        Psi @ sym_lift(realized, d).data ==
+        Psi @ sym_kron(factors) + Psi @ error.
+    """
+
+    rhos: np.ndarray
+    layers: list[np.ndarray]
+    partials: list[np.ndarray]
+    factors: list[np.ndarray]
+    error: np.ndarray
+
+    @property
+    def d(self) -> int:
+        return len(self.factors)
+
+
+def decouple(smoothed: SmoothedMatrix, d: int, split="equal") -> DecoupledFactors:
+    """Split one rho-perturbation into d layered factors plus a remainder.
+
+    The layers are sampled conditionally on the already-realized noise, so the
+    identity is exact for this sample: layer sums reproduce the realized
+    noise, and the remainder collects the binomial terms with two or more
+    copies of a layer,
+
+        E = sum_l sum_{j=2}^{d-l} C(d-l, j)
+            sym_kron(F_1, ..., F_l, Z_{l+1} x j, V_{l+1} x (d-l-j)),
+
+    where F are the factor matrices, Z the layers and V the partials.
+    """
+    if d < 2:
+        raise ValueError("decoupling needs d >= 2")
+    rhos = _split_rhos(smoothed.rho, d, split, *smoothed.base.shape)
+    layers = noise_layers(smoothed.noise, smoothed.rho, rhos, smoothed.seed, "decouple")
+
+    partials = [smoothed.realized]
+    for j in range(d):
+        partials.append(partials[-1] - layers[j])
+    # 1-based: factor_j = V^(j) + (d - j + 1) Z_j with V^(j) = partials[j].
+    factors = [partials[j + 1] + (d - j) * layers[j] for j in range(d)]
+
+    error = sum(math.comb(d - level, j)
+                * sym_kron(factors[:level] + [layers[level]] * j
+                           + [partials[level + 1]] * (d - level - j))
+                for level in range(d - 1) for j in range(2, d - level + 1))
+    return DecoupledFactors(rhos=rhos, layers=layers, partials=partials,
+                            factors=factors, error=error)
+
+
+def decoupling_residual(smoothed: SmoothedMatrix, dec: DecoupledFactors,
+                        psi: np.ndarray) -> float:
+    """Frobenius residual of the decoupling identity against one operator psi."""
+    lhs = psi @ sym_lift(smoothed.realized, dec.d).data
+    rhs = psi @ sym_kron(dec.factors) + psi @ dec.error
+    return float(np.linalg.norm(lhs - rhs))
+
+
+def error_norm_bound(dec: DecoupledFactors, base: np.ndarray, rho: float) -> float:
+    """Frozen-constant envelope for the remainder norm (with its 2x safety margin)."""
+    d = dec.d
+    if d not in ERROR_NORM_CONST:
+        raise ValueError(f"no frozen constant for d = {d}")
+    n, m = base.shape
+    opnorm = float(np.linalg.norm(base, 2))
+    return 2.0 * ERROR_NORM_CONST[d] * (1 + opnorm ** (d - 2)) * rho**2 * (n * m) ** (d / 2)

@@ -14,14 +14,12 @@ from liftcert import rng as _rng
 from liftcert.harness import ExperimentConfig, run_experiment
 from liftcert.powersum import (antisym_witnesses, make_power_sum_instance,
                                build_sym4_IkronA)
-from liftcert.smoothing import (decouple, decoupling_residual,
-                                error_norm_bound, perturb)
-from liftcert.spectral import (BlockFamily, block_leave_one_out,
-                               jacobian_khatri_rao, leave_one_out,
-                               singular_values, wellcond_column_subset)
+from liftcert.spectral import jacobian_khatri_rao, leave_one_out, singular_values
 from liftcert.tensor_lift import kron_power, sel_avg, sym_lift
 from liftcert.varieties import determinantal_operator, separable_generators
 from oracles import sym_projector_matrix
+from paper_tools import (BlockFamily, block_leave_one_out, decouple, decoupling_residual,
+                         error_norm_bound, perturb, wellcond_column_subset)
 
 
 def report(num: int, ok: bool, detail: str) -> None:

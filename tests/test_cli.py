@@ -641,8 +641,34 @@ class TestExperiment:
          "a scaling study needs at least 3 rho_grid points, got 1 distinct in [0.1, 0.1, 0.1]"),
         ({"name": "."}, "name must be a plain file name, got '.'"),
         ({"name": ".."}, "name must be a plain file name, got '..'"),
+        # C(n+d-1, d) is about 1e735, past the float range.
+        ({"target": "thm51", "params": {"n": 100, "m": 2, "d": 10**9}},
+         "isometry for n = 100, d = 1000000000 would have shape (~10^735,)"),
+        ({"target": "cor53", "params": {"n": 100, "m": 2, "d": 10**9}},
+         "isometry for n = 100, d = 1000000000 would have shape (~10^735,)"),
+        ({"target": "thm52", "params": {"n": 100, "m": 2, "d": 10**9}},
+         "isometry for n = 100, d = 1000000000 would have shape (~10^735,)"),
+        # m**d has 30103 digits, past the 4300 that str() prints.
+        ({"target": "thm52", "params": {"n": 2, "m": 2, "d": 100000}},
+         "params n=2, m=2, d=100000, delta=0.5, base=zero break the dimension budget m**d"),
+        ({"target": "thm52", "params": {"n": 2, "m": 1, "d": 100000}},
+         "row isometry would have shape (~10^30103, 50001)"),
+        # Small copies, under a lowered cap, of a 45150 x 45150 completion, a
+        # 100000000 x 3 draw and a 100000 x 100000 base.
+        ({"target": "lemma74", "params": {"n": 10, "m": 1}, "cap": 55 * 55 - 1},
+         "the N2 x N2 completion for n = 10 would have shape (55, 55)"),
+        ({"target": "conj82", "params": {"dim": 3, "r": 2, "N": 1000}, "cap": 2999},
+         "a Gaussian draw would have shape (1000, 3)"),
+        ({"target": "sigma_basic", "params": {"n": 50, "k": 50}, "cap": 2499},
+         "the zero base would have shape (50, 50)"),
+        ({"target": "sigma_basic", "params": {"n": 50, "k": 50, "base": "random"}, "cap": 2499},
+         "the random base would have shape (50, 50)"),
     ])
-    def test_bad_field_is_usage_error(self, tmp_path, capsys, overrides, named):
+    def test_bad_field_is_usage_error(self, tmp_path, capsys, monkeypatch, overrides, named):
+        # "cap" is no config field: it lowers MAX_DENSE_ENTRIES for the case.
+        overrides = dict(overrides)
+        if "cap" in overrides:
+            monkeypatch.setattr(tensor_lift, "MAX_DENSE_ENTRIES", overrides.pop("cap"))
         cfg = self.config_file(tmp_path, **overrides)
         code, _, err = run_cli(capsys, "experiment", "--config", str(cfg),
                                "--out-dir", str(tmp_path / "a" / "b"))

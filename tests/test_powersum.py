@@ -13,8 +13,8 @@ from liftcert.powersum import (ClusteringInstance, antisym_witnesses,
                                build_power_matrix, build_projected_V,
                                build_solution_space_M, make_clustering_instance,
                                make_power_sum_instance, make_symmetric_columns,
-                               build_sym4_IkronA, power_row, symmetric_cube_lift)
-from liftcert.smoothing import noise_layers
+                               build_sym4_IkronA, noise_layers, power_row,
+                               symmetric_cube_lift)
 from liftcert.spectral import singular_values
 from liftcert.tensor_lift import sym_lift, sym_merge
 from oracles import evaluate_power_row

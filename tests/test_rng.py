@@ -31,17 +31,6 @@ GAUSSIANS = {
         "9179716931dc6f195997af2315583c1b31faf1f3edeba38893031b00e5695b54",
 }
 
-UNIFORMS = {
-    (0, (0, "u")):
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    (1, (0, "u")):
-        "adbeb0cba09a96d272d29d1916490245090344d34c1b9bd1d4cecdc8c376a860",
-    (9, (5, "u", 2)):
-        "8c47b0f30a50dda1435b4747a0dd31da580e56cc4562718b2be1d8983d00bfab",
-    (4096, (2**40, "u", "x y")):
-        "9e56469f2568352f99aa859c980c4d211c4e3005418fd040843f443dba2dd8d2",
-}
-
 DERIVED_SEEDS = {
     (0, "trial", 0): 4093552087895935737,
     (0, "trial", 1): 5927842341487833041,
@@ -62,13 +51,6 @@ def test_gaussians_match_their_recorded_bytes(shape, path):
     assert sha(z) == GAUSSIANS[shape, path]
 
 
-@pytest.mark.parametrize("size, path", list(UNIFORMS))
-def test_uniforms_match_their_recorded_bytes(size, path):
-    u = rng.uniforms(*path, size=size)
-    assert u.shape == (size,) and sha(u) == UNIFORMS[size, path]
-    assert np.all((0 < u) & (u < 1))
-
-
 def test_derived_seeds_match_their_recorded_values():
     assert {path: rng.derive_seed(*path) for path in DERIVED_SEEDS} == DERIVED_SEEDS
 
@@ -78,13 +60,13 @@ def test_draws_from_four_threads_equal_serial_draws():
 
     def draw(key):
         shape, path = key
-        return rng.gaussians(shape, *path), rng.uniforms(*path, size=5)
+        return rng.gaussians(shape, *path)
 
     serial = [draw(key) for key in keys]
     with ThreadPoolExecutor(max_workers=4) as pool:
         threaded = list(pool.map(draw, keys))
-    for (z0, u0), (z1, u1) in zip(serial, threaded):
-        assert np.array_equal(z0, z1) and np.array_equal(u0, u1)
+    for z0, z1 in zip(serial, threaded):
+        assert np.array_equal(z0, z1)
 
 
 def test_a_generator_is_not_moved_by_draws_between_its_own():
@@ -95,7 +77,6 @@ def test_a_generator_is_not_moved_by_draws_between_its_own():
             out.append(gen.standard_normal(3))
             if interleave:
                 rng.gaussians((4, 2), 5, "shuffle", 1)
-                rng.uniforms(5, "other", t, size=3)
             out.append(gen.permutation(6).astype(np.float64))
         return np.concatenate(out)
 

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from liftcert import tensor_lift
-from liftcert.smoothing import (ERROR_NORM_CONST, DecoupledFactors,
-                                decouple, decoupling_residual,
-                                error_norm_bound, noise_layers, perturb)
+from liftcert.powersum import noise_layers
 from liftcert.rng import gaussians
 from liftcert.tensor_lift import LiftSizeError, sym_project
 from oracles import sym_projector_matrix
-from paper_tools import gaussian_ball_log_prob_bound
+from paper_tools import (ERROR_NORM_CONST, DecoupledFactors, decouple, decoupling_residual,
+                         error_norm_bound, gaussian_ball_log_prob_bound, perturb)
 
 
 def symmetric_row_operator(n, d, rows, seed):

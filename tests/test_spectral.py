@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from liftcert import powersum as ps
-from liftcert.spectral import (_QR_FIRST_MIN_COLS, BlockFamily, NonFiniteMatrixError,
-                               RankError, _rank_of_values, block_leave_one_out,
+from liftcert.spectral import (_QR_FIRST_MIN_COLS, NonFiniteMatrixError, _rank_of_values,
                                check_orthonormal, count_large_singulars, jacobian_khatri_rao,
-                               leave_one_out, singular_values, stacked_singular_values,
-                               wellcond_column_subset)
-from paper_tools import good_blocks, orth_complement_projector, spread_vector
+                               leave_one_out, singular_values, stacked_singular_values)
+from paper_tools import (BlockFamily, RankError, block_leave_one_out, good_blocks,
+                         orth_complement_projector, spread_vector, wellcond_column_subset)
 
 
 class TestSingularValues:
