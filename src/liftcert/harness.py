@@ -288,6 +288,7 @@ def _bind_thm52(p, config):
     _need(m == 1 or (d < rank.bit_length() and m**d <= rank),
           f"m**d <= ceil(delta*C(n+d-1,d)) = {rank}", p)
     psi = _random_row_isometry(rank, n**d, config.master_seed, "operator")
+    _check_entries((d, n, m), f"the stack of d = {d} {p['base']} bases")
     bases = np.array([_make_base(p["base"], n, m, _rng.derive_seed(config.master_seed, "b", j))
                       for j in range(d)])
 
@@ -413,13 +414,11 @@ def _bind_conj81(p, config):
     _need(s * math.comb(m + d - 1, d) <= math.comb(n + d - 1, d),
           "s*C(m+d-1,d) <= C(n+d-1,d)", p)
     duplicate = p["control"] == "duplicate"
-    proto = ps.make_clustering_instance(n, m, s, d, rho=1.0, seed=config.master_seed,
-                                        shared_base=p["shared_base"])
+    bases = ps.make_clustering_bases(n, m, s, config.master_seed, shared_base=p["shared_base"])
 
     def measure(rho, seed):
-        inst = ps.ClusteringInstance(bases=proto.bases, d=d,
-                                     rho=0.0 if duplicate else rho, seed=seed)
-        return float(singular_values(ps.build_block_lift(inst))[-1]), None, None
+        M = ps.build_block_lift(bases, d, 0.0 if duplicate else rho, seed)
+        return float(singular_values(M)[-1]), None, None
     return measure
 
 

@@ -2,8 +2,8 @@
 
 Matrices travel as row-major CSV with 17 significant digits, which
 round-trips IEEE-754 doubles exactly, so every emitted matrix can be
-re-ingested losslessly.  JSON payloads are written with sorted keys and no
-incidental whitespace so reruns produce identical bytes.
+re-ingested losslessly.  JSON payloads are written with sorted keys and a
+two-space indent, so reruns produce identical bytes.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ merge operators from :mod:`liftcert.tensor_lift` then implement polynomial
 multiplication, and the builders below assemble the block matrices whose
 least singular values the experiment harness measures: the merged identity
 Kronecker block, its explicit solution-space basis, layered-noise variants,
-concatenated subspace lifts, and the power-coefficient matrix of inner-power
-polynomials.
+the concatenated lifts of a stack of subspace bases, and the
+power-coefficient matrix of inner-power polynomials.  Each builder takes the
+arrays and scalars it reads.
 """
 
 from __future__ import annotations
@@ -184,88 +185,61 @@ def build_projected_V(matrices: np.ndarray | list[np.ndarray], ell: int) -> np.n
     return np.concatenate([lifts, mats.reshape(*lead, m, n * n).swapaxes(-1, -2)], axis=-1)
 
 
-@dataclass(frozen=True)
-class ClusteringInstance:
-    """Orthonormal subspace bases to perturb, lift, and concatenate."""
-
-    bases: list[np.ndarray]
-    d: int
-    rho: float
-    seed: int
-
-    def __post_init__(self):
-        if not self.bases:
-            raise ValueError("need at least one basis")
-        n, m = self.bases[0].shape
-        for P in self.bases:
-            if P.shape != (n, m):
-                raise ValueError("all bases must share a shape")
-            check_orthonormal(P)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.bases[0].shape
+def make_clustering_bases(n: int, m: int, s: int, seed: int,
+                          shared_base: bool = True) -> np.ndarray:
+    """The (s, n, m) stack of orthonormal bases; by default all equal to one
+    seeded random base, the hardest layout that the perturbation must still
+    separate."""
+    Q, _ = np.linalg.qr(_rng.gaussians((n, m), seed, "cluster", "base",
+                                       stack=1 if shared_base else s))
+    return np.repeat(Q, s, axis=0) if shared_base else Q
 
 
-def make_clustering_instance(n: int, m: int, s: int, d: int, rho: float,
-                             seed: int, shared_base: bool = True) -> ClusteringInstance:
-    """s orthonormal bases; by default all equal to one seeded random base,
-    the hardest layout that the perturbation must still separate."""
-    drawn = 1 if shared_base else s
-    Q, _ = np.linalg.qr(_rng.gaussians((n, m), seed, "cluster", "base", stack=drawn))
-    bases = [Q[0]] * s if shared_base else list(Q)
-    return ClusteringInstance(bases=bases, d=d, rho=rho, seed=seed)
-
-
-def build_block_lift(instance: ClusteringInstance) -> np.ndarray:
+def build_block_lift(bases: np.ndarray, d: int, rho: float, seed: int) -> np.ndarray:
     """Concatenated symmetric lifts of independently perturbed bases.
 
-    Each base P_i receives i.i.d. noise of entrywise variance rho^2 / n, is
-    re-orthonormalized, and lifted to order d.  rho = 0 skips the
-    perturbation (degenerate control).  The rows are the C(n+d-1, d)
+    ``bases`` holds s orthonormal n x m bases.  Each receives i.i.d. noise
+    of entrywise variance rho^2 / n from the stream (seed, "cluster",
+    "noise"), is re-orthonormalized, and lifted to order d.  rho = 0 skips
+    the perturbation (degenerate control).  The rows are the C(n+d-1, d)
     isometric coordinates of the lift (``LiftMatrix.coords``), so the
     singular values are those of the full n**d-row lifts.
     """
-    n, m = instance.shape
-    d, s = instance.d, len(instance.bases)
+    if not len(bases):
+        raise ValueError("need at least one basis")
+    n, m = np.shape(bases[0])
+    if any(np.shape(P) != (n, m) for P in bases):
+        raise ValueError("all bases must share a shape")
+    bases = np.asarray(bases, dtype=float)
+    for P in bases:
+        check_orthonormal(P)
+    s = len(bases)
     if s * math.comb(m + d - 1, d) > math.comb(n + d - 1, d):
         raise ValueError("dimension budget violated: too many blocks for the lift space")
-    bases = instance.bases
-    if instance.rho > 0:
-        noise = (instance.rho / math.sqrt(n)) * _rng.gaussians(
-            (n, m), instance.seed, "cluster", "noise", stack=s)
-        bases, _ = np.linalg.qr(np.asarray(bases) + noise)
-    coords = sym_lift(np.asarray(bases), d).coords
+    if rho > 0:
+        noise = (rho / math.sqrt(n)) * _rng.gaussians((n, m), seed, "cluster", "noise", stack=s)
+        bases, _ = np.linalg.qr(bases + noise)
+    coords = sym_lift(bases, d).coords
     return coords.transpose(1, 0, 2).reshape(coords.shape[1], -1)
 
 
-def _monomials(X: np.ndarray, r: int) -> np.ndarray:
-    """Degree-r monomials of the last axis of X, in multiset order.
+def build_power_matrix(points: np.ndarray, r: int) -> np.ndarray:
+    """N x C(dim+r-1, r) matrix whose i-th row is the coefficient vector of
+    <u_i, x>^r over the degree-r monomials, in multiset order.
 
-    The gather holds r factors of each monomial, so its shape is checked
-    against the cap before the plan or the gather is built."""
+    The coefficient of a monomial is its multinomial coefficient, the orbit
+    size of its multiset, times its value at u_i.  The gather holds r
+    factors of each monomial, so its shape is checked against the cap
+    before the plan or the gather is built.
+    """
     if r < 1:
         raise ValueError("r must be at least 1")
-    dim = X.shape[-1]
-    _check_entries(X.shape[:-1] + (math.comb(dim + r - 1, r), r),
+    U = np.atleast_2d(np.asarray(points, dtype=float))
+    dim = U.shape[-1]
+    _check_entries(U.shape[:-1] + (math.comb(dim + r - 1, r), r),
                    f"the degree-{r} monomial factors in dimension {dim}")
-    return X[..., _plan(dim, r).rows].prod(axis=-1)
-
-
-def power_row(u: np.ndarray, r: int) -> np.ndarray:
-    """Coefficient vector of the polynomial <u, x>^r over the monomial basis.
-
-    The coefficient of a monomial is its multinomial coefficient, which is
-    the orbit size of its multiset.
-    """
-    u = np.asarray(u, dtype=float)
-    monomials = _monomials(u, r)  # checks the size before the plan is built
-    return _plan(u.shape[-1], r).orbit * monomials
-
-
-def build_power_matrix(points: np.ndarray, r: int) -> np.ndarray:
-    """N x C(dim+r-1, r) matrix whose i-th row represents <u_i, x>^r."""
-    return power_row(np.atleast_2d(np.asarray(points, dtype=float)), r)
+    plan = _plan(dim, r)
+    return plan.orbit * U[..., plan.rows].prod(axis=-1)
 
 
 def symmetric_cube_lift(C: np.ndarray, n: int) -> np.ndarray:

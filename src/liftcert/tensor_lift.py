@@ -68,7 +68,7 @@ def _check_entries(shape: tuple[int, ...], what: str) -> None:
 
 class _IndexPlan(NamedTuple):
     rows: np.ndarray   # C(n+d-1, d) x d, 0-based non-decreasing, lexicographic
-    orbit: np.ndarray  # distinct orderings of each row
+    orbit: np.ndarray  # distinct orderings of each row, as float64
 
 
 def _build_plan(n: int, d: int) -> _IndexPlan:
@@ -77,12 +77,16 @@ def _build_plan(n: int, d: int) -> _IndexPlan:
         itertools.chain.from_iterable(itertools.combinations_with_replacement(range(n), d)),
         dtype=np.int64, count=count * d).reshape(count, d)
     # The orbit of a prefix of length j+1 is the orbit of the length-j prefix
-    # times (j+1) / (length of the run of equal entries ending at j).
-    orbit = np.ones(count, dtype=np.int64)
+    # times (j+1) / (length of the run of equal entries ending at j).  Every
+    # product is at most d!, so it is exact in int64 up to d = 20 (20! < 2**63)
+    # and in Python ints past that.  Each orbit is then rounded to float64
+    # once: 2**1024 - 2**970 is the least int that rounds to inf.
+    orbit = np.ones(count, dtype=np.int64 if d <= 20 else object)
     run = np.ones(count, dtype=np.int64)
     for j in range(1, d):
         run = np.where(rows[:, j] == rows[:, j - 1], run + 1, 1)
         orbit = orbit * (j + 1) // run
+    orbit = np.where(orbit < 2**1024 - 2**970, orbit, math.inf).astype(float)
     rows.flags.writeable = False
     orbit.flags.writeable = False
     return _IndexPlan(rows, orbit)
@@ -143,10 +147,11 @@ class _Orbits(NamedTuple):
 def _build_orbits(n: int, d: int) -> _Orbits:
     # Capped at n**d x d entries (2**24 positions would need over 500 MB).
     # Position a * n**(k-1) + q holds {a} plus the multiset at q of the
-    # n**(k-1) space, so the ids grow one digit at a time.
+    # n**(k-1) space, so the ids grow one digit at a time.  n = 1 has one
+    # position in one orbit, and skips the d steps of O(k) each.
     _check_entries((n**d, d), f"the index rows of the {n}**{d} coordinate space")
-    plan, ids = _build_plan(n, 0), np.zeros(1, dtype=np.int64)
-    for k in range(1, d + 1):
+    plan, ids = _build_plan(n, d if n == 1 else 0), np.zeros(1, dtype=np.int64)
+    for k in range(1, d + 1 if n > 1 else 1):
         prev, plan = plan, _build_plan(n, k)
         rows = np.column_stack([np.repeat(np.arange(n), len(prev.rows)), np.tile(prev.rows, (n, 1))])
         table = np.searchsorted(_flat(plan.rows, n), _flat(np.sort(rows, axis=1), n))
@@ -154,7 +159,7 @@ def _build_orbits(n: int, d: int) -> _Orbits:
     weight = 1.0 / plan.orbit[ids]
     ids.flags.writeable = False
     weight.flags.writeable = False
-    return _Orbits(ids, weight, _members_by_count(ids, plan.orbit))
+    return _Orbits(ids, weight, _members_by_count(ids, plan.orbit.astype(np.int64)))
 
 
 _cached_orbits = functools.lru_cache(maxsize=32)(_build_orbits)

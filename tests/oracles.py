@@ -4,8 +4,9 @@ They build what the library never needs to form: the full n**d x n**d
 averaging projector, a polynomial's value from its coefficient row, matrix
 CSV text written, or parsed, one entry at a time, a variety operator's
 dense generator matrix with the certificate read off its dense product, the
-Kronecker product that thm52's operator is applied to, and the thm51, cor53,
-thm52 and prop72 measures taken one trial at a time.
+Kronecker product that thm52's operator is applied to, the thm51, cor53,
+thm52 and prop72 measures taken one trial at a time, and the conj82 measure
+with its multinomial coefficients computed exactly.
 """
 
 import itertools
@@ -17,7 +18,6 @@ import numpy as np
 from liftcert import powersum, rng
 from liftcert.harness import _kron, _kron_product, _make_base, _need, _random_row_isometry
 from liftcert.matrixio import format_float
-from liftcert.powersum import _monomials
 from liftcert.spectral import singular_values
 from liftcert.tensor_lift import _check_entries, _orbits, _rank, sym_lift
 
@@ -30,8 +30,12 @@ def sym_projector_matrix(n: int, d: int) -> np.ndarray:
 
 
 def evaluate_power_row(row: np.ndarray, x: np.ndarray, r: int) -> float:
-    """Pair a coefficient row with the monomial vector of x."""
-    return float(row @ _monomials(np.asarray(x, dtype=float), r))
+    """Pair a coefficient row with the monomial vector of x, one product per
+    multiset of r coordinates, in lexicographic order."""
+    x = np.asarray(x, dtype=float)
+    monomials = [math.prod(x[list(c)])
+                 for c in itertools.combinations_with_replacement(range(len(x)), r)]
+    return float(row @ np.array(monomials))
 
 
 def matrix_to_csv_per_entry(A: np.ndarray, header_comments: list[str] | None = None) -> str:
@@ -113,6 +117,22 @@ def per_trial_thm52(p, config):
     def measure(rho, seed):
         factors = bases + rho * rng.gaussians((n, m), seed, "noise", stack=d)
         return float(singular_values(_kron_product(psi, factors))[m**d - 1]), None, None
+    return measure
+
+
+def exact_orbit_conj82(p, config):
+    """conj82 measured with each multinomial coefficient divided out in
+    Python ints and rounded once, the multisets listed by itertools."""
+    dim, r, N = p["dim"], p["r"], p["N"]
+    base = rng.gaussians((N, dim), config.master_seed, "points")
+    base /= np.linalg.norm(base, axis=1, keepdims=True)
+    multisets = np.array(list(itertools.combinations_with_replacement(range(dim), r)))
+    coeffs = np.array([math.factorial(r) // math.prod(map(math.factorial, np.bincount(c).tolist()))
+                       for c in multisets], dtype=float)
+
+    def measure(rho, seed):
+        pts = base + rho * rng.gaussians((N, dim), seed, "noise")
+        return float(singular_values(coeffs * pts[:, multisets].prod(axis=-1))[-1]), None, None
     return measure
 
 

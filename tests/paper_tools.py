@@ -14,7 +14,7 @@ import numpy as np
 
 from liftcert import rng as _rng
 from liftcert.harness import ExperimentConfig, run_experiment
-from liftcert.powersum import noise_layers, power_row
+from liftcert.powersum import build_power_matrix, noise_layers
 from liftcert.spectral import (DEFAULT_RTOL, _inverse_r, _rank_of_values, check_orthonormal,
                                singular_values)
 from liftcert.stats import wilson_interval
@@ -235,7 +235,7 @@ def small_ball_estimate(base_point: np.ndarray, r: int, sigma: float,
     hits = 0
     for t in range(trials):
         u = base_point + sigma * _rng.gaussians(base_point.shape, seed, "smallball", t)
-        if abs(float(power_row(u, r) @ a)) < eps:
+        if abs(float(build_power_matrix(u, r)[0] @ a)) < eps:
             hits += 1
     low, high = wilson_interval(hits, trials)
     return {"hits": hits, "frequency": hits / trials, "wilson_low": low, "wilson_high": high}

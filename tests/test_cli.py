@@ -594,6 +594,35 @@ class TestExperiment:
         assert text.splitlines()[0].startswith("# config:")
         assert text.splitlines()[1] == "rho,trial,seed,sigma,threshold,pass"
 
+    def test_thm51_orbits_past_int64_give_a_finite_sigma(self, tmp_path, capsys):
+        # int64 orbit sizes wrapped negative here: sqrt warned, and the run exited 3.
+        cfg = self.config_file(tmp_path, params={"n": 2, "m": 1, "d": 70}, rho_grid=[0.3],
+                               trials=1, min_passes=1, threshold=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, "experiment", "--config", str(cfg),
+                                   "--out-dir", str(tmp_path))
+        assert code == 0, err
+        sigma = float((tmp_path / "demo.csv").read_text().splitlines()[-1].split(",")[3])
+        assert np.isfinite(sigma) and sigma > 0
+
+    @pytest.mark.parametrize("target, d, want", [
+        # One orbit of one position, not d plans of O(k) each.
+        ("thm51", 100000, 0),
+        # Refused before its 10**9 bases and keys are built.
+        ("thm52", 10**9, 2),
+    ])
+    def test_n_equals_one_with_huge_d_ends_quickly(self, tmp_path, target, d, want):
+        cfg = self.config_file(tmp_path, target=target, params={"n": 1, "m": 1, "d": d},
+                               trials=1, min_passes=1, threshold=0.0)
+        out = subprocess.run([sys.executable, "-m", "liftcert.cli", "experiment", "--config",
+                              str(cfg), "--out-dir", str(tmp_path / "out")],
+                             env=src_env(), capture_output=True, text=True, timeout=20)
+        assert out.returncode == want, out.stderr
+        if want == 2:
+            assert "would have shape (1000000000, 1, 1)" in out.stderr
+            assert not (tmp_path / "out").exists()
+
     def test_acceptance_failure_exit_code(self, tmp_path, capsys):
         cfg = self.config_file(
             tmp_path,

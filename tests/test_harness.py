@@ -15,7 +15,8 @@ from liftcert.matrixio import dump_json
 from liftcert.spectral import singular_values
 from liftcert.stats import quantile_summary, wilson_interval
 from liftcert.tensor_lift import LiftSizeError, from_sym_coords, sym_lift
-from oracles import kron_operator, per_trial_lift, per_trial_prop72, per_trial_thm52
+from oracles import (exact_orbit_conj82, kron_operator, per_trial_lift, per_trial_prop72,
+                     per_trial_thm52)
 from paper_tools import sigma_basic_check
 
 
@@ -207,6 +208,16 @@ class TestRunExperiment:
     def test_wilson_interval_reported(self):
         agg = run_experiment(cfg()).per_rho[0]
         assert 0.0 <= agg["wilson_low"] <= agg["pass_rate"] <= agg["wilson_high"] <= 1.0
+
+    def test_conj82_orbits_past_int64_match_exact_multinomials(self, monkeypatch):
+        # Coefficients of up to C(70, 35) ~ 1e20 wrapped in int64 (sigma 5.126e-05).
+        config = cfg(target="conj82", params={"dim": 2, "r": 70, "N": 100},
+                     rho_grid=[0.3], trials=1, master_seed=0, threshold=0.0)
+        got = run_experiment(config).reports[0].sigma
+        monkeypatch.setitem(TARGETS, "conj82", Target(TARGETS["conj82"].params,
+                                                      _per_trial(exact_orbit_conj82)))
+        want = run_experiment(config).reports[0].sigma
+        assert abs(got - want) <= 1e-10 * want
 
 
 class TestStackedTrials:

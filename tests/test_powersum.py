@@ -8,13 +8,11 @@ import pytest
 import scipy.sparse as sp
 from scipy.stats import norm
 
-from liftcert.powersum import (ClusteringInstance, antisym_witnesses,
-                               build_block_lift, build_claim_Q, build_claim_W,
-                               build_power_matrix, build_projected_V,
-                               build_solution_space_M, make_clustering_instance,
+from liftcert.powersum import (antisym_witnesses, build_block_lift, build_claim_Q,
+                               build_claim_W, build_power_matrix, build_projected_V,
+                               build_solution_space_M, make_clustering_bases,
                                make_power_sum_instance, make_symmetric_columns,
-                               build_sym4_IkronA, noise_layers, power_row,
-                               symmetric_cube_lift)
+                               build_sym4_IkronA, noise_layers, symmetric_cube_lift)
 from liftcert.spectral import singular_values
 from liftcert.tensor_lift import sym_lift, sym_merge
 from oracles import evaluate_power_row
@@ -259,48 +257,60 @@ class TestProjectedV:
 class TestBlockLift:
     def test_single_block_spectrum_floor(self):
         Q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((6, 2)))
-        inst = ClusteringInstance(bases=[Q], d=2, rho=0.0, seed=0)
-        M = build_block_lift(inst)
+        M = build_block_lift([Q], 2, rho=0.0, seed=0)
         assert singular_values(M)[-1] >= 1.0 / math.sqrt(2.0) - 1e-12
 
     def test_orthogonal_disjoint_first_order(self):
-        inst = ClusteringInstance(bases=[np.eye(6)[:, :2], np.eye(6)[:, 2:4]],
-                                  d=1, rho=0.0, seed=0)
-        assert abs(singular_values(build_block_lift(inst))[-1] - 1.0) <= 1e-12
+        M = build_block_lift([np.eye(6)[:, :2], np.eye(6)[:, 2:4]], 1, rho=0.0, seed=0)
+        assert abs(singular_values(M)[-1] - 1.0) <= 1e-12
 
     def test_duplicated_subspace_is_degenerate(self):
         Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((8, 2)))
-        inst = ClusteringInstance(bases=[Q, Q], d=2, rho=0.0, seed=0)
-        assert singular_values(build_block_lift(inst))[-1] <= 1e-10
+        assert singular_values(build_block_lift([Q, Q], 2, rho=0.0, seed=0))[-1] <= 1e-10
 
     def test_perturbation_separates_shared_base(self):
-        inst = make_clustering_instance(8, 2, 2, 2, rho=0.2, seed=6)
-        assert singular_values(build_block_lift(inst))[-1] >= 1e-6
+        bases = make_clustering_bases(8, 2, 2, seed=6)
+        assert singular_values(build_block_lift(bases, 2, rho=0.2, seed=6))[-1] >= 1e-6
 
     @pytest.mark.parametrize("n,m,s,d", [(6, 2, 2, 2), (10, 3, 3, 3), (5, 2, 3, 3), (4, 2, 2, 4)])
     def test_spectrum_matches_full_coordinate_lifts(self, n, m, s, d):
         rng = np.random.default_rng(n + m + s + d)
         bases = [np.linalg.qr(rng.standard_normal((n, m)))[0] for _ in range(s)]
-        inst = ClusteringInstance(bases=bases, d=d, rho=0.0, seed=0)
-        got = singular_values(build_block_lift(inst))
+        got = singular_values(build_block_lift(bases, d, rho=0.0, seed=0))
         want = singular_values(np.hstack([sym_lift(P, d).data for P in bases]))
         assert np.abs(got - want).max() <= 1e-12 * want[0]
-        duplicated = ClusteringInstance(bases=[bases[0]] * s, d=d, rho=0.0, seed=0)
-        assert singular_values(build_block_lift(duplicated))[-1] <= 1e-10
+        duplicated = build_block_lift([bases[0]] * s, d, rho=0.0, seed=0)
+        assert singular_values(duplicated)[-1] <= 1e-10
 
     def test_budget_violation(self):
         Q = np.eye(3)
-        with pytest.raises(ValueError):
-            build_block_lift(ClusteringInstance(bases=[Q, Q, Q], d=2,
-                                                rho=0.1, seed=0))
+        with pytest.raises(ValueError, match="dimension budget violated"):
+            build_block_lift([Q, Q, Q], 2, rho=0.1, seed=0)
+
+    @pytest.mark.parametrize("bases, message", [
+        ([], "need at least one basis"),
+        ([np.eye(4)[:, :2], np.eye(4)[:, :3]], "all bases must share a shape"),
+        ([np.eye(4)[:, :2], 2 * np.eye(4)[:, :2]], "basis is not orthonormal"),
+    ])
+    def test_bad_bases_refused(self, bases, message):
+        with pytest.raises(ValueError, match=message):
+            build_block_lift(bases, 2, rho=0.1, seed=0)
+
+    def test_bases_are_one_orthonormal_stack(self):
+        shared = make_clustering_bases(6, 2, 3, seed=1)
+        distinct = make_clustering_bases(6, 2, 3, seed=1, shared_base=False)
+        assert shared.shape == distinct.shape == (3, 6, 2)
+        assert (shared == shared[0]).all() and (shared[0] == distinct[0]).all()
+        assert not (distinct[1] == distinct[0]).all()
+        assert np.abs(distinct.swapaxes(1, 2) @ distinct - np.eye(2)).max() <= 1e-12
 
 
 class TestPowerMatrix:
     def test_binomial_row(self):
-        assert np.allclose(power_row(np.array([1.0, 1.0]), 2), [1.0, 2.0, 1.0])
+        assert np.allclose(build_power_matrix(np.array([1.0, 1.0]), 2)[0], [1.0, 2.0, 1.0])
 
     def test_axis_vector_row(self):
-        row = power_row(np.array([1.0, 0.0, 0.0]), 3)
+        row = build_power_matrix(np.array([1.0, 0.0, 0.0]), 3)[0]
         expected = np.zeros(math.comb(3 + 2, 3))
         expected[0] = 1.0  # (1,1,1) is first in lexicographic order
         assert np.allclose(row, expected)
@@ -309,7 +319,7 @@ class TestPowerMatrix:
         rng = np.random.default_rng(7)
         for r in (1, 2, 3):
             u = rng.standard_normal(3)
-            row = power_row(u, r)
+            row = build_power_matrix(u, r)[0]
             for _ in range(20):
                 x = rng.standard_normal(3)
                 direct = float(u @ x) ** r
@@ -322,8 +332,8 @@ class TestPowerMatrix:
         assert M.shape == (24, 6)
 
     def test_rejects_bad_power(self):
-        with pytest.raises(ValueError):
-            power_row(np.ones(2), 0)
+        with pytest.raises(ValueError, match="r must be at least 1"):
+            build_power_matrix(np.ones(2), 0)
 
 
 class TestSmallBall:

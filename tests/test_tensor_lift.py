@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liftcert import tensor_lift
-from liftcert.powersum import build_power_matrix, power_row
+from liftcert.powersum import build_power_matrix
 from liftcert.tensor_lift import (LiftSizeError, enumerate_multi_indices,
                                   from_sym_coords, khatri_rao, kron_power,
                                   sel_avg, sym_coords, sym_kron, sym_lift,
@@ -124,7 +124,7 @@ class TestAgainstReferenceLoops:
         points, x = rng.standard_normal((5, dim)), rng.standard_normal(dim)
         ref = np.vstack([ref_power_row(u, r) for u in points])
         assert np.abs(build_power_matrix(points, r) - ref).max() <= 1e-12
-        assert np.abs(power_row(points[0], r) - ref[0]).max() <= 1e-12
+        assert np.abs(build_power_matrix(points[0], r)[0] - ref[0]).max() <= 1e-12
         monomials = ref_power_row(x, r) / ref_power_row(np.ones(dim), r)
         assert abs(evaluate_power_row(ref[0], x, r) - ref[0] @ monomials) <= 1e-12
 
@@ -253,6 +253,14 @@ class TestMultiIndex:
     def test_size_guard(self):
         with pytest.raises(LiftSizeError):
             enumerate_multi_indices(10**6, 6)
+
+    @pytest.mark.parametrize("n,d", [(2, 70), (3, 45), (4, 34)])
+    def test_orbit_sizes_past_int64_are_multinomials(self, n, d):
+        # An int64 product of prefix orbits wrapped past 2**63 at these sizes.
+        plan = tensor_lift._plan(n, d)
+        exact = [math.factorial(d) // math.prod(map(math.factorial, np.bincount(row).tolist()))
+                 for row in plan.rows]
+        assert np.abs(plan.orbit / np.array(exact, dtype=float) - 1).max() <= 1e-15
 
 
 class TestKron:
