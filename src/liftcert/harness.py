@@ -5,10 +5,10 @@ An experiment is (target, params, rho_grid, trials, master_seed, threshold).
 it is built, and a bind function that checks the dimension budget before any
 trial.  Each trial derives its own random stream from (master_seed, trial
 index).  The bound measure is called once per rho with all of that rho's
-trial seeds and returns one result per seed: thm51, cor53, thm52 and prop72
-draw, build and decompose a rho's trials as stacks, with the bytes of one
-trial at a time; every other target measures its trials one by one, in
-index order.
+trial seeds.  A target that reports a singular value returns its matrices,
+and ``_read`` takes all those values: thm51, cor53, thm52 and prop72 as
+stacks, with the bytes of one trial at a time, the others one matrix at a
+time as each is built.  prop73, the probes and certify return their values.
 Everything runs in one thread, and the aggregation is a fold over trial
 index.  Noise layers are keyed by trial index only, never by rho, so
 comparisons across a rho grid are paired by construction.
@@ -19,7 +19,6 @@ byte-reproducible for a fixed config (timings never enter the files).
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import operator
@@ -61,11 +60,10 @@ class Param(NamedTuple):
 
 class Target(NamedTuple):
     """``bind(resolved params, config)`` returns ``measure(rho, seeds)``,
-    called once per rho with all of its trials' seeds, which returns one
-    ``(sigma, threshold or None, passed or None)`` per seed in seed order;
+    called once per rho with all of its trials' seeds, which returns Spectra
+    or one ``(sigma, threshold or None, passed or None)`` per seed in order;
     None means the config's threshold and ``sigma >= threshold``.  The
-    targets with a default ``threshold`` are the ``liftcert powersum``
-    checks."""
+    targets with a default ``threshold`` are the ``liftcert powersum`` checks."""
 
     params: dict
     bind: Callable
@@ -87,6 +85,16 @@ class Target(NamedTuple):
             if bound and not _COMPARE[bound[0]](out[name], bound[1]):
                 raise ValueError(f"param {name!r} must be {bound[0]} {bound[1]}, got {value!r}")
         return out
+
+
+class Spectra(NamedTuple):
+    """A rho's matrices in seed order, a (trials, rows, cols) stack or an
+    iterable that builds each as it is read, and the index ``k`` (-1 the
+    least) of the singular value each trial measures against ``threshold``."""
+
+    mats: object
+    k: int
+    threshold: float | None = None
 
 
 def _typed(what: str, value, kind: type, low: int | None = None):
@@ -194,16 +202,6 @@ def _make_base(kind: str, n: int, m: int, master_seed: int) -> np.ndarray:
     return np.tile(_rng.unit_columns((n, 1), master_seed, "base"), (1, m))
 
 
-def _per_trial(bind):
-    """A bind whose measure takes one seed, made a bind whose measure takes
-    a rho's seeds and measures them in order; the measure's attributes (the
-    probe's ``lambda_hat``) carry over."""
-    def bind_seeds(p, config):
-        measure = bind(p, config)
-        return functools.wraps(measure)(lambda rho, seeds: [measure(rho, s) for s in seeds])
-    return bind_seeds
-
-
 def _need(ok: bool, rule: str, p: dict) -> None:
     """Refuse params that break a target's dimension budget, naming them."""
     if not ok:
@@ -222,9 +220,20 @@ def _stacked(measure, per_trial: int):
         for start in range(0, len(seeds), step):
             chunk = seeds[start:start + step]
             _check_entries((len(chunk), per_trial), f"the stacked arrays of {len(chunk)} trials")
-            out += measure(rho, chunk)
+            out += _read(measure(rho, chunk))
         return out
     return run
+
+
+def _read(measured) -> list:
+    """A measure's ``(sigma, threshold, passed)`` per trial: a stack's singular
+    values in one call, an iterable's one matrix at a time; others as they are."""
+    if not isinstance(measured, Spectra):
+        return measured
+    mats, k, threshold = measured
+    spectra = (stacked_singular_values(mats) if isinstance(mats, np.ndarray)
+               else map(stacked_singular_values, mats))
+    return [(float(s[k]), threshold, None) for s in spectra]
 
 
 def _lift_rank(p) -> int:
@@ -257,7 +266,7 @@ def _bind_lift(p, config):
         # Each trial's k x C(n+d-1, d) stack of transposed lifts, column-major
         # as np.vstack leaves them: BLAS rounds the two orders differently.
         lifts = coords.transpose(0, 2, 1, 3).reshape(len(seeds), -1, k).swapaxes(-1, -2)
-        return [(float(s[k - 1]), None, None) for s in stacked_singular_values(lifts @ phi.T)]
+        return Spectra(lifts @ phi.T, k - 1)
     return _stacked(measure, blocks * _lift_entries(n, m, d))
 
 
@@ -295,13 +304,11 @@ def _bind_thm52(p, config):
     def measure(rho, seeds):
         keys = [(seed, ("noise", j)) for seed in seeds for j in range(d)]
         factors = bases + rho * _rng.gaussians((n, m), keys).reshape(len(seeds), d, n, m)
-        s = stacked_singular_values(_kron_product(psi, factors.swapaxes(0, 1)))
-        return [(float(v), None, None) for v in s[:, m**d - 1]]
+        return Spectra(_kron_product(psi, factors.swapaxes(0, 1)), m**d - 1)
     # The mode products' largest arrays: T, the result and the folded rest.
     return _stacked(measure, max(rank * n * m ** (d - 1), rank * m**d, (n * m) ** (d - 1)))
 
 
-@_per_trial
 def _bind_certify(p, config):
     try:
         op = variety_from_spec(p["variety"])
@@ -311,21 +318,21 @@ def _bind_certify(p, config):
     _need(math.comb(m + op.d - 1, op.d) <= op.p, f"C(m+d-1,d) <= p = {op.p} generators", p)
     base = _rng.unit_columns((op.n, m), config.master_seed, "base")
 
-    def measure(rho, seed):
-        B = base + rho * _rng.gaussians((op.n, m), seed, "noise")
-        if planted:
-            B[:, 0] = 0.0
-            B[0, 0] = 1.0
-        Q = orthonormalize_basis(B, keep_first=planted)
-        return certify(op, Q).eta, None, None
+    def measure(rho, seeds):
+        for seed in seeds:
+            B = base + rho * _rng.gaussians((op.n, m), seed, "noise")
+            if planted:
+                B[:, 0] = 0.0
+                B[0, 0] = 1.0
+            Q = orthonormalize_basis(B, keep_first=planted)
+            yield certify(op, Q).eta, None, None
     return measure
 
 
-@_per_trial
 def _bind_prop71(p, config):
-    def measure(rho, seed):
-        C = ps.make_symmetric_columns(p["n"], p["m"], rho, seed)
-        return float(singular_values(ps.symmetric_cube_lift(C, p["n"]))[-1]), None, None
+    def measure(rho, seeds):
+        cols = (ps.make_symmetric_columns(p["n"], p["m"], rho, seed) for seed in seeds)
+        return Spectra((ps.symmetric_cube_lift(C, p["n"]) for C in cols), -1)
     return measure
 
 
@@ -340,8 +347,7 @@ def _bind_prop72(p, config):
     def measure(rho, seeds):
         keys = [(seed, ("noise", j)) for seed in seeds for j in range(m)]
         mats = bases + rho * _rng.gaussians((n, n), keys).reshape(len(seeds), m, n, n)
-        return [(float(s[-1]), None, None)
-                for s in stacked_singular_values(ps.build_projected_V(mats, ell))]
+        return Spectra(ps.build_projected_V(mats, ell), -1)
     # The lifts' largest arrays and the block matrix.
     cols = m * math.comb(ell + 1, 2) + m
     return _stacked(measure, max(m * _lift_entries(n, ell, 2), n * n * cols))
@@ -352,7 +358,6 @@ def _power_sum_need(p) -> None:
     _need(p["m"] < n2, f"m < N2 = C(n+1,2) = {n2}", p)
 
 
-@_per_trial
 def _bind_prop73(p, config):
     n, m = p["n"], p["m"]
     want = m * math.comb(n + 1, 2) - math.comb(m, 2)
@@ -360,40 +365,38 @@ def _bind_prop73(p, config):
     rows = math.comb(n + 3, 4)
     _need(want <= rows, f"m*N2 - C(m,2) = {want} <= C(n+3,4) = {rows}", p)
 
-    def measure(rho, seed):
-        inst = ps.make_power_sum_instance(n, m, rho, seed)
-        M = ps.build_sym4_IkronA(inst)
-        s = singular_values(M)
-        rank = _rank_of_values(s, config.threshold)
-        witness_ok = bool(
-            np.linalg.norm(M @ ps.antisym_witnesses(inst), axis=0).max()
-            <= config.threshold) if m > 1 else True
-        return float(s[want - 1]), None, bool(rank == want and witness_ok)
+    def measure(rho, seeds):
+        for seed in seeds:
+            inst = ps.make_power_sum_instance(n, m, rho, seed)
+            M = ps.build_sym4_IkronA(inst)
+            s = singular_values(M)
+            rank = _rank_of_values(s, config.threshold)
+            witness_ok = bool(
+                np.linalg.norm(M @ ps.antisym_witnesses(inst), axis=0).max()
+                <= config.threshold) if m > 1 else True
+            yield float(s[want - 1]), None, bool(rank == want and witness_ok)
     return measure
 
 
-@_per_trial
 def _bind_lemma74(p, config):
     _power_sum_need(p)
 
-    def measure(rho, seed):
-        inst = ps.make_power_sum_instance(p["n"], p["m"], rho, seed)
-        return float(singular_values(ps.build_solution_space_M(inst))[-1]), None, None
+    def measure(rho, seeds):
+        insts = (ps.make_power_sum_instance(p["n"], p["m"], rho, seed) for seed in seeds)
+        return Spectra(map(ps.build_solution_space_M, insts), -1)
     return measure
 
 
-@_per_trial
 def _bind_claim77(p, config):
     _power_sum_need(p)
 
-    def measure(rho, seed):
-        inst = ps.make_power_sum_instance(p["n"], p["m"], rho, seed)
-        Q = ps.build_claim_Q(inst, rho / math.sqrt(2.0), rho / math.sqrt(2.0))
-        return float(singular_values(Q)[-1]), None, None
+    def measure(rho, seeds):
+        insts = (ps.make_power_sum_instance(p["n"], p["m"], rho, seed) for seed in seeds)
+        layer = rho / math.sqrt(2.0)
+        return Spectra((ps.build_claim_Q(inst, layer, layer) for inst in insts), -1)
     return measure
 
 
-@_per_trial
 def _bind_claim76(p, config):
     m = p["m"]
     rank = 2 * m * math.comb(p["n"] + 1, 2) - math.comb(2 * m, 2)
@@ -401,14 +404,13 @@ def _bind_claim76(p, config):
     rows = math.comb(p["n"] + 3, 4)
     _need(rank <= rows, f"2*m*N2 - C(2m,2) = {rank} <= C(n+3,4) = {rows}", p)
 
-    def measure(rho, seed):
-        inst = ps.make_power_sum_instance(p["n"], m, rho, seed)
-        W = ps.build_claim_W(inst, rho / math.sqrt(2.0), rho / math.sqrt(2.0))
-        return float(singular_values(W)[rank - 1]), None, None
+    def measure(rho, seeds):
+        insts = (ps.make_power_sum_instance(p["n"], m, rho, seed) for seed in seeds)
+        layer = rho / math.sqrt(2.0)
+        return Spectra((ps.build_claim_W(inst, layer, layer) for inst in insts), rank - 1)
     return measure
 
 
-@_per_trial
 def _bind_conj81(p, config):
     n, m, s, d = p["n"], p["m"], p["s"], p["d"]
     _need(s * math.comb(m + d - 1, d) <= math.comb(n + d - 1, d),
@@ -416,25 +418,23 @@ def _bind_conj81(p, config):
     duplicate = p["control"] == "duplicate"
     bases = ps.make_clustering_bases(n, m, s, config.master_seed, shared_base=p["shared_base"])
 
-    def measure(rho, seed):
-        M = ps.build_block_lift(bases, d, 0.0 if duplicate else rho, seed)
-        return float(singular_values(M)[-1]), None, None
+    def measure(rho, seeds):
+        return Spectra((ps.build_block_lift(bases, d, 0.0 if duplicate else rho, seed)
+                        for seed in seeds), -1)
     return measure
 
 
-@_per_trial
 def _bind_conj82(p, config):
     dim, N = p["dim"], p["N"]
     base = _rng.gaussians((N, dim), config.master_seed, "points")
     base /= np.linalg.norm(base, axis=1, keepdims=True)
 
-    def measure(rho, seed):
-        pts = base + rho * _rng.gaussians((N, dim), seed, "noise")
-        return float(singular_values(ps.build_power_matrix(pts, p["r"]))[-1]), None, None
+    def measure(rho, seeds):
+        pts = (base + rho * _rng.gaussians((N, dim), seed, "noise") for seed in seeds)
+        return Spectra((ps.build_power_matrix(P, p["r"]) for P in pts), -1)
     return measure
 
 
-@_per_trial
 def _bind_caa_probe(p, config):
     """Khatri-Rao small-ball probe; the grid values of the config are h levels."""
     n, m, k, rho = p["n"], p["m"], p["k"], p["rho"]
@@ -460,16 +460,16 @@ def _bind_caa_probe(p, config):
         raise ValueError("degenerate pilot: median combination norm is zero")
     lambda_hat = delta / pilot_median
 
-    def measure(h, seed):
-        value = combo_norm(seed)
+    def measure(h, seeds):
         thresh = delta * h / lambda_hat
-        return value, thresh, bool(value >= thresh)
+        for seed in seeds:
+            value = combo_norm(seed)
+            yield value, thresh, bool(value >= thresh)
     measure.lambda_hat = lambda_hat
     measure.delta = delta
     return measure
 
 
-@_per_trial
 def _bind_jacobian_probe(p, config):
     n, m, k = p["n"], p["m"], p["k"]
     _need(k <= m, "k <= m", p)
@@ -477,36 +477,34 @@ def _bind_jacobian_probe(p, config):
                      _rng.gaussians((n, m), config.master_seed, "baseV")])
     need = math.ceil(n * k / 2)
 
-    def measure(rho, seed):
-        alpha = np.zeros(m)
-        support = _rng.rng(seed, "support").choice(m, size=k, replace=False)
-        alpha[support] = 1.0
-        U, V = base + rho * _rng.gaussians((n, m), seed, "noise", stack=2)
-        J = jacobian_khatri_rao(alpha, U, V)
-        count = count_large_singulars(J, p["tau_factor"] * rho)
-        return float(count), float(need), bool(count >= need)
+    def measure(rho, seeds):
+        for seed in seeds:
+            alpha = np.zeros(m)
+            support = _rng.rng(seed, "support").choice(m, size=k, replace=False)
+            alpha[support] = 1.0
+            U, V = base + rho * _rng.gaussians((n, m), seed, "noise", stack=2)
+            J = jacobian_khatri_rao(alpha, U, V)
+            count = count_large_singulars(J, p["tau_factor"] * rho)
+            yield float(count), float(need), bool(count >= need)
     return measure
 
 
-@_per_trial
 def _bind_sigma_basic(p, config):
     n, k, delta = p["n"], p["k"], p["delta"]
     order = math.ceil(k / 2)
     _need(order <= min(n, k), "ceil(k/2) <= min(n,k)", p)
     base = _make_base(p["base"], n, k, config.master_seed)
 
-    def measure(rho, seed):
-        V = base + rho * _rng.gaussians((n, k), seed, "noise")
-        sigma = float(singular_values(delta * V)[order - 1])
-        return sigma, p["h"] * rho * delta, None
+    def measure(rho, seeds):
+        return Spectra((delta * (base + rho * _rng.gaussians((n, k), seed, "noise"))
+                        for seed in seeds), order - 1, p["h"] * rho * delta)
     return measure
 
 
-@_per_trial
 def _bind_const_control(p, config):
     value = float(singular_values(_rng.gaussians((p["n"], p["m"]), config.master_seed,
                                                  "const"))[-1])
-    return lambda rho, seed: (value, None, None)
+    return lambda rho, seeds: [(value, None, None)] * len(seeds)
 
 
 _N_M = {"n": Param(int), "m": Param(int)}
@@ -532,7 +530,7 @@ TARGETS: dict[str, Target] = {
                       "shared_base": Param(bool, True)},
                      _bind_conj81, 1e-6),
     "conj82": Target({"dim": Param(int), "r": Param(int), "N": Param(int)}, _bind_conj82, 1e-6),
-    "caa_probe": Target({**_N_M, "k": Param(int), "rho": Param(float, 1.0),
+    "caa_probe": Target({**_N_M, "k": Param(int), "rho": Param(float, 1.0, bound=(">=", 0.0)),
                          "pilot_trials": Param(int, 64)}, _bind_caa_probe),
     "jacobian_probe": Target({**_N_M, "k": Param(int, low=0),
                               "tau_factor": Param(float, 0.1, bound=(">=", 0.0))},
@@ -598,7 +596,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for rho in config.rho_grid:
         rows = []
         for t, (seed, (sigma, thresh, passed)) in enumerate(
-                zip(seeds, measure(rho, seeds), strict=True)):
+                zip(seeds, _read(measure(rho, seeds)), strict=True)):
             thresh = config.threshold if thresh is None else thresh
             if not (math.isfinite(sigma) and math.isfinite(thresh)):
                 raise NonFiniteMatrixError(f"trial {t} at rho {rho} measured {sigma} "

@@ -4,9 +4,10 @@ They build what the library never needs to form: the full n**d x n**d
 averaging projector, a polynomial's value from its coefficient row, matrix
 CSV text written, or parsed, one entry at a time, a variety operator's
 dense generator matrix with the certificate read off its dense product, the
-Kronecker product that thm52's operator is applied to, the thm51, cor53,
-thm52 and prop72 measures taken one trial at a time, and the conj82 measure
-with its multinomial coefficients computed exactly.
+Kronecker product that thm52's operator is applied to, the measures of the
+targets that report a singular value taken one trial at a time with
+``singular_values(...)[k]``, and the conj82 measure with its multinomial
+coefficients computed exactly.
 """
 
 import itertools
@@ -87,6 +88,15 @@ def kron_operator(psi: np.ndarray, factors) -> np.ndarray:
     return psi @ reduce(_kron, factors)
 
 
+def per_trial(bind):
+    """A bind whose measure takes one seed, made a bind whose measure takes
+    a rho's seeds and measures them in order."""
+    def bind_seeds(p, config):
+        measure = bind(p, config)
+        return lambda rho, seeds: [measure(rho, s) for s in seeds]
+    return bind_seeds
+
+
 def per_trial_lift(p, config):
     """thm51 and cor53 measured one trial at a time: each block's lift on its
     own, the transposed lifts stacked by np.vstack."""
@@ -145,4 +155,78 @@ def per_trial_prop72(p, config):
     def measure(rho, seed):
         mats = list(bases + rho * rng.gaussians((n, n), seed, "noise", stack=m))
         return float(singular_values(powersum.build_projected_V(mats, ell))[-1]), None, None
+    return measure
+
+
+def per_trial_prop71(p, config):
+    """prop71 measured one trial at a time."""
+    def measure(rho, seed):
+        C = powersum.make_symmetric_columns(p["n"], p["m"], rho, seed)
+        return float(singular_values(powersum.symmetric_cube_lift(C, p["n"]))[-1]), None, None
+    return measure
+
+
+def per_trial_lemma74(p, config):
+    """lemma74 measured one trial at a time."""
+    def measure(rho, seed):
+        inst = powersum.make_power_sum_instance(p["n"], p["m"], rho, seed)
+        return float(singular_values(powersum.build_solution_space_M(inst))[-1]), None, None
+    return measure
+
+
+def per_trial_claim77(p, config):
+    """claim77 measured one trial at a time."""
+    def measure(rho, seed):
+        inst = powersum.make_power_sum_instance(p["n"], p["m"], rho, seed)
+        Q = powersum.build_claim_Q(inst, rho / math.sqrt(2.0), rho / math.sqrt(2.0))
+        return float(singular_values(Q)[-1]), None, None
+    return measure
+
+
+def per_trial_claim76(p, config):
+    """claim76 measured one trial at a time."""
+    m = p["m"]
+    rank = 2 * m * math.comb(p["n"] + 1, 2) - math.comb(2 * m, 2)
+
+    def measure(rho, seed):
+        inst = powersum.make_power_sum_instance(p["n"], m, rho, seed)
+        W = powersum.build_claim_W(inst, rho / math.sqrt(2.0), rho / math.sqrt(2.0))
+        return float(singular_values(W)[rank - 1]), None, None
+    return measure
+
+
+def per_trial_conj81(p, config):
+    """conj81 measured one trial at a time."""
+    duplicate = p["control"] == "duplicate"
+    bases = powersum.make_clustering_bases(p["n"], p["m"], p["s"], config.master_seed,
+                                           shared_base=p["shared_base"])
+
+    def measure(rho, seed):
+        M = powersum.build_block_lift(bases, p["d"], 0.0 if duplicate else rho, seed)
+        return float(singular_values(M)[-1]), None, None
+    return measure
+
+
+def per_trial_conj82(p, config):
+    """conj82 measured one trial at a time."""
+    dim, N = p["dim"], p["N"]
+    base = rng.gaussians((N, dim), config.master_seed, "points")
+    base /= np.linalg.norm(base, axis=1, keepdims=True)
+
+    def measure(rho, seed):
+        pts = base + rho * rng.gaussians((N, dim), seed, "noise")
+        return float(singular_values(powersum.build_power_matrix(pts, p["r"]))[-1]), None, None
+    return measure
+
+
+def per_trial_sigma_basic(p, config):
+    """sigma_basic measured one trial at a time, with its per-rho threshold."""
+    n, k, delta = p["n"], p["k"], p["delta"]
+    order = math.ceil(k / 2)
+    base = _make_base(p["base"], n, k, config.master_seed)
+
+    def measure(rho, seed):
+        V = base + rho * rng.gaussians((n, k), seed, "noise")
+        sigma = float(singular_values(delta * V)[order - 1])
+        return sigma, p["h"] * rho * delta, None
     return measure

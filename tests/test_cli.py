@@ -692,6 +692,8 @@ class TestExperiment:
          "the zero base would have shape (50, 50)"),
         ({"target": "sigma_basic", "params": {"n": 50, "k": 50, "base": "random"}, "cap": 2499},
          "the random base would have shape (50, 50)"),
+        ({"target": "caa_probe", "params": {"n": 5, "m": 4, "k": 2, "rho": -1.0}},
+         "param 'rho' must be >= 0.0, got -1.0"),
     ])
     def test_bad_field_is_usage_error(self, tmp_path, capsys, monkeypatch, overrides, named):
         # "cap" is no config field: it lowers MAX_DENSE_ENTRIES for the case.

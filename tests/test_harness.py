@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from liftcert import harness, rng, tensor_lift
 from liftcert.harness import (REQUIRED, TARGETS, ExperimentConfig, Target, _kron,
-                              _kron_product, _per_trial, _random_row_isometry, run_experiment)
+                              _kron_product, _random_row_isometry, run_experiment)
 from liftcert.matrixio import dump_json
 from liftcert.spectral import singular_values
 from liftcert.stats import quantile_summary, wilson_interval
 from liftcert.tensor_lift import LiftSizeError, from_sym_coords, sym_lift
-from oracles import (exact_orbit_conj82, kron_operator, per_trial_lift, per_trial_prop72,
+from oracles import (exact_orbit_conj82, kron_operator, per_trial, per_trial_claim76,
+                     per_trial_claim77, per_trial_conj81, per_trial_conj82, per_trial_lemma74,
+                     per_trial_lift, per_trial_prop71, per_trial_prop72, per_trial_sigma_basic,
                      per_trial_thm52)
 from paper_tools import sigma_basic_check
 
@@ -215,7 +217,7 @@ class TestRunExperiment:
                      rho_grid=[0.3], trials=1, master_seed=0, threshold=0.0)
         got = run_experiment(config).reports[0].sigma
         monkeypatch.setitem(TARGETS, "conj82", Target(TARGETS["conj82"].params,
-                                                      _per_trial(exact_orbit_conj82)))
+                                                      per_trial(exact_orbit_conj82)))
         want = run_experiment(config).reports[0].sigma
         assert abs(got - want) <= 1e-10 * want
 
@@ -258,7 +260,7 @@ class TestStackedTrials:
                             lambda A: sizes.append(len(A)) or real(A))
         stacked = run_experiment(config)
         monkeypatch.setitem(TARGETS, target, Target(TARGETS[target].params,
-                                                    _per_trial(self.ORACLES[target])))
+                                                    per_trial(self.ORACLES[target])))
         single = run_experiment(config)
         assert sizes == stacks * 4
         assert stacked.to_csv() == single.to_csv()
@@ -271,6 +273,50 @@ class TestStackedTrials:
         monkeypatch.setattr(harness, "_STACK_ENTRIES", 4 * harness._lift_entries(6, 2, 2))
         run_experiment(cfg(params={"n": 6, "m": 2, "d": 2}, trials=9))
         assert sizes == [4, 4, 1]
+
+
+class TestMatricesOneAtATime:
+    """The targets that yield one matrix per trial give the CSV and summary
+    bytes of their measures taken one trial at a time with
+    ``singular_values(...)[k]``."""
+
+    ORACLES = {"prop71": per_trial_prop71, "lemma74": per_trial_lemma74,
+               "claim77": per_trial_claim77, "claim76": per_trial_claim76,
+               "conj81": per_trial_conj81, "conj82": per_trial_conj82,
+               "sigma_basic": per_trial_sigma_basic}
+
+    @pytest.mark.parametrize("target, params", [
+        ("prop71", {"n": 3, "m": 3}),
+        ("lemma74", {"n": 5, "m": 3}),
+        ("claim77", {"n": 5, "m": 3}),
+        ("claim76", {"n": 8, "m": 3}),
+        ("conj81", {"n": 6, "m": 2, "s": 2, "d": 2}),
+        ("conj81", {"n": 6, "m": 2, "s": 2, "d": 2, "control": "duplicate",
+                    "shared_base": False}),
+        ("conj82", {"dim": 3, "r": 4, "N": 20}),
+        ("sigma_basic", {"n": 6, "k": 5, "base": "random"}),
+        ("sigma_basic", {"n": 5, "k": 4, "delta": 0.5, "h": 0.7}),
+    ])
+    def test_reads_equal_one_trial_at_a_time(self, monkeypatch, target, params):
+        config = cfg(target=target, params=params, rho_grid=[0.0, 0.05, 0.3, 1.0], trials=4,
+                     threshold=1e-9, study="scaling")
+        read = run_experiment(config)
+        monkeypatch.setitem(TARGETS, target, Target(TARGETS[target].params,
+                                                    per_trial(self.ORACLES[target])))
+        single = run_experiment(config)
+        assert read.to_csv() == single.to_csv()
+        assert dump_json(read.summary()) == dump_json(single.summary())
+
+    def test_each_matrix_is_decomposed_before_the_next_is_built(self, monkeypatch):
+        # A list of the trials' matrices would build all three before the first SVD.
+        calls = []
+        build, svd = harness.ps.build_solution_space_M, harness.stacked_singular_values
+        monkeypatch.setattr(harness.ps, "build_solution_space_M",
+                            lambda inst: calls.append("build") or build(inst))
+        monkeypatch.setattr(harness, "stacked_singular_values",
+                            lambda A: calls.append("svd") or svd(A))
+        run_experiment(cfg(target="lemma74", params={"n": 5, "m": 3}, trials=3))
+        assert calls == ["build", "svd"] * 3
 
 
 class TestScalingStudy:
