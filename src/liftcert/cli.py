@@ -3,7 +3,8 @@ and the Monte Carlo experiment targets, all with deterministic seeded I/O.
 
 Exit codes: 0 on success (and on configured acceptance passing), 1 when a
 configured acceptance threshold fails, 2 on usage errors or malformed input
-files, 3 when a numerical routine or arithmetic fails in the library.  Every
+files, 3 when a numerical routine or arithmetic fails in the library or an
+allocation that passed the size cap does not fit in memory.  Every
 output records the fully resolved configuration in its header.
 """
 
@@ -277,7 +278,7 @@ def main(argv=None) -> int:
         for set_threads, _ in restore:
             set_threads(1)
         return args.func(args)
-    except (np.linalg.LinAlgError, ArithmeticError) as exc:
+    except (np.linalg.LinAlgError, ArithmeticError, MemoryError) as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return 3
     except (ValueError, OSError) as exc:

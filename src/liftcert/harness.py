@@ -32,8 +32,8 @@ import numpy as np
 from . import powersum as ps
 from . import rng as _rng
 from .matrixio import format_float
-from .spectral import (NonFiniteMatrixError, _rank_of_values, count_large_singulars,
-                       jacobian_khatri_rao, singular_values, stacked_singular_values)
+from .spectral import (DEFAULT_RTOL, NonFiniteMatrixError, _rank_of_values, jacobian_khatri_rao,
+                       singular_values, stacked_singular_values)
 from .stats import quantile_summary, wilson_interval
 from .tensor_lift import _check_entries, _lift_entries, _shown, khatri_rao, sym_lift
 from .varieties import certify, orthonormalize_basis, variety_from_spec
@@ -139,6 +139,7 @@ class ExperimentConfig:
             typed["min_passes"] = _typed("min_passes", self.min_passes, int, 0)
         if not all(rho >= 0 for rho in typed["rho_grid"]):
             raise ValueError(f"rho_grid entries must be finite and >= 0, got {self.rho_grid}")
+        _check_entries((len(typed["rho_grid"]), typed["trials"]), "the rho_grid x trials reports")
         if self.study not in (None, "scaling"):
             raise ValueError(f"unknown study {self.study!r}")
         distinct = len(set(typed["rho_grid"]))
@@ -439,6 +440,8 @@ def _bind_caa_probe(p, config):
     """Khatri-Rao small-ball probe; the grid values of the config are h levels."""
     n, m, k, rho = p["n"], p["m"], p["k"], p["rho"]
     _need(k <= m, "k <= m", p)
+    _check_entries((p["pilot_trials"],), "the pilot_trials combination norms")
+    _check_entries((n * n, m), "the Khatri-Rao product")
     seed0 = config.master_seed
     delta = 1.0 / math.sqrt(k)
     base = np.array([_rng.unit_columns((n, m), seed0, "baseU"),
@@ -483,8 +486,8 @@ def _bind_jacobian_probe(p, config):
             support = _rng.rng(seed, "support").choice(m, size=k, replace=False)
             alpha[support] = 1.0
             U, V = base + rho * _rng.gaussians((n, m), seed, "noise", stack=2)
-            J = jacobian_khatri_rao(alpha, U, V)
-            count = count_large_singulars(J, p["tau_factor"] * rho)
+            s = singular_values(jacobian_khatri_rao(alpha, U, V))
+            count = _rank_of_values(s, max(p["tau_factor"] * rho, DEFAULT_RTOL * s[0]))
             yield float(count), float(need), bool(count >= need)
     return measure
 

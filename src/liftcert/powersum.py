@@ -257,6 +257,7 @@ def symmetric_cube_lift(C: np.ndarray, n: int) -> np.ndarray:
 
 def make_symmetric_columns(n: int, m: int, rho: float, seed: int) -> np.ndarray:
     """m vectorized symmetric n x n matrices, upper triangle perturbed i.i.d."""
+    _check_entries((n * n, m), "the symmetric columns")
     iu = np.triu_indices(n)
     cols = np.empty((n * n, m))
     base = _rng.gaussians((len(iu[0]),), seed, "symcols", "base", stack=m)

@@ -1,13 +1,17 @@
 """Singular-value queries, leave-one-out distances, and the Khatri-Rao Jacobian.
 
 Everything here is an exact dense decomposition (LAPACK via numpy); there is
-no sketching or iteration.  Every rank decision is ``_rank_of_values``: a
-numerical-zero cut of 1e-10 times the largest singular value, or the caller's.
+no sketching or iteration.  Every rank decision and every count of singular
+values is ``_rank_of_values``: a numerical-zero cut of 1e-10 times the largest
+singular value, or the caller's (jacobian_probe's ``tau_factor * rho``, never
+below that default cut).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .tensor_lift import _check_entries
 
 DEFAULT_RTOL = 1e-10
 
@@ -73,13 +77,6 @@ def check_orthonormal(basis: np.ndarray) -> None:
         raise ValueError(f"basis is not orthonormal (Gram residual {gram_resid:.3e})")
 
 
-def count_large_singulars(A: np.ndarray, tau: float) -> int:
-    """Number of singular values of A that are >= tau."""
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
-    return int(np.count_nonzero(singular_values(A) >= tau))
-
-
 def _rank_of_values(s: np.ndarray, tolerance: float | None = None) -> int:
     """Number of non-increasing singular values s at or above the tolerance
     (default DEFAULT_RTOL times the largest); 0 when the largest is zero."""
@@ -141,6 +138,7 @@ def jacobian_khatri_rao(alpha: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.n
     if U.shape != V.shape or alpha.shape != (U.shape[1],):
         raise ValueError("alpha, U, V shapes are inconsistent")
     n, m = U.shape
+    _check_entries((n * n, 2 * n * m), "the Khatri-Rao Jacobian")
     eye = np.eye(n)
     # Entry ((j, k), (i, l)) of the u-block is [j = l] alpha_i V[k, i]; of
     # the v-block, [k = l] alpha_i U[j, i].

@@ -80,10 +80,11 @@ def _build_plan(n: int, d: int) -> _IndexPlan:
     # times (j+1) / (length of the run of equal entries ending at j).  Every
     # product is at most d!, so it is exact in int64 up to d = 20 (20! < 2**63)
     # and in Python ints past that.  Each orbit is then rounded to float64
-    # once: 2**1024 - 2**970 is the least int that rounds to inf.
+    # once: 2**1024 - 2**970 is the least int that rounds to inf.  n = 1 has
+    # one row in an orbit of 1, and skips the d steps.
     orbit = np.ones(count, dtype=np.int64 if d <= 20 else object)
     run = np.ones(count, dtype=np.int64)
-    for j in range(1, d):
+    for j in range(1, d if n > 1 else 1):
         run = np.where(rows[:, j] == rows[:, j - 1], run + 1, 1)
         orbit = orbit * (j + 1) // run
     orbit = np.where(orbit < 2**1024 - 2**970, orbit, math.inf).astype(float)

@@ -6,8 +6,9 @@ CSV text written, or parsed, one entry at a time, a variety operator's
 dense generator matrix with the certificate read off its dense product, the
 Kronecker product that thm52's operator is applied to, the measures of the
 targets that report a singular value taken one trial at a time with
-``singular_values(...)[k]``, and the conj82 measure with its multinomial
-coefficients computed exactly.
+``singular_values(...)[k]``, the conj82 measure with its multinomial
+coefficients computed exactly, and the jacobian_probe count taken as the
+singular values at or above ``tau_factor * rho``.
 """
 
 import itertools
@@ -19,7 +20,7 @@ import numpy as np
 from liftcert import powersum, rng
 from liftcert.harness import _kron, _kron_product, _make_base, _need, _random_row_isometry
 from liftcert.matrixio import format_float
-from liftcert.spectral import singular_values
+from liftcert.spectral import jacobian_khatri_rao, singular_values
 from liftcert.tensor_lift import _check_entries, _orbits, _rank, sym_lift
 
 
@@ -229,4 +230,22 @@ def per_trial_sigma_basic(p, config):
         V = base + rho * rng.gaussians((n, k), seed, "noise")
         sigma = float(singular_values(delta * V)[order - 1])
         return sigma, p["h"] * rho * delta, None
+    return measure
+
+
+def per_trial_jacobian_probe(p, config):
+    """jacobian_probe measured one trial at a time, counting every singular
+    value of the Jacobian at or above ``tau_factor * rho``."""
+    n, m, k = p["n"], p["m"], p["k"]
+    base = np.array([rng.gaussians((n, m), config.master_seed, "baseU"),
+                     rng.gaussians((n, m), config.master_seed, "baseV")])
+    need = math.ceil(n * k / 2)
+
+    def measure(rho, seed):
+        alpha = np.zeros(m)
+        alpha[rng.rng(seed, "support").choice(m, size=k, replace=False)] = 1.0
+        U, V = base + rho * rng.gaussians((n, m), seed, "noise", stack=2)
+        s = singular_values(jacobian_khatri_rao(alpha, U, V))
+        count = int(np.count_nonzero(s >= p["tau_factor"] * rho))
+        return float(count), float(need), count >= need
     return measure

@@ -794,6 +794,49 @@ class TestExperiment:
         assert "shape (100, 126, 4)" in err
         assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
 
+    # At 10**9 trials seeds were derived until memory ran out, and 10**9 pilot
+    # draws ran for minutes.  At n = 100000 the Khatri-Rao product (224 GiB),
+    # the triu_indices mask of the symmetric columns (9.3 GiB) and the
+    # identity of the Jacobian (74.5 GiB) ended in a MemoryError, exit 1.
+    @pytest.mark.parametrize("target, params, trials, named, module, builder", [
+        ("const_control", {}, 1001, "rho_grid x trials reports would have shape (1, 1001)",
+         cli.hs._rng, "derive_seed"),
+        ("caa_probe", {"n": 5, "m": 4, "k": 2, "pilot_trials": 1001}, 1,
+         "pilot_trials combination norms would have shape (1001,)", cli.hs, "khatri_rao"),
+        ("caa_probe", {"n": 40, "m": 2, "k": 1}, 1, "Khatri-Rao product would have shape (1600, 2)",
+         cli.hs, "khatri_rao"),
+        ("prop71", {"n": 40, "m": 1}, 1, "symmetric columns would have shape (1600, 1)",
+         np, "triu_indices"),
+        ("prop71", {"n": 3, "m": 200}, 1, "symmetric columns would have shape (9, 200)",
+         np, "triu_indices"),
+        ("jacobian_probe", {"n": 10, "m": 2, "k": 1}, 1,
+         "Khatri-Rao Jacobian would have shape (100, 40)", np, "eye"),
+    ])
+    def test_arrays_past_the_cap_are_refused_before_they_are_built(
+            self, tmp_path, capsys, monkeypatch, target, params, trials, named, module, builder):
+        monkeypatch.setattr(tensor_lift, "MAX_DENSE_ENTRIES", 1000)
+        monkeypatch.setattr(module, builder, lambda *args, **kw: pytest.fail(f"{builder} ran"))
+        cfg = self.config_file(tmp_path, target=target, params=params, trials=trials,
+                               threshold=0.0, min_passes=None)
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg),
+                                 "--out-dir", str(tmp_path / "out"))
+        assert code == 2 and out == ""
+        assert named in err
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
+
+    def test_memory_error_is_an_internal_error(self, tmp_path, capsys, monkeypatch):
+        # An allocation under the cap that did not fit exited 1, the code of a
+        # failed acceptance, with a traceback.
+        def run(config):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+        monkeypatch.setattr(cli.hs, "run_experiment", run)
+        cfg = self.config_file(tmp_path)
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg),
+                                 "--out-dir", str(tmp_path / "out"))
+        assert code == 3 and out == ""
+        assert err == "internal error: Unable to allocate 74.5 GiB\n"
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
+
     def test_min_passes_above_trials_is_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli.hs, "run_experiment", lambda config: pytest.fail("a trial ran"))
         cfg = self.config_file(tmp_path, trials=5)

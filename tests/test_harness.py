@@ -16,9 +16,9 @@ from liftcert.spectral import singular_values
 from liftcert.stats import quantile_summary, wilson_interval
 from liftcert.tensor_lift import LiftSizeError, from_sym_coords, sym_lift
 from oracles import (exact_orbit_conj82, kron_operator, per_trial, per_trial_claim76,
-                     per_trial_claim77, per_trial_conj81, per_trial_conj82, per_trial_lemma74,
-                     per_trial_lift, per_trial_prop71, per_trial_prop72, per_trial_sigma_basic,
-                     per_trial_thm52)
+                     per_trial_claim77, per_trial_conj81, per_trial_conj82,
+                     per_trial_jacobian_probe, per_trial_lemma74, per_trial_lift,
+                     per_trial_prop71, per_trial_prop72, per_trial_sigma_basic, per_trial_thm52)
 from paper_tools import sigma_basic_check
 
 
@@ -402,9 +402,9 @@ class TestCaaProbe:
             assert rw["pass_count"] >= rn["pass_count"]
 
 
-def jacobian_run(n, m, k, rho, trials, master_seed):
+def jacobian_run(n, m, k, rho, trials, master_seed, tau_factor=0.1):
     return run_experiment(cfg(target="jacobian_probe",
-                              params={"n": n, "m": m, "k": k, "tau_factor": 0.1},
+                              params={"n": n, "m": m, "k": k, "tau_factor": tau_factor},
                               rho_grid=[rho], trials=trials, master_seed=master_seed))
 
 
@@ -417,6 +417,26 @@ class TestJacobianProbe:
     def test_zero_support_counts_nothing(self):
         result = jacobian_run(n=6, m=8, k=0, rho=0.1, trials=3, master_seed=5)
         assert result.per_rho[0]["sigma"]["max"] == 0.0
+
+    # A cut of tau_factor * rho = 0 counted rounding noise: 16 columns of
+    # a rank-12 Jacobian, and all 36 of an all-zero one.
+    @pytest.mark.parametrize("n, m, k, rho, tau_factor, want", [
+        (4, 3, 2, 0.0, 0.1, 12.0), (4, 3, 2, 0.3, 0.0, 12.0), (6, 8, 0, 0.0, 0.1, 0.0)])
+    def test_a_zero_cut_counts_the_rank(self, n, m, k, rho, tau_factor, want):
+        result = jacobian_run(n=n, m=m, k=k, rho=rho, trials=3, master_seed=0,
+                              tau_factor=tau_factor)
+        assert [r.sigma for r in result.reports] == [want] * 3
+
+    # At tau_factor 5 the cut of 1.5 leaves 10 to 16 of the 16 values.
+    @pytest.mark.parametrize("tau_factor", [0.1, 5.0])
+    def test_counts_equal_a_cut_at_tau_factor_times_rho(self, monkeypatch, tau_factor):
+        params = {"n": 5, "m": 4, "k": 2, "tau_factor": tau_factor}
+        config = cfg(target="jacobian_probe", params=params, rho_grid=[0.3], trials=6,
+                     master_seed=3, threshold=0.0)
+        counted = run_experiment(config)
+        monkeypatch.setitem(TARGETS, "jacobian_probe", Target(
+            TARGETS["jacobian_probe"].params, per_trial(per_trial_jacobian_probe)))
+        assert counted.to_csv() == run_experiment(config).to_csv()
 
     def test_larger_rho_never_decreases_counts_on_paired_seeds(self):
         small = jacobian_run(n=8, m=12, k=3, rho=0.1, trials=20, master_seed=6).per_rho[0]["sigma"]

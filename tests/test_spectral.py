@@ -5,8 +5,8 @@ import pytest
 
 from liftcert import powersum as ps
 from liftcert.spectral import (_QR_FIRST_MIN_COLS, NonFiniteMatrixError, _rank_of_values,
-                               check_orthonormal, count_large_singulars, jacobian_khatri_rao,
-                               leave_one_out, singular_values, stacked_singular_values)
+                               check_orthonormal, jacobian_khatri_rao, leave_one_out,
+                               singular_values, stacked_singular_values)
 from paper_tools import (BlockFamily, RankError, block_leave_one_out, good_blocks,
                          orth_complement_projector, spread_vector, wellcond_column_subset)
 
@@ -105,7 +105,8 @@ class TestSingularValuesThroughR:
         for seed in range(3):
             M = _prop73_M(seed)
             direct = np.linalg.svd(M, compute_uv=False)
-            assert count_large_singulars(M, 1e-8) == np.count_nonzero(direct >= 1e-8) == want
+            rank = _rank_of_values(singular_values(M), 1e-8)
+            assert rank == np.count_nonzero(direct >= 1e-8) == want
 
 
 class TestStackedSingularValues:
@@ -140,24 +141,18 @@ class TestStackedSingularValues:
             singular_values(np.ones(shape))
 
 
-class TestCountLargeSingulars:
-    def test_threshold(self):
-        assert count_large_singulars(np.diag([3.0, 1.0, 0.1]), 0.5) == 2
-
-    def test_zero(self):
-        assert count_large_singulars(np.zeros((4, 4)), 0.5) == 0
-
-    def test_negative_tau(self):
-        with pytest.raises(ValueError):
-            count_large_singulars(np.eye(2), -1.0)
-
-
 class TestNumericalRank:
     def test_rank_uses_tolerance(self):
         s = singular_values(np.diag([1.0, 1e-6, 1e-14]))
         assert _rank_of_values(s) == 2
         assert _rank_of_values(s, tolerance=1e-8) == 2
         assert _rank_of_values(s, tolerance=1e-3) == 1
+
+    def test_threshold(self):
+        assert _rank_of_values(singular_values(np.diag([3.0, 1.0, 0.1])), 0.5) == 2
+
+    def test_zero(self):
+        assert _rank_of_values(singular_values(np.zeros((4, 4))), 0.5) == 0
 
 
 def _loop_leave_one_out(U):

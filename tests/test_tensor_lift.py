@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -261,6 +262,14 @@ class TestMultiIndex:
         exact = [math.factorial(d) // math.prod(map(math.factorial, np.bincount(row).tolist()))
                  for row in plan.rows]
         assert np.abs(plan.orbit / np.array(exact, dtype=float) - 1).max() <= 1e-15
+
+    def test_one_row_plan_skips_the_orbit_loop(self):
+        # Its d steps in Python ints took 6 s at d = 10**6.
+        start = time.perf_counter()
+        plan = tensor_lift._build_plan(1, 10**6)
+        assert time.perf_counter() - start < 1.0
+        assert plan.rows.shape == (1, 10**6) and not plan.rows.any()
+        assert plan.orbit.tolist() == [1.0]
 
 
 class TestKron:
