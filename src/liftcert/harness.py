@@ -331,9 +331,20 @@ def _bind_certify(p, config):
 
 
 def _bind_prop71(p, config):
+    """The order-6 projection of the order-3 lift of m symmetric columns.
+    Before any draw the columns, every array of the lift, its n**6 full
+    rows, which the projection keeps, and the n**6 x 6 index rows of the
+    projection's orbits are checked against the cap."""
+    n, m = p["n"], p["m"]
+    _check_entries((n * n, m), "the symmetric columns")
+    what = f"for n = {n}, m = {m}"
+    _check_entries((_lift_entries(n * n, m, 3),), f"the largest array of the order-3 lift {what}")
+    _check_entries((n**6, math.comb(m + 2, 3)), f"the order-6 projection {what}")
+    _check_entries((n**6, 6), f"the index rows of the order-6 projection {what}")
+
     def measure(rho, seeds):
-        cols = (ps.make_symmetric_columns(p["n"], p["m"], rho, seed) for seed in seeds)
-        return Spectra((ps.symmetric_cube_lift(C, p["n"]) for C in cols), -1)
+        cols = (ps.make_symmetric_columns(n, m, rho, seed) for seed in seeds)
+        return Spectra((ps.symmetric_cube_lift(C, n) for C in cols), -1)
     return measure
 
 

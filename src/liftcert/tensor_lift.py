@@ -42,7 +42,8 @@ _TERM_ENTRIES = 2**16
 # Means over column orderings use one dense sel_avg(m, d) product while it
 # has at most this many entries (and the orderings fit the lift), orbit sums
 # otherwise.  In a sweep over d = 2..4 on a 2-vCPU VM with OpenBLAS the
-# dense product won up to about 2k to 9k entries, depending on d.
+# dense product won up to about 2k to 9k entries, depending on d.  Being at
+# most _CACHED_ENTRIES, every selector that product takes is cached.
 _COLUMN_SELECT_ENTRIES = 2**12
 
 
@@ -204,14 +205,23 @@ def _grouped_sum(groups: tuple, count: int, A: np.ndarray, B: np.ndarray | None 
     return out
 
 
-def enumerate_multi_indices(n: int, d: int) -> np.ndarray:
-    """All non-decreasing d-tuples over 1..n in lexicographic order, one
-    read-only row each (the plan rows, 1-based)."""
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be at least 1")
+def _build_labels(n: int, d: int) -> np.ndarray:
     rows = _plan(n, d).rows + 1
     rows.flags.writeable = False
     return rows
+
+
+_cached_labels = functools.lru_cache(maxsize=32)(_build_labels)
+
+
+def enumerate_multi_indices(n: int, d: int) -> np.ndarray:
+    """All non-decreasing d-tuples over 1..n in lexicographic order, one
+    read-only row each (the plan rows, 1-based; shared while the plan is)."""
+    if n < 1 or d < 1:
+        raise ValueError("n and d must be at least 1")
+    shape = (math.comb(n + d - 1, d), d)
+    _check_entries(shape, f"the multiset index rows for n = {n}, d = {d}")
+    return (_cached_labels if math.prod(shape) <= _CACHED_ENTRIES else _build_labels)(n, d)
 
 
 def sym_coords(X: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -337,7 +347,7 @@ def _sym_columns(mats: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
         # Held through the product, the factors raised the peak heap enough
         # that glibc trimmed and regrew it on every call (2-3x slower).
         del factors
-        return orderings.reshape(-1, *lead, count).transpose(to_back) @ sel_avg(m, d)
+        return orderings.reshape(-1, *lead, count).transpose(to_back) @ _cached_selector(m, d)
     head = reduce(khatri_rao, factors[:-1], np.ones((1, factors[-1].shape[1])))
     orbits = _orbits(m, d)
     sums = _grouped_sum(orbits.groups, width, head, factors[-1], orbits.weight)
@@ -381,9 +391,9 @@ def sym_lift(U: np.ndarray, d: int) -> LiftMatrix:
         raise ValueError("d must be at least 1")
     U = np.asarray(U, dtype=float)
     *lead, n, m = U.shape
-    column_order = enumerate_multi_indices(m, d)
-    _check_entries((*lead, math.comb(n + d - 1, d), len(column_order)),
+    _check_entries((*lead, math.comb(n + d - 1, d), math.comb(m + d - 1, d)),
                    f"the symmetrized lift with n = {n}, m = {m}, d = {d}")
+    column_order = enumerate_multi_indices(m, d)
     if m <= n:
         means = _sym_columns([U] * d, _plan(n, d).rows)
     else:
@@ -414,9 +424,21 @@ def sel_avg(m: int, d: int) -> np.ndarray:
     if m < 1 or d < 1:
         raise ValueError("m and d must be at least 1")
     _check_entries((m**d, math.comb(m + d - 1, d)), f"the selector with m = {m}, d = {d}")
+    return _build_selector(m, d)
+
+
+def _build_selector(m: int, d: int) -> np.ndarray:
     ids, weight = _orbits(m, d)[:2]
     select = np.zeros((ids.size, math.comb(m + d - 1, d)))
     select[np.arange(ids.size), ids] = weight
+    return select
+
+
+@functools.lru_cache(maxsize=32)
+def _cached_selector(m: int, d: int) -> np.ndarray:
+    """sel_avg(m, d) for the dense product, unchecked, shared and read-only."""
+    select = _build_selector(m, d)
+    select.flags.writeable = False
     return select
 
 

@@ -694,6 +694,16 @@ class TestExperiment:
          "the random base would have shape (50, 50)"),
         ({"target": "caa_probe", "params": {"n": 5, "m": 4, "k": 2, "rho": -1.0}},
          "param 'rho' must be >= 0.0, got -1.0"),
+        # Its 9 x 100000 columns fit; their order-3 lift and its 3**6 full rows do not.
+        ({"target": "prop71", "params": {"n": 3, "m": 100000}},
+         "the largest array of the order-3 lift for n = 3, m = 100000 would have shape"),
+        ({"target": "prop71", "params": {"n": 3, "m": 30}, "cap": 729 * 4960 - 1},
+         "the order-6 projection for n = 3, m = 30 would have shape (729, 4960)"),
+        # Its 17**6 x 1 projection fits; the 17**6 x 6 index rows of its orbits
+        # do not, and were refused only after a 193 MB lift had been built.
+        ({"target": "prop71", "params": {"n": 17, "m": 1}},
+         "the index rows of the order-6 projection for n = 17, m = 1 would have shape "
+         "(24137569, 6)"),
     ])
     def test_bad_field_is_usage_error(self, tmp_path, capsys, monkeypatch, overrides, named):
         # "cap" is no config field: it lowers MAX_DENSE_ENTRIES for the case.
@@ -811,6 +821,16 @@ class TestExperiment:
          np, "triu_indices"),
         ("jacobian_probe", {"n": 10, "m": 2, "k": 1}, 1,
          "Khatri-Rao Jacobian would have shape (100, 40)", np, "eye"),
+        # At this cap the columns are refused when the config is bound, before
+        # make_symmetric_columns runs; its lift's refusal at the real cap is a
+        # case of test_bad_field_is_usage_error.
+        ("prop71", {"n": 3, "m": 100000}, 1, "symmetric columns would have shape (9, 100000)",
+         cli.hs.ps, "make_symmetric_columns"),
+        # The 9 x 1 columns, their lift and the 729 x 1 projection fit; the
+        # 729 x 6 index rows of its orbits do not.
+        ("prop71", {"n": 3, "m": 1}, 1,
+         "index rows of the order-6 projection for n = 3, m = 1 would have shape (729, 6)",
+         cli.hs.ps, "make_symmetric_columns"),
     ])
     def test_arrays_past_the_cap_are_refused_before_they_are_built(
             self, tmp_path, capsys, monkeypatch, target, params, trials, named, module, builder):

@@ -172,6 +172,11 @@ class TestDenseSizeGuard:
         monkeypatch.setattr(tensor_lift, "MAX_DENSE_ENTRIES", 39)
         with pytest.raises(LiftSizeError, match=r"lift with n = 3, m = 2, d = 3 .* \(10, 4\)"):
             sym_lift(U, 3)
+        # `lift --n 2 --m 100000 --d 3` built the column multisets first and
+        # refused "the multiset index rows for n = 100000, d = 3".
+        with pytest.raises(LiftSizeError,
+                           match=r"lift with n = 2, m = 100000, d = 3 .* \(4, 166671666700000\)"):
+            sym_lift(np.eye(2, 100000), 3)
 
     def test_index_rows_are_checked_before_they_are_built(self, monkeypatch):
         # (2, 10) is used by no other test, so no cached orbit table answers.
@@ -486,6 +491,22 @@ class TestSelAvg:
         full = np.kron(np.kron(mats[0], mats[1]), mats[2])
         direct = sym_kron(mats)
         assert np.linalg.norm(full @ sel_avg(2, 3) - direct) <= 1e-12
+
+    def test_lifts_share_read_only_constants_and_sel_avg_stays_fresh(self):
+        # A 5 x 2 lift at d = 3 takes the dense selector product.
+        U = np.random.default_rng(4).standard_normal((5, 2))
+        assert tensor_lift._dense_select(5, 2, 3, math.comb(7, 3))
+        first = sym_lift(U, 3)
+        select, order = tensor_lift._cached_selector(2, 3), enumerate_multi_indices(2, 3)
+        assert tensor_lift._cached_selector(2, 3) is select
+        assert first.column_order is order is enumerate_multi_indices(2, 3)
+        assert not select.flags.writeable and not order.flags.writeable
+        S = sel_avg(2, 3)
+        assert S.flags.writeable and not np.shares_memory(S, select)
+        assert np.array_equal(S, select)
+        S[:] = 7.0
+        assert sym_lift(U, 3).means.tobytes() == first.means.tobytes()
+        assert np.array_equal(sel_avg(2, 3), select)
 
 
 class TestPermutationInvariance:
