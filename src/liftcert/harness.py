@@ -5,12 +5,13 @@ An experiment is (target, params, rho_grid, trials, master_seed, threshold).
 it is built, and a bind function that checks the dimension budget before any
 trial.  Each trial derives its own random stream from (master_seed, trial
 index).  The bound measure is called once per rho with all of that rho's
-trial seeds.  A target that reports a singular value returns its matrices,
-and ``_read`` takes all those values: thm51, cor53, thm52 and prop72 as
-stacks, with the bytes of one trial at a time, the others one matrix at a
-time as each is built.  prop73, the probes and certify return their values.
+trial seeds.  Every target that reports a singular value returns
+``Spectra``, and ``_read`` takes all those values, each matrix or stack
+decomposed as it is read: thm51, cor53, thm52 and prop72 yield stacks
+built from smoothed bases, with the bytes of one trial at a time, the
+others one matrix per trial.  prop73, the probes and certify return their values.
 Everything runs in one thread, and the aggregation is a fold over trial
-index.  Noise layers are keyed by trial index only, never by rho, so
+index.  A trial's noise is keyed by its seed only, never by rho, so
 comparisons across a rho grid are paired by construction.
 
 Output contract: one CSV row per trial plus a JSON summary, both
@@ -60,10 +61,10 @@ class Param(NamedTuple):
 
 class Target(NamedTuple):
     """``bind(resolved params, config)`` returns ``measure(rho, seeds)``,
-    called once per rho with all of its trials' seeds, which returns Spectra
-    or one ``(sigma, threshold or None, passed or None)`` per seed in order;
-    None means the config's threshold and ``sigma >= threshold``.  The
-    targets with a default ``threshold`` are the ``liftcert powersum`` checks."""
+    called once per rho with its trials' seeds: Spectra for a target that
+    reports a singular value, else ``(sigma, threshold or None, passed or
+    None)`` per seed in order, None for the config's threshold and ``sigma
+    >= threshold``.  A default ``threshold`` marks a ``liftcert powersum`` check."""
 
     params: dict
     bind: Callable
@@ -88,9 +89,9 @@ class Target(NamedTuple):
 
 
 class Spectra(NamedTuple):
-    """A rho's matrices in seed order, a (trials, rows, cols) stack or an
-    iterable that builds each as it is read, and the index ``k`` (-1 the
-    least) of the singular value each trial measures against ``threshold``."""
+    """A rho's matrices in seed order as an iterable that builds each matrix,
+    or (trials, rows, cols) stack of them, as it is read, and the index ``k``
+    (-1 the least) of the singular value each trial measures against ``threshold``."""
 
     mats: object
     k: int
@@ -210,31 +211,30 @@ def _need(ok: bool, rule: str, p: dict) -> None:
         raise ValueError(f"params {given} break the dimension budget {rule}")
 
 
-def _stacked(measure, per_trial: int):
-    """``measure(rho, seeds)`` over runs of seeds whose stacks hold at most
-    ``_STACK_ENTRIES`` entries, ``per_trial`` to a trial, or one trial when
-    one needs more.  Each stack is checked against the cap before it is
-    built."""
-    def run(rho, seeds):
+def _smoothed(bases: np.ndarray, build, k: int, per_trial: int):
+    """A measure whose trial matrix is ``build`` of ``bases + rho * noise``,
+    base j's noise keyed ``(seed, "noise", j)``, read at singular value k.
+    Its Spectra yield one stack per run of trials of at most
+    ``_STACK_ENTRIES`` entries, ``per_trial`` to a trial (or one trial when
+    one needs more), each run checked against the cap before it is drawn."""
+    def stacks(rho, seeds):
         step = max(1, _STACK_ENTRIES // per_trial)
-        out = []
         for start in range(0, len(seeds), step):
             chunk = seeds[start:start + step]
             _check_entries((len(chunk), per_trial), f"the stacked arrays of {len(chunk)} trials")
-            out += _read(measure(rho, chunk))
-        return out
-    return run
+            noise = _rng.gaussians(bases.shape[1:], chunk, "noise", stack=len(bases))
+            yield build(bases + rho * noise)
+    return lambda rho, seeds: Spectra(stacks(rho, seeds), k)
 
 
 def _read(measured) -> list:
-    """A measure's ``(sigma, threshold, passed)`` per trial: a stack's singular
-    values in one call, an iterable's one matrix at a time; others as they are."""
+    """A measure's ``(sigma, threshold, passed)`` per trial: each matrix or
+    stack of Spectra decomposed as it is read; other measures as they are."""
     if not isinstance(measured, Spectra):
         return measured
     mats, k, threshold = measured
-    spectra = (stacked_singular_values(mats) if isinstance(mats, np.ndarray)
-               else map(stacked_singular_values, mats))
-    return [(float(s[k]), threshold, None) for s in spectra]
+    return [(float(s), threshold, None)
+            for A in mats for s in stacked_singular_values(A)[..., k].flat]
 
 
 def _lift_rank(p) -> int:
@@ -260,15 +260,13 @@ def _bind_lift(p, config):
     bases = np.array([_make_base(p["base"], n, m, _rng.derive_seed(config.master_seed, "b", j))
                       for j in range(blocks)])
 
-    def measure(rho, seeds):
-        keys = [(seed, ("noise", j)) for seed in seeds for j in range(blocks)]
-        noise = _rng.gaussians((n, m), keys).reshape(len(seeds), blocks, n, m)
-        coords = sym_lift(bases + rho * noise, d).coords
+    def build(U):
+        coords = sym_lift(U, d).coords
         # Each trial's k x C(n+d-1, d) stack of transposed lifts, column-major
         # as np.vstack leaves them: BLAS rounds the two orders differently.
-        lifts = coords.transpose(0, 2, 1, 3).reshape(len(seeds), -1, k).swapaxes(-1, -2)
-        return Spectra(lifts @ phi.T, k - 1)
-    return _stacked(measure, blocks * _lift_entries(n, m, d))
+        lifts = coords.transpose(0, 2, 1, 3).reshape(len(U), -1, k).swapaxes(-1, -2)
+        return lifts @ phi.T
+    return _smoothed(bases, build, k - 1, blocks * _lift_entries(n, m, d))
 
 
 def _kron(P: np.ndarray, F: np.ndarray) -> np.ndarray:  # np.kron's one product per entry
@@ -301,13 +299,9 @@ def _bind_thm52(p, config):
     _check_entries((d, n, m), f"the stack of d = {d} {p['base']} bases")
     bases = np.array([_make_base(p["base"], n, m, _rng.derive_seed(config.master_seed, "b", j))
                       for j in range(d)])
-
-    def measure(rho, seeds):
-        keys = [(seed, ("noise", j)) for seed in seeds for j in range(d)]
-        factors = bases + rho * _rng.gaussians((n, m), keys).reshape(len(seeds), d, n, m)
-        return Spectra(_kron_product(psi, factors.swapaxes(0, 1)), m**d - 1)
     # The mode products' largest arrays: T, the result and the folded rest.
-    return _stacked(measure, max(rank * n * m ** (d - 1), rank * m**d, (n * m) ** (d - 1)))
+    return _smoothed(bases, lambda factors: _kron_product(psi, factors.swapaxes(0, 1)),
+                     m**d - 1, max(rank * n * m ** (d - 1), rank * m**d, (n * m) ** (d - 1)))
 
 
 def _bind_certify(p, config):
@@ -355,14 +349,10 @@ def _bind_prop72(p, config):
           f"ell <= n and n^2 - n*ell - m*C(ell+1,2) - m + 1 = {slack} > 0", p)
     bases = np.array([B / np.linalg.norm(B)
                       for B in _rng.gaussians((n, n), config.master_seed, "base", stack=m)])
-
-    def measure(rho, seeds):
-        keys = [(seed, ("noise", j)) for seed in seeds for j in range(m)]
-        mats = bases + rho * _rng.gaussians((n, n), keys).reshape(len(seeds), m, n, n)
-        return Spectra(ps.build_projected_V(mats, ell), -1)
     # The lifts' largest arrays and the block matrix.
     cols = m * math.comb(ell + 1, 2) + m
-    return _stacked(measure, max(m * _lift_entries(n, ell, 2), n * n * cols))
+    return _smoothed(bases, lambda mats: ps.build_projected_V(mats, ell), -1,
+                     max(m * _lift_entries(n, ell, 2), n * n * cols))
 
 
 def _power_sum_need(p) -> None:
@@ -638,6 +628,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return result
 
 
+def _meets_envelope(median: float, rho: float, d: int, n: int) -> bool:
+    """median >= rho**d / n**6, compared in logs where rho**d is past the float range."""
+    try:
+        return median >= rho**d / n**6
+    except OverflowError:
+        return median > 0 and math.log(median) >= d * math.log(rho) - 6 * math.log(n)
+
+
 def _scaling_flags(config: ExperimentConfig, per_rho: list[dict]) -> dict:
     medians = [agg["sigma"]["median"] for agg in per_rho]
     rhos = [agg["rho"] for agg in per_rho]
@@ -645,7 +643,7 @@ def _scaling_flags(config: ExperimentConfig, per_rho: list[dict]) -> dict:
     d = p.get("d", p.get("r", 1))
     n = p.get("n", p.get("dim", 1))
     nondecreasing = all(b >= a - 1e-12 for a, b in zip(medians, medians[1:]))
-    envelope = all(med >= rho**d / n**6 for med, rho in zip(medians, rhos))
+    envelope = all(_meets_envelope(med, rho, d, n) for med, rho in zip(medians, rhos))
     responsive = medians[0] > 0 and medians[-1] > 1.05 * medians[0]
     slope = None
     if all(v > 0 for v in rhos + medians):

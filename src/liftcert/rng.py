@@ -72,21 +72,20 @@ def stream(master_seed: int, *path) -> Philox:
 def gaussians(shape, master_seed: int | list, *path, stack: int | None = None) -> np.ndarray:
     """Standard normal array of the given shape via Box-Muller.
 
-    ``master_seed`` may instead be a list of ``(master_seed, path)`` keys;
-    the result is then (len(keys), *shape), and slice j is bit for bit the
-    single draw ``gaussians(shape, seed, *path)`` for ``keys[j] = (seed,
-    path)``: each stream is keyed and read on its own, then one transform
-    runs over all rows, each half of a row contiguous as in a single draw.
-    ``stack=k`` is the key list ``[(master_seed, (*path, j)) for j < k]``.
-    The result's shape is checked against the cap before any word is read.
+    ``stack=k`` adds a leading axis of k draws, slice j keyed by ``(*path,
+    j)``.  ``master_seed`` may be a list of seeds, which adds a leading
+    ``len(seeds)`` axis before that one.  Each slice is bit for bit its
+    single draw ``gaussians(shape, seed, *path[, j])``: each stream is keyed
+    and read on its own, then one transform runs over all rows, each half of
+    a row contiguous as in a single draw.  The result's shape is checked
+    against the cap before any word is read.
     """
-    if isinstance(master_seed, list):
-        keys, lead = master_seed, (len(master_seed),)
-    elif stack is None:
-        keys, lead = [(master_seed, path)], ()
-    else:
-        keys, lead = [(master_seed, (*path, j)) for j in range(stack)], (stack,)
+    many = isinstance(master_seed, list)
+    seeds = master_seed if many else [master_seed]
+    paths = [path] if stack is None else [(*path, j) for j in range(stack)]
+    lead = (len(seeds),) * many + (() if stack is None else (stack,))
     _check_entries((*lead, *shape), "a Gaussian draw")
+    keys = [(seed, p) for seed in seeds for p in paths]
     n = math.prod(shape)
     pairs = (n + 1) // 2
     u = np.add(_raw(keys, 2 * pairs), 0.5)  # each word as float64, then into (0, 1)

@@ -391,8 +391,12 @@ def sym_lift(U: np.ndarray, d: int) -> LiftMatrix:
         raise ValueError("d must be at least 1")
     U = np.asarray(U, dtype=float)
     *lead, n, m = U.shape
+    what = f"with n = {n}, m = {m}, d = {d}"
     _check_entries((*lead, math.comb(n + d - 1, d), math.comb(m + d - 1, d)),
-                   f"the symmetrized lift with n = {n}, m = {m}, d = {d}")
+                   f"the symmetrized lift {what}")
+    # The larger side's multiset rows: those of the columns and of the averaged side.
+    _check_entries((math.comb(max(n, m) + d - 1, d), d),
+                   f"the multiset index rows of the lift {what}")
     column_order = enumerate_multi_indices(m, d)
     if m <= n:
         means = _sym_columns([U] * d, _plan(n, d).rows)

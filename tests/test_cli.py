@@ -113,6 +113,14 @@ class TestLift:
         assert hashlib.sha256(desc.read_bytes()).hexdigest() == \
             "b703182e5b9278efb23d9e12e11f54dc9388e55cbe2f463e12cf95ceee6e76a4"
 
+    @pytest.mark.parametrize("n, m", [(1, 900), (900, 1)])
+    def test_index_rows_past_the_cap_name_the_lift(self, capsys, n, m):
+        # With n = 1 the 121905300 x 3 column multisets outgrow the 1 x 121905300
+        # lift; they were refused as "the multiset index rows for n = 900, d = 3".
+        code, out, err = run_cli(capsys, "lift", "--n", str(n), "--m", str(m), "--d", "3")
+        assert code == 2 and out == ""
+        assert f"multiset index rows of the lift with n = {n}, m = {m}, d = 3 " in err
+
     @pytest.mark.parametrize("flag", ["--n", "--m", "--d"])
     @pytest.mark.parametrize("value", ["0", "-2", "x"])
     def test_sizes_must_be_positive_ints(self, capsys, flag, value):

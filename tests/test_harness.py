@@ -274,6 +274,34 @@ class TestStackedTrials:
         run_experiment(cfg(params={"n": 6, "m": 2, "d": 2}, trials=9))
         assert sizes == [4, 4, 1]
 
+    def test_each_stack_is_decomposed_before_the_next_is_built(self, monkeypatch):
+        calls = []
+        lift, svd = harness.sym_lift, harness.stacked_singular_values
+        monkeypatch.setattr(harness, "sym_lift", lambda U, d: calls.append("build") or lift(U, d))
+        monkeypatch.setattr(harness, "stacked_singular_values",
+                            lambda A: calls.append("svd") or svd(A))
+        monkeypatch.setattr(harness, "_STACK_ENTRIES", 2 * harness._lift_entries(6, 2, 2))
+        run_experiment(cfg(params={"n": 6, "m": 2, "d": 2}, trials=5))
+        assert calls == ["build", "svd"] * 3
+
+
+# One small config of each target whose trials report a singular value.
+SPECTRA_TARGETS = {
+    "thm51": {"n": 6, "m": 2}, "thm52": {"n": 4, "m": 2}, "cor53": {"n": 8, "m": 2, "blocks": 2},
+    "prop71": {"n": 3, "m": 3}, "prop72": {"n": 6, "m": 2, "ell": 2},
+    "lemma74": {"n": 5, "m": 3}, "claim77": {"n": 5, "m": 3}, "claim76": {"n": 8, "m": 3},
+    "conj81": {"n": 6, "m": 2}, "conj82": {"dim": 3, "r": 4, "N": 20},
+    "sigma_basic": {"n": 6, "k": 5},
+}
+
+
+@pytest.mark.parametrize("target", list(SPECTRA_TARGETS))
+def test_singular_value_targets_return_spectra(target):
+    config = cfg(target=target, params=SPECTRA_TARGETS[target], trials=3)
+    measured = TARGETS[target].bind(config.params, config)(0.3, [1, 2, 3])
+    assert isinstance(measured, harness.Spectra)
+    assert len(harness._read(measured)) == 3
+
 
 class TestMatricesOneAtATime:
     """The targets that yield one matrix per trial give the CSV and summary
@@ -372,6 +400,18 @@ class TestScalingStudy:
         flags = run_experiment(config).extras["scaling"]
         assert flags["loglog_slope"] is None
         assert all(median > 0 for median in flags["medians"])
+
+    def test_envelope_past_the_float_range_is_not_met(self):
+        # 1000.0**103 raised OverflowError, and the study wrote nothing.
+        config = cfg(params={"n": 2, "m": 1, "d": 103}, rho_grid=[1000.0, 1001.0, 1002.0],
+                     trials=1, master_seed=0, study="scaling")
+        flags = run_experiment(config).extras["scaling"]
+        assert flags["medians"][0] > 1e288
+        assert not flags["envelope_ok"]
+        assert flags["median_nondecreasing"] and flags["rho_responsive"]
+        # The envelope there is 1000**103 / 2**6, about 1.6e307.
+        assert harness._meets_envelope(1e308, 1000.0, 103, 2)
+        assert not harness._meets_envelope(1e306, 1000.0, 103, 2)
 
 
 def caa_run(k, h_grid):

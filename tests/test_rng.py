@@ -129,19 +129,18 @@ def test_key_words_are_the_json_digest_words(seed):
         assert rng.derive_seed(seed, *path) == int.from_bytes(digest[:8], "little")
 
 
-def test_key_list_slices_equal_their_single_draws():
-    keys = [(9, ("noise", "x", 0)), (-1, ()), (2**70, ("ü", 3)), (9, ("noise", "x", 0)),
-            (4093552087895935737, ("noise", 1)), (0, ("cluster", "base", "tag"))]
+@pytest.mark.parametrize("stack", [None, *range(1, 6)])
+def test_seed_list_slices_equal_their_single_draws(stack):
+    seeds = [9, -1, 2**70, 9, 4093552087895935737]
+    paths = [()] if stack is None else [(j,) for j in range(stack)]
     for shape in STACKED_SHAPES:
-        z = rng.gaussians(shape, keys)
-        assert z.shape == (len(keys), *shape) and z.dtype == np.float64
-        for j, (seed, path) in enumerate(keys):
-            assert sha(np.ascontiguousarray(z[j])) == sha(rng.gaussians(shape, seed, *path))
-
-
-@pytest.mark.parametrize("stack", range(1, 6))
-def test_stack_is_the_consecutive_key_list(stack):
-    keys = [(9, ("noise", "x", j)) for j in range(stack)]
-    for shape in STACKED_SHAPES:
-        assert sha(rng.gaussians(shape, 9, "noise", "x", stack=stack)) == \
-            sha(rng.gaussians(shape, keys))
+        z = rng.gaussians(shape, seeds, "noise", "x", stack=stack)
+        assert z.shape == (len(seeds), *([] if stack is None else [stack]), *shape)
+        assert z.dtype == np.float64
+        for i, seed in enumerate(seeds):
+            for j, tail in enumerate(paths):
+                got = z[i] if stack is None else z[i, j]
+                want = rng.gaussians(shape, seed, "noise", "x", *tail)
+                assert sha(np.ascontiguousarray(got)) == sha(want)
+        assert sha(rng.gaussians(shape, seeds[:1], "noise", "x", stack=stack)) == \
+            sha(rng.gaussians(shape, seeds[0], "noise", "x", stack=stack))
