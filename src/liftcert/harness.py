@@ -7,9 +7,9 @@ trial.  Each trial derives its own random stream from (master_seed, trial
 index).  The bound measure is called once per rho with all of that rho's
 trial seeds.  Every target that reports a singular value returns
 ``Spectra``, and ``_read`` takes all those values, each matrix or stack
-decomposed as it is read: thm51, cor53, thm52 and prop72 yield stacks
-built from smoothed bases, with the bytes of one trial at a time, the
-others one matrix per trial.  prop73, the probes and certify return their values.
+decomposed as it is read: the fixed-base targets (thm51, cor53, thm52, prop72,
+conj81, conj82, sigma_basic) yield stacks of smoothed bases, with the bytes of
+one trial at a time, the others one matrix per trial.  prop73, the probes and certify return their values.
 Everything runs in one thread, and the aggregation is a fold over trial
 index.  A trial's noise is keyed by its seed only, never by rho, so
 comparisons across a rho grid are paired by construction.
@@ -20,6 +20,7 @@ byte-reproducible for a fixed config (timings never enter the files).
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import operator
@@ -187,8 +188,8 @@ class TrialReport:
     passed: bool
 
 
-def _random_row_isometry(rows: int, dim: int, master_seed: int, *path) -> np.ndarray:
-    _check_entries((dim, rows), "the random row isometry")
+def _random_row_isometry(p: dict, rows: int, dim: int, master_seed: int, *path) -> np.ndarray:
+    _check_entries((dim, rows), f"for n = {p['n']}, d = {p['d']}, the random row isometry")
     G = _rng.gaussians((dim, rows), master_seed, *path)
     Q, _ = np.linalg.qr(G)
     return Q.T
@@ -211,10 +212,11 @@ def _need(ok: bool, rule: str, p: dict) -> None:
         raise ValueError(f"params {given} break the dimension budget {rule}")
 
 
-def _smoothed(bases: np.ndarray, build, k: int, per_trial: int):
+def _smoothed(bases: np.ndarray, build, k: int, per_trial: int, path: tuple = ("noise",)):
     """A measure whose trial matrix is ``build`` of ``bases + rho * noise``,
-    base j's noise keyed ``(seed, "noise", j)``, read at singular value k.
-    Its Spectra yield one stack per run of trials of at most
+    read at singular value k.  Base j of a (count, rows, cols) stack draws its
+    noise keyed ``(seed, *path, j)``, a single rows x cols base ``(seed,
+    *path)``.  Its Spectra yield one stack per run of trials of at most
     ``_STACK_ENTRIES`` entries, ``per_trial`` to a trial (or one trial when
     one needs more), each run checked against the cap before it is drawn."""
     def stacks(rho, seeds):
@@ -222,7 +224,8 @@ def _smoothed(bases: np.ndarray, build, k: int, per_trial: int):
         for start in range(0, len(seeds), step):
             chunk = seeds[start:start + step]
             _check_entries((len(chunk), per_trial), f"the stacked arrays of {len(chunk)} trials")
-            noise = _rng.gaussians(bases.shape[1:], chunk, "noise", stack=len(bases))
+            noise = _rng.gaussians(bases.shape[-2:], chunk, *path,
+                                   stack=len(bases) if bases.ndim == 3 else None)
             yield build(bases + rho * noise)
     return lambda rho, seeds: Spectra(stacks(rho, seeds), k)
 
@@ -256,7 +259,8 @@ def _bind_lift(p, config):
     k = blocks * math.comb(m + d - 1, d)
     _need(k <= rank, f"blocks*C(m+d-1,d) = {_shown(k)} <= ceil(delta*C(n+d-1,d)) = {rank}", p)
     # Orthonormal rows spanning symmetric tensors, in isometric coordinates.
-    phi = _random_row_isometry(rank, math.comb(n + d - 1, d), config.master_seed, "projector")
+    phi = _random_row_isometry(p, rank, math.comb(n + d - 1, d), config.master_seed,
+                               "projector")
     bases = np.array([_make_base(p["base"], n, m, _rng.derive_seed(config.master_seed, "b", j))
                       for j in range(blocks)])
 
@@ -295,7 +299,7 @@ def _bind_thm52(p, config):
     # Past m = 1, m**d > rank once d reaches rank's bit length: that huge power is never formed.
     _need(m == 1 or (d < rank.bit_length() and m**d <= rank),
           f"m**d <= ceil(delta*C(n+d-1,d)) = {rank}", p)
-    psi = _random_row_isometry(rank, n**d, config.master_seed, "operator")
+    psi = _random_row_isometry(p, rank, n**d, config.master_seed, "operator")
     _check_entries((d, n, m), f"the stack of d = {d} {p['base']} bases")
     bases = np.array([_make_base(p["base"], n, m, _rng.derive_seed(config.master_seed, "b", j))
                       for j in range(d)])
@@ -417,24 +421,38 @@ def _bind_conj81(p, config):
     n, m, s, d = p["n"], p["m"], p["s"], p["d"]
     _need(s * math.comb(m + d - 1, d) <= math.comb(n + d - 1, d),
           "s*C(m+d-1,d) <= C(n+d-1,d)", p)
-    duplicate = p["control"] == "duplicate"
     bases = ps.make_clustering_bases(n, m, s, config.master_seed, shared_base=p["shared_base"])
+    entries = s * _lift_entries(n, m, d)  # a trial's largest arrays, checked before any trial
+    _check_entries((entries,), f"the lifts of s = {s} bases for n = {n}, m = {m}, d = {d}")
+    # Each trial re-orthonormalizes its perturbed bases before they are lifted.
+    smoothed = _smoothed(bases, lambda U: ps.build_block_lift(np.linalg.qr(U)[0], d), -1,
+                         entries, ("cluster", "noise"))
 
     def measure(rho, seeds):
-        return Spectra((ps.build_block_lift(bases, d, 0.0 if duplicate else rho, seed)
-                        for seed in seeds), -1)
+        if rho > 0 and p["control"] != "duplicate":
+            return smoothed(rho / math.sqrt(n), seeds)  # entrywise variance rho^2 / n
+        return Spectra(itertools.repeat(ps.build_block_lift(bases, d), len(seeds)), -1)
     return measure
 
 
 def _bind_conj82(p, config):
-    dim, N = p["dim"], p["N"]
+    dim, r, N = p["dim"], p["r"], p["N"]
     base = _rng.gaussians((N, dim), config.master_seed, "points")
     base /= np.linalg.norm(base, axis=1, keepdims=True)
+    # A trial's largest array, the gather of its monomial factors, checked before any trial.
+    factors = (N, math.comb(dim + r - 1, r), r)
+    _check_entries(factors, f"the degree-{r} monomial factors in dimension {dim}")
+    return _smoothed(base, lambda pts: ps.build_power_matrix(pts, r), -1, math.prod(factors))
 
-    def measure(rho, seeds):
-        pts = (base + rho * _rng.gaussians((N, dim), seed, "noise") for seed in seeds)
-        return Spectra((ps.build_power_matrix(P, p["r"]) for P in pts), -1)
-    return measure
+
+def _probe_trial(base: np.ndarray, rho: float, seed: int, k: int):
+    """A probe trial's indicator of k of the m columns, keyed ``(seed,
+    "support")``, and its pair ``base + rho * noise``, keyed ``(seed,
+    "noise", 0 and 1)``."""
+    alpha = np.zeros(base.shape[-1])
+    alpha[_rng.rng(seed, "support").choice(len(alpha), size=k, replace=False)] = 1.0
+    U, V = base + rho * _rng.gaussians(base.shape[1:], seed, "noise", stack=2)
+    return alpha, U, V
 
 
 def _bind_caa_probe(p, config):
@@ -449,11 +467,8 @@ def _bind_caa_probe(p, config):
                      _rng.unit_columns((n, m), seed0, "baseV")])
 
     def combo_norm(seed) -> float:
-        support = _rng.rng(seed, "support").choice(m, size=k, replace=False)
-        alpha = np.zeros(m)
-        alpha[support] = delta
-        U, V = base + rho * _rng.gaussians((n, m), seed, "noise", stack=2)
-        return float(np.linalg.norm(khatri_rao(U, V) @ alpha))
+        alpha, U, V = _probe_trial(base, rho, seed, k)
+        return float(np.linalg.norm(khatri_rao(U, V) @ (delta * alpha)))
 
     pilot = sorted(combo_norm(_rng.derive_seed(seed0, "pilot", t))
                    for t in range(p["pilot_trials"]))
@@ -483,11 +498,7 @@ def _bind_jacobian_probe(p, config):
 
     def measure(rho, seeds):
         for seed in seeds:
-            alpha = np.zeros(m)
-            support = _rng.rng(seed, "support").choice(m, size=k, replace=False)
-            alpha[support] = 1.0
-            U, V = base + rho * _rng.gaussians((n, m), seed, "noise", stack=2)
-            s = singular_values(jacobian_khatri_rao(alpha, U, V))
+            s = singular_values(jacobian_khatri_rao(*_probe_trial(base, rho, seed, k)))
             count = _rank_of_values(s, max(p["tau_factor"] * rho, DEFAULT_RTOL * s[0]))
             yield float(count), float(need), bool(count >= need)
     return measure
@@ -497,12 +508,9 @@ def _bind_sigma_basic(p, config):
     n, k, delta = p["n"], p["k"], p["delta"]
     order = math.ceil(k / 2)
     _need(order <= min(n, k), "ceil(k/2) <= min(n,k)", p)
-    base = _make_base(p["base"], n, k, config.master_seed)
-
-    def measure(rho, seeds):
-        return Spectra((delta * (base + rho * _rng.gaussians((n, k), seed, "noise"))
-                        for seed in seeds), order - 1, p["h"] * rho * delta)
-    return measure
+    smoothed = _smoothed(_make_base(p["base"], n, k, config.master_seed), lambda V: delta * V,
+                         order - 1, n * k)
+    return lambda rho, seeds: smoothed(rho, seeds)._replace(threshold=p["h"] * rho * delta)
 
 
 def _bind_const_control(p, config):

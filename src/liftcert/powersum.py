@@ -195,32 +195,27 @@ def make_clustering_bases(n: int, m: int, s: int, seed: int,
     return np.repeat(Q, s, axis=0) if shared_base else Q
 
 
-def build_block_lift(bases: np.ndarray, d: int, rho: float, seed: int) -> np.ndarray:
-    """Concatenated symmetric lifts of independently perturbed bases.
+def build_block_lift(bases: np.ndarray, d: int) -> np.ndarray:
+    """Concatenated order-d symmetric lifts of s orthonormal n x m bases.
 
-    ``bases`` holds s orthonormal n x m bases.  Each receives i.i.d. noise
-    of entrywise variance rho^2 / n from the stream (seed, "cluster",
-    "noise"), is re-orthonormalized, and lifted to order d.  rho = 0 skips
-    the perturbation (degenerate control).  The rows are the C(n+d-1, d)
-    isometric coordinates of the lift (``LiftMatrix.coords``), so the
-    singular values are those of the full n**d-row lifts.
+    The rows are the C(n+d-1, d) isometric coordinates of the lift
+    (``LiftMatrix.coords``), so the singular values are those of the full
+    n**d-row lifts side by side.  A stack of shape (..., s, n, m) gives one
+    block matrix per leading index, each equal to that of its s bases alone.
     """
-    if not len(bases):
-        raise ValueError("need at least one basis")
-    n, m = np.shape(bases[0])
-    if any(np.shape(P) != (n, m) for P in bases):
-        raise ValueError("all bases must share a shape")
-    bases = np.asarray(bases, dtype=float)
-    for P in bases:
+    try:
+        bases = np.asarray(bases, dtype=float)
+    except ValueError as exc:  # a ragged list
+        raise ValueError("all bases must share a shape") from exc
+    if bases.ndim < 3 or not bases.size:
+        raise ValueError("need at least one basis, in a (..., s, n, m) stack")
+    *lead, s, n, m = bases.shape
+    for P in bases.reshape(-1, n, m):
         check_orthonormal(P)
-    s = len(bases)
     if s * math.comb(m + d - 1, d) > math.comb(n + d - 1, d):
         raise ValueError("dimension budget violated: too many blocks for the lift space")
-    if rho > 0:
-        noise = (rho / math.sqrt(n)) * _rng.gaussians((n, m), seed, "cluster", "noise", stack=s)
-        bases, _ = np.linalg.qr(bases + noise)
     coords = sym_lift(bases, d).coords
-    return coords.transpose(1, 0, 2).reshape(coords.shape[1], -1)
+    return coords.swapaxes(-3, -2).reshape(*lead, coords.shape[-2], -1)
 
 
 def build_power_matrix(points: np.ndarray, r: int) -> np.ndarray:

@@ -78,12 +78,17 @@ def _build_plan(n: int, d: int) -> _IndexPlan:
         itertools.chain.from_iterable(itertools.combinations_with_replacement(range(n), d)),
         dtype=np.int64, count=count * d).reshape(count, d)
     # The orbit of a prefix of length j+1 is the orbit of the length-j prefix
-    # times (j+1) / (length of the run of equal entries ending at j).  Every
-    # product is at most d!, so it is exact in int64 up to d = 20 (20! < 2**63)
-    # and in Python ints past that.  Each orbit is then rounded to float64
-    # once: 2**1024 - 2**970 is the least int that rounds to inf.  n = 1 has
-    # one row in an orbit of 1, and skips the d steps.
-    orbit = np.ones(count, dtype=np.int64 if d <= 20 else object)
+    # times (j+1) / (length of the run of equal entries ending at j).  The
+    # largest product, at j = d-1, is the largest multinomial of d-1 entries
+    # over n symbols (counts within one of each other) times d, at most d!.
+    # Where it is below 2**63 (every d <= 20) the steps run in int64, else in
+    # Python ints.  Each orbit is then rounded to float64 once: 2**1024 -
+    # 2**970 is the least int that rounds to inf.  n = 1 has one row in an
+    # orbit of 1, and skips the d steps.
+    q, r = divmod(d - 1, n)
+    largest = 0 if n == 1 or d < 2 else math.factorial(d - 1) // (
+        math.factorial(q) ** (n - r) * math.factorial(q + 1) ** r) * d
+    orbit = np.ones(count, dtype=np.int64 if largest < 2**63 else object)
     run = np.ones(count, dtype=np.int64)
     for j in range(1, d if n > 1 else 1):
         run = np.where(rows[:, j] == rows[:, j - 1], run + 1, 1)

@@ -105,7 +105,8 @@ def per_trial_lift(p, config):
     rank = math.ceil(p["delta"] * math.comb(n + d - 1, d))
     k = blocks * math.comb(m + d - 1, d)
     _need(k <= rank, "blocks*C(m+d-1,d) <= ceil(delta*C(n+d-1,d))", p)
-    phi = _random_row_isometry(rank, math.comb(n + d - 1, d), config.master_seed, "projector")
+    phi = _random_row_isometry(p, rank, math.comb(n + d - 1, d), config.master_seed,
+                               "projector")
     bases = np.array([_make_base(p["base"], n, m, rng.derive_seed(config.master_seed, "b", j))
                       for j in range(blocks)])
 
@@ -121,7 +122,7 @@ def per_trial_thm52(p, config):
     n, m, d = p["n"], p["m"], p["d"]
     rank = math.ceil(p["delta"] * math.comb(n + d - 1, d))
     _need(m**d <= rank, "m**d <= ceil(delta*C(n+d-1,d))", p)
-    psi = _random_row_isometry(rank, n**d, config.master_seed, "operator")
+    psi = _random_row_isometry(p, rank, n**d, config.master_seed, "operator")
     bases = np.array([_make_base(p["base"], n, m, rng.derive_seed(config.master_seed, "b", j))
                       for j in range(d)])
 
@@ -197,13 +198,19 @@ def per_trial_claim76(p, config):
 
 
 def per_trial_conj81(p, config):
-    """conj81 measured one trial at a time."""
-    duplicate = p["control"] == "duplicate"
-    bases = powersum.make_clustering_bases(p["n"], p["m"], p["s"], config.master_seed,
+    """conj81 measured one trial at a time: unless rho is 0 or the control
+    duplicates them, the bases get noise of entrywise variance rho^2 / n and
+    are re-orthonormalized before they are lifted."""
+    n, m, s = p["n"], p["m"], p["s"]
+    bases = powersum.make_clustering_bases(n, m, s, config.master_seed,
                                            shared_base=p["shared_base"])
 
     def measure(rho, seed):
-        M = powersum.build_block_lift(bases, p["d"], 0.0 if duplicate else rho, seed)
+        perturbed = bases
+        if rho > 0 and p["control"] != "duplicate":
+            noise = (rho / math.sqrt(n)) * rng.gaussians((n, m), seed, "cluster", "noise", stack=s)
+            perturbed, _ = np.linalg.qr(bases + noise)
+        M = powersum.build_block_lift(perturbed, p["d"])
         return float(singular_values(M)[-1]), None, None
     return measure
 

@@ -712,6 +712,15 @@ class TestExperiment:
         ({"target": "prop71", "params": {"n": 17, "m": 1}},
          "the index rows of the order-6 projection for n = 17, m = 1 would have shape "
          "(24137569, 6)"),
+        # Each operator row fits the cap; the whole isometry does not.
+        ({"target": "thm52", "params": {"n": 60, "m": 1, "d": 4}},
+         "for n = 60, d = 4, the random row isometry would have shape (12960000, 297833)"),
+        ({"target": "thm51", "params": {"n": 200, "m": 1, "d": 4}},
+         "for n = 200, d = 4, the random row isometry would have shape (68685050, 34342525)"),
+        # Its 2000 x 1 base fits; the 3 x 1335334000 factor rows of one
+        # trial's order-3 lift do not.
+        ({"target": "conj81", "params": {"n": 2000, "m": 1, "s": 1, "d": 3}},
+         "the lifts of s = 1 bases for n = 2000, m = 1, d = 3 would have shape (4006002000,)"),
     ])
     def test_bad_field_is_usage_error(self, tmp_path, capsys, monkeypatch, overrides, named):
         # "cap" is no config field: it lowers MAX_DENSE_ENTRIES for the case.

@@ -200,7 +200,7 @@ class TestRunExperiment:
         config = cfg(params={"n": n, "m": m, "d": d}, rho_grid=[0.3, 1.0], trials=3)
         rank = math.ceil(0.5 * math.comb(n + d - 1, d))
         projector = from_sym_coords(_random_row_isometry(
-            rank, math.comb(n + d - 1, d), config.master_seed, "projector"), n, d)
+            config.params, rank, math.comb(n + d - 1, d), config.master_seed, "projector"), n, d)
         for report in run_experiment(config).reports:
             noise = report.rho * rng.gaussians((n, m), report.seed, "noise", 0)
             lift = sym_lift(noise, d).data  # the zero base adds nothing
@@ -223,12 +223,13 @@ class TestRunExperiment:
 
 
 class TestStackedTrials:
-    """thm51, cor53, thm52 and prop72 measure a rho's trials as stacks; their
-    CSV and summary bytes equal those of the same measures taken one trial at
-    a time."""
+    """The fixed-base targets (thm51, cor53, thm52, prop72, conj81, conj82,
+    sigma_basic) measure a rho's trials as stacks; their CSV and summary
+    bytes equal those of the same measures taken one trial at a time."""
 
     ORACLES = {"thm51": per_trial_lift, "cor53": per_trial_lift, "thm52": per_trial_thm52,
-               "prop72": per_trial_prop72}
+               "prop72": per_trial_prop72, "conj82": per_trial_conj82,
+               "sigma_basic": per_trial_sigma_basic}
 
     @pytest.mark.parametrize("target, params, stack_entries, stacks", [
         ("thm51", {"n": 6, "m": 2, "d": 2}, None, [9]),
@@ -247,6 +248,10 @@ class TestStackedTrials:
         ("prop72", {"n": 10, "m": 4, "ell": 2}, None, [9]),
         # prop72's largest array per trial is its 36 x 8 block matrix.
         ("prop72", {"n": 6, "m": 2, "ell": 2}, 4 * 288, [4, 4, 1]),
+        # conj82's are its 20 x 15 x 4 monomial factors, sigma_basic's its 6 x 5 base.
+        ("conj82", {"dim": 3, "r": 4, "N": 20}, 2 * 1200, [2, 2, 2, 2, 1]),
+        ("sigma_basic", {"n": 6, "k": 5, "base": "random"}, 2 * 30, [2, 2, 2, 2, 1]),
+        ("sigma_basic", {"n": 5, "k": 4, "delta": 0.5, "h": 0.7}, None, [9]),
     ])
     def test_stacks_equal_one_trial_at_a_time(self, monkeypatch, target, params,
                                               stack_entries, stacks):
@@ -284,6 +289,48 @@ class TestStackedTrials:
         run_experiment(cfg(params={"n": 6, "m": 2, "d": 2}, trials=5))
         assert calls == ["build", "svd"] * 3
 
+    @pytest.mark.parametrize("params, reads", [
+        ({}, ("each", "stacks")),
+        ({"shared_base": False}, ("each", "stacks")),
+        ({"control": "duplicate"}, ("each", "each")),
+    ])
+    def test_conj81_stacks_equal_one_trial_at_a_time(self, monkeypatch, params, reads):
+        # Stacks of at most two trials' s = 2 lifts; unperturbed, each trial
+        # reads the one lift of the unperturbed bases.
+        config = cfg(target="conj81", params={"n": 6, "m": 2, "s": 2, "d": 2, **params},
+                     rho_grid=[0.0, 0.3], trials=5, threshold=1e-9)
+        monkeypatch.setattr(harness, "_STACK_ENTRIES", 2 * 2 * harness._lift_entries(6, 2, 2))
+        shapes = []
+        real = harness.stacked_singular_values
+        monkeypatch.setattr(harness, "stacked_singular_values",
+                            lambda A: shapes.append(A.shape[:-2]) or real(A))
+        stacked = run_experiment(config)
+        monkeypatch.setitem(TARGETS, "conj81", Target(TARGETS["conj81"].params,
+                                                      per_trial(per_trial_conj81)))
+        single = run_experiment(config)
+        shown = {"stacks": [(2,), (2,), (1,)], "each": [()] * 5}
+        assert shapes == shown[reads[0]] + shown[reads[1]]
+        assert stacked.to_csv() == single.to_csv()
+        assert dump_json(stacked.summary()) == dump_json(single.summary())
+
+    @pytest.mark.parametrize("target, params, builder, entries", [
+        ("conj81", {"n": 6, "m": 2, "s": 2, "d": 2}, "build_block_lift",
+         2 * harness._lift_entries(6, 2, 2)),
+        ("conj82", {"dim": 3, "r": 4, "N": 20}, "build_power_matrix", 20 * 15 * 4),
+    ])
+    def test_fixed_bases_build_and_decompose_each_stack(self, monkeypatch, target, params,
+                                                        builder, entries):
+        # One build and one SVD per stack of two trials, not one per trial.
+        calls = []
+        build, svd = getattr(harness.ps, builder), harness.stacked_singular_values
+        monkeypatch.setattr(harness.ps, builder,
+                            lambda *args: calls.append("build") or build(*args))
+        monkeypatch.setattr(harness, "stacked_singular_values",
+                            lambda A: calls.append("svd") or svd(A))
+        monkeypatch.setattr(harness, "_STACK_ENTRIES", 2 * entries)
+        run_experiment(cfg(target=target, params=params, trials=5))
+        assert calls == ["build", "svd"] * 3
+
 
 # One small config of each target whose trials report a singular value.
 SPECTRA_TARGETS = {
@@ -304,9 +351,9 @@ def test_singular_value_targets_return_spectra(target):
 
 
 class TestMatricesOneAtATime:
-    """The targets that yield one matrix per trial give the CSV and summary
-    bytes of their measures taken one trial at a time with
-    ``singular_values(...)[k]``."""
+    """The targets that yield one matrix per trial, and conj81, conj82 and
+    sigma_basic at the default stack size, give the CSV and summary bytes of
+    their measures taken one trial at a time with ``singular_values(...)[k]``."""
 
     ORACLES = {"prop71": per_trial_prop71, "lemma74": per_trial_lemma74,
                "claim77": per_trial_claim77, "claim76": per_trial_claim76,
@@ -620,7 +667,7 @@ def test_kron_fold_matches_np_kron_bit_for_bit(d):
 @pytest.mark.parametrize("n, m", [(6, 3), (4, 2), (3, 3)])
 def test_mode_products_match_the_formed_kronecker_product(n, m, d):
     rows = math.ceil(0.5 * math.comb(n + d - 1, d))
-    psi = _random_row_isometry(rows, n**d, 3, "operator")
+    psi = _random_row_isometry({"n": n, "d": d}, rows, n**d, 3, "operator")
     factors = np.random.default_rng([n, m, d]).standard_normal((d, n, m))
     want = kron_operator(psi, factors)
     got = _kron_product(psi, factors)

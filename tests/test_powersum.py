@@ -13,6 +13,7 @@ from liftcert.powersum import (antisym_witnesses, build_block_lift, build_claim_
                                build_solution_space_M, make_clustering_bases,
                                make_power_sum_instance, make_symmetric_columns,
                                build_sym4_IkronA, noise_layers, symmetric_cube_lift)
+from liftcert.rng import gaussians
 from liftcert.spectral import singular_values
 from liftcert.tensor_lift import sym_lift, sym_merge
 from oracles import evaluate_power_row
@@ -257,35 +258,45 @@ class TestProjectedV:
 class TestBlockLift:
     def test_single_block_spectrum_floor(self):
         Q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((6, 2)))
-        M = build_block_lift([Q], 2, rho=0.0, seed=0)
+        M = build_block_lift([Q], 2)
         assert singular_values(M)[-1] >= 1.0 / math.sqrt(2.0) - 1e-12
 
     def test_orthogonal_disjoint_first_order(self):
-        M = build_block_lift([np.eye(6)[:, :2], np.eye(6)[:, 2:4]], 1, rho=0.0, seed=0)
+        M = build_block_lift([np.eye(6)[:, :2], np.eye(6)[:, 2:4]], 1)
         assert abs(singular_values(M)[-1] - 1.0) <= 1e-12
 
     def test_duplicated_subspace_is_degenerate(self):
         Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((8, 2)))
-        assert singular_values(build_block_lift([Q, Q], 2, rho=0.0, seed=0))[-1] <= 1e-10
+        assert singular_values(build_block_lift([Q, Q], 2))[-1] <= 1e-10
 
     def test_perturbation_separates_shared_base(self):
         bases = make_clustering_bases(8, 2, 2, seed=6)
-        assert singular_values(build_block_lift(bases, 2, rho=0.2, seed=6))[-1] >= 1e-6
+        noise = 0.2 / math.sqrt(8) * gaussians((8, 2), 6, "cluster", "noise", stack=2)
+        perturbed, _ = np.linalg.qr(bases + noise)
+        assert singular_values(build_block_lift(perturbed, 2))[-1] >= 1e-6
+
+    def test_a_stack_equals_its_slices(self):
+        rng = np.random.default_rng(7)
+        stack = np.linalg.qr(rng.standard_normal((2, 3, 3, 9, 2)))[0]
+        got = build_block_lift(stack, 3)
+        assert got.shape == (2, 3, math.comb(11, 3), 3 * math.comb(4, 3))
+        for index in np.ndindex(2, 3):
+            assert np.array_equal(got[index], build_block_lift(stack[index], 3))
 
     @pytest.mark.parametrize("n,m,s,d", [(6, 2, 2, 2), (10, 3, 3, 3), (5, 2, 3, 3), (4, 2, 2, 4)])
     def test_spectrum_matches_full_coordinate_lifts(self, n, m, s, d):
         rng = np.random.default_rng(n + m + s + d)
         bases = [np.linalg.qr(rng.standard_normal((n, m)))[0] for _ in range(s)]
-        got = singular_values(build_block_lift(bases, d, rho=0.0, seed=0))
+        got = singular_values(build_block_lift(bases, d))
         want = singular_values(np.hstack([sym_lift(P, d).data for P in bases]))
         assert np.abs(got - want).max() <= 1e-12 * want[0]
-        duplicated = build_block_lift([bases[0]] * s, d, rho=0.0, seed=0)
+        duplicated = build_block_lift([bases[0]] * s, d)
         assert singular_values(duplicated)[-1] <= 1e-10
 
     def test_budget_violation(self):
         Q = np.eye(3)
         with pytest.raises(ValueError, match="dimension budget violated"):
-            build_block_lift([Q, Q, Q], 2, rho=0.1, seed=0)
+            build_block_lift([Q, Q, Q], 2)
 
     @pytest.mark.parametrize("bases, message", [
         ([], "need at least one basis"),
@@ -294,7 +305,7 @@ class TestBlockLift:
     ])
     def test_bad_bases_refused(self, bases, message):
         with pytest.raises(ValueError, match=message):
-            build_block_lift(bases, 2, rho=0.1, seed=0)
+            build_block_lift(bases, 2)
 
     def test_bases_are_one_orthonormal_stack(self):
         shared = make_clustering_bases(6, 2, 3, seed=1)

@@ -268,6 +268,16 @@ class TestMultiIndex:
                  for row in plan.rows]
         assert np.abs(plan.orbit / np.array(exact, dtype=float) - 1).max() <= 1e-15
 
+    @pytest.mark.parametrize("n,d", [(8, 21), (2, 60), (3, 40), (2, 70)])
+    def test_orbit_floats_are_exact_multinomials(self, n, d):
+        # Past d = 20 the steps run in int64 while their largest product fits
+        # (all but (2, 70)), where a wrap would change these floats.
+        plan = tensor_lift._build_plan(n, d)
+        counts = np.stack([(plan.rows == i).sum(axis=1) for i in range(n)], axis=1)
+        factorials = np.array([math.factorial(c) for c in range(d + 1)], dtype=object)
+        exact = math.factorial(d) // factorials[counts].prod(axis=1)
+        assert np.array_equal(plan.orbit, exact.astype(float))
+
     def test_one_row_plan_skips_the_orbit_loop(self):
         # Its d steps in Python ints took 6 s at d = 10**6.
         start = time.perf_counter()
