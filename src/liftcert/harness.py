@@ -5,14 +5,13 @@ An experiment is (target, params, rho_grid, trials, master_seed, threshold).
 it is built, and a bind function that checks the dimension budget before any
 trial.  Each trial derives its own random stream from (master_seed, trial
 index).  The bound measure is called once per rho with all of that rho's
-trial seeds.  Every target that reports a singular value returns
-``Spectra``, and ``_read`` takes all those values, each matrix or stack
-decomposed as it is read: the fixed-base targets (thm51, cor53, thm52, prop72,
-conj81, conj82, sigma_basic) yield stacks of smoothed bases, with the bytes of
-one trial at a time, the others one matrix per trial.  prop73, the probes and certify return their values.
-Everything runs in one thread, and the aggregation is a fold over trial
-index.  A trial's noise is keyed by its seed only, never by rho, so
-comparisons across a rho grid are paired by construction.
+trial seeds.  ``_read`` takes every singular value a target reports, each
+matrix or stack of its ``Spectra`` decomposed as it is read; ``_smoothed``
+measures the fixed-base targets (thm51, cor53, thm52, prop72, conj81, conj82,
+sigma_basic) in stacks with the bytes of one trial at a time, and at rho 0
+once for all trials.  Everything runs in one thread, and the aggregation is a
+fold over trial index.  A trial's noise is keyed by its seed only, never by
+rho, so comparisons across a rho grid are paired by construction.
 
 Output contract: one CSV row per trial plus a JSON summary, both
 byte-reproducible for a fixed config (timings never enter the files).
@@ -20,7 +19,6 @@ byte-reproducible for a fixed config (timings never enter the files).
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import operator
@@ -61,11 +59,11 @@ class Param(NamedTuple):
 
 
 class Target(NamedTuple):
-    """``bind(resolved params, config)`` returns ``measure(rho, seeds)``,
-    called once per rho with its trials' seeds: Spectra for a target that
-    reports a singular value, else ``(sigma, threshold or None, passed or
-    None)`` per seed in order, None for the config's threshold and ``sigma
-    >= threshold``.  A default ``threshold`` marks a ``liftcert powersum`` check."""
+    """``bind(resolved params, config)`` returns ``measure(rho, seeds)``, called
+    once per rho with its trials' seeds: Spectra, or their values read, for a
+    target that reports a singular value, else ``(sigma, threshold or None,
+    passed or None)`` per seed in order, None for the config's threshold and
+    ``sigma >= threshold``.  A default ``threshold`` marks a ``liftcert powersum`` check."""
 
     params: dict
     bind: Callable
@@ -205,29 +203,37 @@ def _make_base(kind: str, n: int, m: int, master_seed: int) -> np.ndarray:
     return np.tile(_rng.unit_columns((n, 1), master_seed, "base"), (1, m))
 
 
+def _named(p: dict) -> str:
+    return ", ".join(f"{name}={value}" for name, value in p.items())
+
+
 def _need(ok: bool, rule: str, p: dict) -> None:
     """Refuse params that break a target's dimension budget, naming them."""
     if not ok:
-        given = ", ".join(f"{name}={value}" for name, value in p.items())
-        raise ValueError(f"params {given} break the dimension budget {rule}")
+        raise ValueError(f"params {_named(p)} break the dimension budget {rule}")
 
 
-def _smoothed(bases: np.ndarray, build, k: int, per_trial: int, path: tuple = ("noise",)):
-    """A measure whose trial matrix is ``build`` of ``bases + rho * noise``,
-    read at singular value k.  Base j of a (count, rows, cols) stack draws its
-    noise keyed ``(seed, *path, j)``, a single rows x cols base ``(seed,
-    *path)``.  Its Spectra yield one stack per run of trials of at most
-    ``_STACK_ENTRIES`` entries, ``per_trial`` to a trial (or one trial when
-    one needs more), each run checked against the cap before it is drawn."""
-    def stacks(rho, seeds):
-        step = max(1, _STACK_ENTRIES // per_trial)
+def _smoothed(p: dict, bases: np.ndarray, build, k: int, per_trial: tuple,
+              path: tuple = ("noise",), perturb=np.add, threshold=lambda scale: None):
+    """A measure whose trial matrix is ``build`` of ``perturb(bases, scale * noise)``,
+    read at singular value k against ``threshold(scale)``; base j of a stack draws
+    noise keyed ``(seed, *path, j)``, one base ``(seed, *path)``.  The shape
+    ``per_trial`` is checked now, naming the params p, and per stack of at most
+    ``_STACK_ENTRIES`` entries.  Scale 0 draws nothing: all seeds read ``build(bases[None])``."""
+    _check_entries(per_trial, f"for params {_named(p)}, one trial's arrays")
+
+    def stacks(scale, seeds):
+        step = max(1, _STACK_ENTRIES // math.prod(per_trial))
         for start in range(0, len(seeds), step):
             chunk = seeds[start:start + step]
-            _check_entries((len(chunk), per_trial), f"the stacked arrays of {len(chunk)} trials")
+            _check_entries((len(chunk), *per_trial), f"the stacked arrays of {len(chunk)} trials")
             noise = _rng.gaussians(bases.shape[-2:], chunk, *path,
                                    stack=len(bases) if bases.ndim == 3 else None)
-            yield build(bases + rho * noise)
-    return lambda rho, seeds: Spectra(stacks(rho, seeds), k)
+            yield build(perturb(bases, scale * noise))
+
+    return lambda scale, seeds: (
+        _read(Spectra([build(bases[None])], k, threshold(scale))) * len(seeds) if scale == 0
+        else Spectra(stacks(scale, seeds), k, threshold(scale)))
 
 
 def _read(measured) -> list:
@@ -270,7 +276,7 @@ def _bind_lift(p, config):
         # as np.vstack leaves them: BLAS rounds the two orders differently.
         lifts = coords.transpose(0, 2, 1, 3).reshape(len(U), -1, k).swapaxes(-1, -2)
         return lifts @ phi.T
-    return _smoothed(bases, build, k - 1, blocks * _lift_entries(n, m, d))
+    return _smoothed(p, bases, build, k - 1, (blocks * _lift_entries(n, m, d),))
 
 
 def _kron(P: np.ndarray, F: np.ndarray) -> np.ndarray:  # np.kron's one product per entry
@@ -304,8 +310,8 @@ def _bind_thm52(p, config):
     bases = np.array([_make_base(p["base"], n, m, _rng.derive_seed(config.master_seed, "b", j))
                       for j in range(d)])
     # The mode products' largest arrays: T, the result and the folded rest.
-    return _smoothed(bases, lambda factors: _kron_product(psi, factors.swapaxes(0, 1)),
-                     m**d - 1, max(rank * n * m ** (d - 1), rank * m**d, (n * m) ** (d - 1)))
+    return _smoothed(p, bases, lambda factors: _kron_product(psi, factors.swapaxes(0, 1)),
+                     m**d - 1, (max(rank * n * m ** (d - 1), rank * m**d, (n * m) ** (d - 1)),))
 
 
 def _bind_certify(p, config):
@@ -355,8 +361,8 @@ def _bind_prop72(p, config):
                       for B in _rng.gaussians((n, n), config.master_seed, "base", stack=m)])
     # The lifts' largest arrays and the block matrix.
     cols = m * math.comb(ell + 1, 2) + m
-    return _smoothed(bases, lambda mats: ps.build_projected_V(mats, ell), -1,
-                     max(m * _lift_entries(n, ell, 2), n * n * cols))
+    return _smoothed(p, bases, lambda mats: ps.build_projected_V(mats, ell), -1,
+                     (max(m * _lift_entries(n, ell, 2), n * n * cols),))
 
 
 def _power_sum_need(p) -> None:
@@ -422,27 +428,21 @@ def _bind_conj81(p, config):
     _need(s * math.comb(m + d - 1, d) <= math.comb(n + d - 1, d),
           "s*C(m+d-1,d) <= C(n+d-1,d)", p)
     bases = ps.make_clustering_bases(n, m, s, config.master_seed, shared_base=p["shared_base"])
-    entries = s * _lift_entries(n, m, d)  # a trial's largest arrays, checked before any trial
-    _check_entries((entries,), f"the lifts of s = {s} bases for n = {n}, m = {m}, d = {d}")
-    # Each trial re-orthonormalizes its perturbed bases before they are lifted.
-    smoothed = _smoothed(bases, lambda U: ps.build_block_lift(np.linalg.qr(U)[0], d), -1,
-                         entries, ("cluster", "noise"))
-
-    def measure(rho, seeds):
-        if rho > 0 and p["control"] != "duplicate":
-            return smoothed(rho / math.sqrt(n), seeds)  # entrywise variance rho^2 / n
-        return Spectra(itertools.repeat(ps.build_block_lift(bases, d), len(seeds)), -1)
-    return measure
+    # Entrywise variance rho^2 / n (none for the duplicate control), then re-orthonormalized.
+    smoothed = _smoothed(p, bases, lambda U: ps.build_block_lift(U, d), -1,
+                         (s * _lift_entries(n, m, d),), ("cluster", "noise"),
+                         lambda B, noise: np.linalg.qr(B + noise)[0])
+    duplicate = p["control"] == "duplicate"
+    return lambda rho, seeds: smoothed(0.0 if duplicate else rho / math.sqrt(n), seeds)
 
 
 def _bind_conj82(p, config):
     dim, r, N = p["dim"], p["r"], p["N"]
     base = _rng.gaussians((N, dim), config.master_seed, "points")
     base /= np.linalg.norm(base, axis=1, keepdims=True)
-    # A trial's largest array, the gather of its monomial factors, checked before any trial.
-    factors = (N, math.comb(dim + r - 1, r), r)
-    _check_entries(factors, f"the degree-{r} monomial factors in dimension {dim}")
-    return _smoothed(base, lambda pts: ps.build_power_matrix(pts, r), -1, math.prod(factors))
+    # A trial's largest array is the gather of its monomial factors.
+    return _smoothed(p, base, lambda pts: ps.build_power_matrix(pts, r), -1,
+                     (N, math.comb(dim + r - 1, r), r))
 
 
 def _probe_trial(base: np.ndarray, rho: float, seed: int, k: int):
@@ -508,9 +508,8 @@ def _bind_sigma_basic(p, config):
     n, k, delta = p["n"], p["k"], p["delta"]
     order = math.ceil(k / 2)
     _need(order <= min(n, k), "ceil(k/2) <= min(n,k)", p)
-    smoothed = _smoothed(_make_base(p["base"], n, k, config.master_seed), lambda V: delta * V,
-                         order - 1, n * k)
-    return lambda rho, seeds: smoothed(rho, seeds)._replace(threshold=p["h"] * rho * delta)
+    return _smoothed(p, _make_base(p["base"], n, k, config.master_seed), lambda V: delta * V,
+                     order - 1, (n, k), threshold=lambda rho: p["h"] * rho * delta)
 
 
 def _bind_const_control(p, config):

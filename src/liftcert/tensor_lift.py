@@ -77,22 +77,23 @@ def _build_plan(n: int, d: int) -> _IndexPlan:
     rows = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations_with_replacement(range(n), d)),
         dtype=np.int64, count=count * d).reshape(count, d)
-    # The orbit of a prefix of length j+1 is the orbit of the length-j prefix
-    # times (j+1) / (length of the run of equal entries ending at j).  The
-    # largest product, at j = d-1, is the largest multinomial of d-1 entries
-    # over n symbols (counts within one of each other) times d, at most d!.
-    # Where it is below 2**63 (every d <= 20) the steps run in int64, else in
-    # Python ints.  Each orbit is then rounded to float64 once: 2**1024 -
-    # 2**970 is the least int that rounds to inf.  n = 1 has one row in an
-    # orbit of 1, and skips the d steps.
+    # A prefix's orbit grows at step j by (j+1) / (the length of the run of
+    # equal entries ending at j), to at most d times the largest multinomial of
+    # d-1 entries over n symbols (counts within one of each other).  Below 2**63
+    # (every d <= 20) the steps run in int64 (n = 1 skips them), else an orbit is
+    # the product over symbols v of C(entries <= v, entries == v) in Python ints.
+    # Each is rounded to float64 once: 2**1024 - 2**970 is the least int that rounds to inf.
     q, r = divmod(d - 1, n)
     largest = 0 if n == 1 or d < 2 else math.factorial(d - 1) // (
         math.factorial(q) ** (n - r) * math.factorial(q + 1) ** r) * d
-    orbit = np.ones(count, dtype=np.int64 if largest < 2**63 else object)
-    run = np.ones(count, dtype=np.int64)
-    for j in range(1, d if n > 1 else 1):
-        run = np.where(rows[:, j] == rows[:, j - 1], run + 1, 1)
-        orbit = orbit * (j + 1) // run
+    if largest < 2**63:
+        orbit = run = np.ones(count, dtype=np.int64)
+        for j in range(1, d if n > 1 else 1):
+            run = np.where(rows[:, j] == rows[:, j - 1], run + 1, 1)
+            orbit = orbit * (j + 1) // run
+    else:
+        end = np.column_stack([np.count_nonzero(rows <= v, axis=1) for v in range(n)])
+        orbit = np.frompyfunc(math.comb, 2, 1)(end, np.diff(end, prepend=0)).prod(axis=1)
     orbit = np.where(orbit < 2**1024 - 2**970, orbit, math.inf).astype(float)
     rows.flags.writeable = False
     orbit.flags.writeable = False

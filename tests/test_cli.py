@@ -720,7 +720,11 @@ class TestExperiment:
         # Its 2000 x 1 base fits; the 3 x 1335334000 factor rows of one
         # trial's order-3 lift do not.
         ({"target": "conj81", "params": {"n": 2000, "m": 1, "s": 1, "d": 3}},
-         "the lifts of s = 1 bases for n = 2000, m = 1, d = 3 would have shape (4006002000,)"),
+         "for params n=2000, m=1, s=1, d=3, control=none, shared_base=True, one trial's arrays "
+         "would have shape (4006002000,)"),
+        # Its 300 x 300 base fits; one trial's 90000 x 11326 block matrix does not.
+        ({"target": "prop72", "params": {"n": 300, "m": 1, "ell": 150}},
+         "for params n=300, m=1, ell=150, one trial's arrays would have shape (1019340000,)"),
     ])
     def test_bad_field_is_usage_error(self, tmp_path, capsys, monkeypatch, overrides, named):
         # "cap" is no config field: it lowers MAX_DENSE_ENTRIES for the case.

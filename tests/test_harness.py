@@ -267,7 +267,8 @@ class TestStackedTrials:
         monkeypatch.setitem(TARGETS, target, Target(TARGETS[target].params,
                                                     per_trial(self.ORACLES[target])))
         single = run_experiment(config)
-        assert sizes == stacks * 4
+        # rho 0 draws nothing and decomposes its one unperturbed matrix.
+        assert sizes == [1] + stacks * 3
         assert stacked.to_csv() == single.to_csv()
         assert dump_json(stacked.summary()) == dump_json(single.summary())
 
@@ -290,13 +291,13 @@ class TestStackedTrials:
         assert calls == ["build", "svd"] * 3
 
     @pytest.mark.parametrize("params, reads", [
-        ({}, ("each", "stacks")),
-        ({"shared_base": False}, ("each", "stacks")),
-        ({"control": "duplicate"}, ("each", "each")),
+        ({}, ("once", "stacks")),
+        ({"shared_base": False}, ("once", "stacks")),
+        ({"control": "duplicate"}, ("once", "once")),
     ])
     def test_conj81_stacks_equal_one_trial_at_a_time(self, monkeypatch, params, reads):
-        # Stacks of at most two trials' s = 2 lifts; unperturbed, each trial
-        # reads the one lift of the unperturbed bases.
+        # Stacks of at most two trials' s = 2 lifts; unperturbed, the one
+        # lift of the unperturbed bases is decomposed once for every trial.
         config = cfg(target="conj81", params={"n": 6, "m": 2, "s": 2, "d": 2, **params},
                      rho_grid=[0.0, 0.3], trials=5, threshold=1e-9)
         monkeypatch.setattr(harness, "_STACK_ENTRIES", 2 * 2 * harness._lift_entries(6, 2, 2))
@@ -308,7 +309,7 @@ class TestStackedTrials:
         monkeypatch.setitem(TARGETS, "conj81", Target(TARGETS["conj81"].params,
                                                       per_trial(per_trial_conj81)))
         single = run_experiment(config)
-        shown = {"stacks": [(2,), (2,), (1,)], "each": [()] * 5}
+        shown = {"stacks": [(2,), (2,), (1,)], "once": [(1,)]}
         assert shapes == shown[reads[0]] + shown[reads[1]]
         assert stacked.to_csv() == single.to_csv()
         assert dump_json(stacked.summary()) == dump_json(single.summary())
@@ -330,6 +331,74 @@ class TestStackedTrials:
         monkeypatch.setattr(harness, "_STACK_ENTRIES", 2 * entries)
         run_experiment(cfg(target=target, params=params, trials=5))
         assert calls == ["build", "svd"] * 3
+
+
+class TestFixedBaseMeasure:
+    """The seven fixed-base targets share ``harness._smoothed``: it refuses a
+    trial past the cap when the target binds, and at scale 0 it draws
+    nothing and builds and decomposes one matrix per rho."""
+
+    @pytest.mark.parametrize("target, params, oracle", [
+        ("thm51", {"n": 6, "m": 2, "d": 2, "base": "random"}, per_trial_lift),
+        ("cor53", {"n": 8, "m": 2, "d": 2, "blocks": 2, "base": "duplicated"}, per_trial_lift),
+        ("thm52", {"n": 4, "m": 2, "d": 2, "base": "random"}, per_trial_thm52),
+        ("prop72", {"n": 6, "m": 2, "ell": 2}, per_trial_prop72),
+        ("conj81", {"n": 6, "m": 2, "s": 2, "d": 2}, per_trial_conj81),
+        ("conj81", {"n": 6, "m": 2, "s": 2, "d": 2, "control": "duplicate",
+                    "shared_base": False}, per_trial_conj81),
+        ("conj82", {"dim": 3, "r": 4, "N": 20}, per_trial_conj82),
+        ("sigma_basic", {"n": 6, "k": 5, "base": "random"}, per_trial_sigma_basic),
+    ])
+    def test_scale_zero_builds_and_decomposes_once(self, monkeypatch, target, params, oracle):
+        config = cfg(target=target, params=params, rho_grid=[0.0, 0.3], trials=5,
+                     threshold=1e-9)
+        calls = []
+        smoothed = harness._smoothed
+        monkeypatch.setattr(harness, "_smoothed", lambda p, bases, build, *args, **kw: smoothed(
+            p, bases, lambda U: calls.append("build") or build(U), *args, **kw))
+        measure = TARGETS[target].bind(config.params, config)
+        svd, draw = harness.stacked_singular_values, harness._rng.gaussians
+        monkeypatch.setattr(harness, "stacked_singular_values",
+                            lambda A: calls.append("svd") or svd(A))
+        monkeypatch.setattr(harness._rng, "gaussians",
+                            lambda *args, **kw: calls.append("draw") or draw(*args, **kw))
+        read = harness._read(measure(0.0, [1, 2, 3]))
+        assert calls == ["build", "svd"]
+        assert len(read) == 3 and len(set(read)) == 1
+        smoothed_run = run_experiment(config)
+        monkeypatch.setitem(TARGETS, target, Target(TARGETS[target].params, per_trial(oracle)))
+        single = run_experiment(config)
+        assert smoothed_run.to_csv() == single.to_csv()
+        assert dump_json(smoothed_run.summary()) == dump_json(single.summary())
+
+    @pytest.mark.parametrize("target, params, entries, named", [
+        # Under a cap one entry below a trial's arrays, with its bases and
+        # operator (63 entries for thm51, 126 for cor53) under it.
+        ("thm51", {"n": 6, "m": 2, "d": 2, "delta": 0.1}, 84,
+         "for params n=6, m=2, d=2, delta=0.1, base=zero, one trial's arrays would have "
+         "shape (84,)"),
+        ("cor53", {"n": 6, "m": 2, "d": 2, "blocks": 2, "delta": 0.25}, 168,
+         "for params n=6, m=2, d=2, delta=0.25, base=zero, blocks=2, one trial's arrays would "
+         "have shape (168,)"),
+        ("prop72", {"n": 6, "m": 2, "ell": 2}, 288,
+         "for params n=6, m=2, ell=2, one trial's arrays would have shape (288,)"),
+        ("conj81", {"n": 6, "m": 2, "s": 2, "d": 2}, 168,
+         "for params n=6, m=2, s=2, d=2, control=none, shared_base=True, one trial's arrays "
+         "would have shape (168,)"),
+        ("conj82", {"dim": 3, "r": 4, "N": 20}, 1200,
+         "for params dim=3, r=4, N=20, one trial's arrays would have shape (20, 15, 4)"),
+        # thm52's row isometry is larger than a trial's mode products, and
+        # sigma_basic's base is as large as its trial: each is refused first.
+        ("thm52", {"n": 4, "m": 2, "d": 2}, 80, "for n = 4, d = 2, the random row isometry"),
+        ("sigma_basic", {"n": 6, "k": 5}, 30, "the zero base would have shape (6, 5)"),
+    ])
+    def test_trial_past_the_cap_is_refused_at_bind(self, monkeypatch, target, params, entries,
+                                                   named):
+        # Refused by bind itself, before any measure draws a trial's noise.
+        monkeypatch.setattr(tensor_lift, "MAX_DENSE_ENTRIES", entries - 1)
+        config = cfg(target=target, params=params)
+        with pytest.raises(LiftSizeError, match=re.escape(named)):
+            TARGETS[target].bind(config.params, config)
 
 
 # One small config of each target whose trials report a singular value.
