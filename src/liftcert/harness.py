@@ -9,9 +9,11 @@ trial seeds.  ``_read`` takes every singular value a target reports, each
 matrix or stack of its ``Spectra`` decomposed as it is read; ``_smoothed``
 measures the fixed-base targets (thm51, cor53, thm52, prop72, conj81, conj82,
 sigma_basic) in stacks with the bytes of one trial at a time, and at rho 0
-once for all trials.  Everything runs in one thread, and the aggregation is a
-fold over trial index.  A trial's noise is keyed by its seed only, never by
-rho, so comparisons across a rho grid are paired by construction.
+(const_control's only scale) once for all trials.  ``run_experiment`` names
+every resolved param in each refusal raised as a target binds or measures;
+no target names them itself.  Everything runs in one thread, and the
+aggregation is a fold over trial index.  A trial's noise is keyed by its seed
+only, never by rho, so comparisons across a rho grid are paired by construction.
 
 Output contract: one CSV row per trial plus a JSON summary, both
 byte-reproducible for a fixed config (timings never enter the files).
@@ -31,6 +33,7 @@ import numpy as np
 
 from . import powersum as ps
 from . import rng as _rng
+from . import tensor_lift
 from .matrixio import format_float
 from .spectral import (DEFAULT_RTOL, NonFiniteMatrixError, _rank_of_values, jacobian_khatri_rao,
                        singular_values, stacked_singular_values)
@@ -40,7 +43,7 @@ from .varieties import certify, orthonormalize_basis, variety_from_spec
 
 REQUIRED = object()
 # A rho's trials are measured in stacks of at most this many entries per
-# array (8 MB), far under MAX_DENSE_ENTRIES, so a large trial count does not
+# array (8 MB), or MAX_DENSE_ENTRIES if less, so a large trial count does not
 # hold a rho's trials at once.
 _STACK_ENTRIES = 2**20
 _COMPARE = {"<=": operator.le, ">": operator.gt, ">=": operator.ge}
@@ -186,8 +189,8 @@ class TrialReport:
     passed: bool
 
 
-def _random_row_isometry(p: dict, rows: int, dim: int, master_seed: int, *path) -> np.ndarray:
-    _check_entries((dim, rows), f"for n = {p['n']}, d = {p['d']}, the random row isometry")
+def _random_row_isometry(rows: int, dim: int, master_seed: int, *path) -> np.ndarray:
+    _check_entries((dim, rows), "the random row isometry")
     G = _rng.gaussians((dim, rows), master_seed, *path)
     Q, _ = np.linalg.qr(G)
     return Q.T
@@ -203,30 +206,26 @@ def _make_base(kind: str, n: int, m: int, master_seed: int) -> np.ndarray:
     return np.tile(_rng.unit_columns((n, 1), master_seed, "base"), (1, m))
 
 
-def _named(p: dict) -> str:
-    return ", ".join(f"{name}={value}" for name, value in p.items())
-
-
-def _need(ok: bool, rule: str, p: dict) -> None:
-    """Refuse params that break a target's dimension budget, naming them."""
+def _need(ok: bool, rule: str) -> None:
+    """Refuse params that break a target's dimension budget."""
     if not ok:
-        raise ValueError(f"params {_named(p)} break the dimension budget {rule}")
+        raise ValueError(f"the dimension budget {rule} does not hold")
 
 
-def _smoothed(p: dict, bases: np.ndarray, build, k: int, per_trial: tuple,
-              path: tuple = ("noise",), perturb=np.add, threshold=lambda scale: None):
+def _smoothed(bases: np.ndarray, build, k: int, per_trial: tuple, path: tuple = ("noise",),
+              perturb=np.add, threshold=lambda scale: None):
     """A measure whose trial matrix is ``build`` of ``perturb(bases, scale * noise)``,
     read at singular value k against ``threshold(scale)``; base j of a stack draws
-    noise keyed ``(seed, *path, j)``, one base ``(seed, *path)``.  The shape
-    ``per_trial`` is checked now, naming the params p, and per stack of at most
-    ``_STACK_ENTRIES`` entries.  Scale 0 draws nothing: all seeds read ``build(bases[None])``."""
-    _check_entries(per_trial, f"for params {_named(p)}, one trial's arrays")
+    noise keyed ``(seed, *path, j)``, one base ``(seed, *path)``.  ``per_trial``, the
+    shape of one trial's largest array, is checked against the cap now, and a stack
+    holds as many trials as fit in ``_STACK_ENTRIES`` entries, or the cap if less, so no
+    stack can pass it.  Scale 0 draws nothing: all seeds read ``build(bases[None])``."""
+    _check_entries(per_trial, "one trial's arrays")
 
     def stacks(scale, seeds):
-        step = max(1, _STACK_ENTRIES // math.prod(per_trial))
+        step = max(1, min(_STACK_ENTRIES, tensor_lift.MAX_DENSE_ENTRIES) // math.prod(per_trial))
         for start in range(0, len(seeds), step):
             chunk = seeds[start:start + step]
-            _check_entries((len(chunk), *per_trial), f"the stacked arrays of {len(chunk)} trials")
             noise = _rng.gaussians(bases.shape[-2:], chunk, *path,
                                    stack=len(bases) if bases.ndim == 3 else None)
             yield build(perturb(bases, scale * noise))
@@ -253,7 +252,7 @@ def _lift_rank(p) -> int:
     which overflows a float past 1e308."""
     n, d = p["n"], p["d"]
     dim = math.comb(n + d - 1, d)
-    _check_entries((dim,), f"a row of the random row isometry for n = {n}, d = {d}")
+    _check_entries((dim,), "a row of the random row isometry")
     return math.ceil(p["delta"] * dim)
 
 
@@ -263,10 +262,9 @@ def _bind_lift(p, config):
     n, m, d, blocks = p["n"], p["m"], p["d"], p.get("blocks", 1)
     rank = _lift_rank(p)
     k = blocks * math.comb(m + d - 1, d)
-    _need(k <= rank, f"blocks*C(m+d-1,d) = {_shown(k)} <= ceil(delta*C(n+d-1,d)) = {rank}", p)
+    _need(k <= rank, f"blocks*C(m+d-1,d) = {_shown(k)} <= ceil(delta*C(n+d-1,d)) = {rank}")
     # Orthonormal rows spanning symmetric tensors, in isometric coordinates.
-    phi = _random_row_isometry(p, rank, math.comb(n + d - 1, d), config.master_seed,
-                               "projector")
+    phi = _random_row_isometry(rank, math.comb(n + d - 1, d), config.master_seed, "projector")
     bases = np.array([_make_base(p["base"], n, m, _rng.derive_seed(config.master_seed, "b", j))
                       for j in range(blocks)])
 
@@ -276,7 +274,7 @@ def _bind_lift(p, config):
         # as np.vstack leaves them: BLAS rounds the two orders differently.
         lifts = coords.transpose(0, 2, 1, 3).reshape(len(U), -1, k).swapaxes(-1, -2)
         return lifts @ phi.T
-    return _smoothed(p, bases, build, k - 1, (blocks * _lift_entries(n, m, d),))
+    return _smoothed(bases, build, k - 1, (blocks * _lift_entries(n, m, d),))
 
 
 def _kron(P: np.ndarray, F: np.ndarray) -> np.ndarray:  # np.kron's one product per entry
@@ -304,23 +302,20 @@ def _bind_thm52(p, config):
     rank = _lift_rank(p)
     # Past m = 1, m**d > rank once d reaches rank's bit length: that huge power is never formed.
     _need(m == 1 or (d < rank.bit_length() and m**d <= rank),
-          f"m**d <= ceil(delta*C(n+d-1,d)) = {rank}", p)
-    psi = _random_row_isometry(p, rank, n**d, config.master_seed, "operator")
-    _check_entries((d, n, m), f"the stack of d = {d} {p['base']} bases")
+          f"m**d <= ceil(delta*C(n+d-1,d)) = {rank}")
+    psi = _random_row_isometry(rank, n**d, config.master_seed, "operator")
+    _check_entries((d, n, m), "the stack of per-mode bases")
     bases = np.array([_make_base(p["base"], n, m, _rng.derive_seed(config.master_seed, "b", j))
                       for j in range(d)])
     # The mode products' largest arrays: T, the result and the folded rest.
-    return _smoothed(p, bases, lambda factors: _kron_product(psi, factors.swapaxes(0, 1)),
+    return _smoothed(bases, lambda factors: _kron_product(psi, factors.swapaxes(0, 1)),
                      m**d - 1, (max(rank * n * m ** (d - 1), rank * m**d, (n * m) ** (d - 1)),))
 
 
 def _bind_certify(p, config):
-    try:
-        op = variety_from_spec(p["variety"])
-    except ValueError as exc:
-        raise ValueError(f"param 'variety': {exc}") from exc
+    op = variety_from_spec(p["variety"])
     m, planted = p["m"], p["planted"]
-    _need(math.comb(m + op.d - 1, op.d) <= op.p, f"C(m+d-1,d) <= p = {op.p} generators", p)
+    _need(math.comb(m + op.d - 1, op.d) <= op.p, f"C(m+d-1,d) <= p = {op.p} generators")
     base = _rng.unit_columns((op.n, m), config.master_seed, "base")
 
     def measure(rho, seeds):
@@ -341,10 +336,9 @@ def _bind_prop71(p, config):
     projection's orbits are checked against the cap."""
     n, m = p["n"], p["m"]
     _check_entries((n * n, m), "the symmetric columns")
-    what = f"for n = {n}, m = {m}"
-    _check_entries((_lift_entries(n * n, m, 3),), f"the largest array of the order-3 lift {what}")
-    _check_entries((n**6, math.comb(m + 2, 3)), f"the order-6 projection {what}")
-    _check_entries((n**6, 6), f"the index rows of the order-6 projection {what}")
+    _check_entries((_lift_entries(n * n, m, 3),), "the largest array of the order-3 lift")
+    _check_entries((n**6, math.comb(m + 2, 3)), "the order-6 projection")
+    _check_entries((n**6, 6), "the index rows of the order-6 projection")
 
     def measure(rho, seeds):
         cols = (ps.make_symmetric_columns(n, m, rho, seed) for seed in seeds)
@@ -356,18 +350,18 @@ def _bind_prop72(p, config):
     n, m, ell = p["n"], p["m"], p["ell"]
     slack = n * n - n * ell - m * math.comb(ell + 1, 2) - m + 1
     _need(ell <= n and slack > 0,
-          f"ell <= n and n^2 - n*ell - m*C(ell+1,2) - m + 1 = {slack} > 0", p)
+          f"ell <= n and n^2 - n*ell - m*C(ell+1,2) - m + 1 = {slack} > 0")
     bases = np.array([B / np.linalg.norm(B)
                       for B in _rng.gaussians((n, n), config.master_seed, "base", stack=m)])
     # The lifts' largest arrays and the block matrix.
     cols = m * math.comb(ell + 1, 2) + m
-    return _smoothed(p, bases, lambda mats: ps.build_projected_V(mats, ell), -1,
+    return _smoothed(bases, lambda mats: ps.build_projected_V(mats, ell), -1,
                      (max(m * _lift_entries(n, ell, 2), n * n * cols),))
 
 
 def _power_sum_need(p) -> None:
     n2 = math.comb(p["n"] + 1, 2)
-    _need(p["m"] < n2, f"m < N2 = C(n+1,2) = {n2}", p)
+    _need(p["m"] < n2, f"m < N2 = C(n+1,2) = {n2}")
 
 
 def _bind_prop73(p, config):
@@ -375,7 +369,7 @@ def _bind_prop73(p, config):
     want = m * math.comb(n + 1, 2) - math.comb(m, 2)
     _power_sum_need(p)
     rows = math.comb(n + 3, 4)
-    _need(want <= rows, f"m*N2 - C(m,2) = {want} <= C(n+3,4) = {rows}", p)
+    _need(want <= rows, f"m*N2 - C(m,2) = {want} <= C(n+3,4) = {rows}")
 
     def measure(rho, seeds):
         for seed in seeds:
@@ -414,7 +408,7 @@ def _bind_claim76(p, config):
     rank = 2 * m * math.comb(p["n"] + 1, 2) - math.comb(2 * m, 2)
     _power_sum_need(p)
     rows = math.comb(p["n"] + 3, 4)
-    _need(rank <= rows, f"2*m*N2 - C(2m,2) = {rank} <= C(n+3,4) = {rows}", p)
+    _need(rank <= rows, f"2*m*N2 - C(2m,2) = {rank} <= C(n+3,4) = {rows}")
 
     def measure(rho, seeds):
         insts = (ps.make_power_sum_instance(p["n"], m, rho, seed) for seed in seeds)
@@ -425,11 +419,10 @@ def _bind_claim76(p, config):
 
 def _bind_conj81(p, config):
     n, m, s, d = p["n"], p["m"], p["s"], p["d"]
-    _need(s * math.comb(m + d - 1, d) <= math.comb(n + d - 1, d),
-          "s*C(m+d-1,d) <= C(n+d-1,d)", p)
+    _need(s * math.comb(m + d - 1, d) <= math.comb(n + d - 1, d), "s*C(m+d-1,d) <= C(n+d-1,d)")
     bases = ps.make_clustering_bases(n, m, s, config.master_seed, shared_base=p["shared_base"])
     # Entrywise variance rho^2 / n (none for the duplicate control), then re-orthonormalized.
-    smoothed = _smoothed(p, bases, lambda U: ps.build_block_lift(U, d), -1,
+    smoothed = _smoothed(bases, lambda U: ps.build_block_lift(U, d), -1,
                          (s * _lift_entries(n, m, d),), ("cluster", "noise"),
                          lambda B, noise: np.linalg.qr(B + noise)[0])
     duplicate = p["control"] == "duplicate"
@@ -441,7 +434,7 @@ def _bind_conj82(p, config):
     base = _rng.gaussians((N, dim), config.master_seed, "points")
     base /= np.linalg.norm(base, axis=1, keepdims=True)
     # A trial's largest array is the gather of its monomial factors.
-    return _smoothed(p, base, lambda pts: ps.build_power_matrix(pts, r), -1,
+    return _smoothed(base, lambda pts: ps.build_power_matrix(pts, r), -1,
                      (N, math.comb(dim + r - 1, r), r))
 
 
@@ -458,7 +451,7 @@ def _probe_trial(base: np.ndarray, rho: float, seed: int, k: int):
 def _bind_caa_probe(p, config):
     """Khatri-Rao small-ball probe; the grid values of the config are h levels."""
     n, m, k, rho = p["n"], p["m"], p["k"], p["rho"]
-    _need(k <= m, "k <= m", p)
+    _need(k <= m, "k <= m")
     _check_entries((p["pilot_trials"],), "the pilot_trials combination norms")
     _check_entries((n * n, m), "the Khatri-Rao product")
     seed0 = config.master_seed
@@ -491,7 +484,7 @@ def _bind_caa_probe(p, config):
 
 def _bind_jacobian_probe(p, config):
     n, m, k = p["n"], p["m"], p["k"]
-    _need(k <= m, "k <= m", p)
+    _need(k <= m, "k <= m")
     base = np.array([_rng.gaussians((n, m), config.master_seed, "baseU"),
                      _rng.gaussians((n, m), config.master_seed, "baseV")])
     need = math.ceil(n * k / 2)
@@ -507,15 +500,15 @@ def _bind_jacobian_probe(p, config):
 def _bind_sigma_basic(p, config):
     n, k, delta = p["n"], p["k"], p["delta"]
     order = math.ceil(k / 2)
-    _need(order <= min(n, k), "ceil(k/2) <= min(n,k)", p)
-    return _smoothed(p, _make_base(p["base"], n, k, config.master_seed), lambda V: delta * V,
+    _need(order <= min(n, k), "ceil(k/2) <= min(n,k)")
+    return _smoothed(_make_base(p["base"], n, k, config.master_seed), lambda V: delta * V,
                      order - 1, (n, k), threshold=lambda rho: p["h"] * rho * delta)
 
 
 def _bind_const_control(p, config):
-    value = float(singular_values(_rng.gaussians((p["n"], p["m"]), config.master_seed,
-                                                 "const"))[-1])
-    return lambda rho, seeds: [(value, None, None)] * len(seeds)
+    shape = (p["n"], p["m"])
+    measure = _smoothed(_rng.gaussians(shape, config.master_seed, "const"), lambda A: A, -1, shape)
+    return lambda rho, seeds: measure(0.0, seeds)
 
 
 _N_M = {"n": Param(int), "m": Param(int)}
@@ -597,35 +590,38 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     aggregate carries pass counts, Wilson 95% intervals, and singular
     value quantiles; acceptance (when ``min_passes`` is set) requires the raw
     pass count at every grid point.
-    """
-    measure = TARGETS[config.target].bind(config.params, config)
-    seeds = [_rng.derive_seed(config.master_seed, "trial", t)
-             for t in range(config.trials)]
 
+    A usage error (a ``ValueError`` neither arithmetic nor a ``LinAlgError``)
+    raised while the target binds or a rho is measured is re-raised as its class
+    prefixed ``params n=10, m=2, ...: ``, every resolved param named once.
+    """
+    seeds = [_rng.derive_seed(config.master_seed, "trial", t) for t in range(config.trials)]
     reports: list[TrialReport] = []
     per_rho = []
-    for rho in config.rho_grid:
-        rows = []
-        for t, (seed, (sigma, thresh, passed)) in enumerate(
-                zip(seeds, _read(measure(rho, seeds)), strict=True)):
-            thresh = config.threshold if thresh is None else thresh
-            if not (math.isfinite(sigma) and math.isfinite(thresh)):
-                raise NonFiniteMatrixError(f"trial {t} at rho {rho} measured {sigma} "
-                                           f"against threshold {thresh}")
-            passed = bool(sigma >= thresh) if passed is None else passed
-            rows.append(TrialReport(rho=rho, trial=t, seed=seed, sigma=sigma,
-                                    threshold=thresh, passed=passed))
-        reports.extend(rows)
-        count = sum(r.passed for r in rows)
-        low, high = wilson_interval(count, config.trials)
-        per_rho.append({
-            "rho": rho,
-            "pass_count": count,
-            "pass_rate": count / config.trials,
-            "wilson_low": low,
-            "wilson_high": high,
-            "sigma": quantile_summary([r.sigma for r in rows]),
-        })
+    try:
+        measure = TARGETS[config.target].bind(config.params, config)
+        for rho in config.rho_grid:
+            rows = []
+            for t, (seed, (sigma, thresh, passed)) in enumerate(
+                    zip(seeds, _read(measure(rho, seeds)), strict=True)):
+                thresh = config.threshold if thresh is None else thresh
+                if not (math.isfinite(sigma) and math.isfinite(thresh)):
+                    raise NonFiniteMatrixError(f"trial {t} at rho {rho} measured {sigma} "
+                                               f"against threshold {thresh}")
+                passed = bool(sigma >= thresh) if passed is None else passed
+                rows.append(TrialReport(rho=rho, trial=t, seed=seed, sigma=sigma,
+                                        threshold=thresh, passed=passed))
+            reports.extend(rows)
+            count = sum(r.passed for r in rows)
+            low, high = wilson_interval(count, config.trials)
+            per_rho.append({"rho": rho, "pass_count": count, "pass_rate": count / config.trials,
+                            "wilson_low": low, "wilson_high": high,
+                            "sigma": quantile_summary([r.sigma for r in rows])})
+    except ValueError as exc:
+        if isinstance(exc, (ArithmeticError, np.linalg.LinAlgError)):
+            raise
+        named = ", ".join(f"{name}={value}" for name, value in config.params.items())
+        raise type(exc)(f"params {named}: {exc}") from exc
     extras = {attr: float(getattr(measure, attr)) for attr in ("lambda_hat", "delta")
               if hasattr(measure, attr)}
     result = ExperimentResult(config=config, reports=reports, per_rho=per_rho,

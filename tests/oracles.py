@@ -104,9 +104,8 @@ def per_trial_lift(p, config):
     n, m, d, blocks = p["n"], p["m"], p["d"], p.get("blocks", 1)
     rank = math.ceil(p["delta"] * math.comb(n + d - 1, d))
     k = blocks * math.comb(m + d - 1, d)
-    _need(k <= rank, "blocks*C(m+d-1,d) <= ceil(delta*C(n+d-1,d))", p)
-    phi = _random_row_isometry(p, rank, math.comb(n + d - 1, d), config.master_seed,
-                               "projector")
+    _need(k <= rank, "blocks*C(m+d-1,d) <= ceil(delta*C(n+d-1,d))")
+    phi = _random_row_isometry(rank, math.comb(n + d - 1, d), config.master_seed, "projector")
     bases = np.array([_make_base(p["base"], n, m, rng.derive_seed(config.master_seed, "b", j))
                       for j in range(blocks)])
 
@@ -121,8 +120,8 @@ def per_trial_thm52(p, config):
     """thm52 measured one trial at a time."""
     n, m, d = p["n"], p["m"], p["d"]
     rank = math.ceil(p["delta"] * math.comb(n + d - 1, d))
-    _need(m**d <= rank, "m**d <= ceil(delta*C(n+d-1,d))", p)
-    psi = _random_row_isometry(p, rank, n**d, config.master_seed, "operator")
+    _need(m**d <= rank, "m**d <= ceil(delta*C(n+d-1,d))")
+    psi = _random_row_isometry(rank, n**d, config.master_seed, "operator")
     bases = np.array([_make_base(p["base"], n, m, rng.derive_seed(config.master_seed, "b", j))
                       for j in range(d)])
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -660,7 +661,8 @@ class TestExperiment:
         ({"params": {"n": 8, "m": 2, "dd": 3}}, "unknown param 'dd'"),
         ({"threshold": float("nan")}, "threshold must be finite"),
         ({"rho_grid": [-0.1]}, "rho_grid entries must be finite and >= 0"),
-        ({"target": "claim76", "params": {"n": 5, "m": 3}}, "params n=5, m=3 break"),
+        ({"target": "claim76", "params": {"n": 5, "m": 3}},
+         "params n=5, m=3: the dimension budget"),
         ({"params": [8, 2]}, "params must be JSON objects"),
         ({"trials": "x"}, "trials must be int, got 'x'"),
         ({"trials": 2.7}, "trials must be int, got 2.7"),
@@ -673,21 +675,22 @@ class TestExperiment:
         ({"params": {"n": 8, "m": 2, "base": "zeros"}},
          "param 'base' must be one of ['zero', 'random', 'duplicated'], got 'zeros'"),
         ({"target": "certify", "params": {"variety": "determinantal:4,4"}},
-         "param 'variety': determinantal variety needs n1,n2,r"),
+         "params variety=determinantal:4,4, m=3, planted=False: determinantal variety needs "
+         "n1,n2,r"),
         ({"study": "scaling", "rho_grid": [0.1, 0.1, 0.1]},
          "a scaling study needs at least 3 rho_grid points, got 1 distinct in [0.1, 0.1, 0.1]"),
         ({"name": "."}, "name must be a plain file name, got '.'"),
         ({"name": ".."}, "name must be a plain file name, got '..'"),
         # C(n+d-1, d) is about 1e735, past the float range.
         ({"target": "thm51", "params": {"n": 100, "m": 2, "d": 10**9}},
-         "isometry for n = 100, d = 1000000000 would have shape (~10^735,)"),
+         "a row of the random row isometry would have shape (~10^735,)"),
         ({"target": "cor53", "params": {"n": 100, "m": 2, "d": 10**9}},
-         "isometry for n = 100, d = 1000000000 would have shape (~10^735,)"),
+         "a row of the random row isometry would have shape (~10^735,)"),
         ({"target": "thm52", "params": {"n": 100, "m": 2, "d": 10**9}},
-         "isometry for n = 100, d = 1000000000 would have shape (~10^735,)"),
+         "a row of the random row isometry would have shape (~10^735,)"),
         # m**d has 30103 digits, past the 4300 that str() prints.
         ({"target": "thm52", "params": {"n": 2, "m": 2, "d": 100000}},
-         "params n=2, m=2, d=100000, delta=0.5, base=zero break the dimension budget m**d"),
+         "params n=2, m=2, d=100000, delta=0.5, base=zero: the dimension budget m**d"),
         ({"target": "thm52", "params": {"n": 2, "m": 1, "d": 100000}},
          "row isometry would have shape (~10^30103, 50001)"),
         # Small copies, under a lowered cap, of a 45150 x 45150 completion, a
@@ -704,27 +707,28 @@ class TestExperiment:
          "param 'rho' must be >= 0.0, got -1.0"),
         # Its 9 x 100000 columns fit; their order-3 lift and its 3**6 full rows do not.
         ({"target": "prop71", "params": {"n": 3, "m": 100000}},
-         "the largest array of the order-3 lift for n = 3, m = 100000 would have shape"),
+         "the largest array of the order-3 lift would have shape"),
         ({"target": "prop71", "params": {"n": 3, "m": 30}, "cap": 729 * 4960 - 1},
-         "the order-6 projection for n = 3, m = 30 would have shape (729, 4960)"),
+         "params n=3, m=30: the order-6 projection would have shape (729, 4960)"),
         # Its 17**6 x 1 projection fits; the 17**6 x 6 index rows of its orbits
         # do not, and were refused only after a 193 MB lift had been built.
         ({"target": "prop71", "params": {"n": 17, "m": 1}},
-         "the index rows of the order-6 projection for n = 17, m = 1 would have shape "
-         "(24137569, 6)"),
+         "the index rows of the order-6 projection would have shape (24137569, 6)"),
         # Each operator row fits the cap; the whole isometry does not.
         ({"target": "thm52", "params": {"n": 60, "m": 1, "d": 4}},
-         "for n = 60, d = 4, the random row isometry would have shape (12960000, 297833)"),
+         "params n=60, m=1, d=4, delta=0.5, base=zero: the random row isometry would have shape "
+         "(12960000, 297833)"),
         ({"target": "thm51", "params": {"n": 200, "m": 1, "d": 4}},
-         "for n = 200, d = 4, the random row isometry would have shape (68685050, 34342525)"),
+         "params n=200, m=1, d=4, delta=0.5, base=zero: the random row isometry would have "
+         "shape (68685050, 34342525)"),
         # Its 2000 x 1 base fits; the 3 x 1335334000 factor rows of one
         # trial's order-3 lift do not.
         ({"target": "conj81", "params": {"n": 2000, "m": 1, "s": 1, "d": 3}},
-         "for params n=2000, m=1, s=1, d=3, control=none, shared_base=True, one trial's arrays "
+         "params n=2000, m=1, s=1, d=3, control=none, shared_base=True: one trial's arrays "
          "would have shape (4006002000,)"),
         # Its 300 x 300 base fits; one trial's 90000 x 11326 block matrix does not.
         ({"target": "prop72", "params": {"n": 300, "m": 1, "ell": 150}},
-         "for params n=300, m=1, ell=150, one trial's arrays would have shape (1019340000,)"),
+         "params n=300, m=1, ell=150: one trial's arrays would have shape (1019340000,)"),
     ])
     def test_bad_field_is_usage_error(self, tmp_path, capsys, monkeypatch, overrides, named):
         # "cap" is no config field: it lowers MAX_DENSE_ENTRIES for the case.
@@ -850,7 +854,7 @@ class TestExperiment:
         # The 9 x 1 columns, their lift and the 729 x 1 projection fit; the
         # 729 x 6 index rows of its orbits do not.
         ("prop71", {"n": 3, "m": 1}, 1,
-         "index rows of the order-6 projection for n = 3, m = 1 would have shape (729, 6)",
+         "params n=3, m=1: the index rows of the order-6 projection would have shape (729, 6)",
          cli.hs.ps, "make_symmetric_columns"),
     ])
     def test_arrays_past_the_cap_are_refused_before_they_are_built(
@@ -863,6 +867,62 @@ class TestExperiment:
                                  "--out-dir", str(tmp_path / "out"))
         assert code == 2 and out == ""
         assert named in err
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
+
+    # Every size or budget refusal that README, CI and the tests above promise
+    # past config validation, with the lowered cap (MAX_DENSE_ENTRIES) of
+    # the tests' small copies; config-validation refusals keep their texts.
+    @pytest.mark.parametrize("target, params, cap", [
+        ("claim76", {"n": 5, "m": 3}, None),
+        ("certify", {"variety": "determinantal:4,4"}, None),
+        ("prop72", {"n": 300, "m": 1, "ell": 150}, None),
+        ("conj82", {"dim": 3, "r": 2, "N": 10**8}, None),
+        ("conj82", {"dim": 40, "r": 6, "N": 100}, None),
+        ("sigma_basic", {"n": 100000, "k": 100000}, None),
+        ("lemma74", {"n": 300, "m": 1}, None),
+        ("lemma74", {"n": 100000, "m": 1}, None),
+        ("thm51", {"n": 100, "m": 2, "d": 10**9}, None),
+        ("cor53", {"n": 100, "m": 2, "d": 10**9}, None),
+        ("thm52", {"n": 100, "m": 2, "d": 10**9}, None),
+        ("thm51", {"n": 200, "m": 1, "d": 4}, None),
+        ("thm52", {"n": 60, "m": 1, "d": 4}, None),
+        ("thm52", {"n": 1, "m": 1, "d": 10**9}, None),
+        ("thm52", {"n": 2, "m": 2, "d": 100000}, None),
+        ("thm52", {"n": 2, "m": 1, "d": 100000}, None),
+        ("caa_probe", {"n": 100000, "m": 3, "k": 2}, None),
+        ("caa_probe", {"n": 5, "m": 4, "k": 2, "pilot_trials": 10**9}, None),
+        ("prop71", {"n": 100000, "m": 1}, None),
+        ("prop71", {"n": 3, "m": 100000}, None),
+        ("prop71", {"n": 17, "m": 1}, None),
+        ("jacobian_probe", {"n": 100000, "m": 2, "k": 1}, None),
+        ("conj81", {"n": 2000, "m": 1, "s": 1, "d": 3}, None),
+        ("lemma74", {"n": 10, "m": 1}, 55 * 55 - 1),
+        ("conj82", {"dim": 3, "r": 2, "N": 1000}, 2999),
+        ("conj82", {"dim": 6, "r": 4, "N": 100}, 1000),
+        ("sigma_basic", {"n": 50, "k": 50}, 2499),
+        ("sigma_basic", {"n": 50, "k": 50, "base": "random"}, 2499),
+        ("prop71", {"n": 3, "m": 30}, 729 * 4960 - 1),
+        ("caa_probe", {"n": 5, "m": 4, "k": 2, "pilot_trials": 1001}, 1000),
+        ("caa_probe", {"n": 40, "m": 2, "k": 1}, 1000),
+        ("prop71", {"n": 40, "m": 1}, 1000),
+        ("prop71", {"n": 3, "m": 200}, 1000),
+        ("prop71", {"n": 3, "m": 1}, 1000),
+        ("jacobian_probe", {"n": 10, "m": 2, "k": 1}, 1000),
+    ])
+    def test_refusal_names_every_resolved_param_once(self, tmp_path, capsys, monkeypatch,
+                                                      target, params, cap):
+        if cap is not None:
+            monkeypatch.setattr(tensor_lift, "MAX_DENSE_ENTRIES", cap)
+        cfg = self.config_file(tmp_path, target=target, params=params, trials=1,
+                               master_seed=0, threshold=0.0, min_passes=None)
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg),
+                                 "--out-dir", str(tmp_path / "out"))
+        assert code == 2 and out == ""
+        resolved = cli.hs.TARGETS[target].resolve(params)
+        named = [f"{name}={value}" for name, value in resolved.items()]
+        assert err.startswith(f"error: params {', '.join(named)}: ")
+        for pair in named:
+            assert len(re.findall(rf"(?<![\w.]){re.escape(pair)}(?![\w.])", err)) == 1
         assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
 
     def test_memory_error_is_an_internal_error(self, tmp_path, capsys, monkeypatch):
@@ -939,6 +999,13 @@ class TestPowersum:
                                  "--seed", "0", "--min-passes", "5", "--out", str(out_path))
         assert code == 2 and out == "" and not out_path.exists()
         assert err.startswith("error: min_passes = 5 exceeds trials = 1")
+
+    def test_refusal_names_its_params(self, capsys):
+        # Its N2 x N2 completion is past the cap; the message named only n.
+        code, out, err = run_cli(capsys, "powersum", "--check", "lemma74", "--n", "300",
+                                 "--m", "1", "--rho", "0.1", "--trials", "1", "--seed", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: params n=300, m=1: the N2 x N2 completion")
 
     def test_missing_param_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "powersum", "--check", "conj82",

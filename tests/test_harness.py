@@ -200,7 +200,7 @@ class TestRunExperiment:
         config = cfg(params={"n": n, "m": m, "d": d}, rho_grid=[0.3, 1.0], trials=3)
         rank = math.ceil(0.5 * math.comb(n + d - 1, d))
         projector = from_sym_coords(_random_row_isometry(
-            config.params, rank, math.comb(n + d - 1, d), config.master_seed, "projector"), n, d)
+            rank, math.comb(n + d - 1, d), config.master_seed, "projector"), n, d)
         for report in run_experiment(config).reports:
             noise = report.rho * rng.gaussians((n, m), report.seed, "noise", 0)
             lift = sym_lift(noise, d).data  # the zero base adds nothing
@@ -354,8 +354,8 @@ class TestFixedBaseMeasure:
                      threshold=1e-9)
         calls = []
         smoothed = harness._smoothed
-        monkeypatch.setattr(harness, "_smoothed", lambda p, bases, build, *args, **kw: smoothed(
-            p, bases, lambda U: calls.append("build") or build(U), *args, **kw))
+        monkeypatch.setattr(harness, "_smoothed", lambda bases, build, *args, **kw: smoothed(
+            bases, lambda U: calls.append("build") or build(U), *args, **kw))
         measure = TARGETS[target].bind(config.params, config)
         svd, draw = harness.stacked_singular_values, harness._rng.gaussians
         monkeypatch.setattr(harness, "stacked_singular_values",
@@ -375,30 +375,48 @@ class TestFixedBaseMeasure:
         # Under a cap one entry below a trial's arrays, with its bases and
         # operator (63 entries for thm51, 126 for cor53) under it.
         ("thm51", {"n": 6, "m": 2, "d": 2, "delta": 0.1}, 84,
-         "for params n=6, m=2, d=2, delta=0.1, base=zero, one trial's arrays would have "
-         "shape (84,)"),
+         "params n=6, m=2, d=2, delta=0.1, base=zero: one trial's arrays would have shape (84,)"),
         ("cor53", {"n": 6, "m": 2, "d": 2, "blocks": 2, "delta": 0.25}, 168,
-         "for params n=6, m=2, d=2, delta=0.25, base=zero, blocks=2, one trial's arrays would "
-         "have shape (168,)"),
+         "params n=6, m=2, d=2, delta=0.25, base=zero, blocks=2: one trial's arrays would have "
+         "shape (168,)"),
         ("prop72", {"n": 6, "m": 2, "ell": 2}, 288,
-         "for params n=6, m=2, ell=2, one trial's arrays would have shape (288,)"),
+         "params n=6, m=2, ell=2: one trial's arrays would have shape (288,)"),
         ("conj81", {"n": 6, "m": 2, "s": 2, "d": 2}, 168,
-         "for params n=6, m=2, s=2, d=2, control=none, shared_base=True, one trial's arrays "
-         "would have shape (168,)"),
+         "params n=6, m=2, s=2, d=2, control=none, shared_base=True: one trial's arrays would "
+         "have shape (168,)"),
         ("conj82", {"dim": 3, "r": 4, "N": 20}, 1200,
-         "for params dim=3, r=4, N=20, one trial's arrays would have shape (20, 15, 4)"),
+         "params dim=3, r=4, N=20: one trial's arrays would have shape (20, 15, 4)"),
         # thm52's row isometry is larger than a trial's mode products, and
         # sigma_basic's base is as large as its trial: each is refused first.
-        ("thm52", {"n": 4, "m": 2, "d": 2}, 80, "for n = 4, d = 2, the random row isometry"),
-        ("sigma_basic", {"n": 6, "k": 5}, 30, "the zero base would have shape (6, 5)"),
+        ("thm52", {"n": 4, "m": 2, "d": 2}, 80,
+         "params n=4, m=2, d=2, delta=0.5, base=zero: the random row isometry"),
+        ("sigma_basic", {"n": 6, "k": 5}, 30,
+         "params n=6, k=5, delta=1.0, h=0.3, base=zero: the zero base would have shape (6, 5)"),
     ])
     def test_trial_past_the_cap_is_refused_at_bind(self, monkeypatch, target, params, entries,
                                                    named):
-        # Refused by bind itself, before any measure draws a trial's noise.
+        # Refused as the target binds, before any trial's noise is drawn.
         monkeypatch.setattr(tensor_lift, "MAX_DENSE_ENTRIES", entries - 1)
-        config = cfg(target=target, params=params)
-        with pytest.raises(LiftSizeError, match=re.escape(named)):
-            TARGETS[target].bind(config.params, config)
+        paths, draw = [], harness._rng.gaussians
+        monkeypatch.setattr(harness._rng, "gaussians", lambda shape, seeds, *path, **kw: (
+            paths.append(path) or draw(shape, seeds, *path, **kw)))
+        with pytest.raises(LiftSizeError, match="^" + re.escape(named)):
+            run_experiment(cfg(target=target, params=params))
+        assert not any("noise" in path for path in paths)
+
+    def test_stacks_fit_under_a_lowered_cap(self, monkeypatch):
+        # A cap of three trials' arrays, below _STACK_ENTRIES: each trial fits,
+        # so ten trials run in stacks of three with the uncapped run's bytes.
+        config = cfg(params={"n": 6, "m": 2, "d": 2}, rho_grid=[0.3], trials=10)
+        uncapped = run_experiment(config)
+        monkeypatch.setattr(tensor_lift, "MAX_DENSE_ENTRIES", 3 * harness._lift_entries(6, 2, 2))
+        sizes, svd = [], harness.stacked_singular_values
+        monkeypatch.setattr(harness, "stacked_singular_values",
+                            lambda A: sizes.append(len(A)) or svd(A))
+        capped = run_experiment(config)
+        assert sizes == [3, 3, 3, 1]
+        assert capped.to_csv() == uncapped.to_csv()
+        assert dump_json(capped.summary()) == dump_json(uncapped.summary())
 
 
 # One small config of each target whose trials report a singular value.
@@ -736,7 +754,7 @@ def test_kron_fold_matches_np_kron_bit_for_bit(d):
 @pytest.mark.parametrize("n, m", [(6, 3), (4, 2), (3, 3)])
 def test_mode_products_match_the_formed_kronecker_product(n, m, d):
     rows = math.ceil(0.5 * math.comb(n + d - 1, d))
-    psi = _random_row_isometry({"n": n, "d": d}, rows, n**d, 3, "operator")
+    psi = _random_row_isometry(rows, n**d, 3, "operator")
     factors = np.random.default_rng([n, m, d]).standard_normal((d, n, m))
     want = kron_operator(psi, factors)
     got = _kron_product(psi, factors)
