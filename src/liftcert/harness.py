@@ -304,6 +304,8 @@ def _bind_thm52(p, config):
     _need(m == 1 or (d < rank.bit_length() and m**d <= rank),
           f"m**d <= ceil(delta*C(n+d-1,d)) = {rank}")
     psi = _random_row_isometry(rank, n**d, config.master_seed, "operator")
+    # In C order, no stack copies psi to fold it; at d = 1, psi @ U rounds by its order.
+    psi = np.ascontiguousarray(psi) if d > 1 else psi
     _check_entries((d, n, m), "the stack of per-mode bases")
     bases = np.array([_make_base(p["base"], n, m, _rng.derive_seed(config.master_seed, "b", j))
                       for j in range(d)])
@@ -359,21 +361,24 @@ def _bind_prop72(p, config):
                      (max(m * _lift_entries(n, ell, 2), n * n * cols),))
 
 
-def _power_sum_need(p) -> None:
-    n2 = math.comb(p["n"] + 1, 2)
-    _need(p["m"] < n2, f"m < N2 = C(n+1,2) = {n2}")
+def _power_sum_instances(p, rank: tuple[str, int] | None = None):
+    """Check m < N2 and any named rank <= C(n+3,4); return rho, seeds -> the instances."""
+    n, m = p["n"], p["m"]
+    n2 = math.comb(n + 1, 2)
+    _need(m < n2, f"m < N2 = C(n+1,2) = {n2}")
+    if rank is not None:
+        rows = math.comb(n + 3, 4)
+        _need(rank[1] <= rows, f"{rank[0]} = {rank[1]} <= C(n+3,4) = {rows}")
+    return lambda rho, seeds: (ps.make_power_sum_instance(n, m, rho, seed) for seed in seeds)
 
 
 def _bind_prop73(p, config):
-    n, m = p["n"], p["m"]
-    want = m * math.comb(n + 1, 2) - math.comb(m, 2)
-    _power_sum_need(p)
-    rows = math.comb(n + 3, 4)
-    _need(want <= rows, f"m*N2 - C(m,2) = {want} <= C(n+3,4) = {rows}")
+    m = p["m"]
+    want = m * math.comb(p["n"] + 1, 2) - math.comb(m, 2)
+    instances = _power_sum_instances(p, ("m*N2 - C(m,2)", want))
 
     def measure(rho, seeds):
-        for seed in seeds:
-            inst = ps.make_power_sum_instance(n, m, rho, seed)
+        for inst in instances(rho, seeds):
             M = ps.build_sym4_IkronA(inst)
             s = singular_values(M)
             rank = _rank_of_values(s, config.threshold)
@@ -385,20 +390,15 @@ def _bind_prop73(p, config):
 
 
 def _bind_lemma74(p, config):
-    _power_sum_need(p)
-
-    def measure(rho, seeds):
-        insts = (ps.make_power_sum_instance(p["n"], p["m"], rho, seed) for seed in seeds)
-        return Spectra(map(ps.build_solution_space_M, insts), -1)
-    return measure
+    instances = _power_sum_instances(p)
+    return lambda rho, seeds: Spectra(map(ps.build_solution_space_M, instances(rho, seeds)), -1)
 
 
 def _bind_claim77(p, config):
-    _power_sum_need(p)
+    instances = _power_sum_instances(p)
 
     def measure(rho, seeds):
-        insts = (ps.make_power_sum_instance(p["n"], p["m"], rho, seed) for seed in seeds)
-        layer = rho / math.sqrt(2.0)
+        insts, layer = instances(rho, seeds), rho / math.sqrt(2.0)
         return Spectra((ps.build_claim_Q(inst, layer, layer) for inst in insts), -1)
     return measure
 
@@ -406,13 +406,10 @@ def _bind_claim77(p, config):
 def _bind_claim76(p, config):
     m = p["m"]
     rank = 2 * m * math.comb(p["n"] + 1, 2) - math.comb(2 * m, 2)
-    _power_sum_need(p)
-    rows = math.comb(p["n"] + 3, 4)
-    _need(rank <= rows, f"2*m*N2 - C(2m,2) = {rank} <= C(n+3,4) = {rows}")
+    instances = _power_sum_instances(p, ("2*m*N2 - C(2m,2)", rank))
 
     def measure(rho, seeds):
-        insts = (ps.make_power_sum_instance(p["n"], m, rho, seed) for seed in seeds)
-        layer = rho / math.sqrt(2.0)
+        insts, layer = instances(rho, seeds), rho / math.sqrt(2.0)
         return Spectra((ps.build_claim_W(inst, layer, layer) for inst in insts), rank - 1)
     return measure
 

@@ -64,7 +64,7 @@ def make_power_sum_instance(n: int, m: int, rho: float, seed: int) -> PowerSumIn
     n2 = math.comb(n + 1, 2)
     if not 1 <= m < n2:
         raise ValueError(f"need 1 <= m < N2 = {n2}")
-    _check_entries((n2, n2), f"the N2 x N2 completion for n = {n}")
+    _check_entries((n2, n2), "the N2 x N2 completion")
     base = _rng.unit_columns((n2, m), seed, "powersum", "base")
     A = base + rho * _rng.gaussians((n2, m), seed, "powersum", "noise")
     if not np.isfinite(A).all():  # LAPACK's SVD with U can loop forever on inf

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from functools import reduce
 from typing import NamedTuple
 
@@ -33,8 +33,8 @@ import numpy as np
 
 # Hard cap on the entries of any array built here; lifts are desk-scale.
 MAX_DENSE_ENTRIES = 2**27
-# Index structures up to this size stay in 32-slot LRU caches; larger ones
-# are rebuilt on each call rather than kept.
+# Index structures of at most this many entries are kept in one LRU cache,
+# ``_kept``; larger ones are built on each call.
 _CACHED_ENTRIES = 2**15
 # Grouped sums gather at most this many entries at a time, so their
 # temporaries stay within a core's cache.
@@ -43,7 +43,7 @@ _TERM_ENTRIES = 2**16
 # has at most this many entries (and the orderings fit the lift), orbit sums
 # otherwise.  In a sweep over d = 2..4 on a 2-vCPU VM with OpenBLAS the
 # dense product won up to about 2k to 9k entries, depending on d.  Being at
-# most _CACHED_ENTRIES, every selector that product takes is cached.
+# most _CACHED_ENTRIES, every selector that product takes is kept.
 _COLUMN_SELECT_ENTRIES = 2**12
 
 
@@ -65,6 +65,28 @@ def _check_entries(shape: tuple[int, ...], what: str) -> None:
         raise LiftSizeError(
             f"{what} would have shape ({dims}), {_shown(entries)} entries, "
             f"above the materialization cap {MAX_DENSE_ENTRIES}")
+
+
+def _frozen(value):
+    """value, with every array in it made read-only: arrays, and the arrays
+    among the items of its tuples and the fields of its dataclasses."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple) or is_dataclass(value):
+        for item in (value if isinstance(value, tuple) else vars(value).values()):
+            _frozen(item)
+    return value
+
+
+@functools.lru_cache(maxsize=128)
+def _kept(build, *key):
+    return _frozen(build(*key))
+
+
+def _shared(build, entries: int, *key):
+    """``build(*key)``, read-only: kept in ``_kept`` while it has at most
+    _CACHED_ENTRIES entries, built on each call otherwise."""
+    return _kept(build, *key) if entries <= _CACHED_ENTRIES else _frozen(build(*key))
 
 
 class _IndexPlan(NamedTuple):
@@ -95,19 +117,14 @@ def _build_plan(n: int, d: int) -> _IndexPlan:
         end = np.column_stack([np.count_nonzero(rows <= v, axis=1) for v in range(n)])
         orbit = np.frompyfunc(math.comb, 2, 1)(end, np.diff(end, prepend=0)).prod(axis=1)
     orbit = np.where(orbit < 2**1024 - 2**970, orbit, math.inf).astype(float)
-    rows.flags.writeable = False
-    orbit.flags.writeable = False
     return _IndexPlan(rows, orbit)
-
-
-_cached_plan = functools.lru_cache(maxsize=32)(_build_plan)
 
 
 def _plan(n: int, d: int) -> _IndexPlan:
     """Multiset index rows over 0..n-1 and their orbit sizes (read-only)."""
     shape = (math.comb(n + d - 1, d), d)
     _check_entries(shape, f"the multiset index rows for n = {n}, d = {d}")
-    return (_cached_plan if math.prod(shape) <= _CACHED_ENTRIES else _build_plan)(n, d)
+    return _shared(_build_plan, math.prod(shape), n, d)
 
 
 def _flat(rows: np.ndarray, n: int) -> np.ndarray:
@@ -135,15 +152,12 @@ def _rank(sorted_rows: np.ndarray, n: int) -> np.ndarray:
 def _members_by_count(labels: np.ndarray, count: np.ndarray) -> tuple:
     """For each member count c: (the labels with c members, a c x labels
     array holding each label's member positions in increasing order).
-    ``count`` is the member count of every label; the arrays are read-only."""
+    ``count`` is the member count of every label."""
     order = np.argsort(labels, kind="stable")
     start = np.cumsum(count) - count
-    groups = tuple((rows, order[start[rows] + np.arange(c)[:, None]])
-                   for c in np.unique(count[count > 0])
-                   for rows in [np.flatnonzero(count == c)])
-    for arr in itertools.chain.from_iterable(groups):
-        arr.flags.writeable = False
-    return groups
+    return tuple((rows, order[start[rows] + np.arange(c)[:, None]])
+                 for c in np.unique(count[count > 0])
+                 for rows in [np.flatnonzero(count == c)])
 
 
 class _Orbits(NamedTuple):
@@ -165,19 +179,14 @@ def _build_orbits(n: int, d: int) -> _Orbits:
         table = np.searchsorted(_flat(plan.rows, n), _flat(np.sort(rows, axis=1), n))
         ids = table.reshape(n, -1)[:, ids].ravel()
     weight = 1.0 / plan.orbit[ids]
-    ids.flags.writeable = False
-    weight.flags.writeable = False
     return _Orbits(ids, weight, _members_by_count(ids, plan.orbit.astype(np.int64)))
-
-
-_cached_orbits = functools.lru_cache(maxsize=32)(_build_orbits)
 
 
 def _orbits(n: int, d: int) -> _Orbits:
     """Orbit ids and weights of the n**d space and the positions of each
     orbit (shared, read-only)."""
     _check_entries((n**d,), f"the orbit ids of the {n}**{d} coordinate space")
-    return (_cached_orbits if n**d <= _CACHED_ENTRIES else _build_orbits)(n, d)
+    return _shared(_build_orbits, n**d, n, d)
 
 
 def _grouped_sum(groups: tuple, count: int, A: np.ndarray, B: np.ndarray | None = None,
@@ -212,12 +221,7 @@ def _grouped_sum(groups: tuple, count: int, A: np.ndarray, B: np.ndarray | None 
 
 
 def _build_labels(n: int, d: int) -> np.ndarray:
-    rows = _plan(n, d).rows + 1
-    rows.flags.writeable = False
-    return rows
-
-
-_cached_labels = functools.lru_cache(maxsize=32)(_build_labels)
+    return _plan(n, d).rows + 1
 
 
 def enumerate_multi_indices(n: int, d: int) -> np.ndarray:
@@ -225,9 +229,7 @@ def enumerate_multi_indices(n: int, d: int) -> np.ndarray:
     read-only row each (the plan rows, 1-based; shared while the plan is)."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be at least 1")
-    shape = (math.comb(n + d - 1, d), d)
-    _check_entries(shape, f"the multiset index rows for n = {n}, d = {d}")
-    return (_cached_labels if math.prod(shape) <= _CACHED_ENTRIES else _build_labels)(n, d)
+    return _shared(_build_labels, math.comb(n + d - 1, d) * d, n, d)
 
 
 def sym_coords(X: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -353,7 +355,8 @@ def _sym_columns(mats: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
         # Held through the product, the factors raised the peak heap enough
         # that glibc trimmed and regrew it on every call (2-3x slower).
         del factors
-        return orderings.reshape(-1, *lead, count).transpose(to_back) @ _cached_selector(m, d)
+        select = _shared(_build_selector, m**d * width, m, d)
+        return orderings.reshape(-1, *lead, count).transpose(to_back) @ select
     head = reduce(khatri_rao, factors[:-1], np.ones((1, factors[-1].shape[1])))
     orbits = _orbits(m, d)
     sums = _grouped_sum(orbits.groups, width, head, factors[-1], orbits.weight)
@@ -444,14 +447,6 @@ def _build_selector(m: int, d: int) -> np.ndarray:
     return select
 
 
-@functools.lru_cache(maxsize=32)
-def _cached_selector(m: int, d: int) -> np.ndarray:
-    """sel_avg(m, d) for the dense product, unchecked, shared and read-only."""
-    select = _build_selector(m, d)
-    select.flags.writeable = False
-    return select
-
-
 @dataclass(frozen=True)
 class SymMergeOperator:
     """Sparse map merging two symmetric coordinate spaces into a higher one.
@@ -475,7 +470,8 @@ class SymMergeOperator:
     @functools.cached_property
     def row_groups(self) -> tuple:
         """The columns of each row: ``_members_by_count`` of ``target``."""
-        return _members_by_count(self.target, np.bincount(self.target, minlength=self.shape[0]))
+        return _frozen(_members_by_count(self.target,
+                                         np.bincount(self.target, minlength=self.shape[0])))
 
     def identity_kron(self, U: np.ndarray) -> np.ndarray:
         """The operator times kron(I, U): slice i (the columns pairing left
@@ -503,12 +499,7 @@ def _build_merge(n: int, k1: int, k2: int) -> SymMergeOperator:
     # Column (I, J), I slow, is the multiset union of left row I and right row J.
     pairs = np.hstack([np.repeat(left.rows, len(right.rows), axis=0),
                        np.tile(right.rows, (len(left.rows), 1))])
-    target = _rank(np.sort(pairs, axis=1), n)
-    target.flags.writeable = False
-    return SymMergeOperator(n=n, k1=k1, k2=k2, target=target)
-
-
-_cached_merge = functools.lru_cache(maxsize=32)(_build_merge)
+    return SymMergeOperator(n=n, k1=k1, k2=k2, target=_rank(np.sort(pairs, axis=1), n))
 
 
 def sym_merge(n: int, k1: int, k2: int) -> SymMergeOperator:
@@ -517,4 +508,4 @@ def sym_merge(n: int, k1: int, k2: int) -> SymMergeOperator:
         raise ValueError("n, k1, k2 must be at least 1")
     columns = math.comb(n + k1 - 1, k1) * math.comb(n + k2 - 1, k2)
     _check_entries((columns, k1 + k2), f"the merge pairs for n = {n}, k1 = {k1}, k2 = {k2}")
-    return (_cached_merge if columns <= _CACHED_ENTRIES else _build_merge)(n, k1, k2)
+    return _shared(_build_merge, columns, n, k1, k2)

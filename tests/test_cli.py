@@ -696,7 +696,7 @@ class TestExperiment:
         # Small copies, under a lowered cap, of a 45150 x 45150 completion, a
         # 100000000 x 3 draw and a 100000 x 100000 base.
         ({"target": "lemma74", "params": {"n": 10, "m": 1}, "cap": 55 * 55 - 1},
-         "the N2 x N2 completion for n = 10 would have shape (55, 55)"),
+         "params n=10, m=1: the N2 x N2 completion would have shape (55, 55)"),
         ({"target": "conj82", "params": {"dim": 3, "r": 2, "N": 1000}, "cap": 2999},
          "a Gaussian draw would have shape (1000, 3)"),
         ({"target": "sigma_basic", "params": {"n": 50, "k": 50}, "cap": 2499},
@@ -921,8 +921,10 @@ class TestExperiment:
         resolved = cli.hs.TARGETS[target].resolve(params)
         named = [f"{name}={value}" for name, value in resolved.items()]
         assert err.startswith(f"error: params {', '.join(named)}: ")
-        for pair in named:
-            assert len(re.findall(rf"(?<![\w.]){re.escape(pair)}(?![\w.])", err)) == 1
+        # Once in either form: "n=300" in the prefix, or "n = 300" in a message.
+        for name, value in resolved.items():
+            pair = rf"{re.escape(name)} ?= ?{re.escape(str(value))}"
+            assert len(re.findall(rf"(?<![\w.]){pair}(?![\w.])", err)) == 1, name
         assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
 
     def test_memory_error_is_an_internal_error(self, tmp_path, capsys, monkeypatch):

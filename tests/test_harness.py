@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from functools import reduce
 from pathlib import Path
 
@@ -370,6 +371,25 @@ class TestFixedBaseMeasure:
         single = run_experiment(config)
         assert smoothed_run.to_csv() == single.to_csv()
         assert dump_json(smoothed_run.summary()) == dump_json(single.summary())
+
+    def test_thm52_trial_peaks_within_its_declared_arrays(self, monkeypatch):
+        # An F-ordered operator was copied whole to fold it, on every stack:
+        # this trial peaked at 0.204 MB against 1400 declared entries.
+        config = cfg(target="thm52", params={"n": 5, "m": 2, "d": 4}, trials=1)
+        declared, smoothed = [], harness._smoothed
+        monkeypatch.setattr(harness, "_smoothed", lambda bases, build, k, per_trial, *args, **kw:
+                            declared.append(math.prod(per_trial)) or smoothed(
+                                bases, build, k, per_trial, *args, **kw))
+        measure = TARGETS["thm52"].bind(config.params, config)
+        assert declared == [35 * 5 * 2**3]
+        harness._read(measure(0.3, [1]))
+        tracemalloc.start()
+        try:
+            harness._read(measure(0.3, [2]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * declared[0]
 
     @pytest.mark.parametrize("target, params, entries, named", [
         # Under a cap one entry below a trial's arrays, with its bases and

@@ -204,15 +204,49 @@ class TestDenseSizeGuard:
         assert np.abs(sym_kron(mats) - ref_sym_kron(mats)).max() <= 1e-12
 
     def test_large_index_arrays_are_not_cached(self, monkeypatch):
-        def lookups():
-            return [cached.cache_info().hits + cached.cache_info().misses
-                    for cached in (tensor_lift._cached_plan, tensor_lift._cached_orbits)]
-
         monkeypatch.setattr(tensor_lift, "_CACHED_ENTRIES", 10)
-        before = lookups()
+        before = tensor_lift._kept.cache_info()
         v = np.random.default_rng(2).standard_normal(4**3)
         assert np.abs(sym_project(v, 4, 3) - ref_sym_project(v, 4, 3)).max() <= 1e-12
-        assert lookups() == before
+        assert tensor_lift._kept.cache_info() == before
+
+    def test_index_structures_are_read_only_whether_kept_or_built(self, monkeypatch):
+        # A 5 x 2 lift at d = 3 fetches plans, the (2, 3) labels and selector
+        # (and its orbits, when it is built); the merge fetches its own plans
+        # and operator, and the projection its orbits.
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, tuple):
+                for item in value:
+                    yield from arrays(item)
+            elif isinstance(value, tensor_lift.SymMergeOperator):
+                yield value.target
+                yield from arrays(value.row_groups)
+
+        def fetch():
+            fetched.clear()
+            lift = sym_lift(np.random.default_rng(4).standard_normal((5, 2)), 3)
+            merge = sym_merge(3, 1, 2)
+            sym_project(np.ones(27), 3, 3)
+            return lift.means, merge, fetched.copy()
+
+        fetched, shared = [], tensor_lift._shared
+        monkeypatch.setattr(tensor_lift, "_shared", lambda build, entries, *key: fetched.append(
+            (build, shared(build, entries, *key))) or fetched[-1][1])
+        builds = {tensor_lift._build_plan, tensor_lift._build_orbits, tensor_lift._build_labels,
+                  tensor_lift._build_selector, tensor_lift._build_merge}
+        means, merge, kept = fetch()
+        assert sym_merge(3, 1, 2) is merge
+        info = tensor_lift._kept.cache_info()
+        monkeypatch.setattr(tensor_lift, "_CACHED_ENTRIES", 0)
+        built_means, built_merge, built = fetch()
+        assert tensor_lift._kept.cache_info() == info
+        assert built_merge is not merge and built_means.tobytes() == means.tobytes()
+        for results in (kept, built):
+            assert {build for build, _ in results} == builds
+            for build, result in results:
+                assert all(not a.flags.writeable for a in arrays(result)), build.__name__
 
     def test_orbit_ids_are_built_without_the_index_rows(self):
         for n, d in [(1, 5), (2, 10), (3, 4), (6, 4), (5, 1)]:
@@ -507,8 +541,11 @@ class TestSelAvg:
         U = np.random.default_rng(4).standard_normal((5, 2))
         assert tensor_lift._dense_select(5, 2, 3, math.comb(7, 3))
         first = sym_lift(U, 3)
-        select, order = tensor_lift._cached_selector(2, 3), enumerate_multi_indices(2, 3)
-        assert tensor_lift._cached_selector(2, 3) is select
+        # The lift's selector is the one kept for (2, 3): fetching it misses nothing.
+        misses = tensor_lift._kept.cache_info().misses
+        select = tensor_lift._kept(tensor_lift._build_selector, 2, 3)
+        order = enumerate_multi_indices(2, 3)
+        assert tensor_lift._kept.cache_info().misses == misses
         assert first.column_order is order is enumerate_multi_indices(2, 3)
         assert not select.flags.writeable and not order.flags.writeable
         S = sel_avg(2, 3)
