@@ -4,16 +4,17 @@ An experiment is (target, params, rho_grid, trials, master_seed, threshold).
 ``TARGETS`` declares each target's params, which a config checks by name when
 it is built, and a bind function that checks the dimension budget before any
 trial.  Each trial derives its own random stream from (master_seed, trial
-index).  The bound measure is called once per rho with all of that rho's
-trial seeds.  ``_read`` takes every singular value a target reports, each
-matrix or stack of its ``Spectra`` decomposed as it is read; ``_smoothed``
-measures the fixed-base targets (thm51, cor53, thm52, prop72, conj81, conj82,
-sigma_basic) in stacks with the bytes of one trial at a time, and at rho 0
-(const_control's only scale) once for all trials.  ``run_experiment`` names
-every resolved param in each refusal raised as a target binds or measures;
-no target names them itself.  Everything runs in one thread, and the
-aggregation is a fold over trial index.  A trial's noise is keyed by its seed
-only, never by rho, so comparisons across a rho grid are paired by construction.
+index).  A bound target is a ``Measure`` of three stages, draw, build and
+read; ``run_experiment`` alone calls them, per rho on all of its trial seeds.
+``_at`` reads singular value k of a matrix or stack in one stacked SVD;
+``_smoothed`` measures the fixed-base targets (thm51, cor53, thm52, prop72,
+conj81, conj82, sigma_basic, const_control, certify) in stacks with the bytes
+of one trial at a time, and at scale 0 (every rho of const_control) once for
+all trials.  ``run_experiment`` names every resolved param in each refusal
+raised as a target binds or measures; no target names them itself.
+Everything runs in one thread, and the aggregation is a fold over trial
+index.  A trial's noise is keyed by its seed only, never by rho, so
+comparisons across a rho grid are paired by construction.
 
 Output contract: one CSV row per trial plus a JSON summary, both
 byte-reproducible for a fixed config (timings never enter the files).
@@ -36,10 +37,10 @@ from . import rng as _rng
 from . import tensor_lift
 from .matrixio import format_float
 from .spectral import (DEFAULT_RTOL, NonFiniteMatrixError, _rank_of_values, jacobian_khatri_rao,
-                       singular_values, stacked_singular_values)
+                       stacked_singular_values)
 from .stats import quantile_summary, wilson_interval
 from .tensor_lift import _check_entries, _lift_entries, _shown, khatri_rao, sym_lift
-from .varieties import certify, orthonormalize_basis, variety_from_spec
+from .varieties import apply_to_lift, orthonormalize_basis, variety_from_spec
 
 REQUIRED = object()
 # A rho's trials are measured in stacks of at most this many entries per
@@ -62,11 +63,9 @@ class Param(NamedTuple):
 
 
 class Target(NamedTuple):
-    """``bind(resolved params, config)`` returns ``measure(rho, seeds)``, called
-    once per rho with its trials' seeds: Spectra, or their values read, for a
-    target that reports a singular value, else ``(sigma, threshold or None,
-    passed or None)`` per seed in order, None for the config's threshold and
-    ``sigma >= threshold``.  A default ``threshold`` marks a ``liftcert powersum`` check."""
+    """``bind(resolved params, config)`` checks the dimension budget and returns
+    the target's ``Measure``.  A default ``threshold`` marks a ``liftcert
+    powersum`` check."""
 
     params: dict
     bind: Callable
@@ -90,14 +89,18 @@ class Target(NamedTuple):
         return out
 
 
-class Spectra(NamedTuple):
-    """A rho's matrices in seed order as an iterable that builds each matrix,
-    or (trials, rows, cols) stack of them, as it is read, and the index ``k``
-    (-1 the least) of the singular value each trial measures against ``threshold``."""
+class Measure(NamedTuple):
+    """A bound target's stages.  ``draw(rho, seeds)`` yields, in seed order,
+    ``(inputs, trials)``: one run's inputs and how many trials it stands for.
+    ``build(inputs)`` makes the run's matrix or stack; ``read(A, inputs, rho)``
+    gives ``(sigma, threshold or None, passed or None)`` per matrix, None for the
+    config's threshold and ``sigma >= threshold``.  A run of one matrix is read
+    once for all its trials.  ``extras`` go into the summary."""
 
-    mats: object
-    k: int
-    threshold: float | None = None
+    draw: Callable
+    build: Callable
+    read: Callable
+    extras: dict = {}
 
 
 def _typed(what: str, value, kind: type, low: int | None = None):
@@ -212,37 +215,40 @@ def _need(ok: bool, rule: str) -> None:
         raise ValueError(f"the dimension budget {rule} does not hold")
 
 
-def _smoothed(bases: np.ndarray, build, k: int, per_trial: tuple, path: tuple = ("noise",),
-              perturb=np.add, threshold=lambda scale: None):
-    """A measure whose trial matrix is ``build`` of ``perturb(bases, scale * noise)``,
-    read at singular value k against ``threshold(scale)``; base j of a stack draws
-    noise keyed ``(seed, *path, j)``, one base ``(seed, *path)``.  ``per_trial``, the
-    shape of one trial's largest array, is checked against the cap now, and a stack
-    holds as many trials as fit in ``_STACK_ENTRIES`` entries, or the cap if less, so no
-    stack can pass it.  Scale 0 draws nothing: all seeds read ``build(bases[None])``."""
+def _at(k: int, threshold=lambda rho: None) -> Callable:
+    """The read of singular value k (-1 the least) of each matrix of a stack,
+    in one stacked SVD, against ``threshold(rho)``."""
+    return lambda A, inputs, rho: [(float(s), threshold(rho), None)
+                                   for s in stacked_singular_values(A)[..., k].flat]
+
+
+def _each(make) -> Callable:
+    """The draw of one run per seed, of one trial: ``make(rho, seed)``."""
+    return lambda rho, seeds: ((make(rho, seed), 1) for seed in seeds)
+
+
+def _smoothed(bases: np.ndarray, build, read, per_trial: tuple, path: tuple = ("noise",),
+              perturb=np.add, scale=lambda rho: rho) -> Measure:
+    """The measure whose trial matrix is ``build`` of ``perturb(bases, scale(rho) *
+    noise)``; base j of a stack draws noise keyed ``(seed, *path, j)``, one base
+    ``(seed, *path)``.  ``per_trial``, the shape of one trial's largest array, is
+    checked against the cap now, and a stack holds as many trials as fit in
+    ``_STACK_ENTRIES`` entries, or the cap if less, so no stack can pass it.  Scale 0
+    draws nothing: its one run, ``bases[None]``, stands for every trial."""
     _check_entries(per_trial, "one trial's arrays")
 
-    def stacks(scale, seeds):
+    def draw(rho, seeds):
+        factor = scale(rho)
+        if factor == 0:
+            yield bases[None], len(seeds)
+            return
         step = max(1, min(_STACK_ENTRIES, tensor_lift.MAX_DENSE_ENTRIES) // math.prod(per_trial))
         for start in range(0, len(seeds), step):
             chunk = seeds[start:start + step]
             noise = _rng.gaussians(bases.shape[-2:], chunk, *path,
                                    stack=len(bases) if bases.ndim == 3 else None)
-            yield build(perturb(bases, scale * noise))
-
-    return lambda scale, seeds: (
-        _read(Spectra([build(bases[None])], k, threshold(scale))) * len(seeds) if scale == 0
-        else Spectra(stacks(scale, seeds), k, threshold(scale)))
-
-
-def _read(measured) -> list:
-    """A measure's ``(sigma, threshold, passed)`` per trial: each matrix or
-    stack of Spectra decomposed as it is read; other measures as they are."""
-    if not isinstance(measured, Spectra):
-        return measured
-    mats, k, threshold = measured
-    return [(float(s), threshold, None)
-            for A in mats for s in stacked_singular_values(A)[..., k].flat]
+            yield perturb(bases, factor * noise), len(chunk)
+    return Measure(draw, build, read)
 
 
 def _lift_rank(p) -> int:
@@ -274,7 +280,7 @@ def _bind_lift(p, config):
         # as np.vstack leaves them: BLAS rounds the two orders differently.
         lifts = coords.transpose(0, 2, 1, 3).reshape(len(U), -1, k).swapaxes(-1, -2)
         return lifts @ phi.T
-    return _smoothed(bases, build, k - 1, (blocks * _lift_entries(n, m, d),))
+    return _smoothed(bases, build, _at(k - 1), (blocks * _lift_entries(n, m, d),))
 
 
 def _kron(P: np.ndarray, F: np.ndarray) -> np.ndarray:  # np.kron's one product per entry
@@ -310,25 +316,26 @@ def _bind_thm52(p, config):
     bases = np.array([_make_base(p["base"], n, m, _rng.derive_seed(config.master_seed, "b", j))
                       for j in range(d)])
     # The mode products' largest arrays: T, the result and the folded rest.
-    return _smoothed(bases, lambda factors: _kron_product(psi, factors.swapaxes(0, 1)),
-                     m**d - 1, (max(rank * n * m ** (d - 1), rank * m**d, (n * m) ** (d - 1)),))
+    return _smoothed(bases, lambda F: _kron_product(psi, F.swapaxes(0, 1)), _at(m**d - 1),
+                     (max(rank * n * m ** (d - 1), rank * m**d, (n * m) ** (d - 1)),))
 
 
 def _bind_certify(p, config):
     op = variety_from_spec(p["variety"])
     m, planted = p["m"], p["planted"]
-    _need(math.comb(m + op.d - 1, op.d) <= op.p, f"C(m+d-1,d) <= p = {op.p} generators")
+    cols = math.comb(m + op.d - 1, op.d)
+    _need(cols <= op.p, f"C(m+d-1,d) <= p = {op.p} generators")
+    # sym_lift's refusal, made now: a trial's basis and forms are no larger than its lift.
+    _check_entries((math.comb(op.n + op.d - 1, op.d), cols),
+                   f"the symmetrized lift with n = {op.n}, m = {m}, d = {op.d}")
     base = _rng.unit_columns((op.n, m), config.master_seed, "base")
 
-    def measure(rho, seeds):
-        for seed in seeds:
-            B = base + rho * _rng.gaussians((op.n, m), seed, "noise")
-            if planted:
-                B[:, 0] = 0.0
-                B[0, 0] = 1.0
-            Q = orthonormalize_basis(B, keep_first=planted)
-            yield certify(op, Q).eta, None, None
-    return measure
+    def build(B):
+        if planted:  # e_0 first, in a new array: at scale 0 B is a view of the base
+            B = np.where(np.arange(m) == 0, np.eye(op.n, 1), B)
+        return np.array([apply_to_lift(op, orthonormalize_basis(b, keep_first=planted)) for b in B])
+    # certify's eta.  Stacks hold bases and forms; each lift is built alone.
+    return _smoothed(base, build, _at(-1), (max(op.n * m, op.p * cols),))
 
 
 def _bind_prop71(p, config):
@@ -342,10 +349,8 @@ def _bind_prop71(p, config):
     _check_entries((n**6, math.comb(m + 2, 3)), "the order-6 projection")
     _check_entries((n**6, 6), "the index rows of the order-6 projection")
 
-    def measure(rho, seeds):
-        cols = (ps.make_symmetric_columns(n, m, rho, seed) for seed in seeds)
-        return Spectra((ps.symmetric_cube_lift(C, n) for C in cols), -1)
-    return measure
+    return Measure(_each(lambda rho, seed: ps.make_symmetric_columns(n, m, rho, seed)),
+                   lambda C: ps.symmetric_cube_lift(C, n), _at(-1))
 
 
 def _bind_prop72(p, config):
@@ -357,61 +362,51 @@ def _bind_prop72(p, config):
                       for B in _rng.gaussians((n, n), config.master_seed, "base", stack=m)])
     # The lifts' largest arrays and the block matrix.
     cols = m * math.comb(ell + 1, 2) + m
-    return _smoothed(bases, lambda mats: ps.build_projected_V(mats, ell), -1,
+    return _smoothed(bases, lambda mats: ps.build_projected_V(mats, ell), _at(-1),
                      (max(m * _lift_entries(n, ell, 2), n * n * cols),))
 
 
 def _power_sum_instances(p, rank: tuple[str, int] | None = None):
-    """Check m < N2 and any named rank <= C(n+3,4); return rho, seeds -> the instances."""
+    """Check m < N2 and any named rank <= C(n+3,4); return the draw of one instance per seed."""
     n, m = p["n"], p["m"]
     n2 = math.comb(n + 1, 2)
     _need(m < n2, f"m < N2 = C(n+1,2) = {n2}")
     if rank is not None:
         rows = math.comb(n + 3, 4)
         _need(rank[1] <= rows, f"{rank[0]} = {rank[1]} <= C(n+3,4) = {rows}")
-    return lambda rho, seeds: (ps.make_power_sum_instance(n, m, rho, seed) for seed in seeds)
+    return _each(lambda rho, seed: ps.make_power_sum_instance(n, m, rho, seed))
 
 
 def _bind_prop73(p, config):
     m = p["m"]
     want = m * math.comb(p["n"] + 1, 2) - math.comb(m, 2)
-    instances = _power_sum_instances(p, ("m*N2 - C(m,2)", want))
 
-    def measure(rho, seeds):
-        for inst in instances(rho, seeds):
-            M = ps.build_sym4_IkronA(inst)
-            s = singular_values(M)
-            rank = _rank_of_values(s, config.threshold)
-            witness_ok = bool(
-                np.linalg.norm(M @ ps.antisym_witnesses(inst), axis=0).max()
-                <= config.threshold) if m > 1 else True
-            yield float(s[want - 1]), None, bool(rank == want and witness_ok)
-    return measure
+    def read(M, inst, rho):
+        s = stacked_singular_values(M)
+        rank = _rank_of_values(s, config.threshold)
+        witness_ok = bool(
+            np.linalg.norm(M @ ps.antisym_witnesses(inst), axis=0).max()
+            <= config.threshold) if m > 1 else True
+        return [(float(s[want - 1]), None, bool(rank == want and witness_ok))]
+    return Measure(_power_sum_instances(p, ("m*N2 - C(m,2)", want)), ps.build_sym4_IkronA, read)
 
 
 def _bind_lemma74(p, config):
-    instances = _power_sum_instances(p)
-    return lambda rho, seeds: Spectra(map(ps.build_solution_space_M, instances(rho, seeds)), -1)
+    return Measure(_power_sum_instances(p), ps.build_solution_space_M, _at(-1))
 
 
 def _bind_claim77(p, config):
-    instances = _power_sum_instances(p)
-
-    def measure(rho, seeds):
-        insts, layer = instances(rho, seeds), rho / math.sqrt(2.0)
-        return Spectra((ps.build_claim_Q(inst, layer, layer) for inst in insts), -1)
-    return measure
+    # claim77 and claim76 split the noise into two layers of rho / sqrt(2).
+    return Measure(_power_sum_instances(p), lambda inst: ps.build_claim_Q(
+        inst, inst.rho / math.sqrt(2.0), inst.rho / math.sqrt(2.0)), _at(-1))
 
 
 def _bind_claim76(p, config):
     m = p["m"]
     rank = 2 * m * math.comb(p["n"] + 1, 2) - math.comb(2 * m, 2)
-    instances = _power_sum_instances(p, ("2*m*N2 - C(2m,2)", rank))
-
-    def measure(rho, seeds):
-        insts, layer = instances(rho, seeds), rho / math.sqrt(2.0)
-        return Spectra((ps.build_claim_W(inst, layer, layer) for inst in insts), rank - 1)
-    return measure
+    return Measure(_power_sum_instances(p, ("2*m*N2 - C(2m,2)", rank)),
+                   lambda inst: ps.build_claim_W(inst, inst.rho / math.sqrt(2.0),
+                                                 inst.rho / math.sqrt(2.0)), _at(rank - 1))
 
 
 def _bind_conj81(p, config):
@@ -419,11 +414,10 @@ def _bind_conj81(p, config):
     _need(s * math.comb(m + d - 1, d) <= math.comb(n + d - 1, d), "s*C(m+d-1,d) <= C(n+d-1,d)")
     bases = ps.make_clustering_bases(n, m, s, config.master_seed, shared_base=p["shared_base"])
     # Entrywise variance rho^2 / n (none for the duplicate control), then re-orthonormalized.
-    smoothed = _smoothed(bases, lambda U: ps.build_block_lift(U, d), -1,
-                         (s * _lift_entries(n, m, d),), ("cluster", "noise"),
-                         lambda B, noise: np.linalg.qr(B + noise)[0])
-    duplicate = p["control"] == "duplicate"
-    return lambda rho, seeds: smoothed(0.0 if duplicate else rho / math.sqrt(n), seeds)
+    return _smoothed(bases, lambda U: ps.build_block_lift(U, d), _at(-1),
+                     (s * _lift_entries(n, m, d),), ("cluster", "noise"),
+                     lambda B, noise: np.linalg.qr(B + noise)[0],
+                     lambda rho: 0.0 if p["control"] == "duplicate" else rho / math.sqrt(n))
 
 
 def _bind_conj82(p, config):
@@ -431,7 +425,7 @@ def _bind_conj82(p, config):
     base = _rng.gaussians((N, dim), config.master_seed, "points")
     base /= np.linalg.norm(base, axis=1, keepdims=True)
     # A trial's largest array is the gather of its monomial factors.
-    return _smoothed(base, lambda pts: ps.build_power_matrix(pts, r), -1,
+    return _smoothed(base, lambda pts: ps.build_power_matrix(pts, r), _at(-1),
                      (N, math.comb(dim + r - 1, r), r))
 
 
@@ -456,12 +450,12 @@ def _bind_caa_probe(p, config):
     base = np.array([_rng.unit_columns((n, m), seed0, "baseU"),
                      _rng.unit_columns((n, m), seed0, "baseV")])
 
-    def combo_norm(seed) -> float:
-        alpha, U, V = _probe_trial(base, rho, seed, k)
-        return float(np.linalg.norm(khatri_rao(U, V) @ (delta * alpha)))
+    def combo(trial) -> np.ndarray:
+        alpha, U, V = trial
+        return khatri_rao(U, V) @ (delta * alpha)
 
-    pilot = sorted(combo_norm(_rng.derive_seed(seed0, "pilot", t))
-                   for t in range(p["pilot_trials"]))
+    pilot = sorted(float(np.linalg.norm(combo(_probe_trial(
+        base, rho, _rng.derive_seed(seed0, "pilot", t), k)))) for t in range(p["pilot_trials"]))
     pilot_median = pilot[p["pilot_trials"] // 2]
     if not math.isfinite(pilot_median):
         raise NonFiniteMatrixError(f"pilot median combination norm is {pilot_median}")
@@ -469,14 +463,11 @@ def _bind_caa_probe(p, config):
         raise ValueError("degenerate pilot: median combination norm is zero")
     lambda_hat = delta / pilot_median
 
-    def measure(h, seeds):
-        thresh = delta * h / lambda_hat
-        for seed in seeds:
-            value = combo_norm(seed)
-            yield value, thresh, bool(value >= thresh)
-    measure.lambda_hat = lambda_hat
-    measure.delta = delta
-    return measure
+    def read(v, trial, h):
+        value, thresh = float(np.linalg.norm(v)), delta * h / lambda_hat
+        return [(value, thresh, bool(value >= thresh))]
+    return Measure(_each(lambda h, seed: _probe_trial(base, rho, seed, k)), combo, read,
+                   {"lambda_hat": lambda_hat, "delta": delta})
 
 
 def _bind_jacobian_probe(p, config):
@@ -486,12 +477,12 @@ def _bind_jacobian_probe(p, config):
                      _rng.gaussians((n, m), config.master_seed, "baseV")])
     need = math.ceil(n * k / 2)
 
-    def measure(rho, seeds):
-        for seed in seeds:
-            s = singular_values(jacobian_khatri_rao(*_probe_trial(base, rho, seed, k)))
-            count = _rank_of_values(s, max(p["tau_factor"] * rho, DEFAULT_RTOL * s[0]))
-            yield float(count), float(need), bool(count >= need)
-    return measure
+    def read(J, trial, rho):
+        s = stacked_singular_values(J)
+        count = _rank_of_values(s, max(p["tau_factor"] * rho, DEFAULT_RTOL * s[0]))
+        return [(float(count), float(need), bool(count >= need))]
+    return Measure(_each(lambda rho, seed: _probe_trial(base, rho, seed, k)),
+                   lambda trial: jacobian_khatri_rao(*trial), read)
 
 
 def _bind_sigma_basic(p, config):
@@ -499,13 +490,13 @@ def _bind_sigma_basic(p, config):
     order = math.ceil(k / 2)
     _need(order <= min(n, k), "ceil(k/2) <= min(n,k)")
     return _smoothed(_make_base(p["base"], n, k, config.master_seed), lambda V: delta * V,
-                     order - 1, (n, k), threshold=lambda rho: p["h"] * rho * delta)
+                     _at(order - 1, lambda rho: p["h"] * rho * delta), (n, k))
 
 
 def _bind_const_control(p, config):
     shape = (p["n"], p["m"])
-    measure = _smoothed(_rng.gaussians(shape, config.master_seed, "const"), lambda A: A, -1, shape)
-    return lambda rho, seeds: measure(0.0, seeds)
+    return _smoothed(_rng.gaussians(shape, config.master_seed, "const"), lambda A: A, _at(-1),
+                     shape, scale=lambda rho: 0.0)
 
 
 _N_M = {"n": Param(int), "m": Param(int)}
@@ -582,10 +573,10 @@ class ExperimentResult:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run all trials of the configured target over its rho grid.
 
-    Per rho: measure every trial's seed in one call, check each value finite
-    (``NonFiniteMatrixError`` otherwise), compare with the threshold.  The
-    aggregate carries pass counts, Wilson 95% intervals, and singular
-    value quantiles; acceptance (when ``min_passes`` is set) requires the raw
+    Per rho: draw the trials' runs, build and read each as it is drawn, check
+    each value finite (``NonFiniteMatrixError`` otherwise), compare with the
+    threshold.  The aggregate carries pass counts, Wilson 95% intervals, and
+    singular value quantiles; acceptance (when ``min_passes`` is set) requires the raw
     pass count at every grid point.
 
     A usage error (a ``ValueError`` neither arithmetic nor a ``LinAlgError``)
@@ -595,12 +586,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     seeds = [_rng.derive_seed(config.master_seed, "trial", t) for t in range(config.trials)]
     reports: list[TrialReport] = []
     per_rho = []
+
+    def reads(measure, rho):
+        for inputs, trials in measure.draw(rho, seeds):
+            read = measure.read(measure.build(inputs), inputs, rho)
+            yield from read * trials if len(read) == 1 else read
     try:
         measure = TARGETS[config.target].bind(config.params, config)
         for rho in config.rho_grid:
             rows = []
             for t, (seed, (sigma, thresh, passed)) in enumerate(
-                    zip(seeds, _read(measure(rho, seeds)), strict=True)):
+                    zip(seeds, reads(measure, rho), strict=True)):
                 thresh = config.threshold if thresh is None else thresh
                 if not (math.isfinite(sigma) and math.isfinite(thresh)):
                     raise NonFiniteMatrixError(f"trial {t} at rho {rho} measured {sigma} "
@@ -619,10 +615,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             raise
         named = ", ".join(f"{name}={value}" for name, value in config.params.items())
         raise type(exc)(f"params {named}: {exc}") from exc
-    extras = {attr: float(getattr(measure, attr)) for attr in ("lambda_hat", "delta")
-              if hasattr(measure, attr)}
     result = ExperimentResult(config=config, reports=reports, per_rho=per_rho,
-                              extras=extras)
+                              extras=dict(measure.extras))
     if config.study == "scaling":
         result.extras["scaling"] = _scaling_flags(config, per_rho)
     return result

@@ -205,6 +205,14 @@ def orthonormalize_basis(B: np.ndarray, keep_first: bool = False) -> np.ndarray:
     return Q
 
 
+def apply_to_lift(op: VarietyOperator, basis: np.ndarray) -> np.ndarray:
+    """The operator's forms on the lift of an n x m basis: p x C(m+d-1, d)."""
+    means = sym_lift(basis, op.d).means
+    step = max(1, _TERM_ENTRIES // (op.rows.shape[1] * means.shape[1]))  # forms per gather
+    return np.vstack([np.einsum("ft,ftc->fc", op.weights[f:f + step], means[op.rows[f:f + step]])
+                      for f in range(0, op.p, step)])
+
+
 def certify(op: VarietyOperator, basis: np.ndarray, tolerance: float = 1e-9) -> CertificateReport:
     """Least singular value of the operator applied to the basis lift.
 
@@ -226,10 +234,7 @@ def certify(op: VarietyOperator, basis: np.ndarray, tolerance: float = 1e-9) -> 
     lifted_cols = math.comb(m + op.d - 1, op.d)
     if lifted_cols > op.p:
         raise ValueError(f"lift has {lifted_cols} columns but the operator rank budget is {op.p}")
-    means = sym_lift(basis, op.d).means
-    step = max(1, _TERM_ENTRIES // (op.rows.shape[1] * means.shape[1]))  # forms per gather
-    lifted = np.vstack([np.einsum("ft,ftc->fc", op.weights[f:f + step], means[op.rows[f:f + step]])
-                       for f in range(0, op.p, step)])
+    lifted = apply_to_lift(op, basis)
     s = singular_values(lifted)
     eta = float(s[-1])
     floor = max(lifted.shape) * np.finfo(float).eps * s[0]

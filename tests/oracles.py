@@ -7,8 +7,11 @@ dense generator matrix with the certificate read off its dense product, the
 Kronecker product that thm52's operator is applied to, the measures of the
 targets that report a singular value taken one trial at a time with
 ``singular_values(...)[k]``, the conj82 measure with its multinomial
-coefficients computed exactly, and the jacobian_probe count taken as the
-singular values at or above ``tau_factor * rho``.
+coefficients computed exactly, the jacobian_probe count taken as the
+singular values at or above ``tau_factor * rho``, and the certify, prop73
+and caa_probe measures as they were written before every target became a
+draw, a build and a read: ``measure(rho, seeds)`` generators, certify's
+through ``varieties.certify``.
 """
 
 import itertools
@@ -18,10 +21,12 @@ from functools import reduce
 import numpy as np
 
 from liftcert import powersum, rng
-from liftcert.harness import _kron, _kron_product, _make_base, _need, _random_row_isometry
+from liftcert.harness import (Measure, _kron, _kron_product, _make_base, _need, _probe_trial,
+                              _random_row_isometry)
 from liftcert.matrixio import format_float
-from liftcert.spectral import jacobian_khatri_rao, singular_values
-from liftcert.tensor_lift import _check_entries, _orbits, _rank, sym_lift
+from liftcert.spectral import _rank_of_values, jacobian_khatri_rao, singular_values
+from liftcert.tensor_lift import _check_entries, _orbits, _rank, khatri_rao, sym_lift
+from liftcert.varieties import certify, orthonormalize_basis, variety_from_spec
 
 
 def sym_projector_matrix(n: int, d: int) -> np.ndarray:
@@ -90,12 +95,23 @@ def kron_operator(psi: np.ndarray, factors) -> np.ndarray:
 
 
 def per_trial(bind):
-    """A bind whose measure takes one seed, made a bind whose measure takes
-    a rho's seeds and measures them in order."""
+    """A bind whose measure takes one seed, made a bind whose Measure draws
+    each seed as a run of its own and reads it with that measure."""
     def bind_seeds(p, config):
         measure = bind(p, config)
-        return lambda rho, seeds: [measure(rho, s) for s in seeds]
+        return Measure(lambda rho, seeds: ((s, 1) for s in seeds), lambda seed: seed,
+                       lambda seed, _, rho: [measure(rho, seed)])
     return bind_seeds
+
+
+def per_rho(bind):
+    """A bind whose measure takes all of a rho's seeds, made a bind whose
+    Measure reads them as one run; the measure's attributes are its extras."""
+    def bind_rho(p, config):
+        measure = bind(p, config)
+        return Measure(lambda rho, seeds: [(seeds, len(seeds))], lambda seeds: seeds,
+                       lambda seeds, _, rho: list(measure(rho, seeds)), dict(vars(measure)))
+    return bind_rho
 
 
 def per_trial_lift(p, config):
@@ -254,4 +270,68 @@ def per_trial_jacobian_probe(p, config):
         s = singular_values(jacobian_khatri_rao(alpha, U, V))
         count = int(np.count_nonzero(s >= p["tau_factor"] * rho))
         return float(count), float(need), count >= need
+    return measure
+
+
+def seeds_certify(p, config):
+    """certify measured one seed at a time: ``varieties.certify(op, Q).eta``
+    of the perturbed base, its first column planted at e_0 if asked."""
+    op = variety_from_spec(p["variety"])
+    m, planted = p["m"], p["planted"]
+    base = rng.unit_columns((op.n, m), config.master_seed, "base")
+
+    def measure(rho, seeds):
+        for seed in seeds:
+            B = base + rho * rng.gaussians((op.n, m), seed, "noise")
+            if planted:
+                B[:, 0] = 0.0
+                B[0, 0] = 1.0
+            Q = orthonormalize_basis(B, keep_first=planted)
+            yield certify(op, Q).eta, None, None
+    return measure
+
+
+def seeds_prop73(p, config):
+    """prop73 measured one seed at a time: sigma_want of the merged block,
+    passed when its rank is want and it annihilates the witnesses."""
+    n, m = p["n"], p["m"]
+    want = m * math.comb(n + 1, 2) - math.comb(m, 2)
+
+    def measure(rho, seeds):
+        for seed in seeds:
+            inst = powersum.make_power_sum_instance(n, m, rho, seed)
+            M = powersum.build_sym4_IkronA(inst)
+            s = singular_values(M)
+            rank = _rank_of_values(s, config.threshold)
+            witness_ok = bool(
+                np.linalg.norm(M @ powersum.antisym_witnesses(inst), axis=0).max()
+                <= config.threshold) if m > 1 else True
+            yield float(s[want - 1]), None, bool(rank == want and witness_ok)
+    return measure
+
+
+def seeds_caa_probe(p, config):
+    """caa_probe measured one seed at a time against its pilot calibration;
+    lambda_hat and delta ride on the measure as attributes."""
+    n, m, k, rho = p["n"], p["m"], p["k"], p["rho"]
+    seed0 = config.master_seed
+    delta = 1.0 / math.sqrt(k)
+    base = np.array([rng.unit_columns((n, m), seed0, "baseU"),
+                     rng.unit_columns((n, m), seed0, "baseV")])
+
+    def combo_norm(seed) -> float:
+        alpha, U, V = _probe_trial(base, rho, seed, k)
+        return float(np.linalg.norm(khatri_rao(U, V) @ (delta * alpha)))
+
+    pilot = sorted(combo_norm(rng.derive_seed(seed0, "pilot", t))
+                   for t in range(p["pilot_trials"]))
+    lambda_hat = delta / pilot[p["pilot_trials"] // 2]
+
+    def measure(h, seeds):
+        thresh = delta * h / lambda_hat
+        for seed in seeds:
+            value = combo_norm(seed)
+            yield value, thresh, bool(value >= thresh)
+    measure.lambda_hat = lambda_hat
+    measure.delta = delta
     return measure

@@ -9,17 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftcert import harness, rng, tensor_lift
+from liftcert import harness, rng, tensor_lift, varieties
 from liftcert.harness import (REQUIRED, TARGETS, ExperimentConfig, Target, _kron,
                               _kron_product, _random_row_isometry, run_experiment)
 from liftcert.matrixio import dump_json
 from liftcert.spectral import singular_values
 from liftcert.stats import quantile_summary, wilson_interval
 from liftcert.tensor_lift import LiftSizeError, from_sym_coords, sym_lift
-from oracles import (exact_orbit_conj82, kron_operator, per_trial, per_trial_claim76,
+from oracles import (exact_orbit_conj82, kron_operator, per_rho, per_trial, per_trial_claim76,
                      per_trial_claim77, per_trial_conj81, per_trial_conj82,
                      per_trial_jacobian_probe, per_trial_lemma74, per_trial_lift,
-                     per_trial_prop71, per_trial_prop72, per_trial_sigma_basic, per_trial_thm52)
+                     per_trial_prop71, per_trial_prop72, per_trial_sigma_basic, per_trial_thm52,
+                     seeds_caa_probe, seeds_certify, seeds_prop73)
 from paper_tools import sigma_basic_check
 
 
@@ -29,6 +30,39 @@ def cfg(**kw):
                 rho_grid=[0.1], trials=5, master_seed=11, threshold=1e-6)
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def spy_stages(monkeypatch, target, calls):
+    """Log in ``calls`` each stage of the target's Measure as run_experiment
+    calls it: ``("draw", trials)``, "build" and "read", after "bound".  Build
+    and read check that they get what the stage before them gave, and build
+    that it leaves drawn arrays as they were: at scale 0 they are the base."""
+    real = TARGETS[target]
+
+    def bind(p, config):
+        measure, last = real.bind(p, config), {}
+        calls.append("bound")
+
+        def draw(rho, seeds):
+            for inputs, trials in measure.draw(rho, seeds):
+                calls.append(("draw", trials))
+                last["inputs"] = inputs
+                yield inputs, trials
+
+        def build(inputs):
+            calls.append("build")
+            assert inputs is last["inputs"]
+            drawn = inputs.copy() if isinstance(inputs, np.ndarray) else None
+            last["A"] = measure.build(inputs)
+            assert drawn is None or np.array_equal(drawn, inputs)
+            return last["A"]
+
+        def read(A, inputs, rho):
+            calls.append("read")
+            assert A is last["A"] and inputs is last["inputs"]
+            return measure.read(A, inputs, rho)
+        return measure._replace(draw=draw, build=build, read=read)
+    monkeypatch.setitem(TARGETS, target, real._replace(bind=bind))
 
 
 class TestConfig:
@@ -353,20 +387,18 @@ class TestFixedBaseMeasure:
     def test_scale_zero_builds_and_decomposes_once(self, monkeypatch, target, params, oracle):
         config = cfg(target=target, params=params, rho_grid=[0.0, 0.3], trials=5,
                      threshold=1e-9)
+        smoothed_run = run_experiment(config)
         calls = []
-        smoothed = harness._smoothed
-        monkeypatch.setattr(harness, "_smoothed", lambda bases, build, *args, **kw: smoothed(
-            bases, lambda U: calls.append("build") or build(U), *args, **kw))
-        measure = TARGETS[target].bind(config.params, config)
+        spy_stages(monkeypatch, target, calls)
         svd, draw = harness.stacked_singular_values, harness._rng.gaussians
         monkeypatch.setattr(harness, "stacked_singular_values",
                             lambda A: calls.append("svd") or svd(A))
         monkeypatch.setattr(harness._rng, "gaussians",
-                            lambda *args, **kw: calls.append("draw") or draw(*args, **kw))
-        read = harness._read(measure(0.0, [1, 2, 3]))
-        assert calls == ["build", "svd"]
-        assert len(read) == 3 and len(set(read)) == 1
-        smoothed_run = run_experiment(config)
+                            lambda *args, **kw: calls.append("gaussians") or draw(*args, **kw))
+        result = run_experiment(cfg(target=target, params=params, rho_grid=[0.0], trials=3))
+        # One run stands for the three trials: no noise drawn, one build, one SVD.
+        assert calls[calls.index("bound"):] == ["bound", ("draw", 3), "build", "read", "svd"]
+        assert len({r.sigma for r in result.reports}) == 1
         monkeypatch.setitem(TARGETS, target, Target(TARGETS[target].params, per_trial(oracle)))
         single = run_experiment(config)
         assert smoothed_run.to_csv() == single.to_csv()
@@ -377,15 +409,19 @@ class TestFixedBaseMeasure:
         # this trial peaked at 0.204 MB against 1400 declared entries.
         config = cfg(target="thm52", params={"n": 5, "m": 2, "d": 4}, trials=1)
         declared, smoothed = [], harness._smoothed
-        monkeypatch.setattr(harness, "_smoothed", lambda bases, build, k, per_trial, *args, **kw:
+        monkeypatch.setattr(harness, "_smoothed", lambda bases, build, read, per_trial, *args, **kw:
                             declared.append(math.prod(per_trial)) or smoothed(
-                                bases, build, k, per_trial, *args, **kw))
+                                bases, build, read, per_trial, *args, **kw))
         measure = TARGETS["thm52"].bind(config.params, config)
         assert declared == [35 * 5 * 2**3]
-        harness._read(measure(0.3, [1]))
+
+        def trial(seed):
+            for inputs, _ in measure.draw(0.3, [seed]):
+                measure.read(measure.build(inputs), inputs, 0.3)
+        trial(1)
         tracemalloc.start()
         try:
-            harness._read(measure(0.3, [2]))
+            trial(2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -412,6 +448,11 @@ class TestFixedBaseMeasure:
          "params n=4, m=2, d=2, delta=0.5, base=zero: the random row isometry"),
         ("sigma_basic", {"n": 6, "k": 5}, 30,
          "params n=6, k=5, delta=1.0, h=0.3, base=zero: the zero base would have shape (6, 5)"),
+        # certify's 36 x 15 operator forms are under its 136 x 15 lift, which
+        # is refused first, in sym_lift's words.
+        ("certify", {"m": 5}, 540,
+         "params variety=determinantal:4,4,1, m=5, planted=False: the symmetrized lift with "
+         "n = 16, m = 5, d = 2 would have shape (136, 15)"),
     ])
     def test_trial_past_the_cap_is_refused_at_bind(self, monkeypatch, target, params, entries,
                                                    named):
@@ -447,20 +488,59 @@ SPECTRA_TARGETS = {
     "conj81": {"n": 6, "m": 2}, "conj82": {"dim": 3, "r": 4, "N": 20},
     "sigma_basic": {"n": 6, "k": 5},
 }
+# And of the other five.
+ALL_TARGETS = {**SPECTRA_TARGETS, "certify": {}, "prop73": {"n": 5, "m": 3},
+               "caa_probe": {"n": 5, "m": 4, "k": 2, "pilot_trials": 16},
+               "jacobian_probe": {"n": 5, "m": 4, "k": 2}, "const_control": {}}
 
 
 @pytest.mark.parametrize("target", list(SPECTRA_TARGETS))
-def test_singular_value_targets_return_spectra(target):
+def test_singular_value_targets_return_spectra(monkeypatch, target):
+    # Each run's matrix or stack goes through one stacked SVD, one value per trial.
     config = cfg(target=target, params=SPECTRA_TARGETS[target], trials=3)
-    measured = TARGETS[target].bind(config.params, config)(0.3, [1, 2, 3])
-    assert isinstance(measured, harness.Spectra)
-    assert len(harness._read(measured)) == 3
+    stacks, svd = [], harness.stacked_singular_values
+    monkeypatch.setattr(harness, "stacked_singular_values",
+                        lambda A: stacks.append(A.shape[:-2]) or svd(A))
+    assert len(run_experiment(config).reports) == 3
+    assert sum(math.prod(lead) for lead in stacks) == 3
+
+
+@pytest.mark.parametrize("target", list(TARGETS))
+def test_every_target_binds_a_measure(target):
+    config = cfg(target=target, params=ALL_TARGETS[target])
+    assert isinstance(TARGETS[target].bind(config.params, config), harness.Measure)
+
+
+SMOOTHED = {"thm51", "thm52", "cor53", "prop72", "conj81", "conj82", "sigma_basic",
+            "const_control", "certify"}
+
+
+@pytest.mark.parametrize("target, params", [
+    *ALL_TARGETS.items(), pytest.param("certify", {"planted": True}, id="certify-planted")])
+def test_each_run_is_drawn_built_and_read_once_in_order(monkeypatch, target, params):
+    # Under a stack cap of one entry every stack holds one trial.  A scale of
+    # 0 (rho 0, and every rho of const_control) is one run for all five.
+    monkeypatch.setattr(harness, "_STACK_ENTRIES", 1)
+    calls = []
+    spy_stages(monkeypatch, target, calls)
+    run_experiment(cfg(target=target, params=params, rho_grid=[0.0, 0.3], trials=5))
+    once, each = [("draw", 5)], [("draw", 1)] * 5
+    draws = (once if target in SMOOTHED else each) + (once if target == "const_control" else each)
+    assert calls == ["bound"] + [call for draw in draws for call in (draw, "build", "read")]
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_a_certify_experiment_hashes_no_basis(monkeypatch, planted):
+    monkeypatch.setattr(varieties, "matrix_sha256", lambda *a: pytest.fail("a basis was hashed"))
+    config = cfg(target="certify", params={"planted": planted}, rho_grid=[0.0, 0.3], trials=3)
+    assert len(run_experiment(config).reports) == 6
 
 
 class TestMatricesOneAtATime:
     """The targets that yield one matrix per trial, and conj81, conj82 and
     sigma_basic at the default stack size, give the CSV and summary bytes of
-    their measures taken one trial at a time with ``singular_values(...)[k]``."""
+    their measures taken one trial at a time with ``singular_values(...)[k]``;
+    certify, prop73 and caa_probe those of the measures they replaced."""
 
     ORACLES = {"prop71": per_trial_prop71, "lemma74": per_trial_lemma74,
                "claim77": per_trial_claim77, "claim76": per_trial_claim76,
@@ -485,6 +565,26 @@ class TestMatricesOneAtATime:
         read = run_experiment(config)
         monkeypatch.setitem(TARGETS, target, Target(TARGETS[target].params,
                                                     per_trial(self.ORACLES[target])))
+        single = run_experiment(config)
+        assert read.to_csv() == single.to_csv()
+        assert dump_json(read.summary()) == dump_json(single.summary())
+
+    @pytest.mark.parametrize("trials", [1, 30])
+    @pytest.mark.parametrize("target, params, oracle", [
+        ("certify", {}, seeds_certify),
+        ("certify", {"planted": True}, seeds_certify),
+        ("prop73", {"n": 5, "m": 3}, seeds_prop73),
+        ("caa_probe", {"n": 5, "m": 4, "k": 2, "pilot_trials": 16}, seeds_caa_probe),
+    ])
+    def test_reads_equal_the_seed_at_a_time_measures(self, monkeypatch, target, params, oracle,
+                                                      trials):
+        # The measures these targets wrote before they were a draw, a build and
+        # a read: certify through varieties.certify, prop73 and caa_probe as
+        # generators, caa_probe's lambda_hat and delta as attributes.
+        config = cfg(target=target, params=params, rho_grid=[0.0, 0.3], trials=trials,
+                     threshold=1e-9)
+        read = run_experiment(config)
+        monkeypatch.setitem(TARGETS, target, Target(TARGETS[target].params, per_rho(oracle)))
         single = run_experiment(config)
         assert read.to_csv() == single.to_csv()
         assert dump_json(read.summary()) == dump_json(single.summary())

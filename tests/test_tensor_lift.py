@@ -723,3 +723,45 @@ class TestLiftMatrix:
         for axes in itertools.permutations(range(3)):
             assert np.array_equal(T.transpose(*axes, 3), T)
         assert np.abs(L.coords.T @ L.coords - L.data.T @ L.data).max() <= 1e-12
+
+
+# Derandomized, so a failure reproduces on every run and machine.
+INVARIANCE = settings(max_examples=25, deadline=None, derandomize=True)
+LIFT_SHAPES = st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 3),
+                        st.integers(0, 2**32 - 1))
+
+
+def lift_values(U: np.ndarray, d: int) -> np.ndarray:
+    return np.linalg.svd(sym_lift(U, d).coords, compute_uv=False)
+
+
+class TestLiftInvariances:
+    """Properties of the lift's singular values that need no reference
+    values.  Invariance under U -> U @ R for an orthogonal R does not hold:
+    the lift's columns are symmetrized products, not an isometric basis."""
+
+    @INVARIANCE
+    @given(LIFT_SHAPES)
+    def test_left_orthogonal_invariance(self, shape):
+        n, m, d, seed = shape
+        gen = np.random.default_rng(seed)
+        U = gen.standard_normal((n, m))
+        O, _ = np.linalg.qr(gen.standard_normal((n, n)))
+        s = lift_values(U, d)
+        assert np.abs(lift_values(O @ U, d) - s).max() <= 1e-14 * s[0]
+
+    @INVARIANCE
+    @given(LIFT_SHAPES)
+    def test_column_permutation_invariance(self, shape):
+        n, m, d, seed = shape
+        gen = np.random.default_rng(seed)
+        U = gen.standard_normal((n, m))
+        s = lift_values(U, d)
+        assert np.abs(lift_values(U[:, gen.permutation(m)], d) - s).max() <= 1e-14 * s[0]
+
+    @INVARIANCE
+    @given(LIFT_SHAPES, st.sampled_from([0.25, 0.5, 2.0, 8.0]))
+    def test_power_of_two_scaling_scales_by_c_to_the_d(self, shape, c):
+        n, m, d, seed = shape
+        U = np.random.default_rng(seed).standard_normal((n, m))
+        assert np.array_equal(lift_values(c * U, d), c**d * lift_values(U, d))
