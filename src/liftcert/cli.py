@@ -6,6 +6,12 @@ configured acceptance threshold fails, 2 on usage errors or malformed input
 files, 3 when a numerical routine or arithmetic fails in the library or an
 allocation that passed the size cap does not fit in memory.  Every
 output records the fully resolved configuration in its header.
+
+Each command runs with OpenBLAS on one thread, restored when it returns.
+The first command of a process also sets glibc's mmap and trim thresholds,
+so trials reuse freed heap pages instead of faulting in fresh ones; that
+setting is never restored, and is skipped where ``mallopt`` is absent.
+Importing this module sets neither.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from . import harness as hs
 from . import rng as _rng
 from .matrixio import dump_json, format_float, load_matrix_csv, matrix_to_csv, write_text
 from .spectral import _rank_of_values, leave_one_out, singular_values
-from .tensor_lift import sym_lift
+from .tensor_lift import MAX_DENSE_ENTRIES, sym_lift
 from .varieties import certify as run_certify
 from .varieties import orthonormalize_basis, variety_from_spec
 
@@ -202,6 +208,22 @@ def _openblas_threads() -> list:
 
 
 @functools.cache
+def _keep_freed_heap() -> None:
+    """Have glibc serve arrays below 32 MiB (the largest mmap threshold it accepts) from the heap,
+    and trim the heap only past 8 * MAX_DENSE_ENTRIES free bytes, so a trial reuses the pages the
+    last one freed instead of faulting in fresh ones.  Set once per process and not restored:
+    glibc has no getter, and setting either turns off its dynamic threshold.  A no-op where
+    there is no ``mallopt`` or it refuses the value."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if mallopt(-3, 32 << 20):  # M_MMAP_THRESHOLD
+        mallopt(-1, 8 * MAX_DENSE_ENTRIES)  # M_TRIM_THRESHOLD
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process."""
     parser = argparse.ArgumentParser(
@@ -271,7 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command with OpenBLAS on one thread, so bytes do not depend on the core count."""
+    """Run one command with OpenBLAS on one thread, so bytes do not depend on the core count,
+    and with the freed heap kept for the next trial (``_keep_freed_heap``)."""
+    _keep_freed_heap()
     args = build_parser().parse_args(argv)
     restore = [(set_threads, get()) for get, set_threads in _openblas_threads()]
     try:

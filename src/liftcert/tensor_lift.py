@@ -23,7 +23,6 @@ they are read-only.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, is_dataclass
 from functools import reduce
@@ -96,9 +95,17 @@ class _IndexPlan(NamedTuple):
 
 def _build_plan(n: int, d: int) -> _IndexPlan:
     count = math.comb(n + d - 1, d)
-    rows = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations_with_replacement(range(n), d)),
-        dtype=np.int64, count=count * d).reshape(count, d)
+    rows = np.zeros((count, d), dtype=np.int64)
+    # Level k, the rows of k entries, is rows[:C(n+k-1, k), d-k:].  Its rows that start
+    # with 0 are level k-1, already in place; those that start with a > 0 are a, then the
+    # rows of level k-1 whose entries are all >= a: its last C(n-a+k-2, k-1) rows.
+    for k in range(1, d + 1 if n > 1 else 1):
+        below = start = math.comb(n + k - 2, k - 1)
+        for a in range(1, n):
+            size = math.comb(n - a + k - 2, k - 1)
+            rows[start:start + size, d - k] = a
+            rows[start:start + size, d - k + 1:] = rows[below - size:below, d - k + 1:]
+            start += size
     # A prefix's orbit grows at step j by (j+1) / (the length of the run of
     # equal entries ending at j), to at most d times the largest multinomial of
     # d-1 entries over n symbols (counts within one of each other).  Below 2**63

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import platform
 import re
 import struct
 import subprocess
@@ -455,6 +456,78 @@ class TestBlasThreads:
                                capture_output=True, check=True, timeout=300)
                 outputs.setdefault(target, []).append((tmp_path / threads / f"{target}.csv").read_bytes())
         assert all(one == two for one, two in outputs.values())
+
+
+class TestFreedHeap:
+    @pytest.fixture
+    def libc(self, monkeypatch):
+        """Every ``mallopt`` call goes to ``libc.mallopt`` (None: no such symbol); the
+        heap setting runs afresh at the next ``main`` and again after the test."""
+        real = cli.ctypes.CDLL
+        libc = type("Libc", (), {})()
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name, *a, **k: libc if name is None
+                            else real(name, *a, **k))
+        cli._keep_freed_heap.cache_clear()
+        yield libc
+        cli._keep_freed_heap.cache_clear()
+
+    @staticmethod
+    def experiment(tmp_path, out):
+        config = tmp_path / "thm51.json"
+        config.write_text(json.dumps({
+            "target": "thm51", "params": {"n": 6, "m": 2, "d": 2}, "rho_grid": [0.1],
+            "trials": 3, "master_seed": 0, "threshold": 0.0, "name": "thm51"}))
+        assert main(["experiment", "--config", str(config), "--out-dir", str(tmp_path / out)]) == 0
+        return b"".join((tmp_path / out / name).read_bytes()
+                        for name in ("thm51.csv", "thm51_summary.json"))
+
+    def test_both_settings_are_made_once_before_the_first_trial(
+            self, tmp_path, capsys, monkeypatch, libc):
+        events, real = [], cli.hs.run_experiment
+        libc.mallopt = lambda param, value: events.append((param, value)) or 1
+        monkeypatch.setattr(cli.hs, "run_experiment",
+                            lambda config: events.append("trials") or real(config))
+        self.experiment(tmp_path, "first")
+        self.experiment(tmp_path, "second")
+        assert events == [(-3, 32 << 20), (-1, 8 * tensor_lift.MAX_DENSE_ENTRIES),
+                          "trials", "trials"]
+
+    @pytest.mark.parametrize("mallopt", [None, lambda param, value: 0],
+                             ids=["no symbol", "refused"])
+    def test_without_mallopt_the_command_gives_the_same_bytes(
+            self, tmp_path, capsys, monkeypatch, libc, mallopt):
+        calls = []
+        if mallopt:
+            libc.mallopt = lambda param, value: calls.append(param) or mallopt(param, value)
+        without = self.experiment(tmp_path, "without")
+        monkeypatch.undo()
+        cli._keep_freed_heap.cache_clear()
+        assert self.experiment(tmp_path, "with") == without
+        assert calls == ([-3] if mallopt else [])
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt only")
+    def test_a_second_experiment_faults_in_few_fresh_pages(self, tmp_path):
+        # ru_minflt of the child's second call, with the heap setting and with it stubbed
+        # out.  Without it, each call of claim76 maps and faults in its arrays afresh (lemma74
+        # alone settles under glibc's dynamic threshold by its second call).
+        config = tmp_path / "claim76.json"
+        config.write_text(json.dumps({
+            "target": "claim76", "params": {"n": 10, "m": 4}, "rho_grid": [0.3],
+            "trials": 3, "master_seed": 0, "threshold": 1e-8, "name": "claim76"}))
+        child = ("import contextlib, io, resource, sys\n"
+                 "from liftcert import cli\n"
+                 "if sys.argv[1] == 'off':\n"
+                 "    cli._keep_freed_heap = lambda: None\n"
+                 "for _ in range(2):\n"
+                 "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                 "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "        cli.main(['experiment', '--config', sys.argv[2], '--out-dir', sys.argv[3]])\n"
+                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        faults = {mode: int(subprocess.run(
+            [sys.executable, "-c", child, mode, str(config), str(tmp_path / mode)],
+            env=src_env(), capture_output=True, check=True, text=True, timeout=300).stdout)
+            for mode in ("on", "off")}
+        assert faults["on"] * 10 < faults["off"], faults
 
 
 class TestMatrixToCsv:

@@ -536,6 +536,25 @@ def test_a_certify_experiment_hashes_no_basis(monkeypatch, planted):
     assert len(run_experiment(config).reports) == 6
 
 
+@pytest.mark.parametrize("trials", [1, 4])
+def test_planted_certify_builds_the_forms_of_the_basis_planted_at_e0(trials):
+    # A planted eta is exactly 0 at every rho, so only the forms show which point was planted.
+    config = cfg(target="certify", params={"planted": True}, rho_grid=[0.0, 0.3], trials=trials)
+    measure = TARGETS["certify"].bind(config.params, config)
+    op = varieties.variety_from_spec(config.params["variety"])
+    base = rng.unit_columns((op.n, config.params["m"]), config.master_seed, "base")
+    seeds = [rng.derive_seed(config.master_seed, "trial", t) for t in range(trials)]
+    for rho in config.rho_grid:
+        built = np.concatenate([np.repeat(measure.build(inputs), count // len(inputs), axis=0)
+                                for inputs, count in measure.draw(rho, seeds)])
+        want = []
+        for seed in seeds:
+            B = base + rho * rng.gaussians(base.shape, seed, "noise")
+            B[:, 0] = np.eye(op.n)[0]
+            want.append(varieties.apply_to_lift(op, varieties.orthonormalize_basis(B, keep_first=True)))
+        assert np.abs(built).max() > 0.1 and np.array_equal(built, np.array(want))
+
+
 class TestMatricesOneAtATime:
     """The targets that yield one matrix per trial, and conj81, conj82 and
     sigma_basic at the default stack size, give the CSV and summary bytes of

@@ -284,6 +284,15 @@ class TestMultiIndex:
                 with pytest.raises(ValueError):
                     rows[0, 0] = 2
 
+    def test_plan_rows_equal_itertools(self):
+        # d = 0 is the one-row, zero-width plan that _build_orbits starts from.
+        for n in range(1, 7):
+            for d in range(0, 8):
+                rows = tensor_lift._build_plan(n, d).rows
+                want = list(itertools.combinations_with_replacement(range(n), d))
+                assert rows.dtype == np.int64 and rows.shape == (len(want), d)
+                assert rows.flags.c_contiguous and [tuple(row) for row in rows.tolist()] == want
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 4))
     def test_rank_is_lexicographic_bijection(self, n, d):
