@@ -4,17 +4,17 @@ An experiment is (target, params, rho_grid, trials, master_seed, threshold).
 ``TARGETS`` declares each target's params, which a config checks by name when
 it is built, and a bind function that checks the dimension budget before any
 trial.  Each trial derives its own random stream from (master_seed, trial
-index).  A bound target is a ``Measure`` of three stages, draw, build and
-read; ``run_experiment`` alone calls them, per rho on all of its trial seeds.
-``_at`` reads singular value k of a matrix or stack in one stacked SVD;
+index).  A bound target is a ``Measure``: one trial's largest arrays, which
+``run_experiment`` alone checks against the cap before the first draw, and the
+draw, build and read stages, which it alone calls, per rho on all trial
+seeds.  ``_at`` reads singular value k of a matrix or stack in one stacked SVD;
 ``_smoothed`` measures the fixed-base targets (thm51, cor53, thm52, prop72,
 conj81, conj82, sigma_basic, const_control, certify) in stacks with the bytes
 of one trial at a time, and at scale 0 (every rho of const_control) once for
-all trials.  ``run_experiment`` names every resolved param in each refusal
-raised as a target binds or measures; no target names them itself.
-Everything runs in one thread, and the aggregation is a fold over trial
-index.  A trial's noise is keyed by its seed only, never by rho, so
-comparisons across a rho grid are paired by construction.
+all trials.  A refusal raised as a target binds or measures names every resolved
+param; no target names them.  Everything runs in one thread, and the aggregation
+is a fold over trial index.  A trial's noise is keyed by its seed only, never by
+rho, so comparisons across a rho grid are paired by construction.
 
 Output contract: one CSV row per trial plus a JSON summary, both
 byte-reproducible for a fixed config (timings never enter the files).
@@ -63,9 +63,9 @@ class Param(NamedTuple):
 
 
 class Target(NamedTuple):
-    """``bind(resolved params, config)`` checks the dimension budget and returns
-    the target's ``Measure``.  A default ``threshold`` marks a ``liftcert
-    powersum`` check."""
+    """``bind(resolved params, config)`` checks the dimension budget, and the
+    size of any array it builds itself, and returns the target's ``Measure``.
+    A default ``threshold`` marks a ``liftcert powersum`` check."""
 
     params: dict
     bind: Callable
@@ -95,12 +95,14 @@ class Measure(NamedTuple):
     ``build(inputs)`` makes the run's matrix or stack; ``read(A, inputs, rho)``
     gives ``(sigma, threshold or None, passed or None)`` per matrix, None for the
     config's threshold and ``sigma >= threshold``.  A run of one matrix is read
-    once for all its trials.  ``extras`` go into the summary."""
+    once for all its trials.  ``extras`` go into the summary; ``arrays``, one
+    trial's largest arrays as ``{name: shape}``, are refused past the cap."""
 
     draw: Callable
     build: Callable
     read: Callable
     extras: dict = {}
+    arrays: dict = {}
 
 
 def _typed(what: str, value, kind: type, low: int | None = None):
@@ -228,14 +230,13 @@ def _each(make) -> Callable:
 
 
 def _smoothed(bases: np.ndarray, build, read, per_trial: tuple, path: tuple = ("noise",),
-              perturb=np.add, scale=lambda rho: rho) -> Measure:
+              perturb=np.add, scale=lambda rho: rho, arrays: dict = {}) -> Measure:
     """The measure whose trial matrix is ``build`` of ``perturb(bases, scale(rho) *
     noise)``; base j of a stack draws noise keyed ``(seed, *path, j)``, one base
-    ``(seed, *path)``.  ``per_trial``, the shape of one trial's largest array, is
-    checked against the cap now, and a stack holds as many trials as fit in
+    ``(seed, *path)``.  It declares ``arrays``, then ``per_trial``, the shape of one
+    trial's largest array, and a stack holds as many trials as fit in
     ``_STACK_ENTRIES`` entries, or the cap if less, so no stack can pass it.  Scale 0
     draws nothing: its one run, ``bases[None]``, stands for every trial."""
-    _check_entries(per_trial, "one trial's arrays")
 
     def draw(rho, seeds):
         factor = scale(rho)
@@ -248,7 +249,7 @@ def _smoothed(bases: np.ndarray, build, read, per_trial: tuple, path: tuple = ("
             noise = _rng.gaussians(bases.shape[-2:], chunk, *path,
                                    stack=len(bases) if bases.ndim == 3 else None)
             yield perturb(bases, factor * noise), len(chunk)
-    return Measure(draw, build, read)
+    return Measure(draw, build, read, arrays={**arrays, "one trial's arrays": per_trial})
 
 
 def _lift_rank(p) -> int:
@@ -325,32 +326,28 @@ def _bind_certify(p, config):
     m, planted = p["m"], p["planted"]
     cols = math.comb(m + op.d - 1, op.d)
     _need(cols <= op.p, f"C(m+d-1,d) <= p = {op.p} generators")
-    # sym_lift's refusal, made now: a trial's basis and forms are no larger than its lift.
-    _check_entries((math.comb(op.n + op.d - 1, op.d), cols),
-                   f"the symmetrized lift with n = {op.n}, m = {m}, d = {op.d}")
     base = _rng.unit_columns((op.n, m), config.master_seed, "base")
 
     def build(B):
         if planted:  # e_0 first, in a new array: at scale 0 B is a view of the base
             B = np.where(np.arange(m) == 0, np.eye(op.n, 1), B)
         return np.array([apply_to_lift(op, orthonormalize_basis(b, keep_first=planted)) for b in B])
-    # certify's eta.  Stacks hold bases and forms; each lift is built alone.
-    return _smoothed(base, build, _at(-1), (max(op.n * m, op.p * cols),))
+    # certify's eta.  Stacks hold bases and forms; each lift is built alone, and
+    # declared first under sym_lift's own name: the basis and forms are no larger.
+    return _smoothed(base, build, _at(-1), (max(op.n * m, op.p * cols),), arrays={
+        f"the symmetrized lift with n = {op.n}, m = {m}, d = {op.d}":
+        (math.comb(op.n + op.d - 1, op.d), cols)})
 
 
 def _bind_prop71(p, config):
-    """The order-6 projection of the order-3 lift of m symmetric columns.
-    Before any draw the columns, every array of the lift, its n**6 full
-    rows, which the projection keeps, and the n**6 x 6 index rows of the
-    projection's orbits are checked against the cap."""
+    """The order-6 projection of the order-3 lift of m symmetric columns."""
     n, m = p["n"], p["m"]
-    _check_entries((n * n, m), "the symmetric columns")
-    _check_entries((_lift_entries(n * n, m, 3),), "the largest array of the order-3 lift")
-    _check_entries((n**6, math.comb(m + 2, 3)), "the order-6 projection")
-    _check_entries((n**6, 6), "the index rows of the order-6 projection")
-
     return Measure(_each(lambda rho, seed: ps.make_symmetric_columns(n, m, rho, seed)),
-                   lambda C: ps.symmetric_cube_lift(C, n), _at(-1))
+                   lambda C: ps.symmetric_cube_lift(C, n), _at(-1), arrays={
+                       "the symmetric columns": (n * n, m),
+                       "the largest array of the order-3 lift": (_lift_entries(n * n, m, 3),),
+                       "the order-6 projection": (n**6, math.comb(m + 2, 3)),
+                       "the index rows of the order-6 projection": (n**6, 6)})
 
 
 def _bind_prop72(p, config):
@@ -366,20 +363,22 @@ def _bind_prop72(p, config):
                      (max(m * _lift_entries(n, ell, 2), n * n * cols),))
 
 
-def _power_sum_instances(p, rank: tuple[str, int] | None = None):
-    """Check m < N2 and any named rank <= C(n+3,4); return the draw of one instance per seed."""
+def _power_sum(p, build, read, rank: tuple[str, int] | None = None, cols: int = 0) -> Measure:
+    """Check m < N2 and any named rank <= C(n+3,4); return the measure of one instance
+    per seed, whose N2 x N2 completion and any C(n+3,4) x cols block are declared."""
     n, m = p["n"], p["m"]
-    n2 = math.comb(n + 1, 2)
+    n2, rows = math.comb(n + 1, 2), math.comb(n + 3, 4)
     _need(m < n2, f"m < N2 = C(n+1,2) = {n2}")
     if rank is not None:
-        rows = math.comb(n + 3, 4)
         _need(rank[1] <= rows, f"{rank[0]} = {rank[1]} <= C(n+3,4) = {rows}")
-    return _each(lambda rho, seed: ps.make_power_sum_instance(n, m, rho, seed))
+    block = {"the degree-4 merge block": (rows, cols)} if cols else {}
+    return Measure(_each(lambda rho, seed: ps.make_power_sum_instance(n, m, rho, seed)), build,
+                   read, arrays={"the N2 x N2 completion": (n2, n2), **block})
 
 
 def _bind_prop73(p, config):
-    m = p["m"]
-    want = m * math.comb(p["n"] + 1, 2) - math.comb(m, 2)
+    m, n2 = p["m"], math.comb(p["n"] + 1, 2)
+    want = m * n2 - math.comb(m, 2)
 
     def read(M, inst, rho):
         s = stacked_singular_values(M)
@@ -388,25 +387,27 @@ def _bind_prop73(p, config):
             np.linalg.norm(M @ ps.antisym_witnesses(inst), axis=0).max()
             <= config.threshold) if m > 1 else True
         return [(float(s[want - 1]), None, bool(rank == want and witness_ok))]
-    return Measure(_power_sum_instances(p, ("m*N2 - C(m,2)", want)), ps.build_sym4_IkronA, read)
+    return _power_sum(p, ps.build_sym4_IkronA, read, ("m*N2 - C(m,2)", want), m * n2)
 
 
 def _bind_lemma74(p, config):
-    return Measure(_power_sum_instances(p), ps.build_solution_space_M, _at(-1))
+    # The pair sum's two products, side by side, of m*N2 - C(m,2) columns each.
+    cols = 2 * (p["m"] * math.comb(p["n"] + 1, 2) - math.comb(p["m"], 2))
+    return _power_sum(p, ps.build_solution_space_M, _at(-1), cols=cols)
 
 
 def _bind_claim77(p, config):
     # claim77 and claim76 split the noise into two layers of rho / sqrt(2).
-    return Measure(_power_sum_instances(p), lambda inst: ps.build_claim_Q(
+    return _power_sum(p, lambda inst: ps.build_claim_Q(
         inst, inst.rho / math.sqrt(2.0), inst.rho / math.sqrt(2.0)), _at(-1))
 
 
 def _bind_claim76(p, config):
-    m = p["m"]
-    rank = 2 * m * math.comb(p["n"] + 1, 2) - math.comb(2 * m, 2)
-    return Measure(_power_sum_instances(p, ("2*m*N2 - C(2m,2)", rank)),
-                   lambda inst: ps.build_claim_W(inst, inst.rho / math.sqrt(2.0),
-                                                 inst.rho / math.sqrt(2.0)), _at(rank - 1))
+    m, n2 = p["m"], math.comb(p["n"] + 1, 2)
+    rank = 2 * m * n2 - math.comb(2 * m, 2)
+    return _power_sum(p, lambda inst: ps.build_claim_W(inst, inst.rho / math.sqrt(2.0),
+                                                       inst.rho / math.sqrt(2.0)),
+                      _at(rank - 1), ("2*m*N2 - C(2m,2)", rank), 2 * m * n2)
 
 
 def _bind_conj81(p, config):
@@ -482,7 +483,8 @@ def _bind_jacobian_probe(p, config):
         count = _rank_of_values(s, max(p["tau_factor"] * rho, DEFAULT_RTOL * s[0]))
         return [(float(count), float(need), bool(count >= need))]
     return Measure(_each(lambda rho, seed: _probe_trial(base, rho, seed, k)),
-                   lambda trial: jacobian_khatri_rao(*trial), read)
+                   lambda trial: jacobian_khatri_rao(*trial), read,
+                   arrays={"the Khatri-Rao Jacobian": (n * n, 2 * n * m)})
 
 
 def _bind_sigma_basic(p, config):
@@ -580,7 +582,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     pass count at every grid point.
 
     A usage error (a ``ValueError`` neither arithmetic nor a ``LinAlgError``)
-    raised while the target binds or a rho is measured is re-raised as its class
+    raised while the target binds, its arrays are checked against the cap
+    (before the first draw) or a rho is measured is re-raised as its class
     prefixed ``params n=10, m=2, ...: ``, every resolved param named once.
     """
     seeds = [_rng.derive_seed(config.master_seed, "trial", t) for t in range(config.trials)]
@@ -593,6 +596,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             yield from read * trials if len(read) == 1 else read
     try:
         measure = TARGETS[config.target].bind(config.params, config)
+        for name, shape in measure.arrays.items():
+            _check_entries(shape, name)
         for rho in config.rho_grid:
             rows = []
             for t, (seed, (sigma, thresh, passed)) in enumerate(

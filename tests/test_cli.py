@@ -929,6 +929,17 @@ class TestExperiment:
         ("prop71", {"n": 3, "m": 1}, 1,
          "params n=3, m=1: the index rows of the order-6 projection would have shape (729, 6)",
          cli.hs.ps, "make_symmetric_columns"),
+        # The 15 x 15 completion fits; the C(8,4) = 70-row degree-4 block does
+        # not.  At n = 60 the real cap let 8.1 to 16.2 GiB blocks through.
+        ("prop73", {"n": 5, "m": 1}, 1,
+         "params n=5, m=1: the degree-4 merge block would have shape (70, 15)",
+         cli.hs.ps, "build_sym4_IkronA"),
+        ("lemma74", {"n": 5, "m": 1}, 1,
+         "params n=5, m=1: the degree-4 merge block would have shape (70, 30)",
+         cli.hs.ps, "build_solution_space_M"),
+        ("claim76", {"n": 5, "m": 1}, 1,
+         "params n=5, m=1: the degree-4 merge block would have shape (70, 30)",
+         cli.hs.ps, "build_claim_W"),
     ])
     def test_arrays_past_the_cap_are_refused_before_they_are_built(
             self, tmp_path, capsys, monkeypatch, target, params, trials, named, module, builder):
