@@ -363,9 +363,11 @@ def _bind_prop72(p, config):
                      (max(m * _lift_entries(n, ell, 2), n * n * cols),))
 
 
-def _power_sum(p, build, read, rank: tuple[str, int] | None = None, cols: int = 0) -> Measure:
+def _power_sum(p, build, read, rank: tuple[str, int] | None = None, cols: int = 0,
+               arrays: dict = {}) -> Measure:
     """Check m < N2 and any named rank <= C(n+3,4); return the measure of one instance
-    per seed, whose N2 x N2 completion and any C(n+3,4) x cols block are declared."""
+    per seed, whose N2 x N2 completion, then ``arrays``, then any C(n+3,4) x cols block
+    are declared."""
     n, m = p["n"], p["m"]
     n2, rows = math.comb(n + 1, 2), math.comb(n + 3, 4)
     _need(m < n2, f"m < N2 = C(n+1,2) = {n2}")
@@ -373,7 +375,7 @@ def _power_sum(p, build, read, rank: tuple[str, int] | None = None, cols: int = 
         _need(rank[1] <= rows, f"{rank[0]} = {rank[1]} <= C(n+3,4) = {rows}")
     block = {"the degree-4 merge block": (rows, cols)} if cols else {}
     return Measure(_each(lambda rho, seed: ps.make_power_sum_instance(n, m, rho, seed)), build,
-                   read, arrays={"the N2 x N2 completion": (n2, n2), **block})
+                   read, arrays={"the N2 x N2 completion": (n2, n2), **arrays, **block})
 
 
 def _bind_prop73(p, config):
@@ -397,9 +399,11 @@ def _bind_lemma74(p, config):
 
 
 def _bind_claim77(p, config):
-    # claim77 and claim76 split the noise into two layers of rho / sqrt(2).
+    # claim77 and claim76 split the noise into two layers of rho / sqrt(2).  Past m = N2 / 2
+    # claim77's draw of both is larger than its completion; claim76's block outweighs it.
     return _power_sum(p, lambda inst: ps.build_claim_Q(
-        inst, inst.rho / math.sqrt(2.0), inst.rho / math.sqrt(2.0)), _at(-1))
+        inst, inst.rho / math.sqrt(2.0), inst.rho / math.sqrt(2.0)), _at(-1),
+        arrays={"a Gaussian draw": (2, math.comb(p["n"] + 1, 2), p["m"])})
 
 
 def _bind_claim76(p, config):

@@ -51,7 +51,9 @@ class PowerSumInstance:
             raise ValueError("instance arrays have inconsistent shapes")
         if not self.A.any():
             raise ValueError("forms A are all zero")
-        if not np.linalg.norm(self.F.T @ self.F - np.eye(n2 - self.m)) <= 1e-10:
+        gram = self.F.T @ self.F
+        gram[np.diag_indices_from(gram)] -= 1.0
+        if not np.linalg.norm(gram) <= 1e-10:
             raise ValueError("completion F is not orthonormal")
         # Scaled to entries of at most 1: norms of A itself overflow past about 1e154.
         A = self.A / np.abs(self.A).max()
@@ -71,6 +73,7 @@ def make_power_sum_instance(n: int, m: int, rho: float, seed: int) -> PowerSumIn
         raise NonFiniteMatrixError(f"power-sum forms overflow at rho = {rho!r}")
     U, _, _ = np.linalg.svd(A, full_matrices=True)
     F = sign_normalize_rows(U[:, m:].T).T
+    del U
     return PowerSumInstance(n=n, m=m, A=A, base=base, F=F, rho=rho, seed=seed)
 
 
@@ -127,9 +130,13 @@ def noise_layers(Z: np.ndarray, rho: float, rhos, seed: int, *path) -> list[np.n
         return [np.zeros_like(Z) for _ in rhos]
     if rho == 0 or abs(float(np.sum((rhos / rho) ** 2)) - 1.0) > 1e-12:
         raise ValueError("split variances must sum to rho^2")
-    raw = [r * g for r, g in zip(rhos, _rng.gaussians(Z.shape, seed, *path, stack=len(rhos)))]
-    excess = sum(raw) - Z
-    return [layer - (r / rho) ** 2 * excess for layer, r in zip(raw, rhos)]
+    layers = _rng.gaussians(Z.shape, seed, *path, stack=len(rhos))
+    layers *= rhos.reshape(-1, *[1] * Z.ndim)
+    excess = layers.sum(axis=0)
+    excess -= Z
+    for layer, r in zip(layers, rhos):
+        layer -= (r / rho) ** 2 * excess
+    return list(layers)
 
 
 def build_claim_Q(instance: PowerSumInstance, rho1: float, rho2: float) -> np.ndarray:

@@ -121,10 +121,29 @@ def _build_plan(n: int, d: int) -> _IndexPlan:
             run = np.where(rows[:, j] == rows[:, j - 1], run + 1, 1)
             orbit = orbit * (j + 1) // run
     else:
-        end = np.column_stack([np.count_nonzero(rows <= v, axis=1) for v in range(n)])
-        orbit = np.frompyfunc(math.comb, 2, 1)(end, np.diff(end, prepend=0)).prod(axis=1)
+        orbit = _orbits_past_int64(rows, n)
     orbit = np.where(orbit < 2**1024 - 2**970, orbit, math.inf).astype(float)
     return _IndexPlan(rows, orbit)
+
+
+def _orbits_past_int64(rows: np.ndarray, n: int) -> np.ndarray:
+    """Each row's prod over v of C(e, k), e its entries <= v and k those == v, in Python
+    ints.  Each distinct C(e, k) is formed once, taking k as min(k, e - k), and each e's
+    from the one before it: C(e, k + 1) = C(e, k) * (e - k) // (k + 1)."""
+    count, d = rows.shape
+    end = np.column_stack([np.count_nonzero(rows <= v, axis=1) for v in range(n - 1)]
+                          + [np.full(count, d)])
+    run = np.diff(end, prepend=0)
+    pairs, inverse = np.unique((end * (d + 1) + np.minimum(run, end - run)).ravel(),
+                               return_inverse=True)
+    combs, last = np.empty(pairs.size, dtype=object), -1
+    for i, (e, k) in enumerate(zip(*map(np.ndarray.tolist, np.divmod(pairs, d + 1)))):
+        if e != last:
+            last, at, comb = e, 0, 1
+        for j in range(at, k):
+            comb = comb * (e - j) // (j + 1)
+        at, combs[i] = k, comb
+    return combs[inverse].reshape(count, n).prod(axis=1)
 
 
 def _plan(n: int, d: int) -> _IndexPlan:

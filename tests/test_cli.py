@@ -940,6 +940,10 @@ class TestExperiment:
         ("claim76", {"n": 5, "m": 1}, 1,
          "params n=5, m=1: the degree-4 merge block would have shape (70, 30)",
          cli.hs.ps, "build_claim_W"),
+        # The 28 x 28 completion fits; the two 28 x 20 noise layers do not, and
+        # were refused only after the completion's SVD.
+        ("claim77", {"n": 7, "m": 20}, 1,
+         "params n=7, m=20: a Gaussian draw would have shape (2, 28, 20)", np.linalg, "svd"),
     ])
     def test_arrays_past_the_cap_are_refused_before_they_are_built(
             self, tmp_path, capsys, monkeypatch, target, params, trials, named, module, builder):
@@ -992,6 +996,7 @@ class TestExperiment:
         ("prop71", {"n": 3, "m": 200}, 1000),
         ("prop71", {"n": 3, "m": 1}, 1000),
         ("jacobian_probe", {"n": 10, "m": 2, "k": 1}, 1000),
+        ("claim77", {"n": 7, "m": 20}, 1000),
     ])
     def test_refusal_names_every_resolved_param_once(self, tmp_path, capsys, monkeypatch,
                                                       target, params, cap):

@@ -528,11 +528,14 @@ PEAK_CONFIGS = {
 PEAK_ALLOWANCE = 64 * 1024
 
 
-@pytest.mark.parametrize("target", list(TARGETS))
-def test_every_target_peaks_within_its_declared_arrays(target):
+# At m = N2 / 2 and past it, claim77's two noise layers outweigh its completion.
+@pytest.mark.parametrize("target, params", [
+    *(pytest.param(target, PEAK_CONFIGS[target], id=target) for target in TARGETS),
+    pytest.param("claim77", {"n": 20, "m": 150}, id="claim77-n20-m150")])
+def test_every_target_peaks_within_its_declared_arrays(target, params):
     # A trial that peaks past four copies of its largest declared array
     # likely builds a larger one it does not declare, which the cap never sees.
-    config = cfg(target=target, params=PEAK_CONFIGS[target], trials=1)
+    config = cfg(target=target, params=params, trials=1)
     measure = TARGETS[target].bind(config.params, config)
     declared = max((math.prod(shape) for shape in measure.arrays.values()), default=0)
     assert warm_trial_peak(measure) <= 4 * 8 * declared + PEAK_ALLOWANCE

@@ -311,7 +311,7 @@ class TestMultiIndex:
                  for row in plan.rows]
         assert np.abs(plan.orbit / np.array(exact, dtype=float) - 1).max() <= 1e-15
 
-    @pytest.mark.parametrize("n,d", [(8, 21), (2, 60), (3, 40), (2, 70)])
+    @pytest.mark.parametrize("n,d", [(8, 21), (2, 60), (3, 40), (2, 70), (3, 45)])
     def test_orbit_floats_are_exact_multinomials(self, n, d):
         # Past d = 20 the steps run in int64 while their largest product fits
         # (all but (2, 70)), where a wrap would change these floats.
@@ -320,6 +320,21 @@ class TestMultiIndex:
         factorials = np.array([math.factorial(c) for c in range(d + 1)], dtype=object)
         exact = math.factorial(d) // factorials[counts].prod(axis=1)
         assert np.array_equal(plan.orbit, exact.astype(float))
+
+    def test_orbits_past_int64_share_their_products(self):
+        # A math.comb per row took 1.7 s of the 1.8 s plan.  Row i is d - i
+        # zeros, then i ones, of orbit C(d, i); C(d, k) grows up to k = d / 2
+        # and is past the float range at k = 200, so every orbit between is inf.
+        d = 5000
+        start = time.perf_counter()
+        plan = tensor_lift._build_plan(2, d)
+        assert time.perf_counter() - start < 1.0
+        assert np.array_equal(plan.rows, np.arange(d) >= np.arange(d, -1, -1)[:, None])
+        assert math.comb(d, 200) >= 2**1024
+        exact = [math.comb(d, min(i, d - i)) if min(i, d - i) < 200 else math.inf
+                 for i in range(d + 1)]
+        assert plan.orbit.tolist() == [float(c) if c < 2**1024 - 2**970 else math.inf
+                                       for c in exact]
 
     def test_one_row_plan_skips_the_orbit_loop(self):
         # Its d steps in Python ints took 6 s at d = 10**6.
